@@ -358,11 +358,16 @@ func runVerify(ctx context.Context, base experiment.Config, out io.Writer, repor
 		fmt.Fprintf(out, "report written to %s\n\n", reportPath)
 	}
 	passed := 0
+	var unevaluable []string
 	for _, r := range results {
 		status := "FAIL"
-		if r.Passed {
+		switch {
+		case r.Passed:
 			status = "PASS"
 			passed++
+		case r.NotEvaluable:
+			status = "N/A"
+			unevaluable = append(unevaluable, r.Claim.ID)
 		}
 		fmt.Fprintf(out, "[%s] %s — %s\n", status, r.Claim.ID, r.Claim.Statement)
 		fmt.Fprintf(out, "       source: %s\n", r.Claim.Source)
@@ -370,6 +375,10 @@ func runVerify(ctx context.Context, base experiment.Config, out io.Writer, repor
 	}
 	fmt.Fprintf(out, "%d/%d claims reproduced (%d graphs/point, %v)\n",
 		passed, len(results), base.Graphs, time.Since(start).Round(time.Millisecond))
+	if len(unevaluable) > 0 {
+		return fmt.Errorf("claims %s not evaluable over this run's tables (the claims need the default -sizes 2-16)",
+			strings.Join(unevaluable, ", "))
+	}
 	return nil
 }
 

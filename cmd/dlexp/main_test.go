@@ -136,6 +136,23 @@ func TestRunWritesReport(t *testing.T) {
 	}
 }
 
+// TestRunVerifyRestrictedSizes: -verify over a size list without N=3
+// reports C1 as not evaluable, naming the missing curve, and fails the
+// run instead of panicking.
+func TestRunVerifyRestrictedSizes(t *testing.T) {
+	var buf bytes.Buffer
+	err := run(context.Background(), []string{"-verify", "-graphs", "2", "-sizes", "2,4"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "C1") {
+		t.Fatalf("err = %v, want a not-evaluable failure naming C1", err)
+	}
+	out := buf.String()
+	for _, want := range []string{"[N/A] C1", `not evaluable: claim references missing curve "PURE/CCNE" size 3`, "claims reproduced"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestRunVerifyMode(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "claims.md")
 	var buf bytes.Buffer
@@ -329,8 +346,8 @@ func TestRunResumeMismatchedFlagsFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, changed := range [][]string{
-		{"-figure", "baselines", "-graphs", "8", "-sizes", "2,4"}, // graphs
-		{"-figure", "baselines", "-graphs", "4", "-sizes", "2,8"}, // sizes
+		{"-figure", "baselines", "-graphs", "8", "-sizes", "2,4"},               // graphs
+		{"-figure", "baselines", "-graphs", "4", "-sizes", "2,8"},               // sizes
 		{"-figure", "baselines", "-graphs", "4", "-sizes", "2,4", "-seed", "7"}, // seed
 	} {
 		buf.Reset()

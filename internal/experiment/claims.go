@@ -25,13 +25,18 @@ type Claim struct {
 	Check func(tables map[string][]*Table) (bool, string)
 }
 
-// mean pulls a curve value or panics with a descriptive message — claims
-// run over tables this package itself produced, so a missing curve is a
-// programming error, not input error.
+// missingCurve is mustMean's panic value. A claim can ask for a point the
+// tables lack when the run restricted the size sweep (dlexp -verify
+// -sizes 2,4 has no N=3 for a saturation check); evaluate recovers it and
+// reports the claim as not evaluable.
+type missingCurve struct{ msg string }
+
+// mustMean pulls a curve value, or abandons the claim check with a
+// missingCurve naming the absent curve and size.
 func mustMean(t *Table, label string, size int) float64 {
 	v, ok := t.Mean(label, size)
 	if !ok {
-		panic(fmt.Sprintf("claim references missing curve %q size %d in %q", label, size, t.Title))
+		panic(missingCurve{fmt.Sprintf("claim references missing curve %q size %d in %q", label, size, t.Title)})
 	}
 	return v
 }
@@ -277,15 +282,18 @@ func Claims() []Claim {
 	}
 }
 
-// VerifyClaims runs every figure a claim needs (sharing runs between
-// claims) and evaluates all claims. It returns one result per claim.
+// ClaimResult is one evaluated claim.
 type ClaimResult struct {
 	Claim  Claim
 	Passed bool
-	Detail string
+	// NotEvaluable marks a claim whose check needs a curve point the
+	// tables do not have; Detail names it. Such a claim is not passed.
+	NotEvaluable bool
+	Detail       string
 }
 
-// VerifyClaims evaluates all claims against freshly produced tables.
+// VerifyClaims runs every figure a claim needs (sharing runs between
+// claims) and evaluates all claims. It returns one result per claim.
 func VerifyClaims(ctx context.Context, base Config) ([]ClaimResult, error) {
 	claims := Claims()
 	needed := map[string]bool{}
@@ -305,8 +313,24 @@ func VerifyClaims(ctx context.Context, base Config) ([]ClaimResult, error) {
 	}
 	out := make([]ClaimResult, 0, len(claims))
 	for _, c := range claims {
-		ok, detail := c.Check(tables)
-		out = append(out, ClaimResult{Claim: c, Passed: ok, Detail: detail})
+		out = append(out, evaluate(c, tables))
 	}
 	return out, nil
+}
+
+// evaluate runs one claim's check, turning a missing curve into a
+// not-evaluable result; any other panic is a bug and propagates.
+func evaluate(c Claim, tables map[string][]*Table) (r ClaimResult) {
+	r.Claim = c
+	defer func() {
+		if v := recover(); v != nil {
+			mc, ok := v.(missingCurve)
+			if !ok {
+				panic(v)
+			}
+			r.Passed, r.NotEvaluable, r.Detail = false, true, "not evaluable: "+mc.msg
+		}
+	}()
+	r.Passed, r.Detail = c.Check(tables)
+	return r
 }

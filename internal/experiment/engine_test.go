@@ -375,6 +375,46 @@ func TestVerifyClaimsMachinery(t *testing.T) {
 	}
 }
 
+// TestVerifyClaimsRestrictedSizes: a size sweep without the point a claim
+// compares (C1's saturation check reads N-1) reports that claim as not
+// evaluable, naming the missing curve, instead of panicking; the other
+// claims still evaluate.
+func TestVerifyClaimsRestrictedSizes(t *testing.T) {
+	base := Default(generator.MDET)
+	base.Graphs = 2
+	base.Sizes = []int{2, 4}
+	results, err := VerifyClaims(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Claim.ID == "C1" {
+			if !r.NotEvaluable || r.Passed {
+				t.Fatalf("C1 over sizes {2,4}: %+v, want not evaluable", r)
+			}
+			if !strings.Contains(r.Detail, `missing curve "PURE/CCNE" size 3`) {
+				t.Errorf("C1 detail %q does not name the missing curve", r.Detail)
+			}
+			continue
+		}
+		if r.NotEvaluable {
+			t.Errorf("claim %s not evaluable over sizes {2,4}: %s", r.Claim.ID, r.Detail)
+		}
+	}
+}
+
+// TestEvaluatePropagatesOtherPanics: only a missing curve is recovered; a
+// claim check that panics otherwise is a bug and must not be hidden.
+func TestEvaluatePropagatesOtherPanics(t *testing.T) {
+	defer func() {
+		if v := recover(); v != "boom" {
+			t.Fatalf("recovered %v, want the check's own panic", v)
+		}
+	}()
+	evaluate(Claim{ID: "X", Check: func(map[string][]*Table) (bool, string) { panic("boom") }}, nil)
+	t.Fatal("evaluate swallowed the panic")
+}
+
 func TestEndToEndLatenessMeasure(t *testing.T) {
 	cfg := tiny()
 	cfg.Measure = EndToEndLateness

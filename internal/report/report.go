@@ -55,8 +55,11 @@ func Write(w io.Writer, opts Options, order []string, tables map[string][]*exper
 		fmt.Fprintln(w, "|----|--------|-----------|----------|")
 		for _, c := range claims {
 			status := "FAIL"
-			if c.Passed {
+			switch {
+			case c.Passed:
 				status = "PASS"
+			case c.NotEvaluable:
+				status = "N/A"
 			}
 			fmt.Fprintf(w, "| %s | %s | %s | %s |\n",
 				c.Claim.ID, status, mdEscape(c.Claim.Statement), mdEscape(c.Detail))

@@ -47,29 +47,9 @@ func newRespCache(capacity int) *respCache {
 	return &respCache{entries: make(map[string]*respEntry), cap: capacity}
 }
 
-// lookup waits for the cached body of key if an entry exists (a concurrent
-// owner's entry blocks until it settles). The bool reports whether the
-// cache answered; a false return means the caller should compute via
-// begin.
-func (c *respCache) lookup(ctx context.Context, key string) ([]byte, *Error, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	c.hits.Add(1)
-	select {
-	case <-e.ready:
-		return e.body, e.err, true
-	case <-ctx.Done():
-		return nil, Classify(ctx.Err()), true
-	}
-}
-
 // begin claims the singleflight slot for key. When owner is true the
 // caller must settle(key, e, ...) exactly once; otherwise e is another
-// owner's in-flight entry to wait on (via lookup semantics).
+// owner's entry to wait on.
 func (c *respCache) begin(key string) (e *respEntry, owner bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -90,6 +92,16 @@ type SubtaskWindow struct {
 	Proc     int     `json:"proc"`
 }
 
+// wireRequest is a Request as handleAssign decodes it: the embedded
+// Request carries every scalar field, and the shallower Graph field
+// shadows Request.Graph for the "graph" key, so encoding/json decodes the
+// graph straight into its typed wire form in the one pass over the body.
+// The public Request keeps its RawMessage for clients.
+type wireRequest struct {
+	Request
+	Graph taskgraph.Wire `json:"graph"`
+}
+
 // Limits that make a malformed or adversarial request cheap to refuse.
 const (
 	maxProcs      = 512
@@ -101,7 +113,10 @@ const (
 // parsedRequest is a validated request, resolved against the server
 // config and the active degrade tier.
 type parsedRequest struct {
+	// graph is nil when parse skipped Build on a cache hit; a request
+	// that then has to compute builds it from wire (graphOrBuild).
 	graph    *taskgraph.Graph
+	wire     *taskgraph.Wire
 	sys      *platform.System
 	assigner experiment.Assigner
 	label    string // registry name (PURE, ADAPT, ...), not Label()
@@ -169,25 +184,19 @@ func policyName(p scheduler.Policy) string {
 
 // parse validates a request against the server's limits and the active
 // tier, resolving the effective assigner and computing the content key.
-func (s *Server) parse(req *Request, tier Tier) (*parsedRequest, *Error) {
-	if len(req.Graph) == 0 {
-		return nil, Errorf(ClassInvalid, "missing graph")
-	}
-	g, err := taskgraph.Decode(req.Graph)
-	if err != nil {
-		return nil, Errorf(ClassInvalid, err.Error())
-	}
-	subtasks := 0
-	for _, n := range g.NodesView() {
-		if n.Kind == taskgraph.KindSubtask {
-			subtasks++
-		}
-	}
-	if subtasks == 0 {
-		return nil, Errorf(ClassInvalid, "graph has no subtasks")
-	}
-	if subtasks > maxSubtasks {
-		return nil, Errorf(ClassInvalid, fmt.Sprintf("graph has %d subtasks (limit %d)", subtasks, maxSubtasks))
+//
+// The key comes before the graph: it hashes the wire form's canonical
+// bytes (taskgraph.Wire.AppendCanonical), which equal json.Marshal of the
+// built graph, so it needs no Graph. When the key already has a settled
+// answer the graph is never built. That is sound because an answer is
+// settled only for a key whose graph passed Build, and a wire whose
+// subtasks all have distinct names shares canonical bytes only with wires
+// that build the same graph. A graph without distinct names is therefore
+// built even on a hit, as is every graph on a miss, so an invalid graph
+// is refused with a 400 before admission.
+func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
+	if n := len(req.Graph.Subtasks); n > maxSubtasks {
+		return nil, Errorf(ClassInvalid, fmt.Sprintf("graph has %d subtasks (limit %d)", n, maxSubtasks))
 	}
 	procs := req.Procs
 	if procs == 0 {
@@ -247,20 +256,15 @@ func (s *Server) parse(req *Request, tier Tier) (*parsedRequest, *Error) {
 	}
 
 	// The content address covers exactly the answer's inputs: canonical
-	// graph bytes (re-marshalled, so formatting differences collapse),
-	// platform size, assigner, policy. Budget and tenant are excluded —
-	// they shape how long we try, not what the answer is.
-	canon, err := json.Marshal(g)
-	if err != nil {
-		return nil, Errorf(ClassInternal, "canonicalize graph: "+err.Error())
+	// graph bytes (formatting differences collapse), platform size,
+	// assigner, policy. Budget and tenant are excluded — they shape how
+	// long we try, not what the answer is.
+	key, kerr := contentKey(&req.Graph, procs, label, policyName(policy))
+	if kerr != nil {
+		return nil, kerr
 	}
-	h := sha256.New()
-	h.Write(canon)
-	fmt.Fprintf(h, "|procs=%d|assigner=%s|policy=%s", procs, label, policyName(policy))
-	key := hex.EncodeToString(h.Sum(nil))
-
-	return &parsedRequest{
-		graph:    g,
+	pr := &parsedRequest{
+		wire:     &req.Graph,
 		sys:      sys,
 		assigner: asg,
 		label:    label,
@@ -270,7 +274,73 @@ func (s *Server) parse(req *Request, tier Tier) (*parsedRequest, *Error) {
 		class:    class,
 		budget:   budget,
 		pinned:   pinned,
-	}, nil
+	}
+	if _, hit := s.cache.peek(key); !hit || !distinctNames(&req.Graph) {
+		if _, err := pr.graphOrBuild(); err != nil {
+			return nil, err
+		}
+	}
+	return pr, nil
+}
+
+// canonPool recycles the canonical-bytes buffers contentKey hashes, so a
+// request's key costs no allocation proportional to its graph.
+var canonPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// contentKey is the request's sha256 content address: the graph's
+// canonical bytes, then the answer-shaping options, hashed in one call.
+func contentKey(w *taskgraph.Wire, procs int, label, policy string) (string, *Error) {
+	bp := canonPool.Get().(*[]byte)
+	defer canonPool.Put(bp)
+	buf, err := w.AppendCanonical((*bp)[:0])
+	if err != nil {
+		return "", Errorf(ClassInvalid, "canonicalize graph: "+err.Error())
+	}
+	buf = append(buf, "|procs="...)
+	buf = strconv.AppendInt(buf, int64(procs), 10)
+	buf = append(buf, "|assigner="...)
+	buf = append(buf, label...)
+	buf = append(buf, "|policy="...)
+	buf = append(buf, policy...)
+	*bp = buf
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// namePool recycles distinctNames' sets.
+var namePool = sync.Pool{New: func() any { return make(map[string]struct{}) }}
+
+// distinctNames reports whether every subtask has a name of its own: the
+// condition under which canonical bytes determine the graph (see
+// taskgraph.Wire.AppendCanonical).
+func distinctNames(w *taskgraph.Wire) bool {
+	seen := namePool.Get().(map[string]struct{})
+	defer func() {
+		clear(seen)
+		namePool.Put(seen)
+	}()
+	for i := range w.Subtasks {
+		name := w.Subtasks[i].Name
+		if _, dup := seen[name]; dup || name == "" {
+			return false
+		}
+		seen[name] = struct{}{}
+	}
+	return true
+}
+
+// graphOrBuild returns the request's graph, building it from the wire
+// form if parse skipped that on a cache hit (the entry was then evicted
+// before this request could read it, leaving it to compute).
+func (pr *parsedRequest) graphOrBuild() (*taskgraph.Graph, *Error) {
+	if pr.graph == nil {
+		g, err := pr.wire.Build()
+		if err != nil {
+			return nil, Errorf(ClassInvalid, err.Error())
+		}
+		pr.graph = g
+	}
+	return pr.graph, nil
 }
 
 // faultIndex derives the chaos harness's graph index from the request key,
@@ -291,6 +361,9 @@ func faultIndex(key string) int {
 // per-attempt timeout), injected faults and panics become typed errors,
 // and retryable failures re-run with deterministic jittered backoff.
 func (s *Server) compute(ctx context.Context, pr *parsedRequest, rs *reqState) ([]byte, *Error) {
+	if _, err := pr.graphOrBuild(); err != nil {
+		return nil, err
+	}
 	gi := faultIndex(pr.key)
 	attempts := s.cfg.Retry.MaxAttempts
 	if attempts <= 0 {

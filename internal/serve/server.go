@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -302,7 +301,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, rs, Errorf(ClassTransient, "server is draining"), 0)
 		return
 	}
-	var req Request
+	var req wireRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
 		s.writeError(w, rs, Errorf(ClassInvalid, "decode request: "+err.Error()), 0)
@@ -537,7 +536,3 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE dlserve_retries_total counter\ndlserve_retries_total %d\n", s.retries.Load())
 	obs.WriteSLOPrometheus(w, s.slo.snapshot())
 }
-
-// errors import anchor (Classify lives in errors.go; keep the import local
-// to the file that needs it).
-var _ = errors.Is

@@ -9,14 +9,21 @@ import (
 
 // JSON interchange format. Arcs are encoded between ordinary subtasks with
 // the message size attached, so the on-disk form mirrors how applications
-// are specified; communication subtasks are re-materialized on decode.
+// are specified; communication subtasks are re-materialized by Build.
 
-type graphJSON struct {
-	Subtasks []subtaskJSON `json:"subtasks"`
-	Arcs     []arcJSON     `json:"arcs"`
+// Wire is a task graph in its decoded interchange form: what
+// encoding/json produces from the JSON before any validation. Build turns
+// it into a Graph; AppendCanonical writes its canonical bytes without
+// building anything, which is what lets a content-addressed cache key a
+// graph before paying for its construction.
+type Wire struct {
+	Subtasks []WireSubtask `json:"subtasks"`
+	Arcs     []WireArc     `json:"arcs"`
 }
 
-type subtaskJSON struct {
+// WireSubtask is one ordinary subtask of the interchange form. An empty
+// Name is replaced by "t<index>" when built.
+type WireSubtask struct {
 	Name     string  `json:"name"`
 	Cost     float64 `json:"cost"`
 	Release  float64 `json:"release,omitempty"`
@@ -24,53 +31,21 @@ type subtaskJSON struct {
 	Pinned   *int    `json:"pinned,omitempty"`
 }
 
-type arcJSON struct {
+// WireArc is one precedence arc between two subtasks, named by their wire
+// names, carrying a message of Size data items.
+type WireArc struct {
 	From string  `json:"from"`
 	To   string  `json:"to"`
 	Size float64 `json:"size"`
 }
 
-// MarshalJSON encodes the graph in the interchange format.
-func (g *Graph) MarshalJSON() ([]byte, error) {
-	var out graphJSON
-	for i := range g.nodes {
-		n := g.nodes[i]
-		if n.Kind != KindSubtask {
-			continue
-		}
-		st := subtaskJSON{
-			Name:     n.Name,
-			Cost:     n.Cost,
-			Release:  n.Release,
-			EndToEnd: n.EndToEnd,
-		}
-		if n.Pinned != Unpinned {
-			pinned := n.Pinned
-			st.Pinned = &pinned
-		}
-		out.Subtasks = append(out.Subtasks, st)
-	}
-	for i := range g.nodes {
-		m := g.nodes[i]
-		if m.Kind != KindMessage {
-			continue
-		}
-		from := g.nodes[g.Pred(m.ID)[0]]
-		to := g.nodes[g.Succ(m.ID)[0]]
-		out.Arcs = append(out.Arcs, arcJSON{From: from.Name, To: to.Name, Size: m.Size})
-	}
-	return json.Marshal(out)
-}
-
-// Decode builds a Graph from its JSON interchange form.
-func Decode(data []byte) (*Graph, error) {
-	var in graphJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("decode task graph: %w", err)
-	}
-	b := NewBuilder()
-	ids := make(map[string]NodeID, len(in.Subtasks))
-	for _, st := range in.Subtasks {
+// Build validates the interchange form and constructs its Graph. It does
+// not modify w.
+func (w *Wire) Build() (*Graph, error) {
+	b := NewBuilderHint(len(w.Subtasks) + len(w.Arcs))
+	ids := make(map[string]NodeID, len(w.Subtasks))
+	for i := range w.Subtasks {
+		st := &w.Subtasks[i]
 		if _, dup := ids[st.Name]; dup {
 			return nil, fmt.Errorf("decode task graph: duplicate subtask name %q", st.Name)
 		}
@@ -86,7 +61,7 @@ func Decode(data []byte) (*Graph, error) {
 		}
 		ids[st.Name] = id
 	}
-	for _, a := range in.Arcs {
+	for _, a := range w.Arcs {
 		u, ok := ids[a.From]
 		if !ok {
 			return nil, fmt.Errorf("decode task graph: arc from unknown subtask %q", a.From)
@@ -102,6 +77,54 @@ func Decode(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("decode task graph: %w", err)
 	}
 	return g, nil
+}
+
+// wire is the interchange form of g: subtasks in ID order, then one arc
+// per communication subtask in ID order (the order Build created them).
+func (g *Graph) wire() Wire {
+	ns := g.NumSubtasks()
+	w := Wire{Subtasks: make([]WireSubtask, 0, ns), Arcs: make([]WireArc, 0, len(g.nodes)-ns)}
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		if n.Kind != KindSubtask {
+			continue
+		}
+		st := WireSubtask{Name: n.Name, Cost: n.Cost, Release: n.Release, EndToEnd: n.EndToEnd}
+		if n.Pinned != Unpinned {
+			pinned := n.Pinned
+			st.Pinned = &pinned
+		}
+		w.Subtasks = append(w.Subtasks, st)
+	}
+	for i := range g.nodes {
+		m := &g.nodes[i]
+		if m.Kind != KindMessage {
+			continue
+		}
+		w.Arcs = append(w.Arcs, WireArc{
+			From: g.nodes[g.Pred(m.ID)[0]].Name,
+			To:   g.nodes[g.Succ(m.ID)[0]].Name,
+			Size: m.Size,
+		})
+	}
+	return w
+}
+
+// MarshalJSON encodes the graph in the interchange format. It is the wire
+// form's canonical encoding, so a graph marshals to exactly the bytes its
+// wire form keys to.
+func (g *Graph) MarshalJSON() ([]byte, error) {
+	w := g.wire()
+	return w.AppendCanonical(nil)
+}
+
+// Decode builds a Graph from its JSON interchange form.
+func Decode(data []byte) (*Graph, error) {
+	var w Wire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return nil, fmt.Errorf("decode task graph: %w", err)
+	}
+	return w.Build()
 }
 
 // DOT renders the graph in Graphviz DOT syntax. Ordinary subtasks are boxes
