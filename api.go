@@ -86,6 +86,9 @@ type (
 	Distributor = core.Distributor
 	// Result is the annotated task graph: releases, deadlines, windows.
 	Result = core.Result
+	// Scratch is a reusable distributor working set, the last argument of
+	// Assigner.Assign.
+	Scratch = core.Scratch
 )
 
 // NORM returns the BST normalized-laxity-ratio metric (slack proportional

@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		stats      = fs.Bool("stats", false, "print per-stage engine timings and fingerprint-cache traffic")
 		benchJSON  = fs.Bool("bench-json", false, "write an engine performance snapshot (see -bench-out)")
 		benchOut   = fs.String("bench-out", "BENCH_experiment.json", "path of the -bench-json snapshot")
-		benchDelta = fs.Bool("bench-delta", false, "include a measured delta re-slicing section (changed-exec-times workload) in the -bench-json snapshot")
 		benchScale = fs.Bool("bench-scaling", false, "include a worker-scaling section (figure 5 sweep at 1/2/4/8 workers) in the -bench-json snapshot")
 		crossCap   = fs.Int("cross-cap", 0, "cross-table assignment cache capacity in entries (0 = default 65536)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -91,7 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		mutexProf  = fs.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		workers    = fs.Int("workers", 0, "size of the worker pool shared by all figures (default GOMAXPROCS)")
-		delta      = fs.Bool("delta", false, "carry memoized critical-path search state across consecutive distributions per worker (bit-identical output)")
 		resumeDir  = fs.String("resume", "", "checkpoint directory: journal finished work there and skip it when re-run")
 		validate   = fs.Int("validate", 0, "validate a deterministic 1-in-N sample of schedules against the scheduler invariants (0 = off)")
 		unitTO     = fs.Duration("unit-timeout", 0, "deadline for one unit of work (one graph through one table's pipeline; 0 = none)")
@@ -131,7 +129,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	base.Budget = *budget
 	base.Retry = experiment.RetryPolicy{MaxAttempts: *retries}
 	base.ValidateSample = *validate
-	base.DeltaReuse = *delta
 	if *faults != "" {
 		plan, err := parseFaults(*faults)
 		if err != nil {
@@ -227,11 +224,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		if *benchJSON {
 			bench := metrics.NewBench("experiment", snap, wall)
-			if *benchDelta {
-				if bench.Delta, err = measureDelta(2000); err != nil {
-					return err
-				}
-			}
 			if *benchScale {
 				if bench.WorkerScaling, err = measureScaling(ctx, base); err != nil {
 					return err

@@ -245,7 +245,8 @@ func TestParseFaults(t *testing.T) {
 	if plan.HangDuration != 50*time.Millisecond {
 		t.Errorf("hang duration = %v, want 50ms", plan.HangDuration)
 	}
-	for _, bad := range []string{"", "panic", "panic=2", "panic=-0.1", "seed=x", "hangms=-1", "nope=1"} {
+	for _, bad := range []string{"", "panic", "panic=2", "panic=-0.1", "seed=x", "hangms=-1", "nope=1",
+		"panic=NaN", "err=nan", "hang=Inf", "hangms=9223372036855"} {
 		if _, err := parseFaults(bad); err == nil {
 			t.Errorf("parseFaults(%q) accepted", bad)
 		}

@@ -117,7 +117,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 		return err
 	}
 	rec.Observe(metrics.StageAssign, time.Since(assignStart))
-	rec.AddSearch(res.Search.Iterations, res.Search.StartsExamined, res.Search.DPRuns, res.Search.CacheReuses, res.Search.DeltaReuses)
+	rec.AddSearch(res.Search.Iterations, res.Search.StartsExamined, res.Search.DPRuns, res.Search.CacheReuses)
 	pol, err := parsePolicy(*policy)
 	if err != nil {
 		return err

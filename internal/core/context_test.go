@@ -40,8 +40,8 @@ func TestDistributeContextPreExpired(t *testing.T) {
 	if _, err := d.DistributeScratchContext(ctx, g, sys, nil, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("pre-expired context: got err %v, want DeadlineExceeded", err)
 	}
-	if _, err := d.DistributeDeltaContext(ctx, g, sys, nil, NewScratch()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("pre-expired context (delta): got err %v, want DeadlineExceeded", err)
+	if _, err := d.DistributeScratchContext(ctx, g, sys, nil, NewScratch()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("pre-expired context (scratch): got err %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestDistributeContextMidRunCancel(t *testing.T) {
 
 // TestDistributeContextNilAndLiveMatch: a live, never-cancelled context
 // must produce the bit-identical result of the context-free entry point,
-// and an aborted delta run must not poison the scratch carry-over.
+// and an aborted run must not poison the scratch it ran on.
 func TestDistributeContextNilAndLiveMatch(t *testing.T) {
 	g := chains(t, 4)
 	sys, err := platform.New(4)
@@ -98,19 +98,19 @@ func TestDistributeContextNilAndLiveMatch(t *testing.T) {
 		t.Fatalf("context run differs from plain run: %s", diff)
 	}
 
-	// Abort a delta run mid-way, then rerun cold on the same scratch: the
-	// answer must still match.
+	// Abort a run mid-way, then rerun on the same scratch: the answer must
+	// still match the cold run.
 	sc := NewScratch()
 	ctx, cancel := context.WithCancel(context.Background())
 	dc := Distributor{Metric: &cancellingMetric{Metric: THRES(0.1, 1.0), cancel: cancel}, Estimator: CCAA()}
-	if _, err := dc.DistributeDeltaContext(ctx, g, sys, nil, sc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("delta abort: got err %v, want Canceled", err)
+	if _, err := dc.DistributeScratchContext(ctx, g, sys, nil, sc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abort: got err %v, want Canceled", err)
 	}
-	got2, err := d.DistributeDeltaContext(context.Background(), g, sys, nil, sc)
+	got2, err := d.DistributeScratchContext(context.Background(), g, sys, nil, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := sameResult(want, got2); diff != "" {
-		t.Fatalf("delta run after abort differs from plain run: %s", diff)
+		t.Fatalf("run after abort differs from plain run: %s", diff)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/taskgraph"
@@ -62,17 +61,7 @@ const (
 // Distribute annotates every node of g with a release time and a relative
 // deadline. It never modifies g.
 func (d Distributor) Distribute(g *taskgraph.Graph, sys *platform.System) (*Result, error) {
-	return d.DistributeInto(g, sys, nil)
-}
-
-// DistributeInto is Distribute with Result recycling: when recycle is
-// non-nil, its annotation slices are reused for the new result (resized as
-// needed) instead of freshly allocated, and recycle itself is returned. The
-// recycled Result is overwritten completely — callers hand over results they
-// have finished consuming (batch drivers that measure a distribution and
-// then discard it). Passing nil is exactly Distribute.
-func (d Distributor) DistributeInto(g *taskgraph.Graph, sys *platform.System, recycle *Result) (*Result, error) {
-	return d.DistributeScratch(g, sys, recycle, nil)
+	return d.distribute(nil, g, sys, nil, nil)
 }
 
 // Scratch owns the distributor's working set (DP tables, reachability
@@ -90,54 +79,29 @@ type Scratch struct {
 // NewScratch returns an empty distributor scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// DistributeScratch is DistributeInto with an optional reusable working
-// set. Passing nil sc allocates a fresh working set, exactly as
-// DistributeInto. The output is bit-for-bit independent of scratch reuse.
+// DistributeScratch is DistributeScratchContext without a context.
 func (d Distributor) DistributeScratch(g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch) (*Result, error) {
-	return d.distribute(nil, g, sys, recycle, sc, false)
+	return d.distribute(nil, g, sys, recycle, sc)
 }
 
-// DistributeScratchContext is DistributeScratch with cooperative
-// cancellation: the context is polled once per slicing round (the unit of
-// work between two critical-path selections), and a cancelled or expired
-// context aborts the run with ctx.Err() before the next round starts. A
-// nil or never-cancelled context computes the bit-identical result of
-// DistributeScratch; the poll is a single atomic load per round, so the
-// uncancelled hot path is unaffected.
-func (d Distributor) DistributeScratchContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch) (*Result, error) {
-	return d.distribute(ctx, g, sys, recycle, sc, false)
-}
-
-// DistributeDelta is DistributeScratch with cross-run carry-over: every
-// per-start evaluation of the previous DistributeDelta call on the same
-// Scratch is recorded in a history log, and the new run replays a logged
-// evaluation instead of re-running its DP whenever revalidation proves a
-// recomputation would return the identical candidate (see deltaValid for
-// the exact rules). The intended workload is a graph that is a small delta
-// of the previous call's — changed execution times or deadlines on a few
-// nodes, or a different system size perturbing only part of the virtual
-// costs — where most of the per-start DP sweeps of a cold run reproduce the
-// previous run's answers. For cross-graph deltas the graphs must be
-// structurally identical (same nodes, arcs and topological order — e.g. a
-// Graph.Clone with SetCost/SetEndToEnd edits); a structural change such as
-// an added or removed arc safely disables carry for that run pair.
+// DistributeScratchContext is Distribute with result recycling, a reusable
+// working set and cooperative cancellation; every extra argument may be
+// nil, and none of them changes the output bit-for-bit.
 //
-// The output is bit-for-bit identical to DistributeScratch on the same
-// inputs; only Result.Search differs (DeltaReuses replaces some DPRuns).
-// Passing nil sc runs without carry-over, exactly as DistributeScratch.
-func (d Distributor) DistributeDelta(g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch) (*Result, error) {
-	return d.distribute(nil, g, sys, recycle, sc, sc != nil)
+// When recycle is non-nil, its annotation slices are reused for the new
+// result (resized as needed) and recycle itself is returned. It is
+// overwritten completely, so callers hand over only results they have
+// finished consuming. A nil sc allocates a fresh working set.
+//
+// The context is polled once per slicing round (the unit of work between
+// two critical-path selections): a cancelled or expired context aborts the
+// run with ctx.Err() before the next round starts. The poll is a single
+// channel check per round, so the uncancelled hot path is unaffected.
+func (d Distributor) DistributeScratchContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch) (*Result, error) {
+	return d.distribute(ctx, g, sys, recycle, sc)
 }
 
-// DistributeDeltaContext is DistributeDelta with the per-round
-// cancellation contract of DistributeScratchContext. An aborted run
-// records no carry-over snapshot, so the next DistributeDelta on the same
-// scratch starts cold rather than replaying a half-built history.
-func (d Distributor) DistributeDeltaContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch) (*Result, error) {
-	return d.distribute(ctx, g, sys, recycle, sc, sc != nil)
-}
-
-func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch, delta bool) (*Result, error) {
+func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch) (*Result, error) {
 	if d.Metric == nil || d.Estimator == nil {
 		return nil, ErrNilStrategy
 	}
@@ -213,7 +177,6 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 		st = &sc.st
 	}
 	st.g, st.sys, st.metric, st.vc, st.vcWin, st.res = g, sys, d.Metric, vc, vcWin, res
-	st.deltaMode = delta
 	st.prepare()
 
 	var done <-chan struct{}
@@ -247,22 +210,13 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 		st.slice(path, best.ratio)
 		res.Search.Iterations++
 	}
-	if delta {
-		// Snapshot the carry-over context for the next DistributeDelta on
-		// this scratch: the graph, its virtual costs and the metric the
-		// surviving candidates were ranked under.
-		st.deltaG = g
-		st.deltaVC = append(st.deltaVC[:0], vc...)
-		st.deltaMetric = d.Metric
-		st.deltaRun = st.runID
-	}
 	st.release()
 	return res, nil
 }
 
 // startCand memoizes one start's best critical-path candidate. It stays
-// valid across slicing iterations as long as every node of reach is still
-// unassigned: the DP from this start only sees nodes of reach (assignment
+// valid across slicing iterations as long as every node of its reachable
+// set is still unassigned: the DP from this start only sees nodes of reach (assignment
 // never adds nodes to a reachable set), the start's release anchor is
 // frozen (its predecessors are assigned, and assigned windows never move),
 // and every deadline anchor inside reach depends only on assigned
@@ -275,61 +229,15 @@ type startCand struct {
 	end   taskgraph.NodeID
 	k     int
 	ratio float64
-	// reach is the start's reachable set (through unassigned nodes) at the
-	// time the candidate was computed, in topological order.
-	reach []taskgraph.NodeID
-	// reachBits is the same set as a bitset, so the per-iteration validity
-	// check (is all of reach still unassigned?) is a word-AND sweep
-	// against the assigned bitset instead of a per-node walk.
+	// reachBits is the start's reachable set (through unassigned nodes) at
+	// the time the candidate was computed, as a bitset, so the
+	// per-iteration validity check (is all of it still unassigned?) is a
+	// word-AND sweep against the assigned bitset instead of a per-node walk.
 	reachBits []uint64
 	// path is the backtracked node sequence of the best candidate, kept so a
 	// winning memoized candidate can be sliced without re-running its DP
 	// just to rebuild the par table.
 	path []taskgraph.NodeID
-
-	// Delta carry-over context, recorded only in delta mode. Together with
-	// reach it captures every input the candidate's DP and scan read, so
-	// deltaValid can prove a recomputation would reproduce the candidate.
-	//
-	// relAnchor is the release anchor the candidate was ranked against.
-	relAnchor float64
-	// border lists the assigned nodes that truncated the DP's reachable
-	// set: every assigned successor of a reach node. If these are assigned
-	// and all of reach is unassigned, a fresh traversal from the start
-	// reproduces reach exactly.
-	border []taskgraph.NodeID
-	// ends lists the deadline-anchored path ends the scan compared, with
-	// the anchor values they were compared under.
-	ends []endAnchor
-}
-
-// copyFrom deep-copies src into c, reusing c's slice capacity.
-func (c *startCand) copyFrom(src *startCand) {
-	c.valid, c.found = src.valid, src.found
-	c.end, c.k, c.ratio = src.end, src.k, src.ratio
-	c.reach = append(c.reach[:0], src.reach...)
-	c.reachBits = append(c.reachBits[:0], src.reachBits...)
-	c.path = append(c.path[:0], src.path...)
-	c.relAnchor = src.relAnchor
-	c.border = append(c.border[:0], src.border...)
-	c.ends = append(c.ends[:0], src.ends...)
-}
-
-// logEntry is one evaluation recorded in a delta run's history log: the
-// candidate a start produced at some point of the run, with the validation
-// context that lets the next run replay it. Entries for the same start are
-// chained via next in recorded (state-time) order.
-type logEntry struct {
-	start taskgraph.NodeID
-	next  int
-	cand  startCand
-}
-
-// endAnchor is one deadline-anchored candidate end and the anchor value it
-// was ranked against.
-type endAnchor struct {
-	id taskgraph.NodeID
-	dl float64
 }
 
 // distState is the per-distribution working set.
@@ -433,27 +341,6 @@ type distState struct {
 	// before moving on, so the LongestPath scan amortizes to once per graph.
 	prevG     *taskgraph.Graph
 	prevWidth int
-
-	// Delta carry-over state (DistributeDelta). deltaG/deltaVC/deltaMetric
-	// snapshot the previous delta run's inputs; deltaRun stamps that run, and
-	// runID counts prepared runs so only a run's immediate successor replays
-	// its log. log accumulates every evaluation of the current delta run;
-	// prevLog holds the previous run's log, chained per start through head.
-	// bmark/borderbuf collect the current DP's border (assigned successors of
-	// reach nodes), generation-stamped like the DP rows.
-	deltaMode   bool
-	deltaCarry  bool
-	runID       uint64
-	deltaRun    uint64
-	deltaG      *taskgraph.Graph
-	deltaVC     []float64
-	deltaMetric Metric
-	bmark       []uint64
-	borderbuf   []taskgraph.NodeID
-	log         []logEntry
-	prevLog     []logEntry
-	head        []int
-	tailbuf     []int
 }
 
 // prepare sizes the working set for the bound graph, reusing any buffers
@@ -517,47 +404,10 @@ func (st *distState) prepare() {
 	default:
 		st.ratioKind = ratioGeneric
 	}
-	// No candidate survives prepare directly: the memo array is cleared, and
-	// cross-run reuse goes through the history log instead. When the
-	// previous run on this scratch was the immediately preceding delta run
-	// under a DeepEqual metric (Metric.Name does not encode parameters, so
-	// names are not enough), its log becomes prevLog and its entries are
-	// replayed by per-entry revalidation (deltaValid); otherwise the stale
-	// log is dropped. The run stamp excludes logs from older runs, whose
-	// ranking inputs the scratch no longer holds.
-	st.runID++
-	st.deltaCarry = st.deltaMode && st.deltaG != nil && st.deltaRun == st.runID-1 &&
-		reflect.DeepEqual(st.metric, st.deltaMetric) && st.sameStructure()
-	st.log, st.prevLog = st.prevLog[:0], st.log
-	if !st.deltaCarry {
-		st.prevLog = st.prevLog[:0]
-	}
-	st.head = resizeSlice(st.head, n)
-	for i := range st.head {
-		st.head[i] = -1
-	}
-	if len(st.prevLog) > 0 {
-		st.tailbuf = resizeSlice(st.tailbuf, n)
-		for i := range st.prevLog {
-			e := &st.prevLog[i]
-			e.next = -1
-			if int(e.start) >= n {
-				continue
-			}
-			if st.head[e.start] < 0 {
-				st.head[e.start] = i
-			} else {
-				st.prevLog[st.tailbuf[e.start]].next = i
-			}
-			st.tailbuf[e.start] = i
-		}
-	}
+	// No candidate survives prepare: each run starts with an empty memo.
 	st.cand = resizeSlice(st.cand, n)
 	for i := range st.cand {
 		st.cand[i].valid = false
-	}
-	if st.deltaMode {
-		st.bmark = resizeSlice(st.bmark, n)
 	}
 	st.assigned = resizeSlice(st.assigned, n)
 	clear(st.assigned)
@@ -660,8 +510,6 @@ func (st *distState) findCriticalPath() (*startCand, error) {
 		switch {
 		case c.valid && st.reachFree(c.reachBits):
 			st.res.Search.CacheReuses++
-		case st.deltaCarry && st.replay(s, c):
-			st.res.Search.DeltaReuses++
 		default:
 			st.runDP(s)
 			st.evalStart(s, c)
@@ -674,44 +522,11 @@ func (st *distState) findCriticalPath() (*startCand, error) {
 		return nil, ErrNoCritical
 	}
 
-	// The winner's path was backtracked when its candidate was evaluated
-	// (or carried over with it), so no DP tables need rebuilding here. The
+	// The winner's path was backtracked when its candidate was evaluated,
+	// so no DP tables need rebuilding here. The
 	// caller copies best.path out of the memo's reused buffer before the
 	// memo can be overwritten.
 	return best, nil
-}
-
-// replay tries to reuse an evaluation of start s recorded in the previous
-// delta run's history log. Entries are tried in recorded (state-time)
-// order; the first that deltaValid proves reproducible under the current
-// state is promoted into the live memo and re-logged for the next run.
-// Dead entries fail fast: once a recorded reach contains an assigned node
-// it can never validate again this run, so the scan skips it cheaply.
-func (st *distState) replay(s taskgraph.NodeID, c *startCand) bool {
-	for i := st.head[s]; i >= 0; i = st.prevLog[i].next {
-		e := &st.prevLog[i]
-		if !st.deltaValid(s, &e.cand) {
-			continue
-		}
-		c.copyFrom(&e.cand)
-		c.valid = true
-		st.logAppend(s, c)
-		return true
-	}
-	return false
-}
-
-// logAppend records an evaluation (fresh or replayed) of start s in the
-// current run's history log, recycling entry buffers across runs.
-func (st *distState) logAppend(s taskgraph.NodeID, c *startCand) {
-	if len(st.log) < cap(st.log) {
-		st.log = st.log[:len(st.log)+1]
-	} else {
-		st.log = append(st.log, logEntry{})
-	}
-	e := &st.log[len(st.log)-1]
-	e.start = s
-	e.cand.copyFrom(c)
 }
 
 // reachFree reports whether every node of a cached reachable set (as a
@@ -727,102 +542,6 @@ func (st *distState) reachFree(bits []uint64) bool {
 	return true
 }
 
-// deltaValid reports whether a logged candidate for start s would be
-// reproduced bit-for-bit by a fresh DP and scan under the current inputs,
-// by checking every input they would read against the recorded context
-// (cheapest checks first, since most log entries are dead at any given
-// state and should fail fast):
-//
-//   - every reach node is still unassigned with an unchanged virtual cost —
-//     combined with the run-wide structural-identity gate (sameStructure), a
-//     fresh traversal from s visits the same nodes in the same order and
-//     the DP writes the same cells in the same sequence, reproducing values
-//     and first-write tie-breaks alike;
-//   - every border node is still assigned — so the traversal is truncated
-//     exactly where it was, neither growing nor shrinking the reach, and
-//     the set of deadline-anchored ends is unchanged;
-//   - the release anchor of s and the deadline anchor of every recorded end
-//     equal the values the candidate was ranked against — so every ratio
-//     the scan would compare is numerically identical.
-//
-// The metric was already checked run-wide in prepare. Window-sizing costs
-// (WindowCoster) are deliberately not checked: slice reads them fresh, so a
-// reused candidate is always sliced under current costs.
-func (st *distState) deltaValid(s taskgraph.NodeID, c *startCand) bool {
-	rel, ok := st.releaseAnchor(s)
-	if !ok || rel != c.relAnchor {
-		return false
-	}
-	for _, id := range c.border {
-		if !st.assigned[id] {
-			return false
-		}
-	}
-	for _, e := range c.ends {
-		dl, ok := st.deadlineAnchor(e.id)
-		if !ok || dl != e.dl {
-			return false
-		}
-	}
-	for _, id := range c.reach {
-		if st.assigned[id] || !floatEq(st.vc[id], st.deltaVC[id]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameStructure reports whether the current graph is structurally identical
-// to the previous delta run's: same node count, same topological order,
-// same successor lists. Node costs and deadlines may differ — those are
-// validated per entry by deltaValid. Cross-run carry requires structural
-// identity because a replayed candidate memoizes the tie-breaks of its DP's
-// first-write order, and that order is determined exactly by the
-// topological order and the successor lists (given the border and reach
-// checks). A structural change (added or removed arc, different node set)
-// disables carry for that run pair; the output is still exact, just cold.
-func (st *distState) sameStructure() bool {
-	g, old := st.g, st.deltaG
-	if g == old {
-		return true
-	}
-	n := g.NumNodes()
-	if n != old.NumNodes() {
-		return false
-	}
-	gt, ot := g.TopoOrder(), old.TopoOrder()
-	for i := range gt {
-		if gt[i] != ot[i] {
-			return false
-		}
-	}
-	for id := 0; id < n; id++ {
-		if !equalSucc(g.Succ(taskgraph.NodeID(id)), old.Succ(taskgraph.NodeID(id))) {
-			return false
-		}
-	}
-	return true
-}
-
-// equalSucc reports whether two successor lists are identical.
-func equalSucc(a, b []taskgraph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// floatEq is float equality with NaNs comparing equal to each other
-// (virtual costs can legitimately carry NaNs; see equalFP in the engine).
-func floatEq(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}
-
 // evalStart scans the just-run DP for start s and memoizes the best
 // (deadline-anchored) candidate into c, together with the reachable set
 // that conditions its validity.
@@ -830,19 +549,11 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 	relAnchor, _ := st.releaseAnchor(s)
 	c.valid = true
 	c.found = false
-	if st.deltaMode {
-		c.relAnchor = relAnchor
-		c.border = append(c.border[:0], st.borderbuf...)
-		c.ends = c.ends[:0]
-	}
 	kind := st.ratioKind
 	for _, id := range st.touched {
 		dl, ok := st.deadlineAnchor(id)
 		if !ok {
 			continue
-		}
-		if st.deltaMode {
-			c.ends = append(c.ends, endAnchor{id: id, dl: dl})
 		}
 		row := st.dp[id]
 		span := dl - relAnchor
@@ -878,7 +589,6 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 			}
 		}
 	}
-	c.reach = append(c.reach[:0], st.touched...)
 	// The DP's reach bitset (left by FromBits) holds exactly the touched
 	// set: every touched row is s or an unassigned successor of a reach
 	// node, hence itself reached, and vice versa.
@@ -889,9 +599,6 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 	c.path = c.path[:0]
 	if c.found {
 		c.path = st.backtrackInto(c.path, c.end, c.k)
-	}
-	if st.deltaMode {
-		st.logAppend(s, c)
 	}
 }
 
@@ -932,9 +639,6 @@ func (st *distState) runDP(s taskgraph.NodeID) {
 	st.par[s][ws] = taskgraph.None
 	st.rowMax[s] = int32(ws)
 
-	if st.deltaMode {
-		st.borderbuf = st.borderbuf[:0]
-	}
 	succOff, succAdj := st.succOff, st.succAdj
 	assigned := st.assigned
 	dp, par := st.dp, st.par
@@ -948,13 +652,6 @@ func (st *distState) runDP(s taskgraph.NodeID) {
 		umax := int(rowMax[u])
 		for _, v := range succAdj[succOff[u]:succOff[u+1]] {
 			if assigned[v] {
-				// In delta mode the assigned successors truncating this
-				// traversal are recorded: they condition the carried
-				// candidate's validity next run (see startCand.border).
-				if st.deltaMode && st.bmark[v] != gen {
-					st.bmark[v] = gen
-					st.borderbuf = append(st.borderbuf, v)
-				}
 				continue
 			}
 			vcv := vc[v]

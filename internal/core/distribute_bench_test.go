@@ -6,7 +6,6 @@ import (
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/rng"
-	"deadlinedist/internal/taskgraph"
 )
 
 // BenchmarkDistributeVsReference pits the optimized distributor against the
@@ -40,84 +39,4 @@ func BenchmarkDistributeVsReference(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkDistributeDelta measures incremental re-slicing on the delta
-// workload of ROADMAP item 1: re-distributing a graph whose measured
-// execution times drifted on a few subtasks. "cold" redoes the full
-// critical-path search each round; "drift" alternates base and perturbed
-// graphs through DistributeDelta on one scratch, replaying the previous
-// round's evaluations where they still hold; "identical" re-runs the same
-// graph (the upper bound: the whole search replays). All paths produce
-// bit-identical tables (TestDistributeDeltaMatchesCold).
-//
-// Both metric families are measured because their sensitivity differs
-// structurally: PURE (BST) has per-node virtual costs, so an execution-time
-// drift invalidates only evaluations whose reach crosses the changed node
-// or whose anchors moved, while ADAPT (AST) inflates against graph-wide
-// statistics (mean cost, average parallelism), so any drift legitimately
-// perturbs every virtual cost and forces a full re-search — carry-over then
-// only pays off between drifts, not across them.
-func BenchmarkDistributeDelta(b *testing.B) {
-	base, err := generator.Random(generator.Default(generator.MDET), rng.New(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := platform.New(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Perturbed variant: one mid-graph subtask (30th-percentile topological
-	// position) drifts by +20%. Reuse degrades gracefully with the drift's
-	// coupling: root-side drifts replay >90% of the search, sink-side drifts
-	// sit in every reach and replay nothing.
-	var subs []taskgraph.NodeID
-	for _, n := range base.Nodes() {
-		if n.Kind == taskgraph.KindSubtask {
-			subs = append(subs, n.ID)
-		}
-	}
-	target := subs[len(subs)*3/10]
-	drift := base.Clone()
-	if err := drift.SetCost(target, base.Node(target).Cost*1.2); err != nil {
-		b.Fatal(err)
-	}
-	for _, m := range []Metric{PURE(), ADAPT(1.25)} {
-		d := Distributor{Metric: m, Estimator: CCNE()}
-		b.Run(m.Name()+"/cold", func(b *testing.B) {
-			b.ReportAllocs()
-			sc := NewScratch()
-			for i := 0; i < b.N; i++ {
-				g := base
-				if i%2 == 1 {
-					g = drift
-				}
-				if _, err := d.DistributeScratch(g, sys, nil, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(m.Name()+"/drift", func(b *testing.B) {
-			b.ReportAllocs()
-			sc := NewScratch()
-			for i := 0; i < b.N; i++ {
-				g := base
-				if i%2 == 1 {
-					g = drift
-				}
-				if _, err := d.DistributeDelta(g, sys, nil, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(m.Name()+"/identical", func(b *testing.B) {
-			b.ReportAllocs()
-			sc := NewScratch()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.DistributeDelta(base, sys, nil, sc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -50,10 +50,6 @@ type SearchStats struct {
 	// CacheReuses is the number of starts whose memoized candidate was
 	// still valid and reused without a DP sweep.
 	CacheReuses int
-	// DeltaReuses is the number of starts whose candidate was carried over
-	// from the previous DistributeDelta run on the same scratch and
-	// revalidated against the new inputs instead of being recomputed.
-	DeltaReuses int
 }
 
 // Add accumulates other into s.
@@ -62,7 +58,6 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.StartsExamined += other.StartsExamined
 	s.DPRuns += other.DPRuns
 	s.CacheReuses += other.CacheReuses
-	s.DeltaReuses += other.DeltaReuses
 }
 
 // Laxity returns the pre-scheduling laxity of node id: the window slack

@@ -7,6 +7,7 @@ import (
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/rng"
+	"deadlinedist/internal/taskgraph"
 )
 
 // TestDistributeScratchMatchesFresh carries one Scratch and one recycled
@@ -51,9 +52,9 @@ func TestDistributeScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestDistributeIntoRecyclesStorage pins the recycling contract: the
+// TestDistributeScratchRecyclesStorage pins the recycling contract: the
 // returned Result is the recycle argument itself, fully overwritten.
-func TestDistributeIntoRecyclesStorage(t *testing.T) {
+func TestDistributeScratchRecyclesStorage(t *testing.T) {
 	g, err := generator.Random(generator.Default(generator.MDET), rng.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +72,156 @@ func TestDistributeIntoRecyclesStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.DistributeInto(g, sys, first)
+	got, err := d.DistributeScratch(g, sys, first, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != first {
-		t.Error("DistributeInto did not return the recycled Result")
+		t.Error("DistributeScratch did not return the recycled Result")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("recycled distribution differs from fresh run")
 	}
+}
+
+// scratchStep is one DistributeScratch call of a shared-scratch sequence.
+type scratchStep struct {
+	name string
+	g    *taskgraph.Graph
+	sys  *platform.System
+}
+
+// runScratchSequence drives one scratch through the steps, checking every
+// output against a cold Distribute on the same inputs.
+func runScratchSequence(t *testing.T, d Distributor, steps []scratchStep) {
+	t.Helper()
+	sc := NewScratch()
+	for _, step := range steps {
+		got, err := d.DistributeScratch(step.g, step.sys, nil, sc)
+		if err != nil {
+			t.Fatalf("%s: scratch: %v", step.name, err)
+		}
+		want, err := d.Distribute(step.g, step.sys)
+		if err != nil {
+			t.Fatalf("%s: cold: %v", step.name, err)
+		}
+		if diff := sameResult(got, want); diff != "" {
+			t.Fatalf("%s: scratch run differs from cold run: %s", step.name, diff)
+		}
+	}
+}
+
+// TestScratchSequenceMatchesCold carries one scratch across identical
+// reruns, changed execution times, changed deadlines and changed system
+// sizes of structurally identical graphs — the inputs most likely to let
+// a stale memo or row-width cache leak between runs — and checks every
+// step bit-for-bit against a cold run. The two THRES variants share a
+// Name(), so state keyed by metric name would also show here.
+func TestScratchSequenceMatchesCold(t *testing.T) {
+	sys4, err := platform.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys8, err := platform.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range equivalenceGraphs(t, 7) {
+		// One subtask's execution time drifts; one end-to-end deadline
+		// tightens.
+		sub := taskgraph.None
+		for _, n := range g.Nodes() {
+			if n.Kind == taskgraph.KindSubtask && len(g.Succ(n.ID)) > 0 && len(g.Pred(n.ID)) > 0 {
+				sub = n.ID
+				break
+			}
+		}
+		gCost := g.Clone()
+		if sub != taskgraph.None {
+			if err := gCost.SetCost(sub, g.Node(sub).Cost*1.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gDL := g.Clone()
+		out := g.Outputs()[0]
+		if err := gDL.SetEndToEnd(out, g.Node(out).EndToEnd*0.9); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Metric{NORM(), PURE(), THRES(1, 1.25), THRES(2, 1.25), ADAPT(1.25)} {
+			d := Distributor{Metric: m, Estimator: CCNE()}
+			t.Run(name+"/"+m.Name(), func(t *testing.T) {
+				runScratchSequence(t, d, []scratchStep{
+					{"cold", g, sys4},
+					{"identical rerun", g, sys4},
+					{"changed exec time", gCost, sys4},
+					{"changed exec time rerun", gCost, sys4},
+					{"changed deadline", gDL, sys4},
+					{"changed system size", g, sys8},
+					{"back to original", g, sys4},
+				})
+			})
+		}
+	}
+}
+
+// TestScratchMetricSwitchMatchesCold switches metrics on one scratch and
+// graph, including THRES(1, f) → THRES(2, f), which share a Name(). Every
+// step must still match a cold run.
+func TestScratchMetricSwitchMatchesCold(t *testing.T) {
+	sys, err := platform.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := equivalenceGraphs(t, 11)["random"]
+	sc := NewScratch()
+	for _, m := range []Metric{THRES(1, 1.25), THRES(2, 1.25), THRES(1, 1.25), ADAPT(1.25), PURE()} {
+		d := Distributor{Metric: m, Estimator: CCNE()}
+		got, err := d.DistributeScratch(g, sys, nil, sc)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		want, err := d.Distribute(g, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameResult(got, want); diff != "" {
+			t.Fatalf("after switch to %s: %s", m.Name(), diff)
+		}
+	}
+}
+
+// TestScratchArcChangeMatchesCold carries one scratch across a structural
+// change: an added arc (which also appends a message node) and back.
+func TestScratchArcChangeMatchesCold(t *testing.T) {
+	build := func(extra bool) *taskgraph.Graph {
+		b := taskgraph.NewBuilder()
+		a1 := b.AddSubtask("a1", 10)
+		a2 := b.AddSubtask("a2", 20)
+		a3 := b.AddSubtask("a3", 10)
+		b1 := b.AddSubtask("b1", 15)
+		b2 := b.AddSubtask("b2", 15)
+		b.Connect(a1, a2, 2)
+		b.Connect(a2, a3, 2)
+		b.Connect(b1, b2, 2)
+		if extra {
+			b.Connect(a1, b2, 1)
+		}
+		b.SetEndToEnd(a3, 200)
+		b.SetEndToEnd(b2, 180)
+		g, err := b.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	sys, err := platform.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Distributor{Metric: ADAPT(1.25), Estimator: CCNE()}
+	runScratchSequence(t, d, []scratchStep{
+		{"without extra arc", build(false), sys},
+		{"with extra arc", build(true), sys},
+		{"without again", build(false), sys},
+	})
 }

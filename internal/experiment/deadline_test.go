@@ -66,7 +66,7 @@ func TestDeadlineMidDPNeverPublishes(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		w := newPoolWorker()
-		_, _, err := orc.assignment(ctx, g, sys, asg, asg.Label(), fp, nil, w, false)
+		_, _, err := orc.assignment(ctx, g, sys, asg, asg.Label(), fp, nil, w)
 		errc <- err
 	}()
 	<-bm.started
@@ -87,7 +87,7 @@ func TestDeadlineMidDPNeverPublishes(t *testing.T) {
 	// A healthy retry computes afresh, publishes, and matches a plain run.
 	clean := Slicing(core.PURE(), core.CCNE())
 	fp2, _ := clean.Fingerprint(g, sys)
-	res, shared, err := orc.assignment(context.Background(), g, sys, clean, clean.Label(), fp2, nil, newPoolWorker(), false)
+	res, shared, err := orc.assignment(context.Background(), g, sys, clean, clean.Label(), fp2, nil, newPoolWorker())
 	if err != nil || !shared {
 		t.Fatalf("healthy retry: shared=%v err=%v", shared, err)
 	}

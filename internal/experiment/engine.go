@@ -49,8 +49,14 @@ type Assigner interface {
 	// are never cached and never match, so Assign runs afresh and surfaces
 	// the underlying error.
 	Fingerprint(g *taskgraph.Graph, sys *platform.System) (fp []float64, ok bool)
-	// Assign produces the annotated graph.
-	Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error)
+	// Assign produces the annotated graph. The slicing assigners poll ctx
+	// between slicing rounds and return ctx.Err() once it settles, may
+	// overwrite and return recycle (a Result the caller has finished
+	// with, never one that is shared), and run on the pooled working set
+	// sc. ctx, recycle and sc may each be nil, and none of them changes
+	// the result. Assigners that cannot use them ignore them.
+	Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+		recycle *core.Result, sc *core.Scratch) (*core.Result, error)
 }
 
 // slicingAssigner adapts a core.Distributor.
@@ -80,60 +86,9 @@ func (a slicingAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) (
 	return fp, true
 }
 
-func (a slicingAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
-	return a.dist.Distribute(g, sys)
-}
-
-func (a slicingAssigner) AssignInto(g *taskgraph.Graph, sys *platform.System,
+func (a slicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
 	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return a.dist.DistributeScratch(g, sys, recycle, sc)
-}
-
-func (a slicingAssigner) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return a.dist.DistributeDelta(g, sys, recycle, sc)
-}
-
-func (a slicingAssigner) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
-	if delta {
-		return a.dist.DistributeDeltaContext(ctx, g, sys, recycle, sc)
-	}
 	return a.dist.DistributeScratchContext(ctx, g, sys, recycle, sc)
-}
-
-// resultRecycler is an optional Assigner capability: strategies that can
-// overwrite a spent Result instead of allocating a fresh one, and run off a
-// pooled distributor working set, implement it. The engine only offers
-// results it owns exclusively (never ones published to, or obtained from, a
-// shared cache); the scratch is always the calling worker's own. Either
-// argument may be nil.
-type resultRecycler interface {
-	AssignInto(g *taskgraph.Graph, sys *platform.System, recycle *core.Result, sc *core.Scratch) (*core.Result, error)
-}
-
-// deltaAssigner is an optional Assigner capability: strategies whose
-// distribution can replay memoized critical-path evaluations carried on the
-// scratch from the previous call (core.DistributeDelta) implement it. The
-// result is bit-for-bit identical to AssignInto on the same inputs — only
-// the amount of recomputation changes — so the engine may substitute it
-// freely when Config.DeltaReuse is set.
-type deltaAssigner interface {
-	AssignDelta(g *taskgraph.Graph, sys *platform.System, recycle *core.Result, sc *core.Scratch) (*core.Result, error)
-}
-
-// contextAssigner is an optional Assigner capability: strategies whose
-// distribution polls a context between slicing rounds
-// (core.DistributeScratchContext) implement it, so a unit whose deadline
-// expires mid-DP is abandoned cooperatively — its goroutine errs out at
-// the next round boundary instead of computing an answer nobody can use
-// (and, in the orchestrator, instead of publishing one to the shared
-// caches). A nil or live context computes the bit-identical result of
-// AssignInto/AssignDelta. delta requests the carry-over entry point, with
-// the same fallback semantics as deltaAssigner.
-type contextAssigner interface {
-	AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-		recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error)
 }
 
 // dynSlicingAssigner is a slicing assigner whose estimator depends on the
@@ -167,39 +122,13 @@ func (a dynSlicingAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System
 	return a.metric.VirtualCosts(g, sys, e.Estimate(g, sys)), true
 }
 
-func (a dynSlicingAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
-	return a.AssignInto(g, sys, nil, nil)
-}
-
-func (a dynSlicingAssigner) AssignInto(g *taskgraph.Graph, sys *platform.System,
+func (a dynSlicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
 	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
 	e, err := a.est(sys)
 	if err != nil {
 		return nil, err
 	}
-	return core.Distributor{Metric: a.metric, Estimator: e}.DistributeScratch(g, sys, recycle, sc)
-}
-
-func (a dynSlicingAssigner) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	e, err := a.est(sys)
-	if err != nil {
-		return nil, err
-	}
-	return core.Distributor{Metric: a.metric, Estimator: e}.DistributeDelta(g, sys, recycle, sc)
-}
-
-func (a dynSlicingAssigner) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
-	e, err := a.est(sys)
-	if err != nil {
-		return nil, err
-	}
-	d := core.Distributor{Metric: a.metric, Estimator: e}
-	if delta {
-		return d.DistributeDeltaContext(ctx, g, sys, recycle, sc)
-	}
-	return d.DistributeScratchContext(ctx, g, sys, recycle, sc)
+	return core.Distributor{Metric: a.metric, Estimator: e}.DistributeScratchContext(ctx, g, sys, recycle, sc)
 }
 
 // baselineAssigner adapts a strategy.Strategy (platform-independent).
@@ -218,7 +147,8 @@ func (a baselineAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]flo
 	return nil, true // platform-independent
 }
 
-func (a baselineAssigner) Assign(g *taskgraph.Graph, _ *platform.System) (*core.Result, error) {
+func (a baselineAssigner) Assign(_ context.Context, g *taskgraph.Graph, _ *platform.System,
+	_ *core.Result, _ *core.Scratch) (*core.Result, error) {
 	return a.s.Assign(g)
 }
 
@@ -253,26 +183,9 @@ func (a assignFirst) Fingerprint(g *taskgraph.Graph, sys *platform.System) ([]fl
 	return a.metric.VirtualCosts(g, sys, est), true
 }
 
-func (a assignFirst) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
-	return a.AssignInto(g, sys, nil, nil)
-}
-
-func (a assignFirst) AssignInto(g *taskgraph.Graph, sys *platform.System,
+func (a assignFirst) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
 	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}.DistributeScratch(g, sys, recycle, sc)
-}
-
-func (a assignFirst) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}.DistributeDelta(g, sys, recycle, sc)
-}
-
-func (a assignFirst) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
 	d := core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}
-	if delta {
-		return d.DistributeDeltaContext(ctx, g, sys, recycle, sc)
-	}
 	return d.DistributeScratchContext(ctx, g, sys, recycle, sc)
 }
 
@@ -304,7 +217,8 @@ func (a improvedAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) 
 	return append(append([]float64(nil), fp...), float64(sys.NumProcs())), true
 }
 
-func (a improvedAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (a improvedAssigner) Assign(_ context.Context, g *taskgraph.Graph, sys *platform.System,
+	_ *core.Result, _ *core.Scratch) (*core.Result, error) {
 	res, err := a.dist.Distribute(g, sys)
 	if err != nil {
 		return nil, err
@@ -362,14 +276,6 @@ type Config struct {
 	Network func(n int) (*channel.Network, error)
 	// Measure maps a run to the observed value (default MaxLateness).
 	Measure Measure
-	// DeltaReuse lets slicing assigners carry memoized critical-path search
-	// state across the consecutive distributions each worker runs
-	// (core.DistributeDelta): when a graph is a small delta of the one the
-	// worker just sliced under the same metric, still-valid evaluations are
-	// replayed instead of recomputed. Tables are bit-for-bit identical with
-	// the flag on or off (TestRunDeltaReuseMatches); only the amount of
-	// recomputation changes.
-	DeltaReuse bool
 	// Workers bounds the number of concurrent graph pipelines
 	// (default GOMAXPROCS). Ignored when Orchestrator is set — the shared
 	// pool's size governs instead.
@@ -458,39 +364,6 @@ type labelled struct {
 }
 
 func (l labelled) Label() string { return l.label }
-
-// AssignInto forwards recycling to the wrapped assigner when it supports
-// it, so relabelling does not cost the allocation win.
-func (l labelled) AssignInto(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	if r, ok := l.Assigner.(resultRecycler); ok {
-		return r.AssignInto(g, sys, recycle, sc)
-	}
-	return l.Assign(g, sys)
-}
-
-// AssignDelta forwards delta re-slicing to the wrapped assigner when it
-// supports it, falling back to a plain assignment otherwise.
-func (l labelled) AssignDelta(g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	if d, ok := l.Assigner.(deltaAssigner); ok {
-		return d.AssignDelta(g, sys, recycle, sc)
-	}
-	return l.AssignInto(g, sys, recycle, sc)
-}
-
-// AssignContext forwards cooperative cancellation to the wrapped assigner
-// when it supports it, falling back to the uncancellable entry points.
-func (l labelled) AssignContext(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch, delta bool) (*core.Result, error) {
-	if c, ok := l.Assigner.(contextAssigner); ok {
-		return c.AssignContext(ctx, g, sys, recycle, sc, delta)
-	}
-	if delta {
-		return l.AssignDelta(g, sys, recycle, sc)
-	}
-	return l.AssignInto(g, sys, recycle, sc)
-}
 
 // Default returns the paper's experimental setup (Section 5) for the given
 // execution-time scenario: 128 graphs, 2–16 processors, contention-free
@@ -1154,19 +1027,19 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 				if crossOK && known && transformer == nil {
 					// Transformed graphs are per-size values, so only
 					// untransformed runs key the cross-table cache.
-					res, shared, err = orc.assignment(ctx, gg, sys, asg, label, fp, rec, w, cfg.DeltaReuse)
+					res, shared, err = orc.assignment(ctx, gg, sys, asg, label, fp, rec, w)
 					// "cross": the cross-table cache answered (by hit or by
 					// this worker computing and publishing — the span length
 					// tells which).
 					sp.stage("assign", label, sys.NumProcs(), at0, "cross")
 				} else {
 					t0 = rec.Start()
-					res, err = assignWith(ctx, asg, gg, sys, w, cfg.DeltaReuse)
+					res, err = assignWith(ctx, asg, gg, sys, w)
 					rec.Done(metrics.StageAssign, t0)
 					sp.stage("assign", label, sys.NumProcs(), at0, "miss")
 					if err == nil {
 						st := res.Search
-						rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses, st.DeltaReuses)
+						rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses)
 					}
 				}
 				if err != nil {
@@ -1233,48 +1106,17 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 	return nil
 }
 
-// AssignContext runs one assignment on the given pooled working set with
-// cooperative cancellation, routing through asg's most capable entry
-// point: context-aware assigners abort between slicing rounds when ctx
-// settles; others compute to completion (ctx then only gates what the
-// caller does with the result). It is the serving layer's assignment
-// primitive — one request, one graph, no sweep bookkeeping. sc may be nil
-// (a fresh working set is allocated).
-func AssignContext(ctx context.Context, asg Assigner, g *taskgraph.Graph,
-	sys *platform.System, sc *core.Scratch) (*core.Result, error) {
-	if c, ok := asg.(contextAssigner); ok {
-		return c.AssignContext(ctx, g, sys, nil, sc, false)
+// assignWith runs one assignment on the worker's pooled scratch, offering
+// its spare Result for recycling. An assigner that did not return the spare
+// leaves it with the worker for the next call.
+func assignWith(ctx context.Context, asg Assigner, g *taskgraph.Graph, sys *platform.System, w *poolWorker) (*core.Result, error) {
+	recycle := w.spare
+	w.spare = nil
+	res, err := asg.Assign(ctx, g, sys, recycle, w.dist)
+	if res != recycle {
+		w.spare = recycle
 	}
-	if r, ok := asg.(resultRecycler); ok {
-		return r.AssignInto(g, sys, nil, sc)
-	}
-	return asg.Assign(g, sys)
-}
-
-// assignWith runs one assignment, offering the worker's spare Result and
-// pooled distributor scratch when the assigner supports them, routing
-// through the delta entry point when the run opted into carry-over reuse,
-// and threading the attempt context into the DP for assigners that can
-// abort between slicing rounds.
-func assignWith(ctx context.Context, asg Assigner, g *taskgraph.Graph, sys *platform.System, w *poolWorker, delta bool) (*core.Result, error) {
-	if c, ok := asg.(contextAssigner); ok {
-		recycle := w.spare
-		w.spare = nil
-		return c.AssignContext(ctx, g, sys, recycle, w.dist, delta)
-	}
-	if delta {
-		if d, ok := asg.(deltaAssigner); ok {
-			recycle := w.spare
-			w.spare = nil
-			return d.AssignDelta(g, sys, recycle, w.dist)
-		}
-	}
-	if r, ok := asg.(resultRecycler); ok {
-		recycle := w.spare
-		w.spare = nil
-		return r.AssignInto(g, sys, recycle, w.dist)
-	}
-	return asg.Assign(g, sys)
+	return res, err
 }
 
 // batch generates the run's task graphs: random by default, one structured

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -620,9 +621,10 @@ func (c countingAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]flo
 	return nil, c.known
 }
 
-func (c countingAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (c countingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
 	c.assigns.Add(1)
-	return c.inner.Assign(g, sys)
+	return c.inner.Assign(ctx, g, sys, recycle, sc)
 }
 
 func TestFingerprintCacheTraffic(t *testing.T) {
@@ -668,7 +670,8 @@ func (f failingAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]floa
 	return nil, true
 }
 
-func (f failingAssigner) Assign(g *taskgraph.Graph, _ *platform.System) (*core.Result, error) {
+func (f failingAssigner) Assign(context.Context, *taskgraph.Graph, *platform.System,
+	*core.Result, *core.Scratch) (*core.Result, error) {
 	n := f.attempts.Add(1)
 	time.Sleep(time.Millisecond)
 	return nil, fmt.Errorf("induced failure %d", n)
@@ -734,5 +737,52 @@ func TestRunRecordsStageTimings(t *testing.T) {
 	}
 	if snap.Stages[metrics.StageAssign].Count != pipelines {
 		t.Errorf("assign observations = %d, want %d", snap.Stages[metrics.StageAssign].Count, pipelines)
+	}
+}
+
+// uncachedWrapper wraps an assigner by embedding and overrides only
+// Fingerprint, the shape of a wrapper that defeats the fingerprint cache.
+type uncachedWrapper struct{ Assigner }
+
+func (uncachedWrapper) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
+	return nil, false
+}
+
+// TestEmbeddingWrapperGetsContext: a wrapper that embeds an assigner has
+// the inner Assign promoted whole, so the context, the recycled Result and
+// the scratch all reach the distribution core. An already-cancelled
+// context aborts with context.Canceled instead of computing; a live one
+// yields the plain Distribute result.
+func TestEmbeddingWrapperGetsContext(t *testing.T) {
+	g := testGraph(t)
+	sys, err := platform.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}.Distribute(g, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, asg := range []Assigner{
+		uncachedWrapper{Slicing(core.PURE(), core.CCNE())},
+		labelled{Slicing(core.PURE(), core.CCNE()), "relabelled"},
+		uncachedWrapper{labelled{Slicing(core.PURE(), core.CCNE()), "relabelled"}},
+	} {
+		if _, err := asg.Assign(cancelled, g, sys, nil, core.NewScratch()); !errors.Is(err, context.Canceled) {
+			t.Errorf("%T: cancelled ctx gave err %v, want context.Canceled", asg, err)
+		}
+		recycle := &core.Result{}
+		got, err := asg.Assign(context.Background(), g, sys, recycle, core.NewScratch())
+		if err != nil {
+			t.Fatalf("%T: %v", asg, err)
+		}
+		if got != recycle {
+			t.Errorf("%T: recycled Result was not used", asg)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: live ctx result differs from Distribute", asg)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -320,7 +321,7 @@ func ParseFaults(spec string) (*FaultPlan, error) {
 		switch k {
 		case "panic", "hang", "err":
 			rate, err := strconv.ParseFloat(v, 64)
-			if err != nil || rate < 0 || rate > 1 {
+			if err != nil || !(rate >= 0 && rate <= 1) { // NaN fails too
 				return nil, fmt.Errorf("bad fault rate %q (want 0..1)", part)
 			}
 			switch k {
@@ -339,7 +340,7 @@ func ParseFaults(spec string) (*FaultPlan, error) {
 			plan.Seed = n
 		case "hangms":
 			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || int64(n) > math.MaxInt64/int64(time.Millisecond) {
 				return nil, fmt.Errorf("bad hang duration %q", part)
 			}
 			plan.HangDuration = time.Duration(n) * time.Millisecond

@@ -266,12 +266,13 @@ func (f *countingFailAssigner) Fingerprint(*taskgraph.Graph, *platform.System) (
 	return nil, false // never cached: every size calls Assign
 }
 
-func (f *countingFailAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (f *countingFailAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
 	n := f.calls.Add(1)
 	if f.failFirst == 0 || n <= f.failFirst {
 		return nil, f.err
 	}
-	return Slicing(core.PURE(), core.CCNE()).Assign(g, sys)
+	return Slicing(core.PURE(), core.CCNE()).Assign(ctx, g, sys, recycle, sc)
 }
 
 // TestCancellationYieldsPartialTable: cancelling the run context mid-sweep
@@ -446,7 +447,7 @@ func TestAssignmentErrorReleasesCacheSlot(t *testing.T) {
 	w := newPoolWorker()
 
 	for call := 1; call <= 2; call++ {
-		_, shared, err := orc.assignment(context.Background(), g, sys, fa, "FAIL", nil, nil, w, false)
+		_, shared, err := orc.assignment(context.Background(), g, sys, fa, "FAIL", nil, nil, w)
 		if err == nil {
 			t.Fatalf("call %d: erroring assignment succeeded", call)
 		}
@@ -465,7 +466,7 @@ func TestAssignmentErrorReleasesCacheSlot(t *testing.T) {
 	// A successful assignment afterwards occupies exactly one slot.
 	ok := Slicing(core.PURE(), core.CCNE())
 	fp, _ := ok.Fingerprint(g, sys)
-	if _, shared, err := orc.assignment(context.Background(), g, sys, ok, ok.Label(), fp, nil, w, false); err != nil || !shared {
+	if _, shared, err := orc.assignment(context.Background(), g, sys, ok, ok.Label(), fp, nil, w); err != nil || !shared {
 		t.Fatalf("successful assignment: shared=%v err=%v", shared, err)
 	}
 	n := orc.assignEntryCount()
@@ -494,13 +495,13 @@ func TestAssignmentPanicReleasesCacheSlot(t *testing.T) {
 				t.Fatal("panic did not propagate")
 			}
 		}()
-		orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w, false)
+		orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w)
 	}()
 	n := orc.assignEntryCount()
 	if n != 0 {
 		t.Fatalf("panicking assignment pinned %d cache slots", n)
 	}
-	if _, _, err := orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w, false); err != nil {
+	if _, _, err := orc.assignment(context.Background(), g, sys, pa, "PANIC", nil, nil, w); err != nil {
 		t.Fatalf("second attempt after the panic failed: %v", err)
 	}
 }
@@ -514,11 +515,12 @@ func (p *panicOnceAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]f
 	return nil, true
 }
 
-func (p *panicOnceAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (p *panicOnceAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
 	if p.calls.Add(1) == 1 {
 		panic("assigner bug")
 	}
-	return Slicing(core.PURE(), core.CCNE()).Assign(g, sys)
+	return Slicing(core.PURE(), core.CCNE()).Assign(ctx, g, sys, recycle, sc)
 }
 
 // testGraph generates one deterministic workload graph.
@@ -529,4 +531,30 @@ func testGraph(t *testing.T) *taskgraph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// FuzzParseFaults checks the -faults parser's contract on arbitrary specs:
+// either an error, or a plan whose rates lie in [0,1] and whose hang
+// duration and attempt bound are non-negative.
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		"panic=0.1,hang=0.2,err=0.3,seed=9,hangms=50,maxfaulty=3",
+		"panic=NaN", "err=nan", "hang=Inf", "hangms=9223372036855", "seed=18446744073709551615", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParseFaults(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range []float64{plan.PanicRate, plan.HangRate, plan.ErrorRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseFaults(%q): rate %v outside [0,1]", spec, r)
+			}
+		}
+		if plan.HangDuration < 0 || plan.MaxFaultyAttempts < 0 {
+			t.Fatalf("ParseFaults(%q): negative bound in %+v", spec, plan)
+		}
+	})
 }

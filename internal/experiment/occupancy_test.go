@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -44,9 +45,10 @@ func (a *meetAssigner) rendezvous(g *taskgraph.Graph) {
 	a.wg.Wait()
 }
 
-func (a *meetAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (a *meetAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
 	a.rendezvous(g)
-	return a.Assigner.Assign(g, sys)
+	return a.Assigner.Assign(ctx, g, sys, recycle, sc)
 }
 
 // TestPoolOccupancyMultiCore is the regression test for ROADMAP item 1's
@@ -149,13 +151,12 @@ func TestCrossCacheSaturationFlush(t *testing.T) {
 	}
 }
 
-// deltaBatch is a Custom generator for the delta-reuse sweep: every graph
+// driftBatch is a Custom generator for a re-analysis workload: every graph
 // in the batch shares one structure (two independent four-subtask chains)
-// and differs only in the cost of the first chain's root, the shape of a
-// re-analysis workload where measured execution times drift between
-// sweeps. Structure identity is what lets consecutive DistributeDelta runs
-// on one worker's scratch replay the untouched chain's evaluations.
-func deltaBatch(src *rng.Source) (*taskgraph.Graph, error) {
+// and differs only in the cost of the first chain's root, the shape of
+// measured execution times drifting between sweeps. Consecutive graphs on
+// one worker's scratch therefore differ in costs only.
+func driftBatch(src *rng.Source) (*taskgraph.Graph, error) {
 	b := taskgraph.NewBuilder()
 	var prev taskgraph.NodeID
 	for c := 0; c < 2; c++ {
@@ -175,49 +176,32 @@ func deltaBatch(src *rng.Source) (*taskgraph.Graph, error) {
 	return b.Finalize()
 }
 
-// TestRunDeltaReuseMatches is the engine-level determinism property of
-// Config.DeltaReuse: on a batch of structurally identical graphs with
-// drifting execution times, the delta-enabled sweep must actually replay
-// carried evaluations (DeltaReuses > 0) and still produce tables
-// bit-identical to the same sweep with the flag off — orchestrated or not.
-func TestRunDeltaReuseMatches(t *testing.T) {
+// TestRunDriftBatchOrchestratedMatches: on a batch of structurally
+// identical graphs with drifting execution times, the orchestrated sweep
+// (shared pool, pooled scratch, cross-table cache) produces the table of
+// the plain sweep bit for bit.
+func TestRunDriftBatchOrchestratedMatches(t *testing.T) {
 	cfg := Default(generator.MDET)
 	cfg.Graphs = 6
 	cfg.Sizes = []int{4}
 	cfg.Workers = 1
-	cfg.Custom = deltaBatch
+	cfg.Custom = driftBatch
 	asg := []Assigner{Slicing(core.PURE(), core.CCNE())}
 
-	want, err := cfg.Run("delta", asg...)
+	want, err := cfg.Run("drift", asg...)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	rec := metrics.New()
-	dc := cfg
-	dc.DeltaReuse = true
-	dc.Metrics = rec
-	got, err := dc.Run("delta", asg...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("delta-reuse table differs from plain table")
-	}
-	if snap := rec.Snapshot(); snap.Search.DeltaReuses == 0 {
-		t.Error("delta-enabled sweep over a structurally identical batch replayed nothing")
 	}
 
 	orc := NewOrchestrator(2)
 	defer orc.Close()
-	oc := dc
-	oc.Metrics = nil
+	oc := cfg
 	oc.Orchestrator = orc
-	got, err = oc.Run("delta", asg...)
+	got, err := oc.Run("drift", asg...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("orchestrated delta-reuse table differs from plain table")
+		t.Error("orchestrated drift-batch table differs from plain table")
 	}
 }

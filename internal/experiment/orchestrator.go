@@ -420,7 +420,7 @@ func (o *Orchestrator) batch(ctx context.Context, key generator.BatchID, rec *me
 // their own run's context, so one run's cancellation never strands another.
 func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys *platform.System,
 	asg Assigner, label string, fp []float64, rec *metrics.Recorder,
-	w *poolWorker, delta bool) (*core.Result, bool, error) {
+	w *poolWorker) (*core.Result, bool, error) {
 
 	key := assignKey{g: gg, label: label, fp: fpBits(fp)}
 	s := o.assignShardFor(key)
@@ -497,34 +497,15 @@ func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys 
 	t0 := rec.Start()
 	// Compute with the worker's pooled scratch but never its spare Result:
 	// a published Result is shared cache storage and must own fresh slices.
-	// Context-capable assigners get the attempt context, so an abandoned
-	// (timed-out) attempt aborts its DP at the next round boundary and the
+	// The assigner gets the attempt context, so an abandoned (timed-out)
+	// slicing attempt aborts its DP at the next round boundary and the
 	// deferred release above unpins the slot instead of publishing — a
 	// deadline-dead unit can never seed the shared caches.
-	switch {
-	case delta:
-		if c, ok := asg.(contextAssigner); ok {
-			res, err = c.AssignContext(ctx, gg, sys, nil, w.dist, true)
-			break
-		}
-		if d, ok := asg.(deltaAssigner); ok {
-			res, err = d.AssignDelta(gg, sys, nil, w.dist)
-			break
-		}
-		fallthrough
-	default:
-		if c, ok := asg.(contextAssigner); ok {
-			res, err = c.AssignContext(ctx, gg, sys, nil, w.dist, false)
-		} else if r, ok := asg.(resultRecycler); ok {
-			res, err = r.AssignInto(gg, sys, nil, w.dist)
-		} else {
-			res, err = asg.Assign(gg, sys)
-		}
-	}
+	res, err = asg.Assign(ctx, gg, sys, nil, w.dist)
 	rec.Done(metrics.StageAssign, t0)
 	if err == nil {
 		st := res.Search
-		rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses, st.DeltaReuses)
+		rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses)
 	}
 	if e == nil || err != nil {
 		return res, false, err // the deferred release unpins the slot on error

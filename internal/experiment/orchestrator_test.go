@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -179,11 +180,12 @@ func (a nanFPAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float6
 	return []float64{math.NaN(), 1}, true
 }
 
-func (a nanFPAssigner) Assign(g *taskgraph.Graph, sys *platform.System) (*core.Result, error) {
+func (a nanFPAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
 	a.mu.Lock()
 	*a.calls++
 	a.mu.Unlock()
-	return a.inner.Assign(g, sys)
+	return a.inner.Assign(ctx, g, sys, recycle, sc)
 }
 
 // TestNaNFingerprintCachedAcrossSizes is the regression test for the

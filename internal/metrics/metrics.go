@@ -101,11 +101,10 @@ type Recorder struct {
 
 	// Critical-path search counters, accumulated from the distribution
 	// core's per-run SearchStats.
-	searchIterations  atomic.Int64
-	searchStarts      atomic.Int64
-	searchDPRuns      atomic.Int64
-	searchReuses      atomic.Int64
-	searchDeltaReuses atomic.Int64
+	searchIterations atomic.Int64
+	searchStarts     atomic.Int64
+	searchDPRuns     atomic.Int64
+	searchReuses     atomic.Int64
 
 	// Fault-tolerance counters of the run layer: recovered unit panics,
 	// attempts abandoned by the per-unit deadline, retries issued, and
@@ -264,11 +263,10 @@ func (r *Recorder) PoolJobEnd() {
 }
 
 // AddSearch accumulates one distribution's critical-path search counters:
-// slicing iterations, start candidates examined, per-start DP sweeps run,
-// memoized candidates reused without a sweep, and delta-mode evaluations
-// replayed from the previous run's history log. (Plain ints so callers
+// slicing iterations, start candidates examined, per-start DP sweeps run
+// and memoized candidates reused without a sweep. (Plain ints so callers
 // need not depend on the distribution core's stats type.)
-func (r *Recorder) AddSearch(iterations, startsExamined, dpRuns, cacheReuses, deltaReuses int) {
+func (r *Recorder) AddSearch(iterations, startsExamined, dpRuns, cacheReuses int) {
 	if r == nil {
 		return
 	}
@@ -276,7 +274,6 @@ func (r *Recorder) AddSearch(iterations, startsExamined, dpRuns, cacheReuses, de
 	r.searchStarts.Add(int64(startsExamined))
 	r.searchDPRuns.Add(int64(dpRuns))
 	r.searchReuses.Add(int64(cacheReuses))
-	r.searchDeltaReuses.Add(int64(deltaReuses))
 }
 
 // UnitPanic records a recovered graph-pipeline panic.
@@ -455,7 +452,6 @@ type SearchCounters struct {
 	StartsExamined int64 `json:"startsExamined"`
 	DPRuns         int64 `json:"dpRuns"`
 	CacheReuses    int64 `json:"cacheReuses"`
-	DeltaReuses    int64 `json:"deltaReuses,omitempty"`
 }
 
 // ReuseRate returns CacheReuses/StartsExamined, or 0 without search
@@ -578,7 +574,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		StartsExamined: r.searchStarts.Load(),
 		DPRuns:         r.searchDPRuns.Load(),
 		CacheReuses:    r.searchReuses.Load(),
-		DeltaReuses:    r.searchDeltaReuses.Load(),
 	}
 	return snap
 }
@@ -650,9 +645,6 @@ func (s Snapshot) String() string {
 	if sc := s.Search; sc.StartsExamined > 0 {
 		fmt.Fprintf(&b, "\ncritical-path search: %d iterations, %d starts, %d DP runs, %d memo reuses (%.1f%% reuse)",
 			sc.Iterations, sc.StartsExamined, sc.DPRuns, sc.CacheReuses, 100*sc.ReuseRate())
-		if sc.DeltaReuses > 0 {
-			fmt.Fprintf(&b, ", %d delta replays", sc.DeltaReuses)
-		}
 	}
 	return b.String()
 }
@@ -687,13 +679,6 @@ type Bench struct {
 	JournalReplays  int64          `json:"journalReplays,omitempty"`
 	JournalComputes int64          `json:"journalComputes,omitempty"`
 	Search          SearchCounters `json:"search"`
-	// Delta, when present, records the measured cost of incremental
-	// re-slicing on a changed-exec-times workload (dlexp -bench-delta):
-	// per metric, the nanoseconds per distribution of a cold search, of a
-	// delta search across alternating base/drifted graphs, and of a delta
-	// search re-running an identical graph, with the drift speedup
-	// (cold/drift) made explicit.
-	Delta []DeltaBench `json:"distributeDelta,omitempty"`
 	// WorkerScaling, when present, records the same sweep re-run under
 	// different pool sizes (dlexp -bench-scaling): graphs/sec per worker
 	// count and the parallel efficiency relative to the 1-worker run. On a
@@ -720,16 +705,6 @@ type WorkerScalingPoint struct {
 	// parallel speedup, and readers should not treat sub-linear
 	// efficiency there as a regression.
 	Oversubscribed bool `json:"oversubscribed,omitempty"`
-}
-
-// DeltaBench is one metric's measured delta re-slicing cost (see Bench.Delta).
-type DeltaBench struct {
-	Metric         string  `json:"metric"`
-	ColdNsOp       float64 `json:"coldNsOp"`
-	DriftNsOp      float64 `json:"driftNsOp"`
-	IdenticalNsOp  float64 `json:"identicalNsOp"`
-	DriftSpeedup   float64 `json:"driftSpeedup"`
-	DeltaReuseRate float64 `json:"deltaReuseRate"`
 }
 
 // NewBench assembles a Bench from a snapshot and the run's wall time.

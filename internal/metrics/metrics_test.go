@@ -201,10 +201,10 @@ func TestBenchZeroWall(t *testing.T) {
 
 func TestSearchCounters(t *testing.T) {
 	r := New()
-	r.AddSearch(3, 40, 10, 30, 5)
-	r.AddSearch(2, 10, 10, 0, 0)
+	r.AddSearch(3, 40, 10, 30)
+	r.AddSearch(2, 10, 10, 0)
 	snap := r.Snapshot()
-	want := SearchCounters{Iterations: 5, StartsExamined: 50, DPRuns: 20, CacheReuses: 30, DeltaReuses: 5}
+	want := SearchCounters{Iterations: 5, StartsExamined: 50, DPRuns: 20, CacheReuses: 30}
 	if snap.Search != want {
 		t.Errorf("Search = %+v, want %+v", snap.Search, want)
 	}
@@ -226,7 +226,7 @@ func TestSearchCounters(t *testing.T) {
 
 	// Nil recorders swallow search counters like everything else.
 	var nilRec *Recorder
-	nilRec.AddSearch(1, 1, 1, 1, 1)
+	nilRec.AddSearch(1, 1, 1, 1)
 	if nilRec.Snapshot().Search != (SearchCounters{}) {
 		t.Error("nil recorder accumulated search counters")
 	}

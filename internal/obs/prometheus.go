@@ -70,7 +70,6 @@ func WritePrometheus(w io.Writer, snap metrics.Snapshot, prog ProgressSnapshot) 
 	writeCounter(b, `dlexp_search_work_total{counter="starts_examined"}`, snap.Search.StartsExamined)
 	writeCounter(b, `dlexp_search_work_total{counter="dp_runs"}`, snap.Search.DPRuns)
 	writeCounter(b, `dlexp_search_work_total{counter="memo_reuses"}`, snap.Search.CacheReuses)
-	writeCounter(b, `dlexp_search_work_total{counter="delta_reuses"}`, snap.Search.DeltaReuses)
 
 	writeHeader(b, "dlexp_units", "gauge", "Units of pool work by state, whole invocation.")
 	writeCounter(b, `dlexp_units{state="done"}`, int64(prog.UnitsDone))

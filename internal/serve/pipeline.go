@@ -438,7 +438,7 @@ func (s *Server) attempt(ctx context.Context, pr *parsedRequest, gi, k int, rs *
 		if err := s.cfg.Faults.Inject(actx, serveFaultTag, gi, k, s.cfg.Metrics, s.cfg.Trace); err != nil {
 			return err
 		}
-		res, err := experiment.AssignContext(actx, pr.assigner, pr.graph, pr.sys, wb.Distributor())
+		res, err := pr.assigner.Assign(actx, pr.graph, pr.sys, nil, wb.Distributor())
 		if err != nil {
 			return err
 		}

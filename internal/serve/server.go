@@ -112,6 +112,14 @@ type Server struct {
 	drainMu  sync.Mutex
 	drained  bool
 
+	// newConns holds the connections that have not yet sent a request
+	// (http.StateNew). Shutdown counts such a connection as active for
+	// 5s, so Drain closes them itself; once closeNew is set, a newly
+	// accepted connection is closed on arrival.
+	connMu   sync.Mutex
+	newConns map[net.Conn]struct{}
+	closeNew bool
+
 	// Request accounting, exported via /metrics.
 	served   atomic.Int64 // 2xx responses
 	failed   [4]atomic.Int64
@@ -201,11 +209,39 @@ func (s *Server) Start(addr string) error {
 		return fmt.Errorf("dlserve listener: %w", err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.newConns = make(map[net.Conn]struct{})
+	s.srv = &http.Server{Handler: s.Handler(), ConnState: s.trackConn}
 	go s.srv.Serve(ln)
 	go s.pressureLoop()
 	s.ready.SetStarted(true)
 	return nil
+}
+
+// trackConn is the http.Server ConnState hook behind Drain's handling of
+// connections that never send a request.
+func (s *Server) trackConn(c net.Conn, st http.ConnState) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(s.newConns, c)
+	case s.closeNew:
+		c.Close()
+	default:
+		s.newConns[c] = struct{}{}
+	}
+}
+
+// closeNewConns closes every connection that has not sent a request yet,
+// and every one accepted from now on.
+func (s *Server) closeNewConns() {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	s.closeNew = true
+	for c := range s.newConns {
+		c.Close()
+		delete(s.newConns, c)
+	}
 }
 
 // pressureLoop feeds the degrade ladder the larger of two pressure
@@ -235,9 +271,10 @@ func (s *Server) pressureLoop() {
 //  1. flip /readyz to draining (load balancers steer traffic away);
 //  2. stop accepting: requests arriving from here on are refused with a
 //     transient taxonomy error before touching the pipeline;
-//  3. wait for in-flight requests to finish — each is bounded by its own
-//     budget, so the wait converges within MaxBudget + DrainSlack, which
-//     caps ctx when the caller passed a looser one;
+//  3. close connections that have not sent a request, then wait for
+//     in-flight requests to finish — each is bounded by its own budget, so
+//     the wait converges within MaxBudget + DrainSlack, which caps ctx
+//     when the caller passed a looser one;
 //  4. release the pool (when owned) and the pressure ticker.
 //
 // Drain is idempotent; concurrent calls wait for the first.
@@ -252,6 +289,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	bound := s.cfg.MaxBudget + s.cfg.DrainSlack
 	dctx, cancel := context.WithTimeout(ctx, bound)
 	defer cancel()
+	s.closeNewConns()
 	err := s.srv.Shutdown(dctx)
 	close(s.stopTick)
 	<-s.tickDone

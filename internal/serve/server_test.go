@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -379,6 +380,39 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 1*time.Second+300*time.Millisecond+time.Second {
 		t.Errorf("drain took %v", elapsed)
+	}
+}
+
+// TestDrainClosesSilentConnections: a connection that never sends a
+// request (a client's spare keep-alive dial) must not hold the drain past
+// MaxBudget + DrainSlack. net/http's Shutdown alone counts such a
+// connection as active for 5s, so Drain closes it.
+func TestDrainClosesSilentConnections(t *testing.T) {
+	const bound = 500*time.Millisecond + 200*time.Millisecond
+	s := startServer(t, Config{MaxBudget: 500 * time.Millisecond, DrainSlack: 200 * time.Millisecond})
+	silent, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The server accepts in order, so once a later connection is answered
+	// the silent one has been accepted and is in StateNew.
+	resp, err := http.Get("http://" + s.Addr() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > bound/2 {
+		t.Errorf("drain took %v with a silent connection open, want well inside %v", elapsed, bound)
+	}
+	silent.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err == nil {
+		t.Errorf("silent connection still open after drain (read %d bytes)", n)
 	}
 }
 

@@ -192,7 +192,8 @@ func ParseSLO(spec string) (SLOConfig, error) {
 			}
 		case "warn", "page":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 {
+			// Written so NaN fails too; +Inf would silence the alert.
+			if err != nil || !(f > 0) || math.IsInf(f, 1) {
 				return cfg, fmt.Errorf("slo: bad burn threshold %s=%q", k, v)
 			}
 			if k == "warn" {
@@ -233,7 +234,7 @@ func parseClassSpec(v string) (SLOClassConfig, error) {
 	cc.Objective = obj
 	if len(parts) > 1 {
 		t, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || t <= 0 || t >= 1 {
+		if err != nil || !(t > 0 && t < 1) { // NaN fails too
 			return cc, fmt.Errorf("bad target %q (want (0,1))", parts[1])
 		}
 		cc.Target = t

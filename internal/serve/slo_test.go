@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -197,11 +198,49 @@ func TestParseSLO(t *testing.T) {
 	for _, bad := range []string{
 		"nonsense", "tier=1s", "interactive=", "interactive=1s/2",
 		"interactive=1s/0.9/0.1/x", "fast=-1s", "warn=0", "min=0", "default=gold",
+		"warn=NaN", "page=Inf", "page=+Inf", "standard=2s/NaN", "interactive=1s/nan/1s",
 	} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSLO checks the -slo parser's contract on arbitrary specs:
+// either an error, or a config whose every numeric field is finite and in
+// its documented range (zero meaning "use the default").
+func FuzzParseSLO(f *testing.F) {
+	for _, seed := range []string{
+		"", "interactive=250ms/0.999/500ms,standard=3s,fast=1m,slow=30m,warn=3,page=14,min=25,default=batch",
+		"warn=NaN", "page=Inf", "standard=2s/NaN", "batch=1h/1e-9/1ns", "min=-1", "fast=1e3h", " , ,",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSLO(spec)
+		if err != nil {
+			return
+		}
+		for _, cc := range []SLOClassConfig{cfg.Interactive, cfg.Standard, cfg.Batch} {
+			if cc.Objective < 0 || cc.MaxBudget < 0 {
+				t.Fatalf("ParseSLO(%q): negative duration in %+v", spec, cc)
+			}
+			if cc.Target != 0 && !(cc.Target > 0 && cc.Target < 1) {
+				t.Fatalf("ParseSLO(%q): target %v outside (0,1)", spec, cc.Target)
+			}
+		}
+		if cfg.FastWindow < 0 || cfg.SlowWindow < 0 || cfg.MinSamples < 0 {
+			t.Fatalf("ParseSLO(%q): negative knob in %+v", spec, cfg)
+		}
+		for _, b := range []float64{cfg.WarnBurn, cfg.PageBurn} {
+			if b != 0 && !(b > 0 && b <= math.MaxFloat64) {
+				t.Fatalf("ParseSLO(%q): burn threshold %v not finite and positive", spec, b)
+			}
+		}
+		if cfg.DefaultClass < 0 || cfg.DefaultClass >= numLatencyClasses {
+			t.Fatalf("ParseSLO(%q): default class %d", spec, cfg.DefaultClass)
+		}
+	})
 }
 
 // TestSLOConfigDefaults: the zero config resolves to the documented

@@ -532,8 +532,7 @@ func (g *Graph) SetPinned(id NodeID, proc int) error {
 
 // SetCost overwrites the worst-case execution time of subtask id (or the
 // message size of message id). Intended for annotating clones, e.g. when
-// re-distributing a workload whose measured execution times drifted — the
-// delta workload of core.DistributeDelta.
+// re-distributing a workload whose measured execution times drifted.
 func (g *Graph) SetCost(id NodeID, cost float64) error {
 	if id < 0 || int(id) >= len(g.nodes) {
 		return fmt.Errorf("set cost %d: %w", id, ErrBadND)
