@@ -37,7 +37,8 @@ import (
 // round-trip is exact (JSON float formatting is not, and JSON has no NaN),
 // which is what makes resumed tables byte-identical to uninterrupted ones.
 // A truncated tail line — the expected crash artifact — is skipped on
-// replay.
+// replay, and OpenJournal ends it with a newline so the next record starts
+// a line of its own.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -97,7 +98,30 @@ func OpenJournal(dir string) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal replay: %w", err)
 	}
+	if err := terminateTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("journal tail: %w", err)
+	}
 	return j, nil
+}
+
+// terminateTail appends a newline to a non-empty journal whose last line
+// has none: a torn write. Otherwise the next record would be glued onto
+// the torn line and lost with it on the next replay.
+func terminateTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return err
+	}
+	last := make([]byte, 1)
+	if _, err := f.ReadAt(last, st.Size()-1); err != nil {
+		return err
+	}
+	if last[0] == '\n' {
+		return nil
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // ErrJournalMismatch reports a resume against a journal written under a

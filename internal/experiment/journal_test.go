@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -92,6 +93,110 @@ func TestJournalSkipsTornTail(t *testing.T) {
 	if _, ok := j2.lookup("key", 2, 2); ok {
 		t.Error("torn record served as a hit")
 	}
+}
+
+// TestJournalCommitAfterTornTail: a record committed after resuming a
+// journal with a torn, newline-less tail lands on a line of its own and
+// replays on the next resume.
+func TestJournalCommitAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.commit("a", 0, []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"k":"b","g":0,"b":["3ff`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if j, err = OpenJournal(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.commit("c", 0, []float64{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, key := range []string{"a", "c"} {
+		if _, ok := j.lookup(key, 0, 1); !ok {
+			t.Errorf("record %q lost across the torn tail", key)
+		}
+	}
+	if _, ok := j.lookup("b", 0, 1); ok {
+		t.Error("torn record served as a hit")
+	}
+}
+
+// FuzzOpenJournal replays arbitrary bytes as a journal. OpenJournal never
+// panics; it either fails with an error naming the journal or replays
+// only cells that decode; and a record committed after opening replays on
+// the next open, whatever the file held before.
+func FuzzOpenJournal(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"\n",
+		`{"m":"run"}` + "\n" + `{"k":"a","g":1,"b":["3ff0000000000000"]}` + "\n",
+		`{"k":"a","g":1,"b":["3ff0000000000000"]}` + "\n" + `{"k":"b","g":0,"b":["40`,
+		`{"k":"a","g":1,"b":["zz"]}` + "\r\n" + `{"k":"fresh","g":0,"b":[]}`,
+		`{"k":"fresh","g":0,"b":["0","7ff8000000000001"]}`,
+		"\x00\xff{\"k\":",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(dir)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "journal") {
+				t.Fatalf("open error does not name the journal: %v", err)
+			}
+			return
+		}
+		for cell, vals := range j.done {
+			if got, ok := j.lookup(cell.key, cell.gi, len(vals)); !ok || len(got) != len(vals) {
+				t.Fatalf("replayed cell %v does not read back", cell)
+			}
+		}
+		vals := []float64{math.Pi, math.Inf(-1)}
+		if err := j.commit("fresh", 0, vals); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, err = OpenJournal(dir)
+		if err != nil {
+			t.Fatalf("reopen after commit: %v", err)
+		}
+		defer j.Close()
+		got, ok := j.lookup("fresh", 0, len(vals))
+		if !ok {
+			t.Fatalf("committed record lost on reopen of %q", data)
+		}
+		for i := range vals {
+			if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("committed value %d replayed as %v", i, got[i])
+			}
+		}
+	})
 }
 
 func TestJournalKeySeparatesConfigurations(t *testing.T) {

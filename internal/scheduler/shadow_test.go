@@ -205,3 +205,40 @@ func TestMsgOrderMatchesSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// st computes the earliest start time of subtask v on processor p given the
+// current partial schedule, without committing bus reservations.
+func (sc *Scratch) st(g *taskgraph.Graph, sys *platform.System, res *core.Result, s *Schedule,
+	cfg Config, v taskgraph.NodeID, p int, procFree, busFree float64) float64 {
+
+	start := procFree
+	if cfg.RespectRelease && res.Release[v] > start {
+		start = res.Release[v]
+	}
+	if !sys.BusContention() {
+		for _, m := range g.Pred(v) {
+			u := g.Pred(m)[0]
+			arrival := s.Finish[u] + sys.CommCost(s.Proc[u], p, g.Node(m).Size)
+			if arrival > start {
+				start = arrival
+			}
+		}
+		return start
+	}
+	// Contended bus: tentatively serialize this subtask's cross-processor
+	// messages in deadline order after busFree.
+	for _, iv := range sc.busPlan(g, sys, s, v, p, busFree) {
+		if iv.finish > start {
+			start = iv.finish
+		}
+	}
+	for _, m := range g.Pred(v) {
+		u := g.Pred(m)[0]
+		if s.Proc[u] == p { // co-located: arrival at producer finish
+			if s.Finish[u] > start {
+				start = s.Finish[u]
+			}
+		}
+	}
+	return start
+}

@@ -94,9 +94,10 @@ type SubtaskWindow struct {
 
 // wireRequest is a Request as handleAssign decodes it: the embedded
 // Request carries every scalar field, and the shallower Graph field
-// shadows Request.Graph for the "graph" key, so encoding/json decodes the
-// graph straight into its typed wire form in the one pass over the body.
-// The public Request keeps its RawMessage for clients.
+// shadows Request.Graph for the "graph" key, so the one pass over the
+// body (decodeRequest, or encoding/json when it falls back) decodes the
+// graph straight into its typed wire form. The public Request keeps its
+// RawMessage for clients.
 type wireRequest struct {
 	Request
 	Graph taskgraph.Wire `json:"graph"`
@@ -291,7 +292,7 @@ var canonPool = sync.Pool{New: func() any { return new([]byte) }}
 // canonical bytes, then the answer-shaping options, hashed in one call.
 func contentKey(w *taskgraph.Wire, procs int, label, policy string) (string, *Error) {
 	bp := canonPool.Get().(*[]byte)
-	defer canonPool.Put(bp)
+	defer putBuffer(&canonPool, bp)
 	buf, err := w.AppendCanonical((*bp)[:0])
 	if err != nil {
 		return "", Errorf(ClassInvalid, "canonicalize graph: "+err.Error())

@@ -340,8 +340,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		s.writeError(w, rs, Errorf(ClassInvalid, "decode request: "+err.Error()), 0)
 		return
 	}

@@ -120,11 +120,30 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 
 // Decode builds a Graph from its JSON interchange form.
 func Decode(data []byte) (*Graph, error) {
-	var w Wire
-	if err := json.Unmarshal(data, &w); err != nil {
+	w, err := decodeWire(data)
+	if err != nil {
 		return nil, fmt.Errorf("decode task graph: %w", err)
 	}
 	return w.Build()
+}
+
+// decodeWire decodes data as json.Unmarshal does into a Wire. Input in
+// the Scanner's strict subset, followed by nothing but whitespace, takes
+// the one-pass scan; anything else is json.Unmarshal's, errors included.
+func decodeWire(data []byte) (Wire, error) {
+	var w Wire
+	sc := NewScanner(string(data))
+	if sc.Wire(&w); sc.atEnd() && !sc.Failed() {
+		// The graph outlives data: its names get storage of their own
+		// rather than substrings that would pin the whole source.
+		for i := range w.Subtasks {
+			w.Subtasks[i].Name = strings.Clone(w.Subtasks[i].Name)
+		}
+		return w, nil
+	}
+	w = Wire{}
+	err := json.Unmarshal(data, &w)
+	return w, err
 }
 
 // DOT renders the graph in Graphviz DOT syntax. Ordinary subtasks are boxes

@@ -3,8 +3,10 @@ package taskgraph
 import "testing"
 
 // FuzzDecode exercises the JSON decoder with arbitrary input: it must
-// never panic, and whenever it accepts an input, the resulting graph must
-// re-encode and decode to an equivalent graph (round-trip stability).
+// never panic, whenever its strict scan accepts an input json.Unmarshal
+// must decode the same Wire, and whenever it accepts an input, the
+// resulting graph must re-encode and decode to an equivalent graph
+// (round-trip stability).
 func FuzzDecode(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -16,11 +18,14 @@ func FuzzDecode(f *testing.F) {
 		`{"subtasks":[{"name":"a","cost":1}],"arcs":[{"from":"a","to":"a","size":1}]}`,
 		`[1,2,3]`,
 		`{"subtasks":[{"name":"a","cost":1e308},{"name":"b","cost":1,"endToEnd":1}],"arcs":[{"from":"b","to":"a","size":0}]}`,
+		` {"subtasks":[{"name":"\u00e9","cost":-0,"pinned":1e0}],"Arcs":null} x`,
+		`{"subtasks":[{"name":"a","cost":1,"cost":2}],"arcs":[]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkScanAgrees(t, data)
 		g, err := Decode(data)
 		if err != nil {
 			return // rejection is fine; panics are not

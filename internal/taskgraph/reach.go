@@ -8,12 +8,10 @@ import "math/bits"
 // nodes actually reachable from that start through still-unassigned nodes,
 // which is typically a small fraction of the graph once slicing has begun.
 //
-// Two backends answer the same query: From takes the skip set as a
-// predicate and walks successor lists node by node; FromBits takes it as a
-// word-packed bitset and expands whole successor sets with word OR/AND-NOT
-// sweeps over masks precomputed from the CSR layout. Their results are
-// identical (the predicate form is retained as the naive shadow for
-// property tests and for callers without a bitset).
+// FromBits takes the skip set as a word-packed bitset and expands whole
+// successor sets with word OR/AND-NOT sweeps over masks precomputed from
+// the CSR layout. (The tests keep a predicate-skip form, From, that walks
+// successor lists node by node, as its naive shadow.)
 //
 // A Reach is not safe for concurrent use; create one per goroutine.
 type Reach struct {
@@ -21,10 +19,7 @@ type Reach struct {
 	succOff []int32  // CSR successor offsets of g, bound by Reset
 	succAdj []NodeID // CSR flat successor edges of g
 	index   []int    // topological position per node
-	mark    []uint64
-	gen     uint64
 	buf     []NodeID
-	stack   []NodeID
 
 	// Bitset backend (FromBits), built lazily on first use and keyed on
 	// the bound CSR arrays so clones sharing topology reuse the masks.
@@ -45,19 +40,15 @@ func NewReach(g *Graph) *Reach {
 	return r
 }
 
-// Reset rebinds the scratch to g, reusing its buffers. Pending marks stay
-// valid to skip: From bumps the generation before marking, so entries left
-// by earlier graphs can never match.
+// Reset rebinds the scratch to g, reusing its buffers.
 func (r *Reach) Reset(g *Graph) {
 	n := g.NumNodes()
 	r.g = g
 	r.succOff, r.succAdj = g.SuccCSR()
 	if cap(r.index) < n {
 		r.index = make([]int, n)
-		r.mark = make([]uint64, n)
 	} else {
 		r.index = r.index[:n]
-		r.mark = r.mark[:n]
 	}
 	for i, id := range g.TopoOrder() {
 		r.index[id] = i
@@ -67,41 +58,6 @@ func (r *Reach) Reset(g *Graph) {
 // TopoIndex returns the topological position of id (the index of id in
 // TopoOrder).
 func (r *Reach) TopoIndex(id NodeID) int { return r.index[id] }
-
-// From returns every node reachable from start (inclusive) through nodes
-// not excluded by skip, in topological order. Arcs into skipped nodes are
-// not followed; start itself is never skipped. The returned slice is
-// reused by the next call and must not be retained.
-func (r *Reach) From(start NodeID, skip func(NodeID) bool) []NodeID {
-	r.gen++
-	count := 1
-	r.stack = append(r.stack[:0], start)
-	r.mark[start] = r.gen
-	for len(r.stack) > 0 {
-		u := r.stack[len(r.stack)-1]
-		r.stack = r.stack[:len(r.stack)-1]
-		for _, v := range r.succAdj[r.succOff[u]:r.succOff[u+1]] {
-			if r.mark[v] == r.gen || skip(v) {
-				continue
-			}
-			r.mark[v] = r.gen
-			count++
-			r.stack = append(r.stack, v)
-		}
-	}
-	// Every reached node is a descendant of start, so it sits at or after
-	// start in the topological order: collecting the marked nodes from a
-	// scan of that suffix yields topological order without a sort.
-	r.buf = r.buf[:0]
-	topo := r.g.TopoOrder()
-	for i := r.index[start]; i < len(topo) && count > 0; i++ {
-		if id := topo[i]; r.mark[id] == r.gen {
-			r.buf = append(r.buf, id)
-			count--
-		}
-	}
-	return r.buf
-}
 
 // Words returns the number of 64-bit words a skip bitset for the bound
 // graph must have: bit id of word id/64 stands for node id.
@@ -150,14 +106,16 @@ func (r *Reach) ensureMasks() {
 	r.maskAdj = adj
 }
 
-// FromBits is From with the skip set given as a word-packed bitset (bit id
-// of skip[id/64] set means node id is excluded). len(skip) must be at
-// least Words(). The successor set of each visited node is merged with two
-// word operations per word (OR the mask row, AND-NOT skip and the already
-// reached set) instead of a per-arc walk, and the result is collected from
-// the topological suffix exactly like From — so the returned slice holds
-// the identical nodes in the identical order. Start itself is never
-// skipped. The slice is reused by the next call and must not be retained.
+// FromBits returns every node reachable from start (inclusive) through
+// nodes not excluded by skip, in topological order. The skip set is a
+// word-packed bitset (bit id of skip[id/64] set means node id is
+// excluded); len(skip) must be at least Words(). The successor set of each
+// visited node is merged with two word operations per word (OR the mask
+// row, AND-NOT skip and the already reached set) instead of a per-arc
+// walk, and the result is collected from a scan of the topological suffix
+// starting at start: every reached node is a descendant of start, so no
+// sort is needed. Start itself is never skipped. The slice is reused by
+// the next call and must not be retained.
 func (r *Reach) FromBits(start NodeID, skip []uint64) []NodeID {
 	r.ensureMasks()
 	w := r.words

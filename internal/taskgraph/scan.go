@@ -1,0 +1,355 @@
+package taskgraph
+
+import (
+	"strconv"
+	"strings"
+	"unicode/utf8"
+)
+
+// Scanner reads JSON values from a string in one pass, without reflection,
+// accepting only a strict subset of the grammar: exact-case known keys,
+// each at most once per object; strings with no escape sequences, no
+// control bytes and valid UTF-8; numbers in the JSON grammar, parsed with
+// strconv.ParseFloat; integers with no fraction or exponent that fit an
+// int. Inside that subset the values it yields are exactly what
+// encoding/json decodes from the same bytes, and its strings are
+// substrings of the source, so they cost no allocation.
+//
+// On anything outside the subset (an unknown or case-folded key, a
+// duplicate, null, an escape, 4.0 for an int, 1e400, a truncated input)
+// the scan fails: every later read returns a zero value and Failed
+// reports true. The caller then decodes the same bytes with encoding/json,
+// which stays the reference for every input the subset leaves out,
+// including every error.
+type Scanner struct {
+	src    string
+	pos    int
+	failed bool
+}
+
+// NewScanner returns a Scanner positioned at the start of src.
+func NewScanner(src string) Scanner { return Scanner{src: src} }
+
+// Failed reports whether the scan met input outside the strict subset.
+func (s *Scanner) Failed() bool { return s.failed }
+
+// atEnd reports whether only whitespace is left: encoding/json's rule
+// for the bytes after a complete top-level value of Unmarshal.
+func (s *Scanner) atEnd() bool {
+	s.skipSpace()
+	return s.pos == len(s.src)
+}
+
+func (s *Scanner) fail() { s.failed = true }
+
+// skipSpace advances past JSON whitespace.
+func (s *Scanner) skipSpace() {
+	for s.pos < len(s.src) {
+		switch s.src[s.pos] {
+		case ' ', '\t', '\n', '\r':
+			s.pos++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and reports whether c comes next, reading it
+// if so.
+func (s *Scanner) consume(c byte) bool {
+	s.skipSpace()
+	if s.pos < len(s.src) && s.src[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// Object reads the '{' opening an object.
+func (s *Scanner) Object() bool {
+	if s.failed || !s.consume('{') {
+		s.fail()
+		return false
+	}
+	return true
+}
+
+// Key reads the i-th key of the object being read (i counts from 0), and
+// the colon after it, and returns the key's index in names. At the
+// closing brace, which it reads, and on failure it returns -1. A key that
+// is not in names (matched exact-case) or whose bit is already set in
+// *seen fails the scan.
+func (s *Scanner) Key(i int, names []string, seen *uint64) int {
+	if s.failed {
+		return -1
+	}
+	if s.consume('}') {
+		return -1
+	}
+	if i > 0 && !s.consume(',') {
+		s.fail()
+		return -1
+	}
+	key := s.String()
+	if !s.consume(':') {
+		s.fail()
+		return -1
+	}
+	for k, name := range names {
+		if key == name {
+			if *seen&(1<<k) != 0 {
+				break
+			}
+			*seen |= 1 << k
+			return k
+		}
+	}
+	s.fail()
+	return -1
+}
+
+// array reads the '[' opening an array.
+func (s *Scanner) array() bool {
+	if s.failed || !s.consume('[') {
+		s.fail()
+		return false
+	}
+	return true
+}
+
+// elem reports whether the array being read has an i-th element (i
+// counts from 0), reading the comma before it. At the closing bracket,
+// which it reads, and on failure it returns false.
+func (s *Scanner) elem(i int) bool {
+	if s.failed || s.consume(']') {
+		return false
+	}
+	if i > 0 && !s.consume(',') {
+		s.fail()
+		return false
+	}
+	return true
+}
+
+// String reads a string with no escape sequences and returns its
+// contents, a substring of the source.
+func (s *Scanner) String() string {
+	if s.failed || !s.consume('"') {
+		s.fail()
+		return ""
+	}
+	ascii := true
+	for i := s.pos; i < len(s.src); i++ {
+		c := s.src[i]
+		if c == '"' {
+			str := s.src[s.pos:i]
+			if ascii || utf8.ValidString(str) {
+				s.pos = i + 1
+				return str
+			}
+			break
+		}
+		if c < 0x20 || c == '\\' {
+			break
+		}
+		if c >= utf8.RuneSelf {
+			ascii = false
+		}
+	}
+	s.fail()
+	return ""
+}
+
+// number reads a number literal in the JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
+// is an integer: one with neither fraction nor exponent.
+func (s *Scanner) number() (lit string, integer bool) {
+	if s.failed {
+		return "", false
+	}
+	s.skipSpace()
+	src, i := s.src, s.pos
+	if i < len(src) && src[i] == '-' {
+		i++
+	}
+	if i < len(src) && src[i] == '0' {
+		i++
+	} else if i = s.digits(i); s.failed {
+		return "", false
+	}
+	integer = true
+	if i < len(src) && src[i] == '.' {
+		integer = false
+		if i = s.digits(i + 1); s.failed {
+			return "", false
+		}
+	}
+	if i < len(src) && (src[i] == 'e' || src[i] == 'E') {
+		integer = false
+		i++
+		if i < len(src) && (src[i] == '+' || src[i] == '-') {
+			i++
+		}
+		if i = s.digits(i); s.failed {
+			return "", false
+		}
+	}
+	lit = src[s.pos:i]
+	s.pos = i
+	return lit, integer
+}
+
+// digits returns the end of the run of one or more decimal digits at i,
+// failing the scan when there is none.
+func (s *Scanner) digits(i int) int {
+	start := i
+	for i < len(s.src) && '0' <= s.src[i] && s.src[i] <= '9' {
+		i++
+	}
+	if i == start {
+		s.fail()
+	}
+	return i
+}
+
+// float reads a number as encoding/json decodes it into a float64.
+func (s *Scanner) float() float64 {
+	lit, _ := s.number()
+	if s.failed {
+		return 0
+	}
+	f, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
+		s.fail()
+		return 0
+	}
+	return f
+}
+
+// Int reads an integer with no fraction or exponent that fits an int.
+func (s *Scanner) Int() int {
+	lit, integer := s.number()
+	if s.failed || !integer {
+		s.fail()
+		return 0
+	}
+	n, err := strconv.Atoi(lit)
+	if err != nil {
+		s.fail()
+		return 0
+	}
+	return n
+}
+
+// The keys of the wire form's objects, in the order their decoders switch
+// on them: the JSON names tagged on Wire, WireSubtask and WireArc.
+var (
+	wireKeys    = []string{"subtasks", "arcs"}
+	subtaskKeys = []string{"name", "cost", "release", "endToEnd", "pinned"}
+	arcKeys     = []string{"from", "to", "size"}
+)
+
+// Wire reads a task graph's interchange form into the zero Wire w.
+func (s *Scanner) Wire(w *Wire) {
+	if !s.Object() {
+		return
+	}
+	var seen uint64
+	for i := 0; ; i++ {
+		switch s.Key(i, wireKeys, &seen) {
+		case -1:
+			return
+		case 0:
+			w.Subtasks = s.subtasks()
+		case 1:
+			w.Arcs = s.arcs()
+		}
+	}
+}
+
+// maxLenHint bounds lenHint, so a hostile body cannot reserve a large
+// list up front.
+const maxLenHint = 1024
+
+// lenHint estimates the length of the list of objects whose '[' was just
+// read: the number of '{' before the next ']', at most maxLenHint. It is
+// exact for a list of flat objects whose strings hold neither byte; it
+// only sizes the slice, so a wrong estimate costs an append, never a
+// wrong value.
+func (s *Scanner) lenHint() int {
+	rest := s.src[s.pos:]
+	if end := strings.IndexByte(rest, ']'); end >= 0 {
+		rest = rest[:end]
+	}
+	return min(strings.Count(rest, "{"), maxLenHint)
+}
+
+// subtasks reads the subtask list. An empty list decodes to an empty,
+// non-nil slice, as encoding/json leaves it.
+func (s *Scanner) subtasks() []WireSubtask {
+	if !s.array() {
+		return nil
+	}
+	sts := make([]WireSubtask, 0, s.lenHint())
+	for i := 0; s.elem(i); i++ {
+		sts = append(sts, WireSubtask{})
+		s.subtask(&sts[i])
+	}
+	return sts
+}
+
+func (s *Scanner) subtask(st *WireSubtask) {
+	if !s.Object() {
+		return
+	}
+	var seen uint64
+	for i := 0; ; i++ {
+		switch s.Key(i, subtaskKeys, &seen) {
+		case -1:
+			return
+		case 0:
+			st.Name = s.String()
+		case 1:
+			st.Cost = s.float()
+		case 2:
+			st.Release = s.float()
+		case 3:
+			st.EndToEnd = s.float()
+		case 4:
+			pinned := s.Int()
+			st.Pinned = &pinned
+		}
+	}
+}
+
+// arcs reads the arc list, empty but non-nil like the subtask list.
+func (s *Scanner) arcs() []WireArc {
+	if !s.array() {
+		return nil
+	}
+	arcs := make([]WireArc, 0, s.lenHint())
+	for i := 0; s.elem(i); i++ {
+		arcs = append(arcs, WireArc{})
+		s.arc(&arcs[i])
+	}
+	return arcs
+}
+
+func (s *Scanner) arc(a *WireArc) {
+	if !s.Object() {
+		return
+	}
+	var seen uint64
+	for i := 0; ; i++ {
+		switch s.Key(i, arcKeys, &seen) {
+		case -1:
+			return
+		case 0:
+			a.From = s.String()
+		case 1:
+			a.To = s.String()
+		case 2:
+			a.Size = s.float()
+		}
+	}
+}
