@@ -405,6 +405,16 @@ func parseFaults(spec string) (*experiment.FaultPlan, error) {
 	return experiment.ParseFaults(spec)
 }
 
+// Bounds on the -sizes flag: a system has at most maxSize processors and
+// a sweep at most maxSizes system sizes, so no spec can ask for an
+// unbounded allocation.
+const (
+	maxSize  = 1024
+	maxSizes = 1024
+)
+
+// parseSizes parses the -sizes flag: an inclusive range "lo-hi" or a
+// comma-separated list, every size in [1, maxSize].
 func parseSizes(s string) ([]int, error) {
 	if lo, hi, ok := strings.Cut(s, "-"); ok && !strings.Contains(s, ",") {
 		a, err1 := strconv.Atoi(strings.TrimSpace(lo))
@@ -412,17 +422,26 @@ func parseSizes(s string) ([]int, error) {
 		if err1 != nil || err2 != nil || a < 1 || b < a {
 			return nil, fmt.Errorf("bad size range %q", s)
 		}
+		if b > maxSize {
+			return nil, fmt.Errorf("bad size range %q: sizes above %d are not supported", s, maxSize)
+		}
 		out := make([]int, 0, b-a+1)
 		for n := a; n <= b; n++ {
 			out = append(out, n)
 		}
 		return out, nil
 	}
+	if strings.Count(s, ",") >= maxSizes {
+		return nil, fmt.Errorf("bad size list: more than %d sizes", maxSizes)
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad size %q", part)
+		}
+		if n > maxSize {
+			return nil, fmt.Errorf("bad size %q: sizes above %d are not supported", part, maxSize)
 		}
 		out = append(out, n)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -25,6 +26,9 @@ func TestParseSizesRange(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, []int{2, 3, 4, 5}) {
 		t.Fatalf("parseSizes(2-5) = %v", got)
+	}
+	if got, err := parseSizes(fmt.Sprintf("1-%d", maxSize)); err != nil || len(got) != maxSize {
+		t.Fatalf("parseSizes(1-%d) = %d sizes, %v", maxSize, len(got), err)
 	}
 }
 
@@ -49,11 +53,46 @@ func TestParseSizesSingle(t *testing.T) {
 }
 
 func TestParseSizesErrors(t *testing.T) {
-	for _, bad := range []string{"", "x", "5-2", "0-3", "2,x", "-1"} {
+	// The huge range used to size an allocation directly and panicked with
+	// "makeslice: cap out of range"; sizes and list lengths are bounded now.
+	for _, bad := range []string{"", "x", "5-2", "0-3", "2,x", "-1",
+		"1-9223372036854775807", "1-1000000000", "1025", "2,5000",
+		strings.Repeat("2,", maxSizes) + "2"} {
 		if _, err := parseSizes(bad); err == nil {
 			t.Errorf("parseSizes(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSizes checks the -sizes parser on arbitrary specs: it never
+// panics, an accepted spec yields between 1 and maxSizes sizes, each in
+// [1, maxSize], and a range spec yields an ascending run of consecutive
+// sizes.
+func FuzzParseSizes(f *testing.F) {
+	for _, seed := range []string{"2-16", "2,8,16", "4", "", "-1", "5-2", "1-9223372036854775807", " 3 - 7 ", "1,,2", "0x10"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		got, err := parseSizes(spec)
+		if err != nil {
+			return
+		}
+		if len(got) == 0 || len(got) > maxSizes {
+			t.Fatalf("parseSizes(%q) accepted %d sizes", spec, len(got))
+		}
+		for _, n := range got {
+			if n < 1 || n > maxSize {
+				t.Fatalf("parseSizes(%q) accepted size %d", spec, n)
+			}
+		}
+		if strings.Contains(spec, "-") && !strings.Contains(spec, ",") {
+			for i := 1; i < len(got); i++ {
+				if got[i] != got[i-1]+1 {
+					t.Fatalf("parseSizes(%q) = %v, not an ascending run", spec, got)
+				}
+			}
+		}
+	})
 }
 
 func TestSanitize(t *testing.T) {

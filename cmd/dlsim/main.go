@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"deadlinedist/internal/core"
+	"deadlinedist/internal/experiment"
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/profiling"
@@ -117,7 +118,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 		return err
 	}
 	rec.Observe(metrics.StageAssign, time.Since(assignStart))
-	rec.AddSearch(res.Search.Iterations, res.Search.StartsExamined, res.Search.DPRuns, res.Search.CacheReuses)
+	rec.AddSearch(experiment.SearchCounters(res.Search))
 	pol, err := parsePolicy(*policy)
 	if err != nil {
 		return err

@@ -16,8 +16,9 @@ import (
 // execution windows, anchor the remaining subtasks to the sliced spine, and
 // repeat.
 //
-// The search is implemented incrementally: each per-start DP is pruned to
-// the nodes actually reachable from that start through unassigned nodes,
+// The search is implemented incrementally: each per-start DP visits only
+// the nodes actually reachable from that start through unassigned nodes
+// (the DP's own row stamps mark them; no separate reachability pass runs),
 // and every start's best candidate is memoized across slicing iterations —
 // a cached candidate stays valid until some node of its reachable set is
 // assigned (slicing elsewhere in the graph cannot change it; see
@@ -279,22 +280,25 @@ type distState struct {
 	// order (the candidate enumeration order of the reference search).
 	touched []taskgraph.NodeID
 	// infRow is a width-sized -Inf template row: when a DP write extends a
-	// row past its high-water mark, the skipped-over gap is memmoved from
+	// row's band (see rowMin/rowMax), the skipped-over gap is memmoved from
 	// it instead of stored per element.
 	infRow []float64
-	// rowMax[id] is the highest k holding a defined value in row id this
-	// generation (-1 after a logical clear). Cells at or below it are
-	// written values or explicit -Inf gap fill; cells above it are
-	// logically -Inf and never materialized — a write landing there
-	// compares against -Inf directly and gap-fills up to its position, so
-	// clearing a row is O(1) and total fill work is bounded by the cells
-	// actually reached instead of the full width.
+	// rowMin[id] and rowMax[id] are the lowest and highest k holding a
+	// defined value in row id this generation (0 and -1 after a logical
+	// clear). Cells inside the band are written values or explicit -Inf
+	// gap fill; cells outside it are logically -Inf and never materialized
+	// — a write landing there compares against -Inf directly and gap-fills
+	// up to the band's old edge, so clearing a row is O(1) and readers
+	// scan only the band.
+	rowMin []int32
 	rowMax []int32
 
-	// reach prunes each DP to the nodes reachable from its start.
-	reach *taskgraph.Reach
+	// topo is the bound graph's topological order and topoIdx[id] the
+	// position of id in it: a first DP from s walks topo[topoIdx[s]:].
+	topo    []taskgraph.NodeID
+	topoIdx []int32
 	// assignedBits mirrors assigned as a word-packed bitset (bit id of word
-	// id/64), feeding Reach.FromBits' word-parallel sweeps.
+	// id/64), so reachFree is a word-AND sweep.
 	assignedBits []uint64
 
 	// Anchor memos: releaseAnchor/deadlineAnchor are pure functions of the
@@ -336,9 +340,10 @@ type distState struct {
 	// reused across iterations.
 	winbuf []float64
 
-	// prevG memoizes the DP row width of the last prepared graph: batch
-	// drivers run the same graph through many strategies and system sizes
-	// before moving on, so the LongestPath scan amortizes to once per graph.
+	// prevG memoizes the DP row width and topological index of the last
+	// prepared graph: batch callers run the same graph through many
+	// strategies and system sizes before moving on, so the LongestPath scan
+	// amortizes to once per graph.
 	prevG     *taskgraph.Graph
 	prevWidth int
 }
@@ -353,9 +358,14 @@ func (st *distState) prepare() {
 	// The windowed-node count of any path is bounded by the longest path's
 	// node count, which is far smaller than the node count for layered
 	// graphs; sizing rows accordingly keeps the DP inner loop tight.
+	st.topo = st.g.TopoOrder()
 	if st.g != st.prevG {
 		maxLen := int(st.g.LongestPath(func(taskgraph.Node) float64 { return 1 }))
 		st.prevG, st.prevWidth = st.g, maxLen+1
+		st.topoIdx = resizeSlice(st.topoIdx, n)
+		for i, id := range st.topo {
+			st.topoIdx[id] = int32(i)
+		}
 	}
 	width := st.prevWidth
 	st.dp = resizeSlice(st.dp, n)
@@ -373,6 +383,7 @@ func (st *distState) prepare() {
 		st.par[i] = parFlat[i*width : (i+1)*width]
 	}
 	st.rowGen = resizeSlice(st.rowGen, n)
+	st.rowMin = resizeSlice(st.rowMin, n)
 	st.rowMax = resizeSlice(st.rowMax, n)
 	if cap(st.infRow) < width {
 		st.infRow = make([]float64, width)
@@ -381,13 +392,7 @@ func (st *distState) prepare() {
 		}
 	}
 	st.infRow = st.infRow[:width]
-	if st.reach == nil {
-		st.reach = taskgraph.NewReach(st.g)
-	} else {
-		st.reach.Reset(st.g)
-	}
-	words := st.reach.Words()
-	st.assignedBits = resizeSlice(st.assignedBits, words)
+	st.assignedBits = resizeSlice(st.assignedBits, (n+63)/64)
 	clear(st.assignedBits)
 	st.relGen = resizeSlice(st.relGen, n)
 	st.relVal = resizeSlice(st.relVal, n)
@@ -430,6 +435,7 @@ func (st *distState) release() {
 	st.metric = nil
 	st.vc, st.vcWin = nil, nil
 	st.res = nil
+	st.topo = nil
 	st.succOff, st.succAdj = nil, nil
 	st.predOff, st.predAdj = nil, nil
 }
@@ -557,11 +563,10 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 		}
 		row := st.dp[id]
 		span := dl - relAnchor
-		// Cells above rowMax were never written, hence -Inf: the old
-		// full-width scan skipped them, so bounding by rowMax visits
-		// exactly the cells that contribute.
+		// Cells outside [rowMin, rowMax] are logically -Inf and never
+		// contribute, so the scan covers only the band.
 		m := int(st.rowMax[id])
-		for k := 0; k <= m; k++ {
+		for k := int(st.rowMin[id]); k <= m; k++ {
 			rk := row[k]
 			if rk == negInf {
 				continue
@@ -589,10 +594,14 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 			}
 		}
 	}
-	// The DP's reach bitset (left by FromBits) holds exactly the touched
-	// set: every touched row is s or an unassigned successor of a reach
-	// node, hence itself reached, and vice versa.
-	c.reachBits = append(c.reachBits[:0], st.reach.ReachedBits()...)
+	// The touched rows are exactly the DP's reach: runDP processes every
+	// row it stamps (see there).
+	bits := resizeSlice(c.reachBits, len(st.assignedBits))
+	clear(bits)
+	for _, id := range st.touched {
+		bits[id>>6] |= 1 << (uint(id) & 63)
+	}
+	c.reachBits = bits
 	// Backtrack the winning (end, k) now, while this start's dp/par tables
 	// are still in place: the memoized candidate then carries its own path
 	// and never needs the tables again.
@@ -619,8 +628,14 @@ func (st *distState) startCandidates() []taskgraph.NodeID {
 
 // runDP fills dp/par with the maximum accumulated virtual cost of every
 // path from s through unassigned nodes, bucketed by windowed-node count.
-// Only the nodes reachable from s (through unassigned nodes) are visited,
-// in topological order.
+//
+// Reach is the DP's own row stamp: clearRow runs on every unassigned
+// successor of a processed node, so rowGen[v] == gen exactly when v is
+// reached from s through unassigned nodes. The walk goes over the
+// topological suffix from s, processes only stamped nodes, and stops when
+// no stamped node is left unprocessed (pending: +1 per clearRow, -1 per
+// processed node). Every stamped row is thus processed, and st.touched
+// ends up holding exactly the reachable set.
 func (st *distState) runDP(s taskgraph.NodeID) {
 	st.gen++
 	st.touched = st.touched[:0]
@@ -632,28 +647,30 @@ func (st *distState) runDP(s taskgraph.NodeID) {
 		ws = 1
 	}
 	st.clearRow(s)
-	if ws > 0 {
-		st.dp[s][0] = negInf
-	}
 	st.dp[s][ws] = vc[s]
 	st.par[s][ws] = taskgraph.None
-	st.rowMax[s] = int32(ws)
+	st.rowMin[s], st.rowMax[s] = int32(ws), int32(ws)
 
 	succOff, succAdj := st.succOff, st.succAdj
 	assigned := st.assigned
 	dp, par := st.dp, st.par
-	rowGen, rowMax := st.rowGen, st.rowMax
+	rowGen, rowMin, rowMax := st.rowGen, st.rowMin, st.rowMax
 	gen := st.gen
-	for _, u := range st.reach.FromBits(s, st.assignedBits) {
+	pending, cells := 1, 0
+	for _, u := range st.topo[st.topoIdx[s]:] {
+		if rowGen[u] != gen {
+			continue
+		}
+		pending--
 		row := dp[u]
 		// By topological order every write into row u has happened, so
-		// rowMax[u] bounds its populated cells; above it all cells are
-		// -Inf and the old full-width scan skipped them.
-		umax := int(rowMax[u])
+		// [rowMin[u], rowMax[u]] bounds its populated cells.
+		umin, umax := int(rowMin[u]), int(rowMax[u])
 		for _, v := range succAdj[succOff[u]:succOff[u+1]] {
 			if assigned[v] {
 				continue
 			}
+			cells += umax - umin + 1
 			vcv := vc[v]
 			wv := 0
 			if vcv > 0 {
@@ -661,38 +678,59 @@ func (st *distState) runDP(s taskgraph.NodeID) {
 			}
 			if rowGen[v] != gen {
 				st.clearRow(v)
+				pending++
 			}
 			vrow, vpar := dp[v], par[v]
-			vmax := int(rowMax[v])
-			for k := 0; k <= umax; k++ {
+			vmin, vmax := int(rowMin[v]), int(rowMax[v])
+			for k := umin; k <= umax; k++ {
 				rk := row[k]
 				if rk == negInf {
 					continue
 				}
 				kv := k + wv
 				cand := rk + vcv
-				if kv <= vmax {
-					if cand > vrow[kv] {
+				switch {
+				case kv > vmax:
+					// The cell is above the row's band, hence logically
+					// -Inf: the write condition is cand > -Inf (false for
+					// NaN and -Inf, exactly as a compare against a stored
+					// -Inf cell). Skipped-over cells become explicit -Inf
+					// so band scans read defined values; par gap cells
+					// stay unwritten — they are only read behind dp cells
+					// that hold finite path values. A first write into an
+					// empty row opens the band at kv and fills nothing.
+					if cand > negInf {
+						if vmax < 0 {
+							vmin = kv
+						} else {
+							copy(vrow[vmax+1:kv], st.infRow)
+						}
 						vrow[kv] = cand
 						vpar[kv] = u
+						vmax = kv
 					}
-				} else if cand > negInf {
-					// The cell is past the row's defined prefix, hence
-					// logically -Inf: the write condition is cand > -Inf
-					// (false for NaN and -Inf, exactly as the old compare
-					// against a cleared cell). Skipped-over cells become
-					// explicit -Inf so bounded scans read defined values;
-					// par gap cells stay unwritten — they are only read
-					// behind dp cells that hold finite path values.
-					copy(vrow[vmax+1:kv], st.infRow)
+				case kv < vmin:
+					// Below the band: same rule, gap-filling up to the old
+					// low-water mark.
+					if cand > negInf {
+						copy(vrow[kv+1:vmin], st.infRow)
+						vrow[kv] = cand
+						vpar[kv] = u
+						vmin = kv
+					}
+				case cand > vrow[kv]:
 					vrow[kv] = cand
 					vpar[kv] = u
-					vmax = kv
 				}
 			}
-			rowMax[v] = int32(vmax)
+			rowMin[v], rowMax[v] = int32(vmin), int32(vmax)
+		}
+		if pending == 0 {
+			break
 		}
 	}
+	st.res.Search.DPRows += len(st.touched)
+	st.res.Search.DPCells += cells
 }
 
 // resizeSlice returns buf with length n, reusing its storage when large
@@ -705,11 +743,12 @@ func resizeSlice[T any](buf []T, n int) []T {
 }
 
 // clearRow logically resets a generation-stale row and records it as
-// touched: dropping rowMax to -1 marks every cell -Inf without storing a
-// single one — readers are bounded by rowMax, and writes past it gap-fill
-// from the infRow template (see runDP's inner loop).
+// touched: an empty band (rowMin 0, rowMax -1) marks every cell -Inf
+// without storing a single one — readers are bounded by the band, and
+// writes outside it gap-fill from the infRow template (see runDP's inner
+// loop).
 func (st *distState) clearRow(id taskgraph.NodeID) {
-	st.rowMax[id] = -1
+	st.rowMin[id], st.rowMax[id] = 0, -1
 	st.rowGen[id] = st.gen
 	st.touched = append(st.touched, id)
 }

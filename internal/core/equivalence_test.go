@@ -228,4 +228,42 @@ func TestSearchStatsCounters(t *testing.T) {
 	if len(res.Paths) > 2 && st.CacheReuses == 0 {
 		t.Errorf("no cache reuse across %d iterations: %+v", len(res.Paths), st)
 	}
+	if st.DPRows < st.DPRuns || st.DPCells == 0 {
+		t.Errorf("DP work counters out of range: %+v", st)
+	}
+
+	// Exact counts on a hand-built layered graph: the diamond a -> {b, c}
+	// -> d plus an independent chain x -> y, PURE under CCNE (message nodes
+	// cost zero). Every DP row holds one defined cell, so the [rowMin,
+	// rowMax] band makes each expanded arc visit exactly one cell.
+	//   round 1: starts a, x. DP(a) expands all 8 rows and 8 arcs of the
+	//            diamond; DP(x) expands x, m_xy, y over 2 arcs. The path
+	//            a-b-d (laxity ratio 16/3) beats x-y (14) and is sliced.
+	//   round 2: starts x (memo reused) and m_ac, whose DP expands m_ac, c,
+	//            m_cd over 2 arcs (m_cd's arc into the assigned d is
+	//            skipped). Its path wins with ratio 19/3.
+	//   round 3: start x, reused again, and sliced.
+	b := taskgraph.NewBuilder()
+	a := b.AddSubtask("a", 1)
+	bb := b.AddSubtask("b", 2)
+	c := b.AddSubtask("c", 1)
+	d := b.AddSubtask("d", 1)
+	x := b.AddSubtask("x", 1)
+	y := b.AddSubtask("y", 1)
+	b.Connect(a, bb, 1)
+	b.Connect(a, c, 1)
+	b.Connect(bb, d, 1)
+	b.Connect(c, d, 1)
+	b.Connect(x, y, 1)
+	b.SetEndToEnd(d, 20)
+	b.SetEndToEnd(y, 30)
+	lg, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = distribute(t, lg, PURE(), CCNE(), 4)
+	want := SearchStats{Iterations: 3, StartsExamined: 5, DPRuns: 3, CacheReuses: 2, DPRows: 14, DPCells: 12}
+	if res.Search != want {
+		t.Errorf("layered search stats = %+v, want %+v", res.Search, want)
+	}
 }

@@ -36,7 +36,8 @@ type Result struct {
 // SearchStats counts the work done by the incremental critical-path search
 // of one distribution: how many start candidates were examined across all
 // slicing iterations, how many per-start DP sweeps actually ran, and how
-// many starts reused their memoized candidate instead. High CacheReuses
+// many starts reused their memoized candidate instead, and how many DP rows
+// and cells those sweeps touched. High CacheReuses
 // relative to StartsExamined is what makes the search incremental; every
 // candidate memoizes its own backtracked path, so winners never re-run a
 // DP just to rebuild their tables.
@@ -50,6 +51,12 @@ type SearchStats struct {
 	// CacheReuses is the number of starts whose memoized candidate was
 	// still valid and reused without a DP sweep.
 	CacheReuses int
+	// DPRows is the number of DP rows expanded: nodes processed across all
+	// DP sweeps (each sweep's reachable set).
+	DPRows int
+	// DPCells is the number of DP cells visited: for every arc expanded,
+	// the width of its source row's [rowMin, rowMax] band.
+	DPCells int
 }
 
 // Add accumulates other into s.
@@ -58,6 +65,8 @@ func (s *SearchStats) Add(other SearchStats) {
 	s.StartsExamined += other.StartsExamined
 	s.DPRuns += other.DPRuns
 	s.CacheReuses += other.CacheReuses
+	s.DPRows += other.DPRows
+	s.DPCells += other.DPCells
 }
 
 // Laxity returns the pre-scheduling laxity of node id: the window slack

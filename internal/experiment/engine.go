@@ -1038,8 +1038,7 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 					rec.Done(metrics.StageAssign, t0)
 					sp.stage("assign", label, sys.NumProcs(), at0, "miss")
 					if err == nil {
-						st := res.Search
-						rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses)
+						rec.AddSearch(SearchCounters(res.Search))
 					}
 				}
 				if err != nil {

@@ -504,8 +504,7 @@ func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys 
 	res, err = asg.Assign(ctx, gg, sys, nil, w.dist)
 	rec.Done(metrics.StageAssign, t0)
 	if err == nil {
-		st := res.Search
-		rec.AddSearch(st.Iterations, st.StartsExamined, st.DPRuns, st.CacheReuses)
+		rec.AddSearch(SearchCounters(res.Search))
 	}
 	if e == nil || err != nil {
 		return res, false, err // the deferred release unpins the slot on error
@@ -585,6 +584,20 @@ func (o *Orchestrator) Do(ctx context.Context, rec *metrics.Recorder, fn func(wb
 		return ctx.Err()
 	}
 	return <-res
+}
+
+// SearchCounters converts one distribution's search stats into the
+// recorder's counter form; every caller of Recorder.AddSearch goes
+// through it, so a new counter is mapped in one place.
+func SearchCounters(st core.SearchStats) metrics.SearchCounters {
+	return metrics.SearchCounters{
+		Iterations:     int64(st.Iterations),
+		StartsExamined: int64(st.StartsExamined),
+		DPRuns:         int64(st.DPRuns),
+		CacheReuses:    int64(st.CacheReuses),
+		DPRows:         int64(st.DPRows),
+		DPCells:        int64(st.DPCells),
+	}
 }
 
 // fpBits encodes a fingerprint as its float bit pattern, collapsing every

@@ -105,6 +105,8 @@ type Recorder struct {
 	searchStarts     atomic.Int64
 	searchDPRuns     atomic.Int64
 	searchReuses     atomic.Int64
+	searchDPRows     atomic.Int64
+	searchDPCells    atomic.Int64
 
 	// Fault-tolerance counters of the run layer: recovered unit panics,
 	// attempts abandoned by the per-unit deadline, retries issued, and
@@ -263,17 +265,20 @@ func (r *Recorder) PoolJobEnd() {
 }
 
 // AddSearch accumulates one distribution's critical-path search counters:
-// slicing iterations, start candidates examined, per-start DP sweeps run
-// and memoized candidates reused without a sweep. (Plain ints so callers
-// need not depend on the distribution core's stats type.)
-func (r *Recorder) AddSearch(iterations, startsExamined, dpRuns, cacheReuses int) {
+// slicing iterations, start candidates examined, per-start DP sweeps run,
+// memoized candidates reused without a sweep, and the DP rows and cells
+// those sweeps touched. (A metrics-owned type so callers need not depend
+// on the distribution core's stats type.)
+func (r *Recorder) AddSearch(c SearchCounters) {
 	if r == nil {
 		return
 	}
-	r.searchIterations.Add(int64(iterations))
-	r.searchStarts.Add(int64(startsExamined))
-	r.searchDPRuns.Add(int64(dpRuns))
-	r.searchReuses.Add(int64(cacheReuses))
+	r.searchIterations.Add(c.Iterations)
+	r.searchStarts.Add(c.StartsExamined)
+	r.searchDPRuns.Add(c.DPRuns)
+	r.searchReuses.Add(c.CacheReuses)
+	r.searchDPRows.Add(c.DPRows)
+	r.searchDPCells.Add(c.DPCells)
 }
 
 // UnitPanic records a recovered graph-pipeline panic.
@@ -452,6 +457,8 @@ type SearchCounters struct {
 	StartsExamined int64 `json:"startsExamined"`
 	DPRuns         int64 `json:"dpRuns"`
 	CacheReuses    int64 `json:"cacheReuses"`
+	DPRows         int64 `json:"dpRows"`
+	DPCells        int64 `json:"dpCells"`
 }
 
 // ReuseRate returns CacheReuses/StartsExamined, or 0 without search
@@ -574,6 +581,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		StartsExamined: r.searchStarts.Load(),
 		DPRuns:         r.searchDPRuns.Load(),
 		CacheReuses:    r.searchReuses.Load(),
+		DPRows:         r.searchDPRows.Load(),
+		DPCells:        r.searchDPCells.Load(),
 	}
 	return snap
 }
@@ -643,8 +652,8 @@ func (s Snapshot) String() string {
 			s.JournalReplays, s.JournalComputes)
 	}
 	if sc := s.Search; sc.StartsExamined > 0 {
-		fmt.Fprintf(&b, "\ncritical-path search: %d iterations, %d starts, %d DP runs, %d memo reuses (%.1f%% reuse)",
-			sc.Iterations, sc.StartsExamined, sc.DPRuns, sc.CacheReuses, 100*sc.ReuseRate())
+		fmt.Fprintf(&b, "\ncritical-path search: %d iterations, %d starts, %d DP runs, %d memo reuses (%.1f%% reuse), %d DP rows, %d DP cells",
+			sc.Iterations, sc.StartsExamined, sc.DPRuns, sc.CacheReuses, 100*sc.ReuseRate(), sc.DPRows, sc.DPCells)
 	}
 	return b.String()
 }

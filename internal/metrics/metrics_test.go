@@ -201,10 +201,10 @@ func TestBenchZeroWall(t *testing.T) {
 
 func TestSearchCounters(t *testing.T) {
 	r := New()
-	r.AddSearch(3, 40, 10, 30)
-	r.AddSearch(2, 10, 10, 0)
+	r.AddSearch(SearchCounters{Iterations: 3, StartsExamined: 40, DPRuns: 10, CacheReuses: 30, DPRows: 70, DPCells: 90})
+	r.AddSearch(SearchCounters{Iterations: 2, StartsExamined: 10, DPRuns: 10, DPRows: 30, DPCells: 40})
 	snap := r.Snapshot()
-	want := SearchCounters{Iterations: 5, StartsExamined: 50, DPRuns: 20, CacheReuses: 30}
+	want := SearchCounters{Iterations: 5, StartsExamined: 50, DPRuns: 20, CacheReuses: 30, DPRows: 100, DPCells: 130}
 	if snap.Search != want {
 		t.Errorf("Search = %+v, want %+v", snap.Search, want)
 	}
@@ -217,7 +217,7 @@ func TestSearchCounters(t *testing.T) {
 
 	// The -stats rendering surfaces the search line only when there was
 	// search traffic.
-	if s := snap.String(); !strings.Contains(s, "critical-path search: 5 iterations, 50 starts, 20 DP runs, 30 memo reuses (60.0% reuse)") {
+	if s := snap.String(); !strings.Contains(s, "critical-path search: 5 iterations, 50 starts, 20 DP runs, 30 memo reuses (60.0% reuse), 100 DP rows, 130 DP cells") {
 		t.Errorf("String() missing search line:\n%s", s)
 	}
 	if s := (Snapshot{}).String(); strings.Contains(s, "critical-path search") {
@@ -226,7 +226,7 @@ func TestSearchCounters(t *testing.T) {
 
 	// Nil recorders swallow search counters like everything else.
 	var nilRec *Recorder
-	nilRec.AddSearch(1, 1, 1, 1)
+	nilRec.AddSearch(SearchCounters{Iterations: 1, StartsExamined: 1, DPRuns: 1, CacheReuses: 1, DPRows: 1, DPCells: 1})
 	if nilRec.Snapshot().Search != (SearchCounters{}) {
 		t.Error("nil recorder accumulated search counters")
 	}

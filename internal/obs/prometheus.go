@@ -70,6 +70,8 @@ func WritePrometheus(w io.Writer, snap metrics.Snapshot, prog ProgressSnapshot) 
 	writeCounter(b, `dlexp_search_work_total{counter="starts_examined"}`, snap.Search.StartsExamined)
 	writeCounter(b, `dlexp_search_work_total{counter="dp_runs"}`, snap.Search.DPRuns)
 	writeCounter(b, `dlexp_search_work_total{counter="memo_reuses"}`, snap.Search.CacheReuses)
+	writeCounter(b, `dlexp_search_work_total{counter="dp_rows"}`, snap.Search.DPRows)
+	writeCounter(b, `dlexp_search_work_total{counter="dp_cells"}`, snap.Search.DPCells)
 
 	writeHeader(b, "dlexp_units", "gauge", "Units of pool work by state, whole invocation.")
 	writeCounter(b, `dlexp_units{state="done"}`, int64(prog.UnitsDone))

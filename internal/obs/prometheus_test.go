@@ -21,6 +21,7 @@ func promSources() (metrics.Snapshot, ProgressSnapshot) {
 	rec.JournalReplay()
 	rec.JournalCompute()
 	rec.PoolJobStart()
+	rec.AddSearch(metrics.SearchCounters{Iterations: 2, StartsExamined: 5, DPRuns: 3, CacheReuses: 2, DPRows: 14, DPCells: 12})
 	prog := NewProgress()
 	prog.StartTable("Figure 2", 8)
 	prog.UnitDone("Figure 2")
@@ -49,6 +50,9 @@ func TestWritePrometheus(t *testing.T) {
 		`dlexp_units{state="total"} 8`,
 		`dlexp_table_units{table="Figure 2",state="done"} 1`,
 		"dlexp_pool_jobs_total 1",
+		`dlexp_search_work_total{counter="dp_runs"} 3`,
+		`dlexp_search_work_total{counter="dp_rows"} 14`,
+		`dlexp_search_work_total{counter="dp_cells"} 12`,
 		"dlexp_run_elapsed_seconds ",
 	} {
 		if !strings.Contains(out, want) {

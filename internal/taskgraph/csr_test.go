@@ -8,7 +8,7 @@ import (
 // shadowGraph mirrors the adjacency a Builder accumulates, using the naive
 // map-of-slices layout the package used before the CSR compaction. The CSR
 // arrays must be observationally identical to it: same neighbor sets, same
-// per-node order (the historical append order), same reachability.
+// per-node order (the historical append order).
 type shadowGraph struct {
 	succ map[NodeID][]NodeID
 	pred map[NodeID][]NodeID
@@ -23,31 +23,6 @@ func (s *shadowGraph) connect(u, v, m NodeID) {
 	s.succ[m] = append(s.succ[m], v)
 	s.pred[m] = append(s.pred[m], u)
 	s.pred[v] = append(s.pred[v], m)
-}
-
-// reachFrom is a naive reimplementation of Reach.From: BFS over the shadow
-// successor map honoring skip, results in topological order.
-func (s *shadowGraph) reachFrom(g *Graph, start NodeID, skip func(NodeID) bool) []NodeID {
-	seen := map[NodeID]bool{start: true}
-	queue := []NodeID{start}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range s.succ[u] {
-			if seen[v] || skip(v) {
-				continue
-			}
-			seen[v] = true
-			queue = append(queue, v)
-		}
-	}
-	out := []NodeID{}
-	for _, id := range g.TopoOrder() {
-		if seen[id] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // randomDAG builds a random layered DAG alongside its shadow adjacency.
@@ -150,81 +125,6 @@ func TestCSRMatchesNaiveAdjacency(t *testing.T) {
 				if pos[u] >= pos[v] {
 					t.Errorf("seed %d: topo places %d (pos %d) after successor %d (pos %d)",
 						seed, u, pos[u], v, pos[v])
-				}
-			}
-		}
-	}
-}
-
-// TestReachMatchesNaiveBFS checks Reach.From against a plain BFS over the
-// shadow adjacency for random starts and random skip sets, including reuse
-// of one Reach across queries and graphs.
-func TestReachMatchesNaiveBFS(t *testing.T) {
-	r := &Reach{} // Reset binds it to each graph in turn
-	for seed := int64(100); seed < 112; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g, sh := randomDAG(t, rng, 4+rng.Intn(12), false)
-		r.Reset(g)
-		for q := 0; q < 8; q++ {
-			start := NodeID(rng.Intn(g.NumNodes()))
-			skipped := make(map[NodeID]bool)
-			for id := 0; id < g.NumNodes(); id++ {
-				if rng.Float64() < 0.3 {
-					skipped[NodeID(id)] = true
-				}
-			}
-			skip := func(id NodeID) bool { return skipped[id] }
-			got := r.From(start, skip)
-			want := sh.reachFrom(g, start, skip)
-			if !sameIDs(got, want) {
-				t.Fatalf("seed %d query %d: Reach.From(%d) = %v, naive BFS %v", seed, q, start, got, want)
-			}
-		}
-	}
-}
-
-// TestFromBitsMatchesFrom checks the word-parallel bitset backend against
-// both the predicate backend and the naive shadow BFS: same skip set in the
-// two encodings must yield the identical node slice (set AND order), and the
-// ReachedBits snapshot must be exactly the bitset encoding of that slice.
-// Also exercises mask memo reuse across queries, skip mutation between
-// queries, and rebinds of one Reach across graphs.
-func TestFromBitsMatchesFrom(t *testing.T) {
-	r := &Reach{}
-	for seed := int64(200); seed < 216; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g, sh := randomDAG(t, rng, 4+rng.Intn(16), seed%2 == 0)
-		r.Reset(g)
-		skipBits := make([]uint64, r.Words())
-		for q := 0; q < 10; q++ {
-			start := NodeID(rng.Intn(g.NumNodes()))
-			skipped := make(map[NodeID]bool)
-			for i := range skipBits {
-				skipBits[i] = 0
-			}
-			for id := 0; id < g.NumNodes(); id++ {
-				if rng.Float64() < 0.35 {
-					skipped[NodeID(id)] = true
-					skipBits[id>>6] |= 1 << (uint(id) & 63)
-				}
-			}
-			skip := func(id NodeID) bool { return skipped[id] }
-			want := append([]NodeID(nil), r.From(start, skip)...)
-			got := r.FromBits(start, skipBits)
-			if !sameIDs(got, want) {
-				t.Fatalf("seed %d query %d: FromBits(%d) = %v, From %v", seed, q, start, got, want)
-			}
-			if naive := sh.reachFrom(g, start, skip); !sameIDs(got, naive) {
-				t.Fatalf("seed %d query %d: FromBits(%d) = %v, naive BFS %v", seed, q, start, got, naive)
-			}
-			bits := r.ReachedBits()
-			wantBits := make([]uint64, r.Words())
-			for _, id := range got {
-				wantBits[id>>6] |= 1 << (uint(id) & 63)
-			}
-			for i := range wantBits {
-				if bits[i] != wantBits[i] {
-					t.Fatalf("seed %d query %d: ReachedBits word %d = %#x, want %#x", seed, q, i, bits[i], wantBits[i])
 				}
 			}
 		}
