@@ -36,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -253,17 +254,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return finish(time.Since(start))
 	}
 
-	keys := experiment.FigureOrder()
-	if *figure != "all" {
-		keys = strings.Split(*figure, ",")
+	keys, err := parseFigures(*figure)
+	if err != nil {
+		return err
 	}
 	registry := experiment.Figures()
-
-	for _, key := range keys {
-		if _, ok := registry[key]; !ok {
-			return fmt.Errorf("unknown figure %q (known: %s)", key, strings.Join(experiment.FigureOrder(), " "))
-		}
-	}
 
 	// Run every figure concurrently over the shared pool — figure N+1's
 	// graphs start while figure N's stragglers finish — then print in the
@@ -396,6 +391,30 @@ func writeReport(path string, base experiment.Config, keys []string,
 		return err
 	}
 	return f.Close()
+}
+
+// parseFigures parses the -figure flag: "all" for the whole registry in
+// FigureOrder, or a comma-separated list of registry keys. Empty and
+// repeated keys are rejected: a repeated key would run and print its
+// figure twice.
+func parseFigures(spec string) ([]string, error) {
+	if spec == "all" {
+		return experiment.FigureOrder(), nil
+	}
+	registry := experiment.Figures()
+	keys := strings.Split(spec, ",")
+	for i, key := range keys {
+		switch {
+		case key == "":
+			return nil, fmt.Errorf("empty figure key in %q", spec)
+		case slices.Contains(keys[:i], key):
+			return nil, fmt.Errorf("figure %q listed twice in %q", key, spec)
+		}
+		if _, ok := registry[key]; !ok {
+			return nil, fmt.Errorf("unknown figure %q (known: %s)", key, strings.Join(experiment.FigureOrder(), " "))
+		}
+	}
+	return keys, nil
 }
 
 // parseFaults parses the -faults chaos spec; the dialect (panic/hang/err

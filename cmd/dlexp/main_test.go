@@ -95,6 +95,67 @@ func FuzzParseSizes(f *testing.F) {
 	})
 }
 
+func TestParseFigures(t *testing.T) {
+	got, err := parseFigures("all")
+	if err != nil || !reflect.DeepEqual(got, experiment.FigureOrder()) {
+		t.Fatalf("parseFigures(all) = %v, %v", got, err)
+	}
+	if got, err := parseFigures("5,2"); err != nil || !reflect.DeepEqual(got, []string{"5", "2"}) {
+		t.Fatalf("parseFigures(5,2) = %v, %v", got, err)
+	}
+}
+
+// TestParseFiguresRejectsRepeats pins the -figure regression: "2,2" used
+// to run figure 2 twice and print two "=== figure 2" blocks, and "2,"
+// carried an empty key into the registry lookup.
+func TestParseFiguresRejectsRepeats(t *testing.T) {
+	for spec, want := range map[string]string{
+		"2,2":   `"2"`,
+		"2,":    "empty",
+		"":      "empty",
+		"5,2,5": `"5"`,
+		"9":     `"9"`,
+		"all,2": `"all"`,
+	} {
+		_, err := parseFigures(spec)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("parseFigures(%q) = %v, want an error naming %s", spec, err, want)
+		}
+	}
+}
+
+// FuzzParseFigures checks the -figure parser on arbitrary specs: it never
+// panics, an accepted list is non-empty, duplicate-free and made of
+// registry keys, and "all" yields FigureOrder.
+func FuzzParseFigures(f *testing.F) {
+	for _, seed := range []string{"all", "2", "2,2", "2,", ",", "5,ccr,2", "all,2", " 2", "ALL"} {
+		f.Add(seed)
+	}
+	registry := experiment.Figures()
+	f.Fuzz(func(t *testing.T, spec string) {
+		got, err := parseFigures(spec)
+		if err != nil {
+			return
+		}
+		if spec == "all" && !reflect.DeepEqual(got, experiment.FigureOrder()) {
+			t.Fatalf("parseFigures(all) = %v", got)
+		}
+		if len(got) == 0 {
+			t.Fatalf("parseFigures(%q) accepted an empty list", spec)
+		}
+		seen := make(map[string]bool, len(got))
+		for _, key := range got {
+			if _, ok := registry[key]; !ok {
+				t.Fatalf("parseFigures(%q) accepted unknown key %q", spec, key)
+			}
+			if seen[key] {
+				t.Fatalf("parseFigures(%q) accepted %q twice", spec, key)
+			}
+			seen[key] = true
+		}
+	})
+}
+
 func TestSanitize(t *testing.T) {
 	if got := sanitize("MDET CCR=1.5"); got != "MDET_CCR_1_5" {
 		t.Fatalf("sanitize = %q", got)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/taskgraph"
@@ -65,14 +67,14 @@ func (d Distributor) Distribute(g *taskgraph.Graph, sys *platform.System) (*Resu
 	return d.distribute(nil, g, sys, nil, nil)
 }
 
-// Scratch owns the distributor's working set (DP tables, reachability
-// marks, candidate memos) so that batch drivers can reuse it across
-// Distribute calls instead of reallocating ~O(n·width) state per run. A
-// Scratch may be carried across different graphs and strategies — every
-// buffer is resized and re-stamped per run, and the lazy row-clearing
-// generation is monotone for the Scratch's lifetime, so stale rows from an
-// earlier run are never read. Not safe for concurrent use; create one per
-// goroutine.
+// Scratch owns the distributor's working set (DP tables, the DP frontier,
+// live successor lists, final anchors, candidate memos) so that batch
+// drivers can reuse it across Distribute calls instead of reallocating
+// ~O(n·width) state per run. A Scratch may be carried across different
+// graphs and strategies — every buffer is resized and re-stamped per run,
+// and the lazy row-clearing generation is monotone for the Scratch's
+// lifetime, so stale rows from an earlier run are never read. Not safe for
+// concurrent use; create one per goroutine.
 type Scratch struct {
 	st distState
 }
@@ -151,17 +153,18 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 			Relative: make([]float64, n),
 			Absolute: make([]float64, n),
 			Windowed: make([]bool, n),
+			pathBuf:  make([]taskgraph.NodeID, n),
 		}
 	} else {
 		res.Release = resizeSlice(res.Release, n)
 		res.Relative = resizeSlice(res.Relative, n)
 		res.Absolute = resizeSlice(res.Absolute, n)
 		res.Windowed = resizeSlice(res.Windowed, n)
+		res.pathBuf = resizeSlice(res.pathBuf, n)
 		clear(res.Release)
 		clear(res.Relative)
 		clear(res.Absolute)
 		clear(res.Windowed)
-		res.Paths = res.Paths[:0]
 		res.Search = SearchStats{}
 	}
 	if estScratch {
@@ -184,6 +187,11 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 	if ctx != nil {
 		done = ctx.Done()
 	}
+	// The sliced paths partition the n nodes, so they are laid end to end
+	// in the result's n-length pathBuf; ends records each path's end
+	// offset, and Paths is cut from those bounds once the loop is done.
+	ends := st.pathEnd[:0]
+	off := 0
 	for st.unassigned > 0 {
 		if done != nil {
 			select {
@@ -199,17 +207,23 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 			return nil, err
 		}
 		// Detach the winner's path from the memo's reused buffer into
-		// result-owned storage, recycling the inner slice capacity a
-		// recycled Result's truncated Paths still holds.
-		np := len(res.Paths)
-		var path []taskgraph.NodeID
-		if cap(res.Paths) > np {
-			path = res.Paths[:np+1][np][:0]
-		}
-		path = append(path, best.path...)
-		res.Paths = append(res.Paths[:np], path)
+		// result-owned storage before slicing invalidates the memo.
+		end := off + len(best.path)
+		path := res.pathBuf[off:end]
+		copy(path, best.path)
 		st.slice(path, best.ratio)
+		off = end
+		ends = append(ends, int32(end))
 		res.Search.Iterations++
+	}
+	st.pathEnd = ends
+	// Each path is capped at its own length, so an append to one path
+	// reallocates instead of overwriting the next.
+	res.Paths = resizeSlice(res.Paths, len(ends))
+	lo := int32(0)
+	for i, hi := range ends {
+		res.Paths[i] = res.pathBuf[lo:hi:hi]
+		lo = hi
 	}
 	st.release()
 	return res, nil
@@ -255,6 +269,14 @@ type distState struct {
 	predOff []int32
 	predAdj []taskgraph.NodeID
 
+	// Live successor lists: liveAdj is a scratch copy of succAdj, and node
+	// id's unassigned successors are liveAdj[succOff[id]:liveEnd[id]], in
+	// original arc order. slice unlinks each assigned node from its
+	// unassigned predecessors' lists, so the DP's arc loop never meets an
+	// assigned node.
+	liveAdj []taskgraph.NodeID
+	liveEnd []int32
+
 	// vcWin are the window-sizing costs (same slice as vc unless the
 	// metric implements WindowCoster).
 	vcWin []float64
@@ -279,6 +301,14 @@ type distState struct {
 	// touched lists the rows written by the current DP run, in first-write
 	// order (the candidate enumeration order of the reference search).
 	touched []taskgraph.NodeID
+	// ends is touched filtered to the deadline-anchored rows, in the same
+	// order: the only rows evalStart scans.
+	ends []taskgraph.NodeID
+	// frontier is the current DP's work set as a bitset over topological
+	// positions: clearRow sets bit topoIdx[id], and runDP pops the lowest
+	// set bit, which visits stamped rows in topological order. Every run
+	// pops each bit it sets, so the frontier is empty between runs.
+	frontier []uint64
 	// infRow is a width-sized -Inf template row: when a DP write extends a
 	// row's band (see rowMin/rowMax), the skipped-over gap is memmoved from
 	// it instead of stored per element.
@@ -294,24 +324,20 @@ type distState struct {
 	rowMax []int32
 
 	// topo is the bound graph's topological order and topoIdx[id] the
-	// position of id in it: a first DP from s walks topo[topoIdx[s]:].
+	// position of id in it (the frontier's bit index).
 	topo    []taskgraph.NodeID
 	topoIdx []int32
 	// assignedBits mirrors assigned as a word-packed bitset (bit id of word
 	// id/64), so reachFree is a word-AND sweep.
 	assignedBits []uint64
 
-	// Anchor memos: releaseAnchor/deadlineAnchor are pure functions of the
-	// assignment state, which only changes when slice commits a path — so
-	// their results are cached per slicing round under a monotone
-	// generation (anchorGen) bumped by prepare and at the end of slice.
-	anchorGen uint64
-	relGen    []uint64
-	relVal    []float64
-	relOK     []bool
-	dlGen     []uint64
-	dlVal     []float64
-	dlOK      []bool
+	// Final anchors: relVal[id] is valid once pending[id] == 0 and
+	// dlVal[id] once succPending[id] == 0. An anchor reads only assigned
+	// windows, which never move, so each is computed once — by prepare
+	// for inputs and outputs, by slice when the last predecessor
+	// (successor) is assigned — and is never recomputed.
+	relVal []float64
+	dlVal  []float64
 
 	// ratioKind selects evalStart's inlined Ratio fast path (see the
 	// ratio* constants); set by prepare from the metric's concrete type.
@@ -328,24 +354,30 @@ type distState struct {
 	// indexed by NodeID.
 	cand []startCand
 
-	// Incremental start tracking: pending[id] counts unassigned
-	// predecessors; isStart marks unassigned nodes whose predecessors are
-	// all assigned. startbuf is the reused enumeration buffer.
-	pending    []int
-	isStart    []bool
-	startbuf   []taskgraph.NodeID
-	unassigned int
+	// Incremental start tracking: pending[id] and succPending[id] count
+	// unassigned predecessors and successors; startBits marks (bit id of
+	// word id/64) the unassigned nodes whose predecessors are all assigned.
+	// startbuf is the reused enumeration buffer.
+	pending     []int
+	succPending []int
+	startBits   []uint64
+	startbuf    []taskgraph.NodeID
+	unassigned  int
 
 	// winbuf is slice's scratch buffer for the chosen path's raw windows,
 	// reused across iterations.
 	winbuf []float64
+	// pathEnd records the end offset of each sliced path in the result's
+	// pathBuf, in slicing order.
+	pathEnd []int32
 
 	// prevG memoizes the DP row width and topological index of the last
 	// prepared graph: batch callers run the same graph through many
-	// strategies and system sizes before moving on, so the LongestPath scan
-	// amortizes to once per graph.
+	// strategies and system sizes before moving on, so the longest-path
+	// pass (into lpBuf) amortizes to once per graph.
 	prevG     *taskgraph.Graph
 	prevWidth int
+	lpBuf     []int32
 }
 
 // prepare sizes the working set for the bound graph, reusing any buffers
@@ -360,8 +392,7 @@ func (st *distState) prepare() {
 	// graphs; sizing rows accordingly keeps the DP inner loop tight.
 	st.topo = st.g.TopoOrder()
 	if st.g != st.prevG {
-		maxLen := int(st.g.LongestPath(func(taskgraph.Node) float64 { return 1 }))
-		st.prevG, st.prevWidth = st.g, maxLen+1
+		st.prevG, st.prevWidth = st.g, st.longestPathNodes()+1
 		st.topoIdx = resizeSlice(st.topoIdx, n)
 		for i, id := range st.topo {
 			st.topoIdx[id] = int32(i)
@@ -392,15 +423,15 @@ func (st *distState) prepare() {
 		}
 	}
 	st.infRow = st.infRow[:width]
-	st.assignedBits = resizeSlice(st.assignedBits, (n+63)/64)
+	words := (n + 63) / 64
+	st.assignedBits = resizeSlice(st.assignedBits, words)
 	clear(st.assignedBits)
-	st.relGen = resizeSlice(st.relGen, n)
-	st.relVal = resizeSlice(st.relVal, n)
-	st.relOK = resizeSlice(st.relOK, n)
-	st.dlGen = resizeSlice(st.dlGen, n)
-	st.dlVal = resizeSlice(st.dlVal, n)
-	st.dlOK = resizeSlice(st.dlOK, n)
-	st.anchorGen++
+	st.startBits = resizeSlice(st.startBits, words)
+	clear(st.startBits)
+	// A completed DP leaves the frontier empty; clearing it here keeps a
+	// Scratch reusable after a run that a recovered panic cut short.
+	st.frontier = resizeSlice(st.frontier, words)
+	clear(st.frontier)
 	switch st.metric.(type) {
 	case pureMetric, thresMetric, adaptMetric, ablationMetric:
 		st.ratioKind = ratioPure
@@ -418,12 +449,44 @@ func (st *distState) prepare() {
 	clear(st.assigned)
 
 	st.pending = resizeSlice(st.pending, n)
-	st.isStart = resizeSlice(st.isStart, n)
+	st.succPending = resizeSlice(st.succPending, n)
+	st.relVal = resizeSlice(st.relVal, n)
+	st.dlVal = resizeSlice(st.dlVal, n)
+	st.liveEnd = resizeSlice(st.liveEnd, n)
+	st.liveAdj = resizeSlice(st.liveAdj, len(st.succAdj))
+	copy(st.liveAdj, st.succAdj)
 	st.unassigned = n
-	for id := 0; id < n; id++ {
-		st.pending[id] = int(st.predOff[id+1] - st.predOff[id])
-		st.isStart[id] = st.pending[id] == 0
+	for i := 0; i < n; i++ {
+		id := taskgraph.NodeID(i)
+		st.pending[i] = int(st.predOff[i+1] - st.predOff[i])
+		st.succPending[i] = int(st.succOff[i+1] - st.succOff[i])
+		st.liveEnd[i] = st.succOff[i+1]
+		if st.pending[i] == 0 {
+			st.relVal[i] = st.g.ReleaseOf(id)
+			st.startBits[i>>6] |= 1 << (uint(i) & 63)
+		}
+		if st.succPending[i] == 0 {
+			st.dlVal[i] = st.g.EndToEndOf(id)
+		}
 	}
+}
+
+// longestPathNodes returns the node count of the bound graph's longest
+// path: LongestPath with unit costs, as an integer pass over the CSR into
+// the reused lpBuf.
+func (st *distState) longestPathNodes() int {
+	acc := resizeSlice(st.lpBuf, st.g.NumNodes())
+	clear(acc)
+	best := int32(0)
+	for _, id := range st.topo {
+		v := acc[id] + 1
+		best = max(best, v)
+		for _, s := range st.succAdj[st.succOff[id]:st.succOff[id+1]] {
+			acc[s] = max(acc[s], v)
+		}
+	}
+	st.lpBuf = acc
+	return int(best)
 }
 
 // release drops the per-run references so a pooled state does not pin the
@@ -440,21 +503,15 @@ func (st *distState) release() {
 	st.predOff, st.predAdj = nil, nil
 }
 
-// releaseAnchor returns the path-start release time of node id, valid only
-// when every predecessor has been assigned: the latest absolute deadline of
-// any predecessor, or the node's own application release time for inputs.
-// Both anchors read only the assignment state, which changes exactly when
-// slice commits a path, so results are memoized per slicing round.
+// releaseAnchor returns the path-start release time of unassigned node id,
+// valid only when every predecessor has been assigned: the latest absolute
+// deadline of any predecessor, or the node's own application release time
+// for inputs. It reads the final anchor (see relVal).
 func (st *distState) releaseAnchor(id taskgraph.NodeID) (float64, bool) {
-	if st.relGen[id] == st.anchorGen {
-		return st.relVal[id], st.relOK[id]
-	}
-	v, ok := st.releaseAnchorSlow(id)
-	st.relGen[id] = st.anchorGen
-	st.relVal[id], st.relOK[id] = v, ok
-	return v, ok
+	return st.relVal[id], st.pending[id] == 0
 }
 
+// releaseAnchorSlow computes releaseAnchor from the assignment state.
 func (st *distState) releaseAnchorSlow(id taskgraph.NodeID) (float64, bool) {
 	preds := st.predAdj[st.predOff[id]:st.predOff[id+1]]
 	if len(preds) == 0 {
@@ -472,20 +529,15 @@ func (st *distState) releaseAnchorSlow(id taskgraph.NodeID) (float64, bool) {
 	return anchor, true
 }
 
-// deadlineAnchor returns the path-end absolute deadline of node id, valid
-// only when every successor has been assigned: the earliest release time of
-// any successor, or the end-to-end deadline for outputs. Memoized like
-// releaseAnchor.
+// deadlineAnchor returns the path-end absolute deadline of unassigned node
+// id, valid only when every successor has been assigned: the earliest
+// release time of any successor, or the end-to-end deadline for outputs.
+// It reads the final anchor (see dlVal).
 func (st *distState) deadlineAnchor(id taskgraph.NodeID) (float64, bool) {
-	if st.dlGen[id] == st.anchorGen {
-		return st.dlVal[id], st.dlOK[id]
-	}
-	v, ok := st.deadlineAnchorSlow(id)
-	st.dlGen[id] = st.anchorGen
-	st.dlVal[id], st.dlOK[id] = v, ok
-	return v, ok
+	return st.dlVal[id], st.succPending[id] == 0
 }
 
+// deadlineAnchorSlow computes deadlineAnchor from the assignment state.
 func (st *distState) deadlineAnchorSlow(id taskgraph.NodeID) (float64, bool) {
 	succs := st.succAdj[st.succOff[id]:st.succOff[id+1]]
 	if len(succs) == 0 {
@@ -556,13 +608,9 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 	c.valid = true
 	c.found = false
 	kind := st.ratioKind
-	for _, id := range st.touched {
-		dl, ok := st.deadlineAnchor(id)
-		if !ok {
-			continue
-		}
+	for _, id := range st.ends {
 		row := st.dp[id]
-		span := dl - relAnchor
+		span := st.dlVal[id] - relAnchor
 		// Cells outside [rowMin, rowMax] are logically -Inf and never
 		// contribute, so the scan covers only the band.
 		m := int(st.rowMax[id])
@@ -612,14 +660,13 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 }
 
 // startCandidates fills the reused buffer with the unassigned nodes whose
-// predecessors are all assigned, in ID order. The set is maintained
-// incrementally by slice via pending-predecessor counts, so no per-node
-// anchor recomputation happens here.
+// predecessors are all assigned, in ID order: the set bits of startBits,
+// which slice maintains via pending-predecessor counts.
 func (st *distState) startCandidates() []taskgraph.NodeID {
 	out := st.startbuf[:0]
-	for id, ok := range st.isStart {
-		if ok {
-			out = append(out, taskgraph.NodeID(id))
+	for w, word := range st.startBits {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, taskgraph.NodeID(w<<6|bits.TrailingZeros64(word)))
 		}
 	}
 	st.startbuf = out
@@ -631,14 +678,17 @@ func (st *distState) startCandidates() []taskgraph.NodeID {
 //
 // Reach is the DP's own row stamp: clearRow runs on every unassigned
 // successor of a processed node, so rowGen[v] == gen exactly when v is
-// reached from s through unassigned nodes. The walk goes over the
-// topological suffix from s, processes only stamped nodes, and stops when
-// no stamped node is left unprocessed (pending: +1 per clearRow, -1 per
-// processed node). Every stamped row is thus processed, and st.touched
-// ends up holding exactly the reachable set.
+// reached from s through unassigned nodes. clearRow also sets v's bit in
+// the frontier, and the loop pops the lowest set topological position
+// until none is left (pending counts the set bits). A successor sits
+// later in topological order than its predecessor, so the pops visit the
+// stamped rows in topological order: every stamped row is processed after
+// all writes into it, and st.touched ends up holding exactly the
+// reachable set.
 func (st *distState) runDP(s taskgraph.NodeID) {
 	st.gen++
 	st.touched = st.touched[:0]
+	st.ends = st.ends[:0]
 	st.res.Search.DPRuns++
 
 	vc := st.vc
@@ -651,25 +701,26 @@ func (st *distState) runDP(s taskgraph.NodeID) {
 	st.par[s][ws] = taskgraph.None
 	st.rowMin[s], st.rowMax[s] = int32(ws), int32(ws)
 
-	succOff, succAdj := st.succOff, st.succAdj
-	assigned := st.assigned
+	succOff, liveAdj, liveEnd := st.succOff, st.liveAdj, st.liveEnd
+	topo, frontier := st.topo, st.frontier
 	dp, par := st.dp, st.par
 	rowGen, rowMin, rowMax := st.rowGen, st.rowMin, st.rowMax
 	gen := st.gen
 	pending, cells := 1, 0
-	for _, u := range st.topo[st.topoIdx[s]:] {
-		if rowGen[u] != gen {
+	for w := int(st.topoIdx[s]) >> 6; pending > 0; {
+		word := frontier[w]
+		if word == 0 {
+			w++
 			continue
 		}
+		frontier[w] = word & (word - 1)
+		u := topo[w<<6|bits.TrailingZeros64(word)]
 		pending--
 		row := dp[u]
 		// By topological order every write into row u has happened, so
 		// [rowMin[u], rowMax[u]] bounds its populated cells.
 		umin, umax := int(rowMin[u]), int(rowMax[u])
-		for _, v := range succAdj[succOff[u]:succOff[u+1]] {
-			if assigned[v] {
-				continue
-			}
+		for _, v := range liveAdj[succOff[u]:liveEnd[u]] {
 			cells += umax - umin + 1
 			vcv := vc[v]
 			wv := 0
@@ -725,9 +776,6 @@ func (st *distState) runDP(s taskgraph.NodeID) {
 			}
 			rowMin[v], rowMax[v] = int32(vmin), int32(vmax)
 		}
-		if pending == 0 {
-			break
-		}
 	}
 	st.res.Search.DPRows += len(st.touched)
 	st.res.Search.DPCells += cells
@@ -742,8 +790,9 @@ func resizeSlice[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// clearRow logically resets a generation-stale row and records it as
-// touched: an empty band (rowMin 0, rowMax -1) marks every cell -Inf
+// clearRow logically resets a generation-stale row, records it as touched
+// (and as an end when its deadline anchor is final) and queues it on the
+// frontier: an empty band (rowMin 0, rowMax -1) marks every cell -Inf
 // without storing a single one — readers are bounded by the band, and
 // writes outside it gap-fill from the infRow template (see runDP's inner
 // loop).
@@ -751,6 +800,11 @@ func (st *distState) clearRow(id taskgraph.NodeID) {
 	st.rowMin[id], st.rowMax[id] = 0, -1
 	st.rowGen[id] = st.gen
 	st.touched = append(st.touched, id)
+	if st.succPending[id] == 0 {
+		st.ends = append(st.ends, id)
+	}
+	p := st.topoIdx[id]
+	st.frontier[p>>6] |= 1 << (uint(p) & 63)
 }
 
 // backtrackInto reconstructs the path ending at (end, k) from the par
@@ -869,21 +923,37 @@ func (st *distState) slice(path []taskgraph.NodeID, ratio float64) {
 		st.res.Absolute[id] = t
 		st.assigned[id] = true
 		st.assignedBits[id>>6] |= 1 << (uint(id) & 63)
-		st.isStart[id] = false
+		st.startBits[id>>6] &^= 1 << (uint(id) & 63)
 	}
 	st.unassigned -= len(path)
 
-	// Maintain the incremental start set: a successor with its last
-	// unassigned predecessor now sliced becomes a start candidate.
+	// Every window of the path is now in place. An unassigned successor
+	// whose last unassigned predecessor was just sliced becomes a start
+	// with its final release anchor; an unassigned predecessor loses the
+	// sliced node from its live successor list and, once its last
+	// successor is sliced, gets its final deadline anchor.
 	for _, id := range path {
 		for _, v := range st.succAdj[st.succOff[id]:st.succOff[id+1]] {
 			st.pending[v]--
 			if st.pending[v] == 0 && !st.assigned[v] {
-				st.isStart[v] = true
+				st.relVal[v], _ = st.releaseAnchorSlow(v)
+				st.startBits[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
+		for _, p := range st.predAdj[st.predOff[id]:st.predOff[id+1]] {
+			st.succPending[p]--
+			if st.assigned[p] {
+				continue
+			}
+			if st.succPending[p] == 0 {
+				st.dlVal[p], _ = st.deadlineAnchorSlow(p)
+			}
+			// Unlink stably: the DP's arc order decides ties.
+			lo, hi := st.succOff[p], st.liveEnd[p]
+			live := st.liveAdj[lo:hi]
+			i := slices.Index(live, id)
+			copy(live[i:], live[i+1:])
+			st.liveEnd[p] = hi - 1
+		}
 	}
-
-	// The assignment state changed: every memoized anchor is stale.
-	st.anchorGen++
 }

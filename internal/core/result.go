@@ -31,6 +31,11 @@ type Result struct {
 	// Search counts the critical-path search work behind this result. It
 	// is diagnostic only and not part of the distribution semantics.
 	Search SearchStats
+
+	// pathBuf is the n-length backing of Paths: the sliced paths partition
+	// the nodes, so each path is a cap-limited window of it. Reused when
+	// the Result is recycled.
+	pathBuf []taskgraph.NodeID
 }
 
 // SearchStats counts the work done by the incremental critical-path search

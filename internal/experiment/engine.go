@@ -218,8 +218,8 @@ func (a improvedAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) 
 }
 
 func (a improvedAssigner) Assign(_ context.Context, g *taskgraph.Graph, sys *platform.System,
-	_ *core.Result, _ *core.Scratch) (*core.Result, error) {
-	res, err := a.dist.Distribute(g, sys)
+	_ *core.Result, sc *core.Scratch) (*core.Result, error) {
+	res, err := a.dist.DistributeScratch(g, sys, nil, sc)
 	if err != nil {
 		return nil, err
 	}

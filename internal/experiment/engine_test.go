@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -473,6 +474,45 @@ func TestImprovedAssigner(t *testing.T) {
 		if better > plain+1e-9 {
 			t.Fatalf("size %d: improved %v worse than plain %v", p.Size, better, plain)
 		}
+	}
+}
+
+// TestImprovedAssignBytesBounded pins the steady-state memory of the
+// improvement assigner on a warm Scratch, in the style of core's
+// TestWideFanInAllocBounded: the initial distribution runs on the worker's
+// Scratch, so what is left per call is the improvement loop's own copies
+// and schedules, about 800 bytes per node on this graph. Distributing on a
+// fresh working set instead raises that to about 1 470 bytes per node,
+// over the ceiling.
+func TestImprovedAssignBytesBounded(t *testing.T) {
+	g, err := generator.Random(generator.Default(generator.MDET), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := platform.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Improved(core.PURE(), core.CCNE(), improve.Config{Iterations: 8})
+	sc := core.NewScratch()
+	assign := func() {
+		if _, err := a.Assign(context.Background(), g, sys, nil, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assign()
+	assign()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		assign()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(1000 * g.NumNodes()); perOp > limit {
+		t.Errorf("Improved Assign on a warm Scratch allocates %d bytes/op on a %d-node graph; want at most %d", perOp, g.NumNodes(), limit)
 	}
 }
 
