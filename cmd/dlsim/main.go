@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -40,33 +41,71 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) error {
+// maxProcs bounds -procs as dlexp bounds its -sizes: a platform of more
+// processors is refused before any memory is spent on it.
+const maxProcs = 1024
+
+// simFlags are dlsim's flags, parsed and validated.
+type simFlags struct {
+	in, metric, estimator, policy     string
+	procs                             int
+	delta, thres                      float64
+	respect, preempt, contended       bool
+	gantt, windows, stats             bool
+	tracePath                         string
+	cpuProfile, memProfile, pprofAddr string
+}
+
+// parseFlags parses args, writing usage and parse errors to usage, and
+// validates the numeric flags before any input is read: -procs must be
+// in [1, maxProcs] and -delta and -cthres finite. Each error names its
+// flag.
+func parseFlags(args []string, usage io.Writer) (*simFlags, error) {
+	var f simFlags
 	fs := flag.NewFlagSet("dlsim", flag.ContinueOnError)
-	var (
-		in         = fs.String("in", "-", "task graph JSON file ('-' for stdin)")
-		procs      = fs.Int("procs", 4, "number of processors")
-		metric     = fs.String("metric", "ADAPT", "deadline metric: NORM, PURE, THRES or ADAPT")
-		estimator  = fs.String("estimator", "CCNE", "communication estimator: CCNE, CCAA or CCEXP")
-		delta      = fs.Float64("delta", 1.0, "THRES surplus factor")
-		thres      = fs.Float64("cthres", 1.25, "THRES/ADAPT threshold as a multiple of MET")
-		respect    = fs.Bool("respect", true, "time-driven dispatch (respect release times)")
-		policy     = fs.String("policy", "EDF", "dispatch policy: EDF, LLF, FIFO or HLF")
-		preempt    = fs.Bool("preempt", false, "re-simulate under preemptive EDF")
-		contended  = fs.Bool("contended", false, "serialize messages on a contended bus")
-		gantt      = fs.Bool("gantt", true, "print an ASCII Gantt chart")
-		tracePath  = fs.String("trace", "", "write a Chrome trace-event JSON file (chrome://tracing)")
-		windows    = fs.Bool("windows", false, "print per-subtask windows")
-		stats      = fs.Bool("stats", false, "print per-stage pipeline timings")
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	)
+	fs.SetOutput(usage)
+	fs.StringVar(&f.in, "in", "-", "task graph JSON file ('-' for stdin)")
+	fs.IntVar(&f.procs, "procs", 4, fmt.Sprintf("number of processors (1 to %d)", maxProcs))
+	fs.StringVar(&f.metric, "metric", "ADAPT", "deadline metric: NORM, PURE, THRES or ADAPT")
+	fs.StringVar(&f.estimator, "estimator", "CCNE", "communication estimator: CCNE, CCAA or CCEXP")
+	fs.Float64Var(&f.delta, "delta", 1.0, "THRES surplus factor")
+	fs.Float64Var(&f.thres, "cthres", 1.25, "THRES/ADAPT threshold as a multiple of MET")
+	fs.BoolVar(&f.respect, "respect", true, "time-driven dispatch (respect release times)")
+	fs.StringVar(&f.policy, "policy", "EDF", "dispatch policy: EDF, LLF, FIFO or HLF")
+	fs.BoolVar(&f.preempt, "preempt", false, "re-simulate under preemptive EDF")
+	fs.BoolVar(&f.contended, "contended", false, "serialize messages on a contended bus")
+	fs.BoolVar(&f.gantt, "gantt", true, "print an ASCII Gantt chart")
+	fs.StringVar(&f.tracePath, "trace", "", "write a Chrome trace-event JSON file (chrome://tracing)")
+	fs.BoolVar(&f.windows, "windows", false, "print per-subtask windows")
+	fs.BoolVar(&f.stats, "stats", false, "print per-stage pipeline timings")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if f.procs < 1 || f.procs > maxProcs {
+		return nil, fmt.Errorf("-procs %d: must be in [1, %d]", f.procs, maxProcs)
+	}
+	for _, v := range []struct {
+		name string
+		val  float64
+	}{{"delta", f.delta}, {"cthres", f.thres}} {
+		if math.IsNaN(v.val) || math.IsInf(v.val, 0) {
+			return nil, fmt.Errorf("-%s %v: must be a finite number", v.name, v.val)
+		}
+	}
+	return &f, nil
+}
+
+func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) error {
+	f, err := parseFlags(args, os.Stderr)
+	if err != nil {
 		return err
 	}
 
 	prof, err := profiling.Start(profiling.Options{
-		CPUProfile: *cpuProfile, MemProfile: *memProfile, PprofAddr: *pprofAddr,
+		CPUProfile: f.cpuProfile, MemProfile: f.memProfile, PprofAddr: f.pprofAddr,
 	})
 	if err != nil {
 		return err
@@ -76,11 +115,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 		fmt.Fprintf(out, "pprof server on http://%s/debug/pprof/\n", addr)
 	}
 	rec := (*metrics.Recorder)(nil)
-	if *stats {
+	if f.stats {
 		rec = metrics.New()
 	}
 
-	data, err := readInput(*in, stdin)
+	data, err := readInput(f.in, stdin)
 	if err != nil {
 		return err
 	}
@@ -90,19 +129,19 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	}
 
 	var opts []platform.Option
-	if *contended {
+	if f.contended {
 		opts = append(opts, platform.WithBusContention())
 	}
-	sys, err := platform.New(*procs, opts...)
+	sys, err := platform.New(f.procs, opts...)
 	if err != nil {
 		return err
 	}
 
-	m, err := parseMetric(*metric, *delta, *thres)
+	m, err := parseMetric(f.metric, f.delta, f.thres)
 	if err != nil {
 		return err
 	}
-	e, err := parseEstimator(*estimator)
+	e, err := parseEstimator(f.estimator)
 	if err != nil {
 		return err
 	}
@@ -119,17 +158,17 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	}
 	rec.Observe(metrics.StageAssign, time.Since(assignStart))
 	rec.AddSearch(experiment.SearchCounters(res.Search))
-	pol, err := parsePolicy(*policy)
+	pol, err := parsePolicy(f.policy)
 	if err != nil {
 		return err
 	}
-	cfg := scheduler.Config{RespectRelease: *respect, Policy: pol}
+	cfg := scheduler.Config{RespectRelease: f.respect, Policy: pol}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	schedStart := time.Now()
 	var sched *scheduler.Schedule
-	if *preempt {
+	if f.preempt {
 		if sched, err = scheduler.RunPreemptive(g, sys, res, cfg); err != nil {
 			return err
 		}
@@ -153,7 +192,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	fmt.Fprintf(out, "distribution: metric %s, estimator %s, %d critical paths, min laxity %.2f\n",
 		res.Metric, res.Estimator, len(res.Paths), res.MinLaxity(g))
 
-	if *windows {
+	if f.windows {
 		fmt.Fprintln(out, "\nsubtask windows (release / relative deadline / absolute deadline):")
 		nodes := g.Nodes()
 		sort.Slice(nodes, func(i, j int) bool { return res.Release[nodes[i].ID] < res.Release[nodes[j].ID] })
@@ -167,7 +206,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	}
 
 	fmt.Fprintf(out, "\nschedule: policy %s, makespan %.2f, utilization %.1f%%", cfg.Policy, sched.Makespan, 100*sched.Utilization(g, sys))
-	if *preempt {
+	if f.preempt {
 		fmt.Fprintf(out, ", %d preemptions", sched.Preemptions(g))
 	}
 	fmt.Fprintln(out)
@@ -176,22 +215,22 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	rec.Observe(metrics.StageMeasure, time.Since(measureStart))
 	fmt.Fprintf(out, "max lateness %.2f, missed windows %d, end-to-end lateness %.2f\n",
 		maxLate, missed, e2eLate)
-	if *gantt {
+	if f.gantt {
 		fmt.Fprintln(out)
 		io.WriteString(out, scheduler.Gantt(g, sys, sched, 72))
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if f.tracePath != "" {
+		tf, err := os.Create(f.tracePath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := trace.Write(f, g, res, sched); err != nil {
+		defer tf.Close()
+		if err := trace.Write(tf, g, res, sched); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "\ntrace written to %s\n", *tracePath)
+		fmt.Fprintf(out, "\ntrace written to %s\n", f.tracePath)
 	}
-	if *stats {
+	if f.stats {
 		fmt.Fprintf(out, "\n%s\n", rec.Snapshot().String())
 	}
 	return prof.Stop()

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 const sampleGraph = `{
@@ -104,6 +108,60 @@ func TestRunErrors(t *testing.T) {
 		var out bytes.Buffer
 		if err := run(context.Background(), []string{"-procs", "0"}, strings.NewReader(sampleGraph), &out); err == nil {
 			t.Fatal("zero processors accepted")
+		}
+	})
+}
+
+// TestRunRejectsBadFlags: out-of-range processor counts and non-finite
+// metric parameters are refused before the graph is read, with an error
+// naming the flag. -procs 900000000 used to exhaust memory in
+// platform.New, and -delta NaN to reach an internal search error.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-procs", "900000000"}, "-procs"},
+		{[]string{"-procs", "1025"}, "-procs"},
+		{[]string{"-procs", "0"}, "-procs"},
+		{[]string{"-procs", "-3"}, "-procs"},
+		{[]string{"-metric", "THRES", "-delta", "NaN"}, "-delta"},
+		{[]string{"-metric", "THRES", "-delta", "-Inf"}, "-delta"},
+		{[]string{"-cthres", "NaN"}, "-cthres"},
+		{[]string{"-metric", "THRES", "-cthres", "+Inf"}, "-cthres"},
+	} {
+		// The reader fails if read: validation comes before any input.
+		err := run(context.Background(), tc.args, iotest.ErrReader(errors.New("input read")), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+	}
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-procs", "1024", "-gantt=false"}, strings.NewReader(sampleGraph), &out); err != nil {
+		t.Errorf("-procs 1024: %v", err)
+	}
+}
+
+// FuzzSimFlags: whatever the numeric flags, parsing never panics, and an
+// accepted set has a processor count in [1, maxProcs] and finite -delta
+// and -cthres.
+func FuzzSimFlags(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"4", "1.0", "1.25"}, {"900000000", "1", "1"}, {"0x10", "NaN", "1"}, {"1024", "1e308", "-Inf"},
+		{"-1", "1e400", "0"}, {"1025", "inf", "+Inf"}, {"", "", ""}, {"9223372036854775808", "0x1p-2", "1_000"},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	f.Fuzz(func(t *testing.T, procs, delta, cthres string) {
+		fl, err := parseFlags([]string{"-procs", procs, "-delta", delta, "-cthres", cthres}, io.Discard)
+		if err != nil {
+			return
+		}
+		if fl.procs < 1 || fl.procs > maxProcs {
+			t.Fatalf("accepted -procs %q as %d", procs, fl.procs)
+		}
+		if math.IsNaN(fl.delta) || math.IsInf(fl.delta, 0) || math.IsNaN(fl.thres) || math.IsInf(fl.thres, 0) {
+			t.Fatalf("accepted -delta %q -cthres %q as %v, %v", delta, cthres, fl.delta, fl.thres)
 		}
 	})
 }

@@ -142,43 +142,64 @@ func TestParseHitSkipsBuild(t *testing.T) {
 	}
 }
 
-// TestParseAmbiguousNamesBuild: with an unnamed subtask, an invalid graph
-// can share a valid graph's canonical bytes, so a request whose subtask
-// names are not all distinct and non-empty is built, and refused, even
-// when its key has a cached answer.
+// TestParseAmbiguousNamesBuild: with an unnamed subtask, two wires can
+// share canonical bytes. Subtasks ["", "t0"] encode like ["t0", "t0"],
+// and Build refuses both as ambiguous, whether or not their key has a
+// cached answer. An arc naming the generated name of an unnamed subtask
+// still shares the key of a valid graph, so a request whose subtask names
+// are not all distinct and non-empty is built, and refused, even when its
+// key has a cached answer.
 func TestParseAmbiguousNamesBuild(t *testing.T) {
 	orc := experiment.NewOrchestrator(1)
 	defer orc.Close()
 	s := New(Config{Orchestrator: orc})
-	for _, tc := range []struct{ good, bad string }{
+	decode := func(graph string) *wireRequest {
+		t.Helper()
+		req, err := decodeWire([]byte(`{"graph":` + graph + `}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	for _, tc := range []struct {
+		good string // "" when every wire sharing the key is refused
+		bad  []string
+	}{
 		{ // Duplicate names, one of them generated.
-			good: `{"subtasks":[{"name":"","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"t0","size":1}]}`,
-			bad:  `{"subtasks":[{"name":"t0","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"t0","size":1}]}`,
+			bad: []string{
+				`{"subtasks":[{"name":"","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"t0","size":1}]}`,
+				`{"subtasks":[{"name":"t0","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"t0","size":1}]}`,
+			},
 		},
 		{ // An arc naming the generated name, which does not resolve.
 			good: `{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"b","size":1}]}`,
-			bad:  `{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"b","size":1}]}`,
+			bad:  []string{`{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"b","size":1}]}`},
 		},
 	} {
-		good, err := decodeWire([]byte(`{"graph":` + tc.good + `}`))
-		if err != nil {
-			t.Fatal(err)
+		key, kerr := contentKey(&decode(tc.bad[0]).Graph, 4, "ADAPT", "EDF")
+		if kerr != nil {
+			t.Fatal(kerr)
 		}
-		bad, err := decodeWire([]byte(`{"graph":` + tc.bad + `}`))
-		if err != nil {
-			t.Fatal(err)
+		if tc.good != "" {
+			pr, perr := s.parse(decode(tc.good), TierFull)
+			if perr != nil || pr.key != key {
+				t.Fatalf("%s: %v, or not the key of %s", tc.good, perr, tc.bad[0])
+			}
 		}
-		pr, perr := s.parse(good, TierFull)
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		e, _ := s.cache.begin(pr.key)
-		s.cache.settle(pr.key, e, []byte(`{}`), nil)
-		if badKey, kerr := contentKey(&bad.Graph, 4, "ADAPT", "EDF"); kerr != nil || badKey != pr.key {
-			t.Fatalf("%s: expected to share the key of %s (%v)", tc.bad, tc.good, kerr)
-		}
-		if _, perr := s.parse(bad, TierFull); perr == nil || perr.Class != ClassInvalid {
-			t.Errorf("%s sharing a cached key: %v, want invalid", tc.bad, perr)
+		for _, cached := range []bool{false, true} {
+			if cached {
+				e, _ := s.cache.begin(key)
+				s.cache.settle(key, e, []byte(`{}`), nil)
+			}
+			for _, bad := range tc.bad {
+				req := decode(bad)
+				if k, _ := contentKey(&req.Graph, 4, "ADAPT", "EDF"); k != key {
+					t.Fatalf("%s: expected to share the key of %s", bad, tc.bad[0])
+				}
+				if _, perr := s.parse(req, TierFull); perr == nil || perr.Class != ClassInvalid {
+					t.Errorf("%s (cached %v): %v, want invalid", bad, cached, perr)
+				}
+			}
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -475,34 +476,94 @@ func attemptOutcome(err error) obs.Outcome {
 	}
 }
 
-// renderResponse marshals the deterministic response body: subtasks in
-// name order (stable under any future builder reordering), floats in Go's
-// shortest-round-trip form.
+// renderScratch is renderResponse's pooled scratch: the body buffer and
+// the subtask order.
+type renderScratch struct {
+	body []byte
+	ids  []taskgraph.NodeID
+}
+
+// renderPool recycles renderScratch. One whose body outgrew
+// maxPooledBuffer is dropped; its order is then small too, as every
+// window takes more bytes of body than its NodeID takes of order.
+var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
+// renderResponse writes the deterministic response body: exactly the
+// bytes json.Marshal writes for the Response, with the subtasks in name
+// order (stable under any future builder reordering). Build gives every
+// subtask a name of its own, so the order is total. Floats and strings
+// use the appenders of the canonical graph encoding, so a NaN or an
+// infinity fails with json.Marshal's error, at the first field it would
+// have reached. The body is rendered into a pooled buffer and returned as
+// an exact-size copy, since the response cache keeps it.
 func renderResponse(pr *parsedRequest, res *core.Result, sched *scheduler.Schedule) ([]byte, error) {
-	resp := Response{
-		Key:      pr.key,
-		Assigner: pr.assigner.Label(),
-		Procs:    pr.sys.NumProcs(),
-		Verdict: Verdict{
-			MaxLateness:     sched.MaxLateness(pr.graph, res),
-			Makespan:        sched.Makespan,
-			MissedDeadlines: sched.MissedDeadlines(pr.graph, res),
-		},
-	}
-	resp.Verdict.Schedulable = resp.Verdict.MissedDeadlines == 0
-	for _, n := range pr.graph.NodesView() {
-		if n.Kind != taskgraph.KindSubtask {
-			continue
+	sc := renderPool.Get().(*renderScratch)
+	defer func() {
+		if cap(sc.body) <= maxPooledBuffer {
+			renderPool.Put(sc)
 		}
-		resp.Subtasks = append(resp.Subtasks, SubtaskWindow{
-			Name:     n.Name,
-			Release:  res.Release[n.ID],
-			Deadline: res.Absolute[n.ID],
-			Proc:     sched.Proc[n.ID],
-		})
+	}()
+	nodes := pr.graph.NodesView()
+	ids := sc.ids[:0]
+	for i := range nodes {
+		if nodes[i].Kind == taskgraph.KindSubtask {
+			ids = append(ids, taskgraph.NodeID(i))
+		}
 	}
-	sort.Slice(resp.Subtasks, func(i, j int) bool { return resp.Subtasks[i].Name < resp.Subtasks[j].Name })
-	return json.Marshal(&resp)
+	slices.SortFunc(ids, func(a, b taskgraph.NodeID) int { return strings.Compare(nodes[a].Name, nodes[b].Name) })
+	sc.ids = ids
+
+	missed := sched.MissedDeadlines(pr.graph, res)
+	b := append(sc.body[:0], `{"key":`...)
+	b = taskgraph.AppendJSONString(b, pr.key)
+	b = append(b, `,"assigner":`...)
+	b = taskgraph.AppendJSONString(b, pr.assigner.Label())
+	b = append(b, `,"procs":`...)
+	b = strconv.AppendInt(b, int64(pr.sys.NumProcs()), 10)
+	b = append(b, `,"verdict":{"schedulable":`...)
+	b = strconv.AppendBool(b, missed == 0)
+	b = append(b, `,"maxLateness":`...)
+	b, err := taskgraph.AppendJSONFloat(b, sched.MaxLateness(pr.graph, res))
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `,"makespan":`...)
+	if b, err = taskgraph.AppendJSONFloat(b, sched.Makespan); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"missedDeadlines":`...)
+	b = strconv.AppendInt(b, int64(missed), 10)
+	b = append(b, `},"subtasks":`...)
+	if len(ids) == 0 {
+		b = append(b, "null"...)
+	} else {
+		for k, id := range ids {
+			if k == 0 {
+				b = append(b, '[')
+			} else {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = taskgraph.AppendJSONString(b, nodes[id].Name)
+			b = append(b, `,"release":`...)
+			if b, err = taskgraph.AppendJSONFloat(b, res.Release[id]); err != nil {
+				return nil, err
+			}
+			b = append(b, `,"deadline":`...)
+			if b, err = taskgraph.AppendJSONFloat(b, res.Absolute[id]); err != nil {
+				return nil, err
+			}
+			b = append(b, `,"proc":`...)
+			b = strconv.AppendInt(b, int64(sched.Proc[id]), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, '}')
+	sc.body = b
+	body := make([]byte, len(b))
+	copy(body, b)
+	return body, nil
 }
 
 // sleepCtx sleeps for d or until ctx settles.

@@ -24,9 +24,9 @@ import (
 // equal canonical bytes, where Build accepts the first and the second
 // names each subtask with a distinct non-empty name. Then Build accepts
 // the second too and builds the same graph. The name condition matters:
-// subtasks ["", "t0"] encode like ["t0", "t0"], which Build rejects, and
 // an arc from "t0" in a wire whose subtask 0 is unnamed encodes like one
-// from "", but only the latter resolves.
+// from "", but only the latter resolves. (Subtasks ["", "t0"] encode like
+// ["t0", "t0"]; Build rejects both.)
 func (w *Wire) AppendCanonical(dst []byte) ([]byte, error) {
 	var err error
 	// anon is the index of the first unnamed subtask: the one an empty arc
@@ -49,21 +49,21 @@ func (w *Wire) AppendCanonical(dst []byte) ([]byte, error) {
 				}
 				dst = appendGeneratedName(dst, i)
 			} else {
-				dst = appendString(dst, st.Name)
+				dst = AppendJSONString(dst, st.Name)
 			}
 			dst = append(dst, `,"cost":`...)
-			if dst, err = appendFloat(dst, st.Cost); err != nil {
+			if dst, err = AppendJSONFloat(dst, st.Cost); err != nil {
 				return nil, err
 			}
 			if st.Release != 0 {
 				dst = append(dst, `,"release":`...)
-				if dst, err = appendFloat(dst, st.Release); err != nil {
+				if dst, err = AppendJSONFloat(dst, st.Release); err != nil {
 					return nil, err
 				}
 			}
 			if st.EndToEnd != 0 {
 				dst = append(dst, `,"endToEnd":`...)
-				if dst, err = appendFloat(dst, st.EndToEnd); err != nil {
+				if dst, err = AppendJSONFloat(dst, st.EndToEnd); err != nil {
 					return nil, err
 				}
 			}
@@ -90,7 +90,7 @@ func (w *Wire) AppendCanonical(dst []byte) ([]byte, error) {
 			dst = append(dst, `,"to":`...)
 			dst = appendEndpoint(dst, a.To, anon)
 			dst = append(dst, `,"size":`...)
-			if dst, err = appendFloat(dst, a.Size); err != nil {
+			if dst, err = AppendJSONFloat(dst, a.Size); err != nil {
 				return nil, err
 			}
 			dst = append(dst, '}')
@@ -114,13 +114,14 @@ func appendEndpoint(dst []byte, name string, anon int) []byte {
 	if name == "" && anon >= 0 {
 		return appendGeneratedName(dst, anon)
 	}
-	return appendString(dst, name)
+	return AppendJSONString(dst, name)
 }
 
-// appendFloat appends f as encoding/json encodes a float64: shortest
+// AppendJSONFloat appends f as encoding/json encodes a float64: shortest
 // round-trip digits, exponent form below 1e-6 and from 1e21 on, with the
-// exponent's leading zero dropped (1e-07 becomes 1e-7).
-func appendFloat(dst []byte, f float64) ([]byte, error) {
+// exponent's leading zero dropped (1e-07 becomes 1e-7). Like json.Marshal,
+// it fails on NaN and infinities with a *json.UnsupportedValueError.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
@@ -141,11 +142,11 @@ func appendFloat(dst []byte, f float64) ([]byte, error) {
 
 const hexDigits = "0123456789abcdef"
 
-// appendString appends s as a JSON string the way json.Marshal does:
+// AppendJSONString appends s as a JSON string the way json.Marshal does:
 // '"' and '\\' backslash-escaped; \b, \f, \n, \r, \t by name; other
 // control bytes and the HTML-sensitive '<', '>', '&' as \u00XX; U+2028
 // and U+2029 as \u2028 and \u2029; each invalid UTF-8 byte as \ufffd.
-func appendString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

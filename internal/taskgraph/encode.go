@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -41,13 +42,21 @@ type WireArc struct {
 
 // Build validates the interchange form and constructs its Graph. It does
 // not modify w.
+//
+// Every subtask of the graph has a name of its own: Build rejects a
+// repeated name, and an unnamed subtask whose generated name "t<index>"
+// is another subtask's explicit name, as ambiguous.
 func (w *Wire) Build() (*Graph, error) {
-	b := NewBuilderHint(len(w.Subtasks) + len(w.Arcs))
+	b := newBuilderSized(len(w.Subtasks), len(w.Arcs))
 	ids := make(map[string]NodeID, len(w.Subtasks))
+	anon := -1 // the unnamed subtask; a second one is a duplicate
 	for i := range w.Subtasks {
 		st := &w.Subtasks[i]
 		if _, dup := ids[st.Name]; dup {
 			return nil, fmt.Errorf("decode task graph: duplicate subtask name %q", st.Name)
+		}
+		if st.Name == "" {
+			anon = i
 		}
 		id := b.AddSubtask(st.Name, st.Cost)
 		if st.Release != 0 {
@@ -60,6 +69,13 @@ func (w *Wire) Build() (*Graph, error) {
 			b.Pin(id, *st.Pinned)
 		}
 		ids[st.Name] = id
+	}
+	if anon >= 0 {
+		var buf [24]byte
+		gen := strconv.AppendInt(append(buf[:0], 't'), int64(anon), 10)
+		if other, clash := ids[string(gen)]; clash {
+			return nil, fmt.Errorf("decode task graph: unnamed subtask %d gets the name %q, which subtask %d already has", anon, gen, other)
+		}
 	}
 	for _, a := range w.Arcs {
 		u, ok := ids[a.From]

@@ -20,6 +20,7 @@ func FuzzDecode(f *testing.F) {
 		`{"subtasks":[{"name":"a","cost":1e308},{"name":"b","cost":1,"endToEnd":1}],"arcs":[{"from":"b","to":"a","size":0}]}`,
 		` {"subtasks":[{"name":"\u00e9","cost":-0,"pinned":1e0}],"Arcs":null} x`,
 		`{"subtasks":[{"name":"a","cost":1,"cost":2}],"arcs":[]}`,
+		`{"subtasks":[{"name":"","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"t0","size":1}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -133,17 +133,24 @@ var (
 // builderArc records one Connect call: subtask u -> message m -> subtask v.
 // Finalize replays the list in insertion order to fill the CSR arrays, so
 // per-node adjacency order matches the historical append order exactly.
+// nameEnd is where the message's name ends in the builder's name arena.
 type builderArc struct {
 	u, v, m NodeID
+	nameEnd int
 }
 
 // Builder incrementally constructs a Graph. It is not safe for concurrent
 // use. After Finalize succeeds the builder must not be reused.
 type Builder struct {
-	g    Graph
-	arcs map[[2]NodeID]bool // duplicate-arc dedup, allocated on first Connect
+	g Graph
+	// arcs is the duplicate-arc set, keyed by arcKey and allocated on
+	// first Connect unless a hint sized it.
+	arcs map[uint64]struct{}
 	list []builderArc
-	err  error
+	// names holds every message name back to back; Finalize cuts them all
+	// from one string.
+	names []byte
+	err   error
 }
 
 // NewBuilder returns an empty Builder.
@@ -159,11 +166,30 @@ func NewBuilderHint(nodes int) *Builder {
 	if nodes < 0 {
 		nodes = 0
 	}
-	b := &Builder{}
-	b.g.nodes = make([]Node, 0, nodes)
 	// Roughly half the nodes of a typical graph are messages, one per arc.
-	b.list = make([]builderArc, 0, nodes/2+1)
+	return newBuilderSized(nodes-nodes/2, nodes/2+1)
+}
+
+// newBuilderSized returns an empty Builder presized for subtasks ordinary
+// subtasks and arcs arcs: the node list, the arc list, the duplicate-arc
+// set and the name arena then never grow while the graph is built.
+func newBuilderSized(subtasks, arcs int) *Builder {
+	b := &Builder{}
+	b.g.nodes = make([]Node, 0, subtasks+arcs)
+	b.list = make([]builderArc, 0, arcs)
+	b.arcs = make(map[uint64]struct{}, arcs)
+	// A name is "m<u>_<v>", and no ID has more digits than the node count.
+	digits := 1
+	for n := subtasks + arcs; n >= 10; n /= 10 {
+		digits++
+	}
+	b.names = make([]byte, 0, arcs*(2+2*digits))
 	return b
+}
+
+// arcKey packs the arc u -> v into one word for the duplicate-arc set.
+func arcKey(u, v NodeID) uint64 {
+	return uint64(u)<<32 | uint64(uint32(v))
 }
 
 // AddSubtask adds an ordinary subtask with the given name and worst-case
@@ -194,7 +220,7 @@ func (b *Builder) Connect(u, v NodeID, size float64) NodeID {
 			b.err = fmt.Errorf("connect %d -> %d: %w", u, v, ErrSelfArc)
 		case b.g.nodes[u].Kind != KindSubtask || b.g.nodes[v].Kind != KindSubtask:
 			b.err = fmt.Errorf("connect %d -> %d: %w", u, v, ErrNotSubtask)
-		case b.arcs[[2]NodeID{u, v}]:
+		case b.hasArc(u, v):
 			b.err = fmt.Errorf("connect %d -> %d: %w", u, v, ErrDupArc)
 		case size < 0:
 			b.err = fmt.Errorf("connect %d -> %d: size %v: %w", u, v, size, ErrNegativeCost)
@@ -204,15 +230,24 @@ func (b *Builder) Connect(u, v NodeID, size float64) NodeID {
 		return None
 	}
 	if b.arcs == nil {
-		b.arcs = make(map[[2]NodeID]bool)
+		b.arcs = make(map[uint64]struct{})
 	}
-	b.arcs[[2]NodeID{u, v}] = true
+	b.arcs[arcKey(u, v)] = struct{}{}
 
 	m := NodeID(len(b.g.nodes))
-	name := "m" + strconv.Itoa(int(u)) + "_" + strconv.Itoa(int(v))
-	b.g.nodes = append(b.g.nodes, Node{ID: m, Kind: KindMessage, Name: name, Size: size, Pinned: Unpinned})
-	b.list = append(b.list, builderArc{u: u, v: v, m: m})
+	b.names = append(b.names, 'm')
+	b.names = strconv.AppendInt(b.names, int64(u), 10)
+	b.names = append(b.names, '_')
+	b.names = strconv.AppendInt(b.names, int64(v), 10)
+	b.g.nodes = append(b.g.nodes, Node{ID: m, Kind: KindMessage, Size: size, Pinned: Unpinned})
+	b.list = append(b.list, builderArc{u: u, v: v, m: m, nameEnd: len(b.names)})
 	return m
+}
+
+// hasArc reports whether u -> v was already connected.
+func (b *Builder) hasArc(u, v NodeID) bool {
+	_, ok := b.arcs[arcKey(u, v)]
+	return ok
 }
 
 // SetRelease sets the application release time of subtask id. It is only
@@ -275,11 +310,24 @@ func (b *Builder) Finalize() (*Graph, error) {
 		return nil, ErrEmpty
 	}
 	g.buildCSR(b.list)
+	// All message names are cut from one string: one allocation.
+	names, start := string(b.names), 0
+	for _, a := range b.list {
+		g.nodes[a.m].Name = names[start:a.nameEnd]
+		start = a.nameEnd
+	}
 	topo, err := g.computeTopo()
 	if err != nil {
 		return nil, err
 	}
 	g.topo = topo
+	outputs := 0
+	for i := range g.nodes {
+		if g.kinds[i] == KindSubtask && g.OutDegree(NodeID(i)) == 0 {
+			outputs++
+		}
+	}
+	g.outputs = make([]NodeID, 0, outputs)
 	for i := range g.nodes {
 		if g.kinds[i] == KindSubtask && g.OutDegree(NodeID(i)) == 0 {
 			g.outputs = append(g.outputs, NodeID(i))
@@ -318,8 +366,8 @@ func (g *Graph) buildCSR(arcs []builderArc) {
 	edges := 2 * len(arcs)
 	g.succAdj = make([]NodeID, edges)
 	g.predAdj = make([]NodeID, edges)
-	sNext := make([]int32, n)
-	pNext := make([]int32, n)
+	cursors := make([]int32, 2*n)
+	sNext, pNext := cursors[:n], cursors[n:]
 	copy(sNext, g.succOff[:n])
 	copy(pNext, g.predOff[:n])
 	for _, a := range arcs {
@@ -466,21 +514,20 @@ func (g *Graph) computeTopo() ([]NodeID, error) {
 	for i := 0; i < n; i++ {
 		indeg[i] = g.predOff[i+1] - g.predOff[i]
 	}
-	queue := make([]NodeID, 0, n)
+	// order doubles as the BFS queue: nodes are appended when their last
+	// predecessor is visited and visited in append order.
+	order := make([]NodeID, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, NodeID(i))
+			order = append(order, NodeID(i))
 		}
 	}
-	order := make([]NodeID, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
+	for head := 0; head < len(order); head++ {
+		u := order[head]
 		for _, v := range g.succAdj[g.succOff[u]:g.succOff[u+1]] {
 			indeg[v]--
 			if indeg[v] == 0 {
-				queue = append(queue, v)
+				order = append(order, v)
 			}
 		}
 	}
