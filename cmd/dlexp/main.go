@@ -9,7 +9,7 @@
 //	dlexp -figure 2 -plot           # include ASCII charts
 //	dlexp -figure 2 -csv out/       # also write CSV files
 //	dlexp -verify -report R.md      # machine-check the paper's claims
-//	dlexp -stats -bench-json        # per-stage timings + BENCH_experiment.json
+//	dlexp -stats                    # per-stage timings and cache traffic
 //	dlexp -cpuprofile cpu.out -pprof localhost:6060
 //	dlexp -figure all -resume ck/   # checkpoint to ck/; re-run resumes there
 //	dlexp -validate 7               # spot-check schedules against invariants
@@ -82,9 +82,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		verify     = fs.Bool("verify", false, "evaluate the paper's claims against the reproduced tables")
 		reportPath = fs.String("report", "", "write a Markdown reproduction report to this file")
 		stats      = fs.Bool("stats", false, "print per-stage engine timings and fingerprint-cache traffic")
-		benchJSON  = fs.Bool("bench-json", false, "write an engine performance snapshot (see -bench-out)")
-		benchOut   = fs.String("bench-out", "BENCH_experiment.json", "path of the -bench-json snapshot")
-		benchScale = fs.Bool("bench-scaling", false, "include a worker-scaling section (figure 5 sweep at 1/2/4/8 workers) in the -bench-json snapshot")
 		crossCap   = fs.Int("cross-cap", 0, "cross-table assignment cache capacity in entries (0 = default 65536)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -161,15 +158,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	orc := experiment.NewOrchestrator(*workers)
 	defer orc.Close()
 	base.Orchestrator = orc
-	if *crossCap > 0 {
-		base.CrossCacheCap = *crossCap
-		orc.SetCrossCacheCap(*crossCap)
-	}
+	orc.SetCrossCacheCap(*crossCap)
 
 	// The ops endpoint and the progress line are fed by the same recorder
 	// as -stats, so asking for either turns recording on.
 	var rec *metrics.Recorder
-	if *stats || *benchJSON || *httpAddr != "" || *progEvery > 0 {
+	if *stats || *httpAddr != "" || *progEvery > 0 {
 		rec = metrics.New()
 		base.Metrics = rec
 	}
@@ -203,7 +197,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "ops server on http://%s (/metrics /progress /healthz /readyz)\n", srv.Addr())
 	}
 	reporter := obs.StartReporter(os.Stderr, *progEvery, prog, rec)
-	finish := func(wall time.Duration) error {
+	finish := func() error {
 		reporter.Stop()
 		if tr != nil {
 			if err := tr.Close(); err != nil {
@@ -223,35 +217,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if *stats {
 			fmt.Fprintf(out, "\n%s\n", snap.String())
 		}
-		if *benchJSON {
-			bench := metrics.NewBench("experiment", snap, wall)
-			if *benchScale {
-				if bench.WorkerScaling, err = measureScaling(ctx, base); err != nil {
-					return err
-				}
-			}
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteJSON(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "benchmark snapshot written to %s\n", *benchOut)
-		}
 		return prof.Stop()
 	}
 
 	if *verify {
-		start := time.Now()
 		if err := runVerify(ctx, base, out, *reportPath); err != nil {
 			return err
 		}
-		return finish(time.Since(start))
+		return finish()
 	}
 
 	keys, err := parseFigures(*figure)
@@ -322,7 +295,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "report written to %s\n", *reportPath)
 	}
-	if err := finish(time.Since(runStart)); err != nil {
+	if err := finish(); err != nil {
 		return err
 	}
 	if len(partialKeys) > 0 {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"deadlinedist/internal/experiment"
-	"deadlinedist/internal/metrics"
 )
 
 func TestParseSizesRange(t *testing.T) {
@@ -280,12 +279,9 @@ func TestRunVerifyMode(t *testing.T) {
 	}
 }
 
-func TestRunStatsAndBenchJSON(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "BENCH_experiment.json")
+func TestRunStats(t *testing.T) {
 	var buf bytes.Buffer
-	err := run(context.Background(), []string{"-figure", "2", "-graphs", "2", "-sizes", "2,4",
-		"-stats", "-bench-json", "-bench-out", benchPath}, &buf)
+	err := run(context.Background(), []string{"-figure", "2", "-graphs", "2", "-sizes", "2,4", "-stats"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,20 +290,6 @@ func TestRunStatsAndBenchJSON(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("-stats output missing %q", want)
 		}
-	}
-	data, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatalf("bench snapshot not written: %v", err)
-	}
-	var bench metrics.Bench
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("bench snapshot not valid JSON: %v", err)
-	}
-	if bench.Name != "experiment" || bench.Graphs == 0 || bench.GraphsPerSec <= 0 {
-		t.Errorf("bench snapshot incomplete: %+v", bench)
-	}
-	if bench.CacheHits+bench.CacheMisses == 0 {
-		t.Error("bench snapshot has no cache traffic")
 	}
 }
 

@@ -280,12 +280,6 @@ type Config struct {
 	// (default GOMAXPROCS). Ignored when Orchestrator is set — the shared
 	// pool's size governs instead.
 	Workers int
-	// CrossCacheCap overrides the orchestrator's cross-table assignment
-	// cache capacity (entries; default 2^16). Applied to Orchestrator when
-	// the run starts; since the cache is shared, the last run to set it
-	// wins. 0 keeps the current capacity. Only meaningful with
-	// Orchestrator set.
-	CrossCacheCap int
 	// Orchestrator, when non-nil, runs this sweep through the shared
 	// cross-table pool and caches: graph pipelines are submitted as jobs to
 	// the shared worker pool (so tables overlap instead of draining the
@@ -463,9 +457,6 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	}
 	if orc := cfg.Orchestrator; orc != nil {
 		cfg.Metrics.SetPoolWorkers(orc.Workers())
-		if cfg.CrossCacheCap > 0 {
-			orc.SetCrossCacheCap(cfg.CrossCacheCap)
-		}
 	} else {
 		cfg.Metrics.SetPoolWorkers(workers)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/obs"
+	"deadlinedist/internal/sfcache"
 )
 
 // This file is the failure model of the fault-tolerant run layer (DESIGN.md
@@ -99,10 +100,12 @@ func Transient(err error) error {
 	return &transientError{err: err}
 }
 
-// IsTransient reports whether err is (or wraps) a Transient error.
+// IsTransient reports whether err is (or wraps) a Transient error or
+// sfcache.ErrAbandoned: a cache waiter whose owner panicked or was
+// cancelled has no verdict yet, and a retry computes one.
 func IsTransient(err error) bool {
 	var t *transientError
-	return errors.As(err, &t)
+	return errors.As(err, &t) || errors.Is(err, sfcache.ErrAbandoned)
 }
 
 // retryable reports whether a failed attempt is worth re-running: panics,

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/maphash"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/scheduler"
+	"deadlinedist/internal/sfcache"
 	"deadlinedist/internal/taskgraph"
 )
 
@@ -43,16 +46,12 @@ import (
 // from the batch cache, so tables sharing a workload share the very same
 // graph values. Entries are only written for known fingerprints and for
 // assigners without a GraphTransformer (transformed graphs are per-size).
-// Entries are never invalidated — all inputs of an entry are immutable for
-// the orchestrator's lifetime.
+// Entries never go stale — all inputs of an entry are immutable for the
+// orchestrator's lifetime — and are dropped only by a capacity flush.
 //
-// Both caches are split into power-of-two shards, each with its own mutex
-// and singleflight slots, keyed by a seeded hash of the cache key. With a
-// multi-core pool every worker resolves its cache traffic against an
-// (almost always) different shard, so the steady state takes no contended
-// lock; the per-shard critical sections are map operations only. The
-// hit/miss/rejected/flush counters are process-wide atomics (plus the
-// per-run Recorder's own atomics), so stats reads never touch a shard lock.
+// Both caches are sfcache caches: bounded, sharded singleflight maps with
+// flush-and-readmit at capacity, where a failed owner releases its slot.
+// The per-run Recorder counts each run's share of their traffic.
 //
 // An Orchestrator is safe for concurrent use by any number of runs.
 type Orchestrator struct {
@@ -60,64 +59,22 @@ type Orchestrator struct {
 	wg      sync.WaitGroup
 	workers int
 
-	// seed keys the shard hash. Per-process random: shard placement is an
+	// seed keys the shard hashes. Per-process random: shard placement is an
 	// implementation detail and never observable in results.
 	seed maphash.Seed
 
-	// maxAssign caps the assignment cache across all shards
-	// (maxAssignEntries by default; SetCrossCacheCap overrides). Stored
-	// atomically so admission reads race-free against reconfiguration.
-	maxAssign atomic.Int64
-
-	batchShards  [cacheShards]batchShard
-	assignShards [cacheShards]assignShard
-
-	// Process-wide cache counters, independent of any run's Recorder.
-	batchHits     atomic.Int64
-	batchMisses   atomic.Int64
-	crossHits     atomic.Int64
-	crossMisses   atomic.Int64
-	crossRejected atomic.Int64
-	crossFlushes  atomic.Int64
+	batches *sfcache.Cache[generator.BatchID, []*taskgraph.Graph]
+	assigns *sfcache.Cache[assignKey, *core.Result]
 }
 
-// cacheShards is the shard count of both orchestrator caches. 16 shards
-// keep the worst-case collision probability low for pools up to a few dozen
-// workers (the birthday bound: 8 workers hitting 16 shards collide on ~1/4
-// of concurrent pairs) while keeping the per-shard cap meaningful for small
-// configured capacities. Must stay a power of two: shard selection masks
-// the key hash.
+// Cache capacities. A batch is a whole table's workload, and an invocation
+// uses a few dozen at most, so maxBatchEntries never refuses one. Beyond
+// maxAssignEntries, assignments are computed without being published until
+// the flush re-admits (a miss recomputes a bit-identical result).
 const (
-	cacheShardBits = 4
-	cacheShards    = 1 << cacheShardBits
+	maxBatchEntries  = 1 << 10
+	maxAssignEntries = 1 << 16
 )
-
-// batchShard is one batch-cache shard: a mutex-guarded singleflight map.
-// The trailing pad keeps adjacent shards' mutexes on different cache lines.
-type batchShard struct {
-	mu      sync.Mutex
-	entries map[generator.BatchID]*batchEntry
-	_       [40]byte
-}
-
-// assignShard is one assignment-cache shard. rejected counts publishes
-// refused since the shard's last flush; when it reaches the per-shard cap
-// the shard flushes and re-admits (see assignment).
-type assignShard struct {
-	mu       sync.Mutex
-	entries  map[assignKey]*assignEntry
-	rejected int
-	_        [32]byte
-}
-
-// maxAssignEntries bounds the assignment cache; beyond it, results are
-// computed without being published (correctness is unaffected — a miss
-// recomputes a bit-identical result). A saturated cache is not permanently
-// closed: once a full shard's worth of publishes has been refused, that
-// shard is flushed and admission resumes (see assignment), so a long-lived
-// process keeps caching its current working set instead of pinning the
-// first 2^16 results forever.
-const maxAssignEntries = 1 << 16
 
 // poolJob is one unit of pool work: a graph pipeline plus the recorder of
 // the run that submitted it (for occupancy accounting).
@@ -184,14 +141,6 @@ func newPoolWorker() *poolWorker {
 	return &poolWorker{id: int(workerIDs.Add(1)), scratch: sc, dist: core.NewScratch()}
 }
 
-// batchEntry is one singleflight batch-cache slot: the first claimant
-// generates, everyone else blocks on ready.
-type batchEntry struct {
-	ready  chan struct{}
-	graphs []*taskgraph.Graph
-	err    error
-}
-
 // assignKey addresses one cached assignment.
 type assignKey struct {
 	g     *taskgraph.Graph
@@ -199,13 +148,6 @@ type assignKey struct {
 	// fp is the fingerprint encoded as float bits (NaN-normalized), so the
 	// key equality matches equalFP.
 	fp string
-}
-
-// assignEntry is one singleflight assignment-cache slot.
-type assignEntry struct {
-	ready chan struct{}
-	res   *core.Result
-	err   error
 }
 
 // NewOrchestrator starts a shared pool of the given size (GOMAXPROCS when
@@ -220,13 +162,8 @@ func NewOrchestrator(workers int) *Orchestrator {
 		workers: workers,
 		seed:    maphash.MakeSeed(),
 	}
-	o.maxAssign.Store(maxAssignEntries)
-	for i := range o.batchShards {
-		o.batchShards[i].entries = make(map[generator.BatchID]*batchEntry)
-	}
-	for i := range o.assignShards {
-		o.assignShards[i].entries = make(map[assignKey]*assignEntry)
-	}
+	o.batches = sfcache.New[generator.BatchID, []*taskgraph.Graph](maxBatchEntries, o.hashBatch)
+	o.SetCrossCacheCap(maxAssignEntries)
 	for i := 0; i < workers; i++ {
 		o.wg.Add(1)
 		go o.worker()
@@ -238,75 +175,33 @@ func NewOrchestrator(workers int) *Orchestrator {
 // applied), so runs can record how much concurrency was actually available.
 func (o *Orchestrator) Workers() int { return o.workers }
 
-// SetCrossCacheCap overrides the total assignment-cache capacity (entries
-// across all shards; default maxAssignEntries = 2^16). It governs future
-// admissions only — existing entries are kept — so callers normally set it
-// once, right after construction. n <= 0 is ignored.
+// SetCrossCacheCap sets the total assignment-cache capacity (entries
+// across all shards; default maxAssignEntries = 2^16), emptying the cache.
+// Call it before the first run. n <= 0 is ignored.
 func (o *Orchestrator) SetCrossCacheCap(n int) {
 	if n > 0 {
-		o.maxAssign.Store(int64(n))
+		o.assigns = sfcache.New[assignKey, *core.Result](n, o.hashAssign)
 	}
 }
 
-// CrossCacheCap returns the current total assignment-cache capacity.
-func (o *Orchestrator) CrossCacheCap() int { return int(o.maxAssign.Load()) }
-
-// shardCap returns the per-shard assignment-cache capacity: the total cap
-// split evenly over the shards, with a floor of one entry so tiny test caps
-// still admit.
-func (o *Orchestrator) shardCap() int {
-	c := int(o.maxAssign.Load()) >> cacheShardBits
-	if c < 1 {
-		c = 1
-	}
-	return c
+// hashBatch picks a batch key's shard. Batch lookups happen once per run,
+// so formatting the key is cheap enough.
+func (o *Orchestrator) hashBatch(key generator.BatchID) uint64 {
+	return maphash.String(o.seed, fmt.Sprint(key))
 }
 
-// CacheStats is a point-in-time snapshot of the orchestrator's process-wide
-// cache counters, accumulated across every run that used it. All fields are
-// read from atomics; taking a snapshot never touches a shard lock.
-type CacheStats struct {
-	BatchHits     int64
-	BatchMisses   int64
-	CrossHits     int64
-	CrossMisses   int64
-	CrossRejected int64
-	CrossFlushes  int64
-}
-
-// CacheStats returns the orchestrator's cache counters.
-func (o *Orchestrator) CacheStats() CacheStats {
-	return CacheStats{
-		BatchHits:     o.batchHits.Load(),
-		BatchMisses:   o.batchMisses.Load(),
-		CrossHits:     o.crossHits.Load(),
-		CrossMisses:   o.crossMisses.Load(),
-		CrossRejected: o.crossRejected.Load(),
-		CrossFlushes:  o.crossFlushes.Load(),
-	}
-}
-
-// assignEntryCount returns the live assignment-cache entry count across all
-// shards. Test and debug seam; takes every shard lock.
-func (o *Orchestrator) assignEntryCount() int {
-	n := 0
-	for i := range o.assignShards {
-		s := &o.assignShards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// batchShardFor returns the shard owning a batch key.
-func (o *Orchestrator) batchShardFor(key generator.BatchID) *batchShard {
-	return &o.batchShards[maphash.Comparable(o.seed, key)&(cacheShards-1)]
-}
-
-// assignShardFor returns the shard owning an assignment key.
-func (o *Orchestrator) assignShardFor(key assignKey) *assignShard {
-	return &o.assignShards[maphash.Comparable(o.seed, key)&(cacheShards-1)]
+// hashAssign picks an assignment key's shard from the graph's address,
+// the label and the fingerprint bits. The address is stable: the key holds
+// the graph, and Go never moves a heap object.
+func (o *Orchestrator) hashAssign(key assignKey) uint64 {
+	var h maphash.Hash
+	h.SetSeed(o.seed)
+	var p [8]byte
+	binary.LittleEndian.PutUint64(p[:], uint64(reflect.ValueOf(key.g).Pointer()))
+	h.Write(p[:])
+	h.WriteString(key.label)
+	h.WriteString(key.fp)
+	return h.Sum64()
 }
 
 // Close shuts the pool down and waits for the workers to exit. No run may
@@ -362,157 +257,61 @@ func (o *Orchestrator) submit(j poolJob, cancel <-chan struct{}) bool {
 	}
 }
 
-// batch returns the cached batch for key, generating it via gen exactly once
-// per key (including failed generations — the error is deterministic).
+// batch returns the cached batch for key, generating it via gen once per
+// key among concurrent callers. A failed generation is not cached: it is
+// deterministic, so the next run regenerates it and fails the same way.
 // Waiters block with their run's context, so a cancelled run never hangs on
-// another run's generation; a panicking generator releases the slot instead
-// of stranding waiters on a never-closed ready channel.
+// another run's generation.
 func (o *Orchestrator) batch(ctx context.Context, key generator.BatchID, rec *metrics.Recorder,
 	gen func() ([]*taskgraph.Graph, error)) ([]*taskgraph.Graph, error) {
 
-	s := o.batchShardFor(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		o.batchHits.Add(1)
+	graphs, out, err := o.batches.Do(ctx, key, func(sfcache.Outcome) ([]*taskgraph.Graph, error) {
+		rec.BatchMiss()
+		return gen()
+	})
+	if out == sfcache.Hit {
 		rec.BatchHit()
-		select {
-		case <-e.ready:
-			return e.graphs, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
-	e := &batchEntry{ready: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
-	o.batchMisses.Add(1)
-	rec.BatchMiss()
-	settled := false
-	defer func() {
-		if settled {
-			return
-		}
-		s.mu.Lock()
-		delete(s.entries, key)
-		s.mu.Unlock()
-		e.err = Transient(errors.New("batch generation abandoned by a panicking owner"))
-		close(e.ready)
-	}()
-	e.graphs, e.err = gen()
-	settled = true
-	close(e.ready)
-	return e.graphs, e.err
+	return graphs, err
 }
 
 // assignment resolves one (graph, assigner, fingerprint) assignment through
 // the cross-table cache: a hit returns the shared Result; a miss computes it
 // (recording assign-stage time and search counters on rec) and publishes it
-// unless the owning shard is full. The second return reports whether the
+// unless the cache refuses it. The second return reports whether the
 // Result is shared cache storage — shared results must not be recycled by
 // the caller.
-//
-// Only successful assignments occupy cache entries. An Assign that errors
-// (or panics) releases its singleflight slot on the way out: the key is
-// deleted before ready is closed, so the slot is never pinned by a failure
-// and a later attempt — e.g. a retry of a transiently failing unit —
-// computes afresh instead of inheriting a stale error. Waiters block with
-// their own run's context, so one run's cancellation never strands another.
 func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys *platform.System,
 	asg Assigner, label string, fp []float64, rec *metrics.Recorder,
 	w *poolWorker) (*core.Result, bool, error) {
 
 	key := assignKey{g: gg, label: label, fp: fpBits(fp)}
-	s := o.assignShardFor(key)
-	shardCap := o.shardCap()
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
-		o.crossHits.Add(1)
-		rec.CrossHit()
-		select {
-		case <-e.ready:
-			return e.res, true, e.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+	res, out, err := o.assigns.Do(ctx, key, func(out sfcache.Outcome) (*core.Result, error) {
+		if out != sfcache.Miss {
+			rec.CrossRejected()
 		}
-	}
-	var e *assignEntry
-	if len(s.entries) < shardCap {
-		e = &assignEntry{ready: make(chan struct{})}
-		s.entries[key] = e
-	} else {
-		// At capacity: count the refused publish, and once an entire
-		// shard's worth has been refused, flush the shard and re-admit —
-		// the old generation has proven useless for the current working
-		// set, and a fresh map restores admission at the cost of bounded
-		// recomputation (misses recompute bit-identical results). In-flight
-		// owners keep their entry pointers, so waiters still settle; their
-		// deferred key-deletes hit the new map and are harmless no-ops.
-		s.rejected++
-		o.crossRejected.Add(1)
-		rec.CrossRejected()
-		if s.rejected >= shardCap {
-			s.entries = make(map[assignKey]*assignEntry)
-			s.rejected = 0
-			o.crossFlushes.Add(1)
+		if out == sfcache.Flushed {
 			rec.CrossFlush()
-			e = &assignEntry{ready: make(chan struct{})}
-			s.entries[key] = e
 		}
+		rec.CrossMiss()
+		t0 := rec.Start()
+		// Compute with the worker's pooled scratch but never its spare
+		// Result: a published Result is shared cache storage and must own
+		// fresh slices. The assigner gets the attempt context, so an
+		// abandoned (timed-out) slicing attempt aborts its DP at the next
+		// round boundary and releases its slot instead of publishing — a
+		// deadline-dead unit can never seed the shared caches.
+		res, err := asg.Assign(ctx, gg, sys, nil, w.dist)
+		rec.Done(metrics.StageAssign, t0)
+		if err == nil {
+			rec.AddSearch(SearchCounters(res.Search))
+		}
+		return res, err
+	})
+	if out == sfcache.Hit {
+		rec.CrossHit()
 	}
-	s.mu.Unlock()
-	o.crossMisses.Add(1)
-	rec.CrossMiss()
-	settled := false
-	var (
-		res *core.Result
-		err error
-	)
-	if e != nil {
-		defer func() {
-			if settled {
-				return
-			}
-			s.mu.Lock()
-			delete(s.entries, key)
-			s.mu.Unlock()
-			switch {
-			case err != nil && isCancellation(err):
-				// The owner's own deadline expired mid-DP; that is no verdict
-				// on the assignment itself, so waiters (whose contexts may be
-				// healthy) retry and recompute rather than inherit a foreign
-				// cancellation.
-				e.err = Transient(errors.New("assignment abandoned by a cancelled owner"))
-			case err != nil:
-				e.err = err
-			default:
-				// Reached only when the computation below panicked; make the
-				// waiters retry rather than fail their sweeps on our bug.
-				e.err = Transient(errors.New("assignment abandoned by a panicking owner"))
-			}
-			close(e.ready)
-		}()
-	}
-	t0 := rec.Start()
-	// Compute with the worker's pooled scratch but never its spare Result:
-	// a published Result is shared cache storage and must own fresh slices.
-	// The assigner gets the attempt context, so an abandoned (timed-out)
-	// slicing attempt aborts its DP at the next round boundary and the
-	// deferred release above unpins the slot instead of publishing — a
-	// deadline-dead unit can never seed the shared caches.
-	res, err = asg.Assign(ctx, gg, sys, nil, w.dist)
-	rec.Done(metrics.StageAssign, t0)
-	if err == nil {
-		rec.AddSearch(SearchCounters(res.Search))
-	}
-	if e == nil || err != nil {
-		return res, false, err // the deferred release unpins the slot on error
-	}
-	e.res, e.err = res, nil
-	settled = true
-	close(e.ready)
-	return res, true, nil
+	return res, err == nil && out != sfcache.Rejected, err
 }
 
 // Workbench is the exported view of one pool worker's scratch state,

@@ -264,3 +264,7 @@ func TestBatchParallelDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// assignEntryCount returns the live assignment-cache entry count, settled
+// or in flight.
+func (o *Orchestrator) assignEntryCount() int { return o.assigns.Len() }

@@ -7,9 +7,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"runtime"
@@ -656,108 +654,4 @@ func (s Snapshot) String() string {
 			sc.Iterations, sc.StartsExamined, sc.DPRuns, sc.CacheReuses, 100*sc.ReuseRate(), sc.DPRows, sc.DPCells)
 	}
 	return b.String()
-}
-
-// Bench is the BENCH_experiment.json schema: one engine run's performance
-// snapshot, comparable across commits. Graphs counts completed graph
-// pipelines (graph × assigner × size, i.e. measure-stage observations);
-// GraphsPerSec divides it by the run's wall time.
-type Bench struct {
-	Name            string         `json:"name"`
-	Graphs          int64          `json:"graphs"`
-	WallSeconds     float64        `json:"wallSeconds"`
-	GraphsPerSec    float64        `json:"graphsPerSec"`
-	CacheHits       int64          `json:"cacheHits"`
-	CacheMisses     int64          `json:"cacheMisses"`
-	CacheHitRate    float64        `json:"cacheHitRate"`
-	BatchHits       int64          `json:"batchHits,omitempty"`
-	BatchMisses     int64          `json:"batchMisses,omitempty"`
-	CrossHits       int64          `json:"crossHits,omitempty"`
-	CrossMisses     int64          `json:"crossMisses,omitempty"`
-	CrossHitRate    float64        `json:"crossHitRate,omitempty"`
-	CrossRejected   int64          `json:"crossRejected,omitempty"`
-	CrossFlushes    int64          `json:"crossFlushes,omitempty"`
-	Cpus            int            `json:"cpus"`
-	Gomaxprocs      int            `json:"gomaxprocs"`
-	PoolWorkers     int64          `json:"poolWorkers,omitempty"`
-	PoolJobs        int64          `json:"poolJobs,omitempty"`
-	PoolPeak        int64          `json:"poolPeak,omitempty"`
-	UnitPanics      int64          `json:"unitPanics,omitempty"`
-	UnitTimeouts    int64          `json:"unitTimeouts,omitempty"`
-	UnitRetries     int64          `json:"unitRetries,omitempty"`
-	JournalReplays  int64          `json:"journalReplays,omitempty"`
-	JournalComputes int64          `json:"journalComputes,omitempty"`
-	Search          SearchCounters `json:"search"`
-	// WorkerScaling, when present, records the same sweep re-run under
-	// different pool sizes (dlexp -bench-scaling): graphs/sec per worker
-	// count and the parallel efficiency relative to the 1-worker run. On a
-	// single-CPU host the points legitimately sit near 1× — Cpus and
-	// Gomaxprocs above say what hardware the snapshot was recorded on.
-	WorkerScaling []WorkerScalingPoint `json:"workerScaling,omitempty"`
-	Stages        []StageStats         `json:"stages"`
-}
-
-// WorkerScalingPoint is one pool size's measured throughput on a fixed
-// sweep (see Bench.WorkerScaling).
-type WorkerScalingPoint struct {
-	Workers      int     `json:"workers"`
-	Graphs       int64   `json:"graphs"`
-	WallSeconds  float64 `json:"wallSeconds"`
-	GraphsPerSec float64 `json:"graphsPerSec"`
-	// Speedup is GraphsPerSec relative to the 1-worker point; Efficiency
-	// is Speedup/Workers (1.0 = perfectly linear scaling).
-	Speedup    float64 `json:"speedup"`
-	Efficiency float64 `json:"efficiency"`
-	PoolPeak   int64   `json:"poolPeak,omitempty"`
-	// Oversubscribed marks points whose pool size exceeds the host's CPU
-	// count: their throughput measures scheduler time-slicing, not
-	// parallel speedup, and readers should not treat sub-linear
-	// efficiency there as a regression.
-	Oversubscribed bool `json:"oversubscribed,omitempty"`
-}
-
-// NewBench assembles a Bench from a snapshot and the run's wall time.
-func NewBench(name string, snap Snapshot, wall time.Duration) Bench {
-	b := Bench{
-		Name:            name,
-		WallSeconds:     wall.Seconds(),
-		CacheHits:       snap.CacheHits,
-		CacheMisses:     snap.CacheMisses,
-		CacheHitRate:    snap.CacheHitRate(),
-		BatchHits:       snap.BatchHits,
-		BatchMisses:     snap.BatchMisses,
-		CrossHits:       snap.CrossHits,
-		CrossMisses:     snap.CrossMisses,
-		CrossHitRate:    snap.CrossHitRate(),
-		CrossRejected:   snap.CrossRejected,
-		CrossFlushes:    snap.CrossFlushes,
-		Cpus:            snap.Cpus,
-		Gomaxprocs:      snap.Gomaxprocs,
-		PoolWorkers:     snap.PoolWorkers,
-		PoolJobs:        snap.PoolJobs,
-		PoolPeak:        snap.PoolPeak,
-		UnitPanics:      snap.UnitPanics,
-		UnitTimeouts:    snap.UnitTimeouts,
-		UnitRetries:     snap.UnitRetries,
-		JournalReplays:  snap.JournalReplays,
-		JournalComputes: snap.JournalComputes,
-		Search:          snap.Search,
-		Stages:          snap.Stages,
-	}
-	for _, st := range snap.Stages {
-		if st.Stage == StageMeasure.String() {
-			b.Graphs = st.Count
-		}
-	}
-	if b.WallSeconds > 0 {
-		b.GraphsPerSec = float64(b.Graphs) / b.WallSeconds
-	}
-	return b
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (b Bench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -157,48 +156,6 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestBenchJSON(t *testing.T) {
-	r := New()
-	for i := 0; i < 10; i++ {
-		r.Observe(StageMeasure, time.Microsecond)
-		r.Observe(StageAssign, 5*time.Microsecond)
-	}
-	r.CacheHit()
-	r.CacheMiss()
-	b := NewBench("experiment", r.Snapshot(), 2*time.Second)
-	if b.Graphs != 10 {
-		t.Errorf("Graphs = %d, want 10 (measure observations)", b.Graphs)
-	}
-	if b.GraphsPerSec != 5 {
-		t.Errorf("GraphsPerSec = %v, want 5", b.GraphsPerSec)
-	}
-	if b.CacheHitRate != 0.5 {
-		t.Errorf("CacheHitRate = %v, want 0.5", b.CacheHitRate)
-	}
-
-	var buf bytes.Buffer
-	if err := b.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Bench
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("round trip: %v\n%s", err, buf.String())
-	}
-	if back.Name != "experiment" || back.Graphs != 10 || back.WallSeconds != 2 {
-		t.Errorf("round trip mismatch: %+v", back)
-	}
-	if len(back.Stages) != int(NumStages) {
-		t.Errorf("round trip stages = %d, want %d", len(back.Stages), NumStages)
-	}
-}
-
-func TestBenchZeroWall(t *testing.T) {
-	b := NewBench("empty", Snapshot{}, 0)
-	if b.GraphsPerSec != 0 {
-		t.Errorf("GraphsPerSec = %v, want 0 for zero wall time", b.GraphsPerSec)
-	}
-}
-
 func TestSearchCounters(t *testing.T) {
 	r := New()
 	r.AddSearch(SearchCounters{Iterations: 3, StartsExamined: 40, DPRuns: 10, CacheReuses: 30, DPRows: 70, DPCells: 90})
@@ -230,20 +187,6 @@ func TestSearchCounters(t *testing.T) {
 	if nilRec.Snapshot().Search != (SearchCounters{}) {
 		t.Error("nil recorder accumulated search counters")
 	}
-
-	// Search counters survive the Bench JSON round trip.
-	b := NewBench("x", snap, time.Second)
-	var buf bytes.Buffer
-	if err := b.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Bench
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Search != want {
-		t.Errorf("round-trip Search = %+v, want %+v", back.Search, want)
-	}
 }
 
 func TestFaultToleranceCounters(t *testing.T) {
@@ -265,10 +208,6 @@ func TestFaultToleranceCounters(t *testing.T) {
 	}
 	if !strings.Contains(snap.String(), "fault tolerance: 2 panics recovered, 1 deadline timeouts, 3 retries, 1 faults injected") {
 		t.Errorf("fault-tolerance line missing:\n%s", snap.String())
-	}
-	bench := NewBench("t", snap, time.Second)
-	if bench.UnitPanics != 2 || bench.UnitTimeouts != 1 || bench.UnitRetries != 3 {
-		t.Errorf("bench counters = %d/%d/%d", bench.UnitPanics, bench.UnitTimeouts, bench.UnitRetries)
 	}
 }
 
@@ -359,10 +298,6 @@ func TestJournalCounters(t *testing.T) {
 	}
 	if !strings.Contains(snap.String(), "checkpoint journal: 2 units replayed, 1 computed") {
 		t.Errorf("journal line missing:\n%s", snap.String())
-	}
-	b := NewBench("t", snap, time.Second)
-	if b.JournalReplays != 2 || b.JournalComputes != 1 {
-		t.Errorf("bench journal counters = %d/%d, want 2/1", b.JournalReplays, b.JournalComputes)
 	}
 	var nilRec *Recorder
 	nilRec.JournalReplay()

@@ -15,9 +15,9 @@
 //   - graceful degradation (degrade.go): under sustained pressure the
 //     server walks a degrade ladder — full fidelity → cheapest metric →
 //     cache-only → shed — and recovers with hysteresis.
-//   - retry/backoff semantics (cache.go): responses are content-addressed
-//     by a sha256 request key, so a client retry of the same request is
-//     idempotent and returns a bit-identical body.
+//   - retry/backoff semantics (server.go): responses are content-addressed
+//     by a sha256 request key in an sfcache, so a client retry of the same
+//     request is idempotent and returns a bit-identical body.
 //   - lifecycle (server.go): /healthz and /readyz split liveness from
 //     readiness, SIGTERM drains gracefully (stop accepting, finish
 //     in-flight within their deadlines, flush the response journal), and

@@ -16,6 +16,7 @@ import (
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/rng"
+	"deadlinedist/internal/sfcache"
 	"deadlinedist/internal/taskgraph"
 )
 
@@ -127,8 +128,7 @@ func TestParseHitSkipsBuild(t *testing.T) {
 	if pr.graph == nil {
 		t.Fatal("miss did not build the graph")
 	}
-	e, _ := s.cache.begin(pr.key)
-	s.cache.settle(pr.key, e, []byte(`{}`), nil)
+	publish(s, pr.key)
 	if pr, perr = s.parse(req, TierFull); perr != nil {
 		t.Fatal(perr)
 	}
@@ -188,8 +188,7 @@ func TestParseAmbiguousNamesBuild(t *testing.T) {
 		}
 		for _, cached := range []bool{false, true} {
 			if cached {
-				e, _ := s.cache.begin(key)
-				s.cache.settle(key, e, []byte(`{}`), nil)
+				publish(s, key)
 			}
 			for _, bad := range tc.bad {
 				req := decode(bad)
@@ -371,8 +370,7 @@ func settleBody(tb testing.TB, s *Server, body []byte) {
 	if perr != nil {
 		tb.Fatal(perr)
 	}
-	e, _ := s.cache.begin(pr.key)
-	s.cache.settle(pr.key, e, []byte(`{}`), nil)
+	publish(s, pr.key)
 }
 
 // TestParseHitAllocs bounds the allocations of decoding and parsing a
@@ -439,4 +437,9 @@ func FuzzAssignRequest(f *testing.F) {
 		}
 		checkTaxonomy(t, rec.Code, rec.Body.Bytes())
 	})
+}
+
+// publish caches an empty body under key, as a computed response would.
+func publish(s *Server, key string) {
+	s.cache.Do(context.Background(), key, func(sfcache.Outcome) ([]byte, error) { return []byte(`{}`), nil })
 }

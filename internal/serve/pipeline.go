@@ -277,7 +277,7 @@ func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 		budget:   budget,
 		pinned:   pinned,
 	}
-	if _, hit := s.cache.peek(key); !hit || !distinctNames(&req.Graph) {
+	if _, hit := s.cache.Peek(key); !hit || !distinctNames(&req.Graph) {
 		if _, err := pr.graphOrBuild(); err != nil {
 			return nil, err
 		}
@@ -358,11 +358,11 @@ func faultIndex(key string) int {
 
 // compute runs the full pipeline for one parsed request on the shared
 // pool, under the engine's retry policy, and returns the marshalled
-// response body. It mirrors the sweep engine's unit runner: each attempt
+// response body or a classified *Error. It mirrors the sweep engine's unit runner: each attempt
 // gets a watchdog deadline (the tighter of the request budget and the
 // per-attempt timeout), injected faults and panics become typed errors,
 // and retryable failures re-run with deterministic jittered backoff.
-func (s *Server) compute(ctx context.Context, pr *parsedRequest, rs *reqState) ([]byte, *Error) {
+func (s *Server) compute(ctx context.Context, pr *parsedRequest, rs *reqState) ([]byte, error) {
 	if _, err := pr.graphOrBuild(); err != nil {
 		return nil, err
 	}

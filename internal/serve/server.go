@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"deadlinedist/internal/experiment"
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/obs"
+	"deadlinedist/internal/sfcache"
 )
 
 // Config parameterizes a Server. The zero value works: every field has a
@@ -87,6 +89,9 @@ func (c Config) withDefaults() Config {
 	if c.DrainSlack <= 0 {
 		c.DrainSlack = 500 * time.Millisecond
 	}
+	if c.CacheEntries <= 0 {
+		c.CacheEntries = 4096
+	}
 	return c
 }
 
@@ -99,7 +104,7 @@ type Server struct {
 	ownOrc bool
 	adm    *admission
 	ladder *Ladder
-	cache  *respCache
+	cache  *sfcache.Cache[string, []byte]
 	ready  *obs.Readiness
 	slo    *sloTracker
 	alog   *accessLogger
@@ -138,13 +143,15 @@ func New(cfg Config) *Server {
 		orc = experiment.NewOrchestrator(cfg.Workers)
 		own = true
 	}
+	seed := maphash.MakeSeed()
+	keyHash := func(key string) uint64 { return maphash.String(seed, key) }
 	s := &Server{
 		cfg:      cfg,
 		orc:      orc,
 		ownOrc:   own,
 		adm:      newAdmission(cfg.Admission, orc.Workers()),
 		ladder:   &Ladder{},
-		cache:    newRespCache(cfg.CacheEntries),
+		cache:    sfcache.New[string, []byte](cfg.CacheEntries, keyHash),
 		ready:    obs.NewReadiness(),
 		slo:      newSLOTracker(cfg.SLO, cfg.MaxBudget),
 		alog:     newAccessLogger(cfg.AccessLog),
@@ -387,7 +394,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	// miss sheds without queuing.
 	if rs.tier >= TierCacheOnly {
 		ct := rs.stageStart()
-		if body, ok := s.cache.peek(pr.key); ok {
+		if body, ok := s.cache.Peek(pr.key); ok {
 			rs.cacheTag = "hit"
 			rs.computeDur = rs.span(s.cfg.Trace, "cache", ct, 0, 0, obs.OutcomeOK, "hit", "")
 			s.writeBody(w, rs, body, true)
@@ -423,32 +430,31 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 
 	// Content-addressed singleflight: the first request for this key
 	// computes; identical concurrent requests wait and share the body.
-	e, owner := s.cache.begin(pr.key)
-	var body []byte
-	var cerr *Error
-	if owner {
+	// Only successful bodies are cached, so an injected fault or an
+	// expired budget never pins an error where a healthy retry would
+	// compute a real answer.
+	wt := rs.stageStart()
+	body, out, err := s.cache.Do(ctx, pr.key, func(sfcache.Outcome) ([]byte, error) {
 		rs.cacheTag = "miss"
-		cpt := rs.stageStart()
-		body, cerr = s.compute(ctx, pr, rs)
-		if !cpt.IsZero() {
-			rs.computeDur = time.Since(cpt)
+		body, err := s.compute(ctx, pr, rs)
+		if !wt.IsZero() {
+			rs.computeDur = time.Since(wt)
 		}
-		s.cache.settle(pr.key, e, body, cerr)
-	} else {
+		return body, err
+	})
+	if out == sfcache.Hit {
 		rs.cacheTag = "hit"
-		wt := rs.stageStart()
-		body, cerr = s.cache.wait(ctx, e)
 		oc := obs.OutcomeOK
-		if cerr != nil {
+		if err != nil {
 			oc = obs.OutcomeError
 		}
 		rs.computeDur = rs.span(s.cfg.Trace, "cache-wait", wt, 0, 0, oc, "hit", "")
 	}
-	if cerr != nil {
-		s.writeError(w, rs, cerr, 0)
+	if err != nil {
+		s.writeError(w, rs, Classify(err), 0)
 		return
 	}
-	s.writeBody(w, rs, body, rs.cacheTag == "hit")
+	s.writeBody(w, rs, body, out == sfcache.Hit)
 }
 
 // finish settles one request's accounting exactly once: the end-to-end
@@ -567,8 +573,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# TYPE dlserve_tier_transitions_total counter\ndlserve_tier_transitions_total %d\n", s.ladder.Transitions())
 	fmt.Fprintf(w, "# HELP dlserve_response_cache_total Content-addressed response cache traffic.\n")
 	fmt.Fprintf(w, "# TYPE dlserve_response_cache_total counter\n")
-	fmt.Fprintf(w, "dlserve_response_cache_total{event=\"hit\"} %d\n", s.cache.hits.Load())
-	fmt.Fprintf(w, "dlserve_response_cache_total{event=\"miss\"} %d\n", s.cache.misses.Load())
+	cs := s.cache.Stats()
+	fmt.Fprintf(w, "dlserve_response_cache_total{event=\"hit\"} %d\n", cs.Hits)
+	fmt.Fprintf(w, "dlserve_response_cache_total{event=\"miss\"} %d\n", cs.Misses)
 	fmt.Fprintf(w, "# HELP dlserve_retries_total Attempt retries within requests.\n")
 	fmt.Fprintf(w, "# TYPE dlserve_retries_total counter\ndlserve_retries_total %d\n", s.retries.Load())
 	obs.WriteSLOPrometheus(w, s.slo.snapshot())

@@ -14,6 +14,7 @@ import (
 
 	"deadlinedist/internal/experiment"
 	"deadlinedist/internal/metrics"
+	"deadlinedist/internal/sfcache"
 )
 
 // testGraphJSON returns a small three-stage pipeline graph; seed varies the
@@ -419,32 +420,30 @@ func TestDrainClosesSilentConnections(t *testing.T) {
 // TestResponseCacheFaultSlotRelease: a failed computation must release its
 // singleflight slot so the next identical request computes afresh.
 func TestResponseCacheFaultSlotRelease(t *testing.T) {
-	c := newRespCache(4)
-	e, owner := c.begin("k")
-	if !owner {
-		t.Fatal("first begin not owner")
+	s := New(Config{CacheEntries: 4})
+	defer s.orc.Close()
+	fail := func(sfcache.Outcome) ([]byte, error) { return nil, Errorf(ClassTransient, "injected") }
+	if _, out, err := s.cache.Do(context.Background(), "k", fail); out != sfcache.Miss || err == nil {
+		t.Fatalf("first call: outcome %v err %v, want an owner's failure", out, err)
 	}
-	c.settle("k", e, nil, Errorf(ClassTransient, "injected"))
-	if _, owner = c.begin("k"); !owner {
-		t.Fatal("slot pinned by failure: second begin not owner")
+	if _, out, _ := s.cache.Do(context.Background(), "k", fail); out != sfcache.Miss {
+		t.Fatal("slot pinned by failure: second call not owner")
 	}
 }
 
-// TestResponseCacheEviction: the cache holds at most cap settled bodies.
+// TestResponseCacheEviction: the cache holds at most CacheEntries settled
+// bodies, and a full cache re-admits new bodies.
 func TestResponseCacheEviction(t *testing.T) {
-	c := newRespCache(2)
-	for i := 0; i < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		e, _ := c.begin(k)
-		c.settle(k, e, []byte(k), nil)
-	}
-	if _, ok := c.peek("k0"); ok {
-		t.Error("k0 survived eviction at cap 2")
-	}
-	for _, k := range []string{"k1", "k2"} {
-		if _, ok := c.peek(k); !ok {
-			t.Errorf("%s evicted prematurely", k)
+	s := New(Config{CacheEntries: 2})
+	defer s.orc.Close()
+	for i := 0; i < 8; i++ {
+		publish(s, fmt.Sprintf("k%d", i))
+		if n := s.cache.Len(); n > 2 {
+			t.Fatalf("after %d bodies the cache holds %d, want at most 2", i+1, n)
 		}
+	}
+	if _, ok := s.cache.Peek("k7"); !ok {
+		t.Error("the newest body was not re-admitted into a full cache")
 	}
 }
 
