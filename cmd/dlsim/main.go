@@ -24,11 +24,11 @@ import (
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/experiment"
 	"deadlinedist/internal/metrics"
+	"deadlinedist/internal/obs"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/profiling"
 	"deadlinedist/internal/scheduler"
 	"deadlinedist/internal/taskgraph"
-	"deadlinedist/internal/trace"
 )
 
 func main() {
@@ -225,7 +225,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 			return err
 		}
 		defer tf.Close()
-		if err := trace.Write(tf, g, res, sched); err != nil {
+		if err := obs.WriteChrome(tf, scheduleEvents(g, res, sched)); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\ntrace written to %s\n", f.tracePath)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -276,17 +275,17 @@ type Config struct {
 	Network func(n int) (*channel.Network, error)
 	// Measure maps a run to the observed value (default MaxLateness).
 	Measure Measure
-	// Workers bounds the number of concurrent graph pipelines
-	// (default GOMAXPROCS). Ignored when Orchestrator is set — the shared
-	// pool's size governs instead.
+	// Workers sizes the run's own pool when Orchestrator is nil (default
+	// GOMAXPROCS). Ignored when Orchestrator is set — the shared pool's
+	// size governs instead.
 	Workers int
-	// Orchestrator, when non-nil, runs this sweep through the shared
-	// cross-table pool and caches: graph pipelines are submitted as jobs to
-	// the shared worker pool (so tables overlap instead of draining the
-	// pool at table boundaries), the workload batch is fetched from the
-	// content-addressed batch cache, and assignments with known
-	// fingerprints are reused across every table sharing the batch. Output
-	// is bit-for-bit identical to an unorchestrated run.
+	// Orchestrator is the pool and caches the run's graph pipelines go
+	// through. Shared across runs, it overlaps their tables instead of
+	// draining the pool at table boundaries, generates each workload batch
+	// once, and reuses assignments with known fingerprints across every
+	// table sharing the batch. Nil means the run starts an Orchestrator of
+	// its own with Workers workers and closes it before returning. Output
+	// is bit-for-bit identical either way.
 	Orchestrator *Orchestrator
 	// Structured, when non-nil, replaces the random generator with a
 	// structured shape (its Workload field is overwritten with Workload).
@@ -451,15 +450,6 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	if makeSys == nil {
 		makeSys = func(n int) (*platform.System, error) { return platform.New(n) }
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if orc := cfg.Orchestrator; orc != nil {
-		cfg.Metrics.SetPoolWorkers(orc.Workers())
-	} else {
-		cfg.Metrics.SetPoolWorkers(workers)
-	}
 
 	// rctx is the run's context: the caller's, tightened by the per-table
 	// budget when one is set.
@@ -472,10 +462,18 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	if err := rctx.Err(); err != nil {
 		return nil, err
 	}
+	orc := cfg.Orchestrator
+	owned := orc == nil
+	if owned {
+		orc = newOrchestrator(cfg.Workers, false)
+		defer orc.Close()
+		cfg.Orchestrator = orc
+	}
+	cfg.Metrics.SetPoolWorkers(orc.Workers())
 
 	gt0 := cfg.Trace.Now()
 	genStart := cfg.Metrics.Start()
-	graphs, batchShared, err := cfg.sharedBatch(rctx)
+	graphs, batchShared, err := cfg.sharedBatch(rctx, owned)
 	cfg.Metrics.Done(metrics.StageGenerate, genStart)
 	// Generation is batch-scoped, not cell-scoped: graph -1 by convention.
 	cfg.Trace.StageSpan(title, -1, 0, "generate", "", 0, 0, gt0, "")
@@ -540,7 +538,7 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 		nets:      nets,
 		assigners: assigners,
 		measure:   measure,
-		crossOK:   cfg.Orchestrator != nil && batchShared,
+		crossOK:   batchShared,
 		vals:      vals,
 		jkey:      jkey,
 		completed: prefilled,
@@ -588,59 +586,25 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 			fail(gi, err)
 		}
 	}
-	if orc := cfg.Orchestrator; orc != nil {
-		// Shared pool: one job per graph, interleaving with every other
-		// run feeding the same orchestrator. Each job writes disjoint
-		// (graph, size) slots, so aggregation below stays deterministic.
-		var jobWG sync.WaitGroup
-		for gi := 0; gi < cfg.Graphs && uctx.Err() == nil; gi++ {
-			if skip[gi] {
-				continue
-			}
-			gi := gi
-			jobWG.Add(1)
-			ok := orc.submit(poolJob{rec: cfg.Metrics, fn: func(box *workerBox) {
-				defer jobWG.Done()
-				runOne(gi, box)
-			}}, uctx.Done())
-			if !ok {
-				jobWG.Done()
-				break
-			}
+	// One job per graph, interleaving with every other run feeding the same
+	// orchestrator. Each job writes disjoint (graph, size) slots, so
+	// aggregation below stays deterministic.
+	var jobWG sync.WaitGroup
+	for gi := 0; gi < cfg.Graphs && uctx.Err() == nil; gi++ {
+		if skip[gi] {
+			continue
 		}
-		jobWG.Wait()
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One scheduler scratch per worker: queue, bookkeeping and
-				// schedule buffers are reused across every graph × assigner
-				// × size run this worker executes. The box indirection lets
-				// the unit runner swap in a fresh one after a panicking or
-				// abandoned attempt.
-				box := &workerBox{w: newPoolWorker()}
-				for gi := range jobs {
-					runOne(gi, box)
-				}
-			}()
+		jobWG.Add(1)
+		ok := orc.submit(poolJob{rec: cfg.Metrics, fn: func(box *workerBox) {
+			defer jobWG.Done()
+			runOne(gi, box)
+		}}, uctx.Done())
+		if !ok {
+			jobWG.Done()
+			break
 		}
-	feed:
-		for gi := 0; gi < cfg.Graphs; gi++ {
-			if skip[gi] {
-				continue
-			}
-			select {
-			case jobs <- gi:
-			case <-uctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
 	}
+	jobWG.Wait()
 	if env.jerr != nil {
 		return nil, fmt.Errorf("checkpoint journal: %w", env.jerr)
 	}
@@ -753,8 +717,8 @@ func (e *unitEnv) commit(gi int, out [][]float64) error {
 func (e *unitEnv) runUnit(ctx context.Context, gi int, box *workerBox) error {
 	rec := e.cfg.Metrics
 	tr := e.cfg.Trace
-	attempts := e.cfg.Retry.attempts()
-	seed := retrySeed(e.title, gi)
+	attempts := e.cfg.Retry.Attempts()
+	seed := RetrySeed(e.title, gi)
 	ref := &cellRef{}
 	var lastErr error
 	tried := 0
@@ -762,7 +726,7 @@ func (e *unitEnv) runUnit(ctx context.Context, gi int, box *workerBox) error {
 		if k > 1 {
 			rec.UnitRetry()
 			tr.Mark(e.title, gi, k, obs.OutcomeRetry, string(outcomeOf(lastErr)))
-			if err := sleepCtx(ctx, e.cfg.Retry.delay(k-1, seed)); err != nil {
+			if err := e.cfg.Retry.Backoff(ctx, k-1, seed); err != nil {
 				break
 			}
 		}
@@ -774,7 +738,7 @@ func (e *unitEnv) runUnit(ctx context.Context, gi int, box *workerBox) error {
 		out := box.w.outMatrix(len(e.assigners), len(e.cfg.Sizes))
 		tried = k
 		// The attempt's worker id and start time are captured up front: a
-		// timed-out or panicked attempt swaps box.w for a fresh worker, and
+		// abandoned or panicked attempt swaps box.w for a fresh worker, and
 		// the span must name the one that actually ran.
 		wid := box.w.id
 		ut0 := tr.Now()
@@ -797,72 +761,37 @@ func (e *unitEnv) runUnit(ctx context.Context, gi int, box *workerBox) error {
 	return &UnitError{Graph: gi, Label: label, Size: size, Attempts: tried, Err: lastErr}
 }
 
-// attemptUnit runs one attempt, under the per-unit deadline when one is
-// configured. A hung attempt is abandoned: its goroutine keeps the old
-// worker (which is why the box gets a fresh one) but can never publish
-// results, because the attempt's buffer is private and commit never runs.
+// attemptUnit runs one attempt on the box's boundary: inline, or detached
+// under the per-unit deadline when one is configured. A hung attempt is
+// abandoned and can never publish results, because the attempt's buffer is
+// private and commit never runs. Fault injection sits at the unit
+// boundary, before any cache interaction, so an injected fault can never
+// strand a singleflight slot it holds.
 func (e *unitEnv) attemptUnit(ctx context.Context, gi, attempt int, box *workerBox,
 	out [][]float64, ref *cellRef) error {
 
-	rec := e.cfg.Metrics
-	if e.cfg.UnitTimeout <= 0 {
-		err := e.attemptBody(ctx, gi, attempt, box.w, out, ref)
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			// The panicking attempt may have torn the worker's scratch
-			// mid-mutation; never hand it to another attempt.
-			box.w = newPoolWorker()
-		}
-		return err
+	actx := ctx
+	timed := e.cfg.UnitTimeout > 0
+	if timed {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, e.cfg.UnitTimeout)
+		defer cancel()
 	}
-	actx, cancel := context.WithTimeout(ctx, e.cfg.UnitTimeout)
-	defer cancel()
-	w := box.w
-	done := make(chan error, 1)
-	go func() { done <- e.attemptBody(actx, gi, attempt, w, out, ref) }()
-	var err error
-	select {
-	case err = <-done:
-	case <-actx.Done():
-		// The attempt did not exit on its own (a non-cooperative hang):
-		// abandon its goroutine and swap in a fresh worker, since the
-		// abandoned one still owns w.
-		err = actx.Err()
-		box.w = newPoolWorker()
-	}
-	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		rec.UnitTimedOut()
-		if box.w == w {
-			box.w = newPoolWorker()
+	err := box.run(actx, timed, func(w *poolWorker) error {
+		if err := e.cfg.Faults.Inject(actx, e.title, gi, attempt, e.cfg.Metrics, e.cfg.Trace); err != nil {
+			return err
 		}
+		return runGraph(actx, e.cfg, e.graphs[gi], e.systems, e.nets, e.assigners, e.measure, gi, out, w, e.crossOK, ref, e.title, attempt)
+	})
+	var pe *PanicError
+	switch {
+	case errors.As(err, &pe):
+		e.cfg.Metrics.UnitPanic()
+	case timed && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+		e.cfg.Metrics.UnitTimedOut()
 		return ErrUnitTimeout
 	}
-	var pe *PanicError
-	if errors.As(err, &pe) && box.w == w {
-		box.w = newPoolWorker()
-	}
 	return err
-}
-
-// attemptBody is the recover boundary: a panic anywhere in one cell —
-// including one injected by the chaos harness — becomes a *PanicError
-// instead of a process crash.
-func (e *unitEnv) attemptBody(ctx context.Context, gi, attempt int, w *poolWorker,
-	out [][]float64, ref *cellRef) (err error) {
-
-	defer func() {
-		if v := recover(); v != nil {
-			e.cfg.Metrics.UnitPanic()
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	// Fault injection sits at the unit boundary, before any cache
-	// interaction, so an injected fault can never strand a singleflight
-	// slot it holds.
-	if err := e.cfg.Faults.Inject(ctx, e.title, gi, attempt, e.cfg.Metrics, e.cfg.Trace); err != nil {
-		return err
-	}
-	return runGraph(ctx, e.cfg, e.graphs[gi], e.systems, e.nets, e.assigners, e.measure, gi, out, w, e.crossOK, ref, e.title, attempt)
 }
 
 // cellID names one (assigner, size) cell.
@@ -925,17 +854,18 @@ func (s spanner) stage(stage, label string, size int, t0 time.Time, cache string
 }
 
 // sharedBatch fetches the run's batch through the orchestrator's
-// content-addressed cache when possible (no orchestrator, or a Custom
-// generator with no content identity, falls back to direct generation). The
-// second return reports whether the graphs are shared cache values — only
-// shared graphs are valid cross-table assignment-cache keys.
-func (cfg Config) sharedBatch(ctx context.Context) ([]*taskgraph.Graph, bool, error) {
-	orc := cfg.Orchestrator
-	if orc == nil || cfg.Custom != nil {
+// content-addressed cache. A Custom generator has no content identity, and
+// a run-owned orchestrator has no caches (no other table could read them),
+// so both generate directly. The second return reports whether the graphs are
+// shared cache values — only shared graphs are valid cross-table
+// assignment-cache keys, so a run-owned orchestrator's assignments recycle
+// the worker's spare Result instead of publishing to a cache nobody reads.
+func (cfg Config) sharedBatch(ctx context.Context, owned bool) ([]*taskgraph.Graph, bool, error) {
+	if owned || cfg.Custom != nil {
 		graphs, err := cfg.batch()
 		return graphs, false, err
 	}
-	graphs, err := orc.batch(ctx, cfg.batchID(), cfg.Metrics, cfg.batch)
+	graphs, err := cfg.Orchestrator.batch(ctx, cfg.batchID(), cfg.Metrics, cfg.batch)
 	return graphs, true, err
 }
 
@@ -951,7 +881,7 @@ func (cfg Config) batchID() generator.BatchID {
 
 // runGraph runs one graph through every assigner and size, reusing the
 // distribution when its fingerprint is known and unchanged across sizes.
-// When crossOK is set (orchestrated run over a shared batch), per-run cache
+// When crossOK is set (a run over a shared batch), per-run cache
 // misses consult the orchestrator's cross-table assignment cache before
 // computing. All stage timers are gated on a non-nil recorder — with
 // metrics off, the steady state takes no clock readings.

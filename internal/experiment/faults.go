@@ -108,14 +108,25 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) || errors.Is(err, sfcache.ErrAbandoned)
 }
 
-// retryable reports whether a failed attempt is worth re-running: panics,
-// unit timeouts and transient errors are; domain errors are not.
+// retryable reports whether a failed sweep attempt is worth re-running:
+// panics, unit timeouts and transient errors are; domain errors are not.
+// The engine reports its own attempt deadline as ErrUnitTimeout, so a bare
+// context.DeadlineExceeded from a live run is the assigner's own deadline —
+// a domain error.
 func retryable(err error) bool {
 	if IsTransient(err) || errors.Is(err, ErrUnitTimeout) {
 		return true
 	}
 	var pe *PanicError
 	return errors.As(err, &pe)
+}
+
+// Retryable is retryable plus context.DeadlineExceeded: the predicate of a
+// caller whose attempt deadline reaches it unconverted, as the serving
+// layer's does. Its loop checks the request context first, so it never
+// retries an attempt whose whole budget has run out.
+func Retryable(err error) bool {
+	return retryable(err) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // PartialError reports a run that was stopped — by cancellation (SIGINT) or
@@ -162,7 +173,9 @@ type RetryPolicy struct {
 	Jitter float64
 }
 
-func (p RetryPolicy) attempts() int {
+// Attempts returns the total number of tries per unit, with the default
+// applied.
+func (p RetryPolicy) Attempts() int {
 	if p.MaxAttempts <= 0 {
 		return 3
 	}
@@ -199,21 +212,20 @@ func (p RetryPolicy) delay(k int, seed uint64) time.Duration {
 	return d - time.Duration(u*j*float64(d))
 }
 
-// Delay returns the jittered backoff before retry k (1-based) of the unit
-// keyed by seed — the exported form of the engine's own backoff schedule,
-// so the serving layer retries with the identical policy (and identical
-// determinism) as the sweep runtime. Seeds come from RetrySeed.
-func (p RetryPolicy) Delay(k int, seed uint64) time.Duration { return p.delay(k, seed) }
+// Backoff sleeps the jittered delay before retry k (1-based) of the unit
+// keyed by seed, or until ctx settles, returning ctx.Err() then. The sweep
+// engine and the serving layer both wait through it, so they retry with
+// the identical policy and determinism. Seeds come from RetrySeed.
+func (p RetryPolicy) Backoff(ctx context.Context, k int, seed uint64) error {
+	return sleepCtx(ctx, p.delay(k, seed))
+}
 
 // RetrySeed derives a deterministic per-unit jitter seed from a unit
-// identity: a table title and graph index for sweeps, a request-key prefix
-// and shard for the serving layer.
-func RetrySeed(title string, gi int) uint64 { return retrySeed(title, gi) }
-
-// retrySeed derives the per-unit jitter seed from the unit's identity (its
-// table title and graph index), so distinct units desynchronize while a
-// rerun of the same unit reproduces its exact backoff schedule.
-func retrySeed(title string, gi int) uint64 {
+// identity — a table title and graph index for sweeps, a fixed tag and a
+// request-key index for the serving layer — so distinct units
+// desynchronize while a rerun of the same unit reproduces its exact
+// backoff schedule.
+func RetrySeed(title string, gi int) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

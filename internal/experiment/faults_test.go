@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -229,6 +230,29 @@ func TestDomainErrorsAreNotRetried(t *testing.T) {
 	}
 	if ue.Label != "FAIL" || ue.Size != 2 {
 		t.Errorf("UnitError cell = (%q, %d), want (\"FAIL\", 2)", ue.Label, ue.Size)
+	}
+}
+
+// TestAssignerDeadlineIsNotRetried: an assigner returning
+// context.DeadlineExceeded from a deadline of its own, while the run's
+// context is alive, is not retried: only the engine's own UnitTimeout
+// (reported as ErrUnitTimeout) is. The serving layer's wider Retryable
+// predicate still covers the bare deadline its attempts see.
+func TestAssignerDeadlineIsNotRetried(t *testing.T) {
+	cfg := chaosCfg()
+	cfg.Graphs = 1
+	cfg.Sizes = []int{2}
+	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}
+	deadline := fmt.Errorf("solver: %w", context.DeadlineExceeded)
+	fa := &countingFailAssigner{err: deadline}
+	if _, err := cfg.Run("own-deadline", fa); err == nil {
+		t.Fatal("failing assigner succeeded")
+	}
+	if got := fa.calls.Load(); got != 1 {
+		t.Errorf("assigner deadline retried: %d Assign calls, want 1", got)
+	}
+	if retryable(deadline) || !Retryable(deadline) {
+		t.Errorf("retryable = %v, Retryable = %v; want false, true", retryable(deadline), Retryable(deadline))
 	}
 }
 

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -83,14 +82,54 @@ type poolJob struct {
 	fn  func(box *workerBox)
 }
 
-// workerBox is an indirection handle to one worker's scratch state. The
-// fault-tolerant unit runner swaps in a fresh poolWorker after a panicking
-// or abandoned (deadline-exceeded) attempt: the old one may be torn
-// mid-mutation, or still owned by a hung goroutine.
+// workerBox is an indirection handle to one worker's scratch state. Its
+// run method is the pool's one attempt boundary, and the only place a
+// worker is retired: after a panicking attempt, whose scratch may be torn
+// mid-mutation, or an abandoned one, whose goroutine still owns it.
 type workerBox struct{ w *poolWorker }
 
+// run is one attempt of fn on the box's worker, behind a recover boundary:
+// a panic becomes a *PanicError and the worker is replaced. Inline (not
+// detached), fn runs on the calling goroutine and its own error is
+// returned whatever ctx does. Detached, fn runs on a goroutine of its own,
+// and when ctx settles first run returns ctx.Err() at once and abandons
+// fn: its goroutine keeps the old worker, which is replaced, and its
+// result is dropped, so a hung computation can neither block the pool nor
+// publish.
+func (b *workerBox) run(ctx context.Context, detached bool, fn func(w *poolWorker) error) error {
+	w := b.w
+	var err error
+	if detached {
+		done := make(chan error, 1)
+		go func() { done <- guard(w, fn) }()
+		select {
+		case err = <-done:
+		case <-ctx.Done():
+			b.w = newPoolWorker()
+			return ctx.Err()
+		}
+	} else {
+		err = guard(w, fn)
+	}
+	// guard returns a recovered panic as a bare *PanicError.
+	if _, panicked := err.(*PanicError); panicked {
+		b.w = newPoolWorker()
+	}
+	return err
+}
+
+// guard calls fn on w, converting a panic into a *PanicError.
+func guard(w *poolWorker, fn func(w *poolWorker) error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(w)
+}
+
 // poolWorker is the per-goroutine scratch state of an engine worker: the
-// scheduler scratch (with schedule recycling on — the engine measures each
+// scheduler scratch (which recycles its schedules — the engine measures each
 // schedule before requesting the next from the same worker), the pooled
 // distributor working set, a spare Result available for recycling by
 // assigners that support it, and the result-matrix arena backing each unit
@@ -106,10 +145,10 @@ type poolWorker struct {
 	spare   *core.Result
 
 	// Result-matrix arena: outRows/outFlat are reused by outMatrix across
-	// unit attempts on this worker. Safe because an abandoned (panicked or
-	// deadline-exceeded) attempt causes the runner to swap in a fresh
-	// worker — the hung goroutine keeps the old arena, so buffers are never
-	// shared between a live attempt and an abandoned one.
+	// unit attempts on this worker. Safe because a panicked or abandoned
+	// attempt makes the box swap in a fresh worker — the hung goroutine
+	// keeps the old arena, so buffers are never shared between a live
+	// attempt and an abandoned one.
 	outRows [][]float64
 	outFlat []float64
 }
@@ -136,9 +175,7 @@ func (w *poolWorker) outMatrix(rows, cols int) [][]float64 {
 var workerIDs atomic.Int64
 
 func newPoolWorker() *poolWorker {
-	sc := scheduler.NewScratch()
-	sc.ReuseSchedules(true)
-	return &poolWorker{id: int(workerIDs.Add(1)), scratch: sc, dist: core.NewScratch()}
+	return &poolWorker{id: int(workerIDs.Add(1)), scratch: scheduler.NewScratch(), dist: core.NewScratch()}
 }
 
 // assignKey addresses one cached assignment.
@@ -153,7 +190,12 @@ type assignKey struct {
 // NewOrchestrator starts a shared pool of the given size (GOMAXPROCS when
 // workers <= 0). Callers must Close it exactly once, after every run using
 // it has returned.
-func NewOrchestrator(workers int) *Orchestrator {
+func NewOrchestrator(workers int) *Orchestrator { return newOrchestrator(workers, true) }
+
+// newOrchestrator starts the pool, with its batch and assignment caches
+// when caches is set. A run-owned orchestrator (Config.RunContext with a
+// nil Orchestrator) has none: no other table could read them.
+func newOrchestrator(workers int, caches bool) *Orchestrator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -162,8 +204,10 @@ func NewOrchestrator(workers int) *Orchestrator {
 		workers: workers,
 		seed:    maphash.MakeSeed(),
 	}
-	o.batches = sfcache.New[generator.BatchID, []*taskgraph.Graph](maxBatchEntries, o.hashBatch)
-	o.SetCrossCacheCap(maxAssignEntries)
+	if caches {
+		o.batches = sfcache.New[generator.BatchID, []*taskgraph.Graph](maxBatchEntries, o.hashBatch)
+		o.SetCrossCacheCap(maxAssignEntries)
+	}
 	for i := 0; i < workers; i++ {
 		o.wg.Add(1)
 		go o.worker()
@@ -221,20 +265,18 @@ func (o *Orchestrator) worker() {
 	}
 }
 
-// runJob is the pool's last-resort recover boundary: the engine converts
-// unit panics to errors itself, but a panic escaping a job anyway (a bug in
-// the run layer) must not kill the shared worker — that would shrink the
-// pool for every run and, once all workers died, deadlock every submitter
-// and Close. The job's own deferred bookkeeping (its WaitGroup slot) has
-// already run by the time the panic reaches here, so the submitting run
-// still drains.
+// runJob runs one job under the box's boundary as a last resort: the
+// engine and Do run their attempts behind it already, but a panic escaping
+// a job anyway (a bug in the run layer) must not kill the shared worker —
+// that would shrink the pool for every run and, once all workers died,
+// deadlock every submitter and Close. The job's own deferred bookkeeping
+// (its WaitGroup slot) has already run by the time the panic reaches here,
+// so the submitting run still drains.
 func runJob(j poolJob, box *workerBox) {
-	defer func() {
-		if recover() != nil {
-			box.w = newPoolWorker()
-		}
-	}()
-	j.fn(box)
+	box.run(context.Background(), false, func(*poolWorker) error {
+		j.fn(box)
+		return nil
+	})
 }
 
 // submit enqueues a job, or gives up when cancel is closed first (the
@@ -321,9 +363,9 @@ func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys 
 // one bounded pool and one set of arenas.
 type Workbench struct{ w *poolWorker }
 
-// Scheduler returns the worker's pooled scheduler scratch (schedule
-// recycling on: callers must consume each Schedule before the next Run on
-// the same Workbench).
+// Scheduler returns the worker's pooled scheduler scratch (it recycles its
+// schedules: callers must consume each Schedule before the next Run on the
+// same Workbench).
 func (wb *Workbench) Scheduler() *scheduler.Scratch { return wb.w.scratch }
 
 // Distributor returns the worker's pooled distribution working set.
@@ -333,14 +375,14 @@ func (wb *Workbench) Distributor() *core.Scratch { return wb.w.dist }
 func (wb *Workbench) Worker() int { return wb.w.id }
 
 // Do runs fn on one of the orchestrator's pool workers and returns its
-// error. It is the serving layer's unit of pool work, with the engine's
-// abandonment semantics (DESIGN.md §9):
+// error. It is the serving layer's unit of pool work, run detached on the
+// box's boundary with the engine's abandonment semantics (DESIGN.md §9):
 //
 //   - Do blocks until a worker picks the job up, or returns ctx.Err()
 //     without running fn when ctx settles first (the job is never
 //     enqueued after cancellation).
-//   - fn runs behind a recover boundary: a panic becomes a *PanicError
-//     and the torn worker is retired, never handed to another job.
+//   - a panic in fn becomes a *PanicError and the torn worker is retired,
+//     never handed to another job.
 //   - when ctx settles while fn is still running, Do returns ctx.Err()
 //     immediately and abandons fn's goroutine — it keeps the old worker
 //     (which is retired) and its return value is discarded, so a hung or
@@ -350,34 +392,7 @@ func (wb *Workbench) Worker() int { return wb.w.id }
 func (o *Orchestrator) Do(ctx context.Context, rec *metrics.Recorder, fn func(wb *Workbench) error) error {
 	res := make(chan error, 1)
 	ok := o.submit(poolJob{rec: rec, fn: func(box *workerBox) {
-		w := box.w
-		inner := make(chan error, 1)
-		go func() {
-			inner <- func() (err error) {
-				defer func() {
-					if v := recover(); v != nil {
-						err = &PanicError{Value: v, Stack: debug.Stack()}
-					}
-				}()
-				return fn(&Workbench{w: w})
-			}()
-		}()
-		var err error
-		select {
-		case err = <-inner:
-			var pe *PanicError
-			if errors.As(err, &pe) {
-				// The panicking fn may have torn the worker's scratch
-				// mid-mutation; never hand it to another job.
-				box.w = newPoolWorker()
-			}
-		case <-ctx.Done():
-			// Abandon: the goroutine still owns w, so the pool moves on
-			// with a fresh worker and the stale result is dropped.
-			err = ctx.Err()
-			box.w = newPoolWorker()
-		}
-		res <- err
+		res <- box.run(ctx, true, func(w *poolWorker) error { return fn(&Workbench{w: w}) })
 	}}, ctx.Done())
 	if !ok {
 		return ctx.Err()

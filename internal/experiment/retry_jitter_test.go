@@ -10,16 +10,16 @@ import (
 // bit-reproducible — and distinct units get distinct schedules.
 func TestRetryJitterDeterministic(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
-	seed := retrySeed("figure-5", 7)
+	seed := RetrySeed("figure-5", 7)
 	for k := 1; k <= 3; k++ {
 		if a, b := p.delay(k, seed), p.delay(k, seed); a != b {
 			t.Fatalf("delay(%d) not deterministic: %v vs %v", k, a, b)
 		}
 	}
-	if retrySeed("figure-5", 7) != seed {
-		t.Fatal("retrySeed not deterministic")
+	if RetrySeed("figure-5", 7) != seed {
+		t.Fatal("RetrySeed not deterministic")
 	}
-	if retrySeed("figure-5", 8) == seed || retrySeed("figure-6", 7) == seed {
+	if RetrySeed("figure-5", 8) == seed || RetrySeed("figure-6", 7) == seed {
 		t.Fatal("distinct units share a jitter seed")
 	}
 }
@@ -36,7 +36,7 @@ func TestRetryJitterBoundsAndSpread(t *testing.T) {
 	quarters := [4]int{}
 	distinct := map[time.Duration]bool{}
 	for gi := 0; gi < 1000; gi++ {
-		d := p.delay(k, retrySeed("spread", gi))
+		d := p.delay(k, RetrySeed("spread", gi))
 		if d <= full/2 || d > full {
 			t.Fatalf("unit %d: delay %v outside (%v, %v]", gi, d, full/2, full)
 		}
@@ -59,7 +59,7 @@ func TestRetryJitterBoundsAndSpread(t *testing.T) {
 // schedule exactly; the cap still bounds jittered delays; Jitter > 1
 // clamps to a full-range jitter that keeps delays positive.
 func TestRetryJitterModes(t *testing.T) {
-	seed := retrySeed("modes", 0)
+	seed := RetrySeed("modes", 0)
 	off := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 500 * time.Millisecond, Jitter: -1}
 	for k, want := range map[int]time.Duration{
 		1: 10 * time.Millisecond,
@@ -73,13 +73,13 @@ func TestRetryJitterModes(t *testing.T) {
 	}
 	capped := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 150 * time.Millisecond}
 	for gi := 0; gi < 100; gi++ {
-		if d := capped.delay(5, retrySeed("cap", gi)); d > 150*time.Millisecond {
+		if d := capped.delay(5, RetrySeed("cap", gi)); d > 150*time.Millisecond {
 			t.Fatalf("jittered delay %v exceeds the cap", d)
 		}
 	}
 	wide := RetryPolicy{BaseDelay: 8 * time.Millisecond, Jitter: 3}
 	for gi := 0; gi < 100; gi++ {
-		d := wide.delay(1, retrySeed("wide", gi))
+		d := wide.delay(1, RetrySeed("wide", gi))
 		if d <= 0 || d > 8*time.Millisecond {
 			t.Fatalf("clamped jitter: delay %v outside (0, 8ms]", d)
 		}

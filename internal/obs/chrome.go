@@ -7,13 +7,15 @@ import (
 	"strconv"
 )
 
-// chromeWriter streams Events as a Chrome trace-event JSON array (the
-// format of chrome://tracing and https://ui.perfetto.dev), following the
-// same conventions as internal/trace: complete ("X") slices for spans,
-// instant ("I") events for marks, metadata ("M") rows named lazily as
-// they first appear. The sweep renders as one process with one thread row
-// per pool worker, so a whole dlexp run reads like a CPU timeline: unit
-// spans on top, the stage spans they decompose into nested beneath.
+// chromeWriter streams a Chrome trace-event JSON array (the format of
+// chrome://tracing and https://ui.perfetto.dev). It is the one writer of
+// that format: the tracer renders Events through it — complete ("X")
+// slices for spans, instant ("I") events for marks, metadata ("M") rows
+// named lazily as they first appear — and WriteChrome streams a prepared
+// event list (dlsim's schedule export). The sweep renders as one process
+// with one thread row per pool worker, so a whole dlexp run reads like a
+// CPU timeline: unit spans on top, the stage spans they decompose into
+// nested beneath.
 type chromeWriter struct {
 	w       *bufio.Writer
 	wrote   bool         // at least one event written (controls separators)
@@ -21,8 +23,10 @@ type chromeWriter struct {
 	started bool
 }
 
-// chromeEvent mirrors internal/trace's event layout.
-type chromeEvent struct {
+// ChromeEvent is one trace event: Phase "X" is a complete slice of Dur
+// microseconds from TS, "I" an instant (Scope "t": thread-scoped), and
+// "M" a metadata event naming a process or thread row in Args["name"].
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	TS    float64        `json:"ts"` // microseconds
@@ -47,7 +51,19 @@ func newChromeWriter(w io.Writer) *chromeWriter {
 	return &chromeWriter{w: bufio.NewWriterSize(w, 64*1024), rows: map[int]bool{}}
 }
 
-func (c *chromeWriter) push(ev chromeEvent) error {
+// WriteChrome writes events, in order, as one Chrome trace-event JSON
+// array.
+func WriteChrome(w io.Writer, events []ChromeEvent) error {
+	c := newChromeWriter(w)
+	for _, ev := range events {
+		if err := c.push(ev); err != nil {
+			return err
+		}
+	}
+	return c.close()
+}
+
+func (c *chromeWriter) push(ev ChromeEvent) error {
 	if !c.started {
 		if _, err := c.w.WriteString("[\n"); err != nil {
 			return err
@@ -76,14 +92,14 @@ func (c *chromeWriter) row(tid int, name string) error {
 	}
 	c.rows[tid] = true
 	if len(c.rows) == 1 {
-		if err := c.push(chromeEvent{
+		if err := c.push(ChromeEvent{
 			Name: "process_name", Phase: "M", PID: chromePID,
 			Args: map[string]any{"name": "dlexp sweep"},
 		}); err != nil {
 			return err
 		}
 	}
-	return c.push(chromeEvent{
+	return c.push(ChromeEvent{
 		Name: "thread_name", Phase: "M", PID: chromePID, TID: tid,
 		Args: map[string]any{"name": name},
 	})
@@ -126,7 +142,7 @@ func (c *chromeWriter) emit(ev Event) error {
 				return c.instant(runRow, name, ev, args)
 			}
 		}
-		return c.push(chromeEvent{
+		return c.push(ChromeEvent{
 			Name: name, Phase: "X",
 			TS: float64(ev.TS) / 1e3, Dur: float64(ev.Dur) / 1e3,
 			PID: chromePID, TID: tid, Args: args,
@@ -168,12 +184,12 @@ func (c *chromeWriter) emit(ev Event) error {
 			args["tier"] = ev.Stage
 		}
 		if ev.Dur == 0 {
-			return c.push(chromeEvent{
+			return c.push(ChromeEvent{
 				Name: name, Phase: "I", TS: float64(ev.TS) / 1e3,
 				PID: chromePID, TID: tid, Scope: "t", Args: args,
 			})
 		}
-		return c.push(chromeEvent{
+		return c.push(ChromeEvent{
 			Name: name, Phase: "X",
 			TS: float64(ev.TS) / 1e3, Dur: float64(ev.Dur) / 1e3,
 			PID: chromePID, TID: tid, Args: args,
@@ -201,7 +217,7 @@ func (c *chromeWriter) instant(tid int, name string, ev Event, args map[string]a
 	if err := c.row(tid, "run"); err != nil {
 		return err
 	}
-	return c.push(chromeEvent{
+	return c.push(ChromeEvent{
 		Name: name, Phase: "I", TS: float64(ev.TS) / 1e3,
 		PID: chromePID, TID: tid, Scope: "t", Args: args,
 	})

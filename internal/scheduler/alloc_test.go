@@ -43,7 +43,6 @@ func TestSchedulerRunZeroAlloc(t *testing.T) {
 			}
 			r := res(sys)
 			sc := NewScratch()
-			sc.ReuseSchedules(true)
 			for warm := 0; warm < 2; warm++ {
 				if _, err := sc.Run(g, sys, r, cfg); err != nil {
 					t.Fatal(err)

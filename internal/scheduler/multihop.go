@@ -61,18 +61,12 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 	}
 	sc.buildMsgOrder(g, res)
 
-	var s *Schedule
-	var out *MultihopSchedule
-	if sc.reuse {
-		if sc.multihop == nil {
-			sc.multihop = &MultihopSchedule{Hops: make(map[taskgraph.NodeID][]Hop)}
-		}
-		out = sc.multihop
-		clear(out.Hops)
-	} else {
-		out = &MultihopSchedule{Hops: make(map[taskgraph.NodeID][]Hop)}
+	if sc.multihop == nil {
+		sc.multihop = &MultihopSchedule{Hops: make(map[taskgraph.NodeID][]Hop)}
 	}
-	s = sc.schedule(&sc.mhSched, n)
+	out := sc.multihop
+	clear(out.Hops)
+	s := sc.schedule(&sc.mhSched, n)
 	for i := range s.Proc {
 		s.Proc[i] = -1
 	}

@@ -8,9 +8,13 @@ import (
 // Scratch holds the reusable working buffers of the list scheduler. Batch
 // drivers (the experiment engine schedules graphs × assigners × sizes runs
 // per sweep) create one Scratch per worker goroutine and call its Run /
-// RunPreemptive / RunMultihop methods, amortizing all per-run queue and
-// bookkeeping allocations; only the returned Schedule is freshly allocated.
-// A Scratch is not safe for concurrent use.
+// RunPreemptive / RunMultihop methods, amortizing all per-run queue,
+// bookkeeping and schedule allocations. Each method returns the Scratch's
+// own Schedule (and MultihopSchedule) storage, valid until its next
+// scheduling call, so a caller consumes each schedule before requesting the
+// next; the package-level Run, RunPreemptive and RunMultihop use a fresh
+// Scratch and so return share-nothing schedules. A Scratch is not safe for
+// concurrent use.
 type Scratch struct {
 	keys     []float64
 	pending  []int
@@ -47,10 +51,9 @@ type Scratch struct {
 	// non-message nodes.
 	prod []taskgraph.NodeID
 
-	// Schedule recycling (ReuseSchedules). One slot per entry point; the
-	// preemptive slot is separate because RunPreemptive calls Run first
-	// and returns a second Schedule layered over the base placement.
-	reuse    bool
+	// Recycled schedules. One slot per entry point; the preemptive slot is
+	// separate because RunPreemptive calls Run first and returns a second
+	// Schedule layered over the base placement.
 	sched    *Schedule
 	preSched *Schedule
 	mhSched  *Schedule
@@ -60,26 +63,9 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// ReuseSchedules toggles schedule recycling: when on, Run / RunPreemptive /
-// RunMultihop return the same Schedule (and MultihopSchedule) storage on
-// every call instead of allocating fresh ones, and the returned schedule is
-// only valid until the Scratch's next scheduling call. Batch drivers that
-// consume each schedule before requesting the next one (measure, then
-// discard) enable this to make the scheduling stage allocation-free in
-// steady state. Off by default, preserving the share-nothing contract.
-func (sc *Scratch) ReuseSchedules(on bool) { sc.reuse = on }
-
 // schedule returns the Schedule to fill for an n-node run: the recycled
-// slot (reset to the fresh-allocation state) when reuse is on, a fresh
-// Schedule otherwise.
+// slot, reset to the fresh-allocation state.
 func (sc *Scratch) schedule(slot **Schedule, n int) *Schedule {
-	if !sc.reuse {
-		return &Schedule{
-			Start:  make([]float64, n),
-			Finish: make([]float64, n),
-			Proc:   make([]int, n),
-		}
-	}
 	if *slot == nil {
 		*slot = &Schedule{}
 	}

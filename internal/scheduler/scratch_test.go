@@ -55,14 +55,13 @@ func snapshot(s *Schedule) *Schedule {
 }
 
 // TestReuseSchedulesMatchesFresh runs every pipeline case through one
-// recycling Scratch and checks each schedule against a share-nothing run:
-// ReuseSchedules must be invisible in the output, across the plain,
-// contended-bus and preemptive entry points.
+// Scratch, which recycles its schedules, and checks each schedule against
+// a share-nothing run: recycling must be invisible in the output, across
+// the plain, contended-bus and preemptive entry points.
 func TestReuseSchedulesMatchesFresh(t *testing.T) {
 	cfg := Config{RespectRelease: true}
 	t.Run("plain", func(t *testing.T) {
 		sc := NewScratch()
-		sc.ReuseSchedules(true)
 		for i, c := range reuseCases(t) {
 			want, err := Run(c.g, c.sys, c.res, cfg)
 			if err != nil {
@@ -79,7 +78,6 @@ func TestReuseSchedulesMatchesFresh(t *testing.T) {
 	})
 	t.Run("contended-bus", func(t *testing.T) {
 		sc := NewScratch()
-		sc.ReuseSchedules(true)
 		for i, c := range reuseCases(t, platform.WithBusContention()) {
 			want, err := Run(c.g, c.sys, c.res, cfg)
 			if err != nil {
@@ -96,7 +94,6 @@ func TestReuseSchedulesMatchesFresh(t *testing.T) {
 	})
 	t.Run("preemptive", func(t *testing.T) {
 		sc := NewScratch()
-		sc.ReuseSchedules(true)
 		for i, c := range reuseCases(t) {
 			want, err := RunPreemptive(c.g, c.sys, c.res, cfg)
 			if err != nil {
@@ -119,7 +116,6 @@ func TestReuseSchedulesMatchesFresh(t *testing.T) {
 func TestReuseMultihopMatchesFresh(t *testing.T) {
 	cfg := Config{RespectRelease: true}
 	sc := NewScratch()
-	sc.ReuseSchedules(true)
 	for i, c := range reuseCases(t) {
 		net, err := channel.Ring(c.sys.NumProcs(), 1)
 		if err != nil {

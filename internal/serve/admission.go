@@ -94,20 +94,11 @@ func (a *admission) occupancy() float64 {
 	return float64(a.waiting.Load()) / float64(a.cfg.MaxQueue)
 }
 
-// admit runs both gates. On success the caller holds an inflight slot and
-// must release() it; on failure the returned taxonomy error carries the
+// acquireSlot is the second gate: the bounded accept queue. The handler
+// runs it after takeToken, spanning the quota decision and the queue wait
+// as separate request stages. On success the caller holds an inflight slot
+// and must release() it; on failure the returned taxonomy error carries the
 // class and retryAfter hints the client's backoff.
-func (a *admission) admit(ctx context.Context, tenant string) (release func(), retryAfter time.Duration, err *Error) {
-	if ra, ok := a.takeToken(tenant); !ok {
-		a.shedQuota.Add(1)
-		return nil, ra, Errorf(ClassOverload, "tenant "+tenant+" over quota")
-	}
-	return a.acquireSlot(ctx)
-}
-
-// acquireSlot is the second gate alone: the bounded accept queue. Split
-// from admit so the handler can span the quota decision and the queue
-// wait as separate request stages.
 func (a *admission) acquireSlot(ctx context.Context) (release func(), retryAfter time.Duration, err *Error) {
 	select {
 	case a.slots <- struct{}{}: // fast path: a slot is free

@@ -367,10 +367,7 @@ func (s *Server) compute(ctx context.Context, pr *parsedRequest, rs *reqState) (
 		return nil, err
 	}
 	gi := faultIndex(pr.key)
-	attempts := s.cfg.Retry.MaxAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
+	attempts := s.cfg.Retry.Attempts()
 	seed := experiment.RetrySeed(serveFaultTag, gi)
 	var lastErr error
 	for k := 1; k <= attempts; k++ {
@@ -378,7 +375,7 @@ func (s *Server) compute(ctx context.Context, pr *parsedRequest, rs *reqState) (
 			s.retries.Add(1)
 			rs.retries++
 			bt := rs.stageStart()
-			err := sleepCtx(ctx, s.cfg.Retry.Delay(k-1, seed))
+			err := s.cfg.Retry.Backoff(ctx, k-1, seed)
 			rs.span(s.cfg.Trace, "backoff", bt, k, 0, obs.OutcomeRetry, "", errDetail(lastErr))
 			if err != nil {
 				return nil, Classify(err)
@@ -389,7 +386,7 @@ func (s *Server) compute(ctx context.Context, pr *parsedRequest, rs *reqState) (
 			return body, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil || !retryableAttempt(err) {
+		if ctx.Err() != nil || !experiment.Retryable(err) {
 			break
 		}
 	}
@@ -402,16 +399,6 @@ func errDetail(err error) string {
 		return ""
 	}
 	return err.Error()
-}
-
-// retryableAttempt mirrors the engine's retry predicate: panics, attempt
-// timeouts (with a live request) and transient errors are worth re-running.
-func retryableAttempt(err error) bool {
-	if experiment.IsTransient(err) || errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var pe *experiment.PanicError
-	return errors.As(err, &pe)
 }
 
 // attempt is one try: one pool job computing assignment + schedulability
@@ -564,19 +551,4 @@ func renderResponse(pr *parsedRequest, res *core.Result, sched *scheduler.Schedu
 	body := make([]byte, len(b))
 	copy(body, b)
 	return body, nil
-}
-
-// sleepCtx sleeps for d or until ctx settles.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

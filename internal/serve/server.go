@@ -542,9 +542,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	}{s.slo.snapshot()})
 }
 
-// SLOSnapshot exposes the per-class SLO state (tests, embedding ops).
-func (s *Server) SLOSnapshot() []obs.SLOClass { return s.slo.snapshot() }
-
 // handleMetrics extends the repository's Prometheus exposition with the
 // serving families: active tier, request outcomes by class, shed and
 // cache counters.

@@ -192,18 +192,18 @@ func TestTenantQuota(t *testing.T) {
 // is rejected immediately with 429 instead of queueing without bound.
 func TestQueueBound(t *testing.T) {
 	adm := newAdmission(AdmissionConfig{MaxInflight: 1, MaxQueue: 1}, 1)
-	rel1, _, err1 := adm.admit(context.Background(), "")
+	rel1, _, err1 := adm.acquireSlot(context.Background())
 	if err1 != nil {
 		t.Fatal(err1)
 	}
 	defer rel1()
-	// Occupy the single queue slot with a second admit.
+	// Occupy the single queue slot with a second request.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	queued := make(chan struct{})
 	go func() {
 		close(queued)
-		if rel, _, err := adm.admit(ctx, ""); err == nil {
+		if rel, _, err := adm.acquireSlot(ctx); err == nil {
 			rel()
 		}
 	}()
@@ -212,8 +212,8 @@ func TestQueueBound(t *testing.T) {
 	for i := 0; adm.waiting.Load() == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := adm.admit(context.Background(), ""); err == nil || err.Class != ClassOverload {
-		t.Fatalf("third admit: %+v, want overload", err)
+	if _, _, err := adm.acquireSlot(context.Background()); err == nil || err.Class != ClassOverload {
+		t.Fatalf("third request: %+v, want overload", err)
 	}
 	if adm.shedQueue.Load() != 1 {
 		t.Errorf("shedQueue = %d, want 1", adm.shedQueue.Load())
@@ -227,8 +227,8 @@ func TestQueueBound(t *testing.T) {
 	for i := 0; adm.waiting.Load() != 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := adm.admit(bctx, ""); err == nil || err.Class != ClassTransient {
-		t.Fatalf("expired-in-queue admit: %+v, want transient", err)
+	if _, _, err := adm.acquireSlot(bctx); err == nil || err.Class != ClassTransient {
+		t.Fatalf("expired-in-queue request: %+v, want transient", err)
 	}
 }
 
