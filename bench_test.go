@@ -390,7 +390,7 @@ func BenchmarkAblationDispatch(b *testing.B) { benchFigure(b, experiment.Dispatc
 // fingerprint unknown, which forces a fresh Assign at every system size.
 type uncachedAssigner struct{ experiment.Assigner }
 
-func (u uncachedAssigner) Fingerprint(*Graph, *System) ([]float64, bool) {
+func (u uncachedAssigner) Fingerprint([]float64, *Graph, *System, *Scratch) ([]float64, bool) {
 	return nil, false
 }
 

@@ -12,7 +12,7 @@ import (
 // of the pooled distribution path: once a Scratch and a recycled Result have
 // warmed up on a graph/platform shape, further distributions allocate
 // nothing. This is what the template-cleared DP rows, bitset reachability
-// and Into-style estimator/coster scratch paths buy; any regression (a
+// and buffer-filling estimators and metrics buy; any regression (a
 // fresh slice on the hot path, an interface box, a map) shows up as a
 // nonzero allocation count.
 func TestDistributeScratchZeroAlloc(t *testing.T) {
@@ -24,7 +24,7 @@ func TestDistributeScratchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Metric{PURE(), NORM(), ADAPT(1.25)} {
+	for _, m := range []Metric{PURE(), NORM(), ADAPT(1.25), ADAPTAblation(1.25, false, true)} {
 		t.Run(m.Name(), func(t *testing.T) {
 			d := Distributor{Metric: m, Estimator: CCNE()}
 			sc := NewScratch()

@@ -104,6 +104,38 @@ func (d Distributor) DistributeScratchContext(ctx context.Context, g *taskgraph.
 	return d.distribute(ctx, g, sys, recycle, sc)
 }
 
+// CostVectors writes into dst the vectors through which the platform
+// determines d's distribution of g: the metric's virtual costs under the
+// estimator's message costs (Sections 5.4 and 7), followed by its window
+// costs when the metric is a WindowCoster. Two platforms with equal cost
+// vectors yield bit-identical distributions, so they serve as a cache
+// fingerprint. dst is resized to g.NumNodes() entries, or twice that, and
+// reallocated only when short; the estimate is kept in sc, which may be
+// nil.
+func (d Distributor) CostVectors(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *Scratch) []float64 {
+	if sc == nil {
+		sc = NewScratch()
+	}
+	dst, sc.st.estBuf = d.costVectors(dst, sc.st.estBuf, g, sys)
+	return dst
+}
+
+// costVectors is CostVectors with the estimate written into est.
+func (d Distributor) costVectors(dst, est []float64, g *taskgraph.Graph, sys *platform.System) ([]float64, []float64) {
+	est = d.Estimator.Estimate(est, g, sys)
+	n := g.NumNodes()
+	wc, split := d.Metric.(WindowCoster)
+	if !split {
+		return d.Metric.VirtualCosts(dst, g, sys, est), est
+	}
+	dst = resizeSlice(dst, 2*n)
+	// Capped halves: an implementation that reallocates instead of
+	// filling in place is copied back rather than overrunning the other.
+	copy(dst, d.Metric.VirtualCosts(dst[:n:n], g, sys, est))
+	copy(dst[n:], wc.WindowCosts(dst[n:2*n:2*n], g, sys, est))
+	return dst, est
+}
+
 func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *platform.System, recycle *Result, sc *Scratch) (*Result, error) {
 	if d.Metric == nil || d.Estimator == nil {
 		return nil, ErrNilStrategy
@@ -115,37 +147,6 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 	}
 
 	n := g.NumNodes()
-
-	// Cost vectors: with a Scratch, the stock estimators and metrics fill
-	// scratch-owned buffers (values identical to their allocating entry
-	// points); without one, or for external implementations, the public
-	// allocating methods run unchanged.
-	var est, vc, vcWin []float64
-	sin := sc != nil
-	estScratch := false
-	if ei, ok := d.Estimator.(estimatorInto); ok && sin {
-		sc.st.estBuf = ei.estimateInto(resizeSlice(sc.st.estBuf, n), g, sys)
-		est = sc.st.estBuf
-		estScratch = true
-	} else {
-		est = d.Estimator.Estimate(g, sys)
-	}
-	if mi, ok := d.Metric.(costerInto); ok && sin {
-		sc.st.vcBuf = mi.virtualCostsInto(resizeSlice(sc.st.vcBuf, n), g, sys, est)
-		vc = sc.st.vcBuf
-	} else {
-		vc = d.Metric.VirtualCosts(g, sys, est)
-	}
-	vcWin = vc
-	if wc, ok := d.Metric.(WindowCoster); ok {
-		if wi, ok := d.Metric.(windowCosterInto); ok && sin {
-			sc.st.vcWinBuf = wi.windowCostsInto(resizeSlice(sc.st.vcWinBuf, n), g, sys, est)
-			vcWin = sc.st.vcWinBuf
-		} else {
-			vcWin = wc.WindowCosts(g, sys, est)
-		}
-	}
-
 	res := recycle
 	if res == nil {
 		res = &Result{
@@ -167,12 +168,6 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 		clear(res.Windowed)
 		res.Search = SearchStats{}
 	}
-	if estScratch {
-		// est lives in the scratch, which outlives this Result: detach.
-		res.EstimatedComm = append(res.EstimatedComm[:0], est...)
-	} else {
-		res.EstimatedComm = est
-	}
 	res.Metric = d.Metric.Name()
 	res.Estimator = d.Estimator.Name()
 
@@ -180,7 +175,12 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 	if sc != nil {
 		st = &sc.st
 	}
-	st.g, st.sys, st.metric, st.vc, st.vcWin, st.res = g, sys, d.Metric, vc, vcWin, res
+	st.costs, res.EstimatedComm = d.costVectors(st.costs, res.EstimatedComm, g, sys)
+	st.vc, st.vcWin = st.costs[:n], st.costs[:n]
+	if len(st.costs) > n {
+		st.vcWin = st.costs[n:]
+	}
+	st.g, st.metric, st.res = g, d.Metric, res
 	st.prepare()
 
 	var done <-chan struct{}
@@ -258,7 +258,6 @@ type startCand struct {
 // distState is the per-distribution working set.
 type distState struct {
 	g      *taskgraph.Graph
-	sys    *platform.System
 	metric Metric
 	vc     []float64
 
@@ -343,12 +342,11 @@ type distState struct {
 	// ratio* constants); set by prepare from the metric's concrete type.
 	ratioKind int
 
-	// Scratch-owned cost vectors for the estimatorInto/costerInto fast
-	// paths (stock estimators and metrics fill these instead of
-	// allocating fresh slices per run).
-	estBuf   []float64
-	vcBuf    []float64
-	vcWinBuf []float64
+	// costs backs vc and vcWin (see CostVectors), and estBuf is the
+	// estimate CostVectors computes for a caller with no Result to keep
+	// it in.
+	costs  []float64
+	estBuf []float64
 
 	// cand memoizes per-start candidates across slicing iterations,
 	// indexed by NodeID.
@@ -494,7 +492,6 @@ func (st *distState) longestPathNodes() int {
 // memo and only ever pins one graph).
 func (st *distState) release() {
 	st.g = nil
-	st.sys = nil
 	st.metric = nil
 	st.vc, st.vcWin = nil, nil
 	st.res = nil

@@ -12,18 +12,11 @@ import (
 type CommEstimator interface {
 	// Name returns the paper's mnemonic (CCNE, CCAA, ...).
 	Name() string
-	// Estimate returns, indexed by NodeID, the estimated communication
-	// cost of every node; entries for ordinary subtasks are 0.
-	Estimate(g *taskgraph.Graph, sys *platform.System) []float64
-}
-
-// estimatorInto is an internal capability of the stock estimators: fill a
-// caller-provided slice (length g.NumNodes(), contents unspecified on
-// entry) instead of allocating a fresh one. Values are identical to
-// Estimate's; the distributor's scratch path uses it to stay
-// allocation-free in steady state.
-type estimatorInto interface {
-	estimateInto(dst []float64, g *taskgraph.Graph, sys *platform.System) []float64
+	// Estimate writes into dst, indexed by NodeID, the estimated
+	// communication cost of every node; entries for ordinary subtasks are
+	// 0. dst is resized to g.NumNodes() and reallocated only when short
+	// (a nil dst allocates); its contents on entry are ignored.
+	Estimate(dst []float64, g *taskgraph.Graph, sys *platform.System) []float64
 }
 
 // ccne assumes communication is never inter-processor.
@@ -38,11 +31,8 @@ var _ CommEstimator = ccne{}
 
 func (ccne) Name() string { return "CCNE" }
 
-func (ccne) Estimate(g *taskgraph.Graph, _ *platform.System) []float64 {
-	return make([]float64, g.NumNodes())
-}
-
-func (ccne) estimateInto(dst []float64, _ *taskgraph.Graph, _ *platform.System) []float64 {
+func (ccne) Estimate(dst []float64, g *taskgraph.Graph, _ *platform.System) []float64 {
+	dst = resizeSlice(dst, g.NumNodes())
 	clear(dst)
 	return dst
 }
@@ -60,12 +50,8 @@ var _ CommEstimator = ccaa{}
 
 func (ccaa) Name() string { return "CCAA" }
 
-func (ccaa) Estimate(g *taskgraph.Graph, sys *platform.System) []float64 {
-	return estimateScaled(g, sys, 1)
-}
-
-func (ccaa) estimateInto(dst []float64, g *taskgraph.Graph, sys *platform.System) []float64 {
-	return estimateScaledInto(dst, g, sys, 1)
+func (ccaa) Estimate(dst []float64, g *taskgraph.Graph, sys *platform.System) []float64 {
+	return perItem(dst, g, meanPairCost(sys))
 }
 
 // ccexp scales the always-assumed cost by the probability that two
@@ -82,14 +68,12 @@ var _ CommEstimator = ccexp{}
 
 func (ccexp) Name() string { return "CCEXP" }
 
-func (ccexp) Estimate(g *taskgraph.Graph, sys *platform.System) []float64 {
-	n := float64(sys.NumProcs())
-	return estimateScaled(g, sys, 1-1/n)
-}
-
-func (ccexp) estimateInto(dst []float64, g *taskgraph.Graph, sys *platform.System) []float64 {
-	n := float64(sys.NumProcs())
-	return estimateScaledInto(dst, g, sys, 1-1/n)
+func (ccexp) Estimate(dst []float64, g *taskgraph.Graph, sys *platform.System) []float64 {
+	scale := 1 - 1/float64(sys.NumProcs())
+	if scale == 0 {
+		return ccne{}.Estimate(dst, g, sys)
+	}
+	return perItem(dst, g, scale*meanPairCost(sys))
 }
 
 // RouteCoster abstracts the part of a multihop network the CCHOP strategy
@@ -117,20 +101,8 @@ var _ CommEstimator = cchop{}
 
 func (cchop) Name() string { return "CCHOP" }
 
-func (e cchop) Estimate(g *taskgraph.Graph, sys *platform.System) []float64 {
-	return e.estimateInto(make([]float64, g.NumNodes()), g, sys)
-}
-
-func (e cchop) estimateInto(est []float64, g *taskgraph.Graph, _ *platform.System) []float64 {
-	clear(est)
-	unit := e.net.MeanRouteCost()
-	kinds, costs := g.Kinds(), g.Costs()
-	for id, k := range kinds {
-		if k == taskgraph.KindMessage {
-			est[id] = unit * costs[id]
-		}
-	}
-	return est
+func (e cchop) Estimate(dst []float64, g *taskgraph.Graph, _ *platform.System) []float64 {
+	return perItem(dst, g, e.net.MeanRouteCost())
 }
 
 // ccKnown charges each message its exact cost under a known assignment.
@@ -153,11 +125,8 @@ var _ CommEstimator = ccKnown{}
 
 func (ccKnown) Name() string { return "CCKNOWN" }
 
-func (e ccKnown) Estimate(g *taskgraph.Graph, sys *platform.System) []float64 {
-	return e.estimateInto(make([]float64, g.NumNodes()), g, sys)
-}
-
-func (e ccKnown) estimateInto(est []float64, g *taskgraph.Graph, sys *platform.System) []float64 {
+func (e ccKnown) Estimate(est []float64, g *taskgraph.Graph, sys *platform.System) []float64 {
+	est = resizeSlice(est, g.NumNodes())
 	clear(est)
 	procOf := func(id taskgraph.NodeID) int {
 		if int(id) < len(e.assign) && e.assign[id] >= 0 {
@@ -183,25 +152,18 @@ func (e ccKnown) estimateInto(est []float64, g *taskgraph.Graph, sys *platform.S
 	return est
 }
 
-// estimateScaled charges every message scale × its mean cost over all
-// ordered distinct processor pairs.
-func estimateScaled(g *taskgraph.Graph, sys *platform.System, scale float64) []float64 {
-	return estimateScaledInto(make([]float64, g.NumNodes()), g, sys, scale)
-}
-
-func estimateScaledInto(est []float64, g *taskgraph.Graph, sys *platform.System, scale float64) []float64 {
-	clear(est)
-	if scale == 0 {
-		return est
-	}
-	unit := meanPairCost(sys)
+// perItem charges every message unit × its size (its cost field); other
+// nodes get 0.
+func perItem(dst []float64, g *taskgraph.Graph, unit float64) []float64 {
+	dst = resizeSlice(dst, g.NumNodes())
+	clear(dst)
 	kinds, costs := g.Kinds(), g.Costs()
 	for id, k := range kinds {
 		if k == taskgraph.KindMessage {
-			est[id] = scale * unit * costs[id]
+			dst[id] = unit * costs[id]
 		}
 	}
-	return est
+	return dst
 }
 
 // meanPairCost returns the mean cost of transferring one data item between

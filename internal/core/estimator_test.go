@@ -1,15 +1,19 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"deadlinedist/internal/generator"
 	"deadlinedist/internal/platform"
+	"deadlinedist/internal/rng"
 	"deadlinedist/internal/taskgraph"
 )
 
 func TestCCNEAllZero(t *testing.T) {
 	g := threeChain(t)
-	est := CCNE().Estimate(g, sys(t, 8))
+	est := CCNE().Estimate(nil, g, sys(t, 8))
 	for id, v := range est {
 		if v != 0 {
 			t.Errorf("CCNE est[%d] = %v, want 0", id, v)
@@ -19,7 +23,7 @@ func TestCCNEAllZero(t *testing.T) {
 
 func TestCCAASharedBus(t *testing.T) {
 	g := threeChain(t)
-	est := CCAA().Estimate(g, sys(t, 8))
+	est := CCAA().Estimate(nil, g, sys(t, 8))
 	for _, n := range g.Nodes() {
 		want := 0.0
 		if n.Kind == taskgraph.KindMessage {
@@ -33,7 +37,7 @@ func TestCCAASharedBus(t *testing.T) {
 
 func TestCCAASingleProcessor(t *testing.T) {
 	g := threeChain(t)
-	est := CCAA().Estimate(g, sys(t, 1))
+	est := CCAA().Estimate(nil, g, sys(t, 1))
 	for id, v := range est {
 		if v != 0 {
 			t.Errorf("CCAA on 1 proc: est[%d] = %v, want 0", id, v)
@@ -44,7 +48,7 @@ func TestCCAASingleProcessor(t *testing.T) {
 func TestCCAARingUsesMeanPairCost(t *testing.T) {
 	g := threeChain(t)
 	s := sys(t, 4, platform.WithTopology(platform.Ring{NumProcs: 4, PerItemCost: 1}))
-	est := CCAA().Estimate(g, s)
+	est := CCAA().Estimate(nil, g, s)
 	// Ring of 4: ordered pair distances sum to 16 over 12 pairs -> 4/3.
 	for _, n := range g.Nodes() {
 		if n.Kind != taskgraph.KindMessage {
@@ -61,7 +65,7 @@ func TestCCEXPInterpolates(t *testing.T) {
 	g := threeChain(t)
 	for _, n := range []int{2, 4, 16} {
 		s := sys(t, n)
-		est := CCEXP().Estimate(g, s)
+		est := CCEXP().Estimate(nil, g, s)
 		scale := 1 - 1/float64(n)
 		for _, node := range g.Nodes() {
 			if node.Kind != taskgraph.KindMessage {
@@ -77,8 +81,8 @@ func TestCCEXPInterpolates(t *testing.T) {
 func TestCCEXPBelowCCAA(t *testing.T) {
 	g := threeChain(t)
 	s := sys(t, 4)
-	aa := CCAA().Estimate(g, s)
-	ex := CCEXP().Estimate(g, s)
+	aa := CCAA().Estimate(nil, g, s)
+	ex := CCEXP().Estimate(nil, g, s)
 	for _, n := range g.Nodes() {
 		if n.Kind != taskgraph.KindMessage {
 			continue
@@ -112,7 +116,7 @@ func TestCCKnownExplicitAssignment(t *testing.T) {
 	assign[a] = 0
 	assign[b] = 0
 	assign[c] = 2
-	est := CCKnown(assign).Estimate(g, s)
+	est := CCKnown(assign).Estimate(nil, g, s)
 	var m1, m2 taskgraph.NodeID
 	for _, n := range g.Nodes() {
 		if n.Kind != taskgraph.KindMessage {
@@ -144,7 +148,7 @@ func TestCCKnownFallsBackToPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := CCKnown(nil).Estimate(g, sys(t, 2))
+	est := CCKnown(nil).Estimate(nil, g, sys(t, 2))
 	for _, n := range g.Nodes() {
 		if n.Kind == taskgraph.KindMessage && !approx(est[n.ID], 8) {
 			t.Errorf("pinned-endpoints message est = %v, want 8", est[n.ID])
@@ -155,8 +159,8 @@ func TestCCKnownFallsBackToPins(t *testing.T) {
 func TestCCKnownUnknownEndpointBehavesLikeCCAA(t *testing.T) {
 	g := threeChain(t) // nothing pinned, nil assignment
 	s := sys(t, 4)
-	known := CCKnown(nil).Estimate(g, s)
-	aa := CCAA().Estimate(g, s)
+	known := CCKnown(nil).Estimate(nil, g, s)
+	aa := CCAA().Estimate(nil, g, s)
 	for id := range known {
 		if !approx(known[id], aa[id]) {
 			t.Errorf("est[%d] = %v, want CCAA's %v", id, known[id], aa[id])
@@ -169,9 +173,9 @@ func TestCCKnownCopiesAssignment(t *testing.T) {
 	s := sys(t, 2)
 	assign := make([]int, g.NumNodes())
 	e := CCKnown(assign)
-	before := e.Estimate(g, s)
+	before := e.Estimate(nil, g, s)
 	assign[2] = 1 // mutate caller's slice after construction
-	after := e.Estimate(g, s)
+	after := e.Estimate(nil, g, s)
 	for id := range before {
 		if before[id] != after[id] {
 			t.Fatal("CCKnown did not copy the assignment")
@@ -194,7 +198,7 @@ func TestCCHOP(t *testing.T) {
 	g := threeChain(t)
 	s := sys(t, 4)
 	// A coster with mean route cost 2 doubles every message estimate.
-	est := CCHOP(fixedCoster(2)).Estimate(g, s)
+	est := CCHOP(fixedCoster(2)).Estimate(nil, g, s)
 	for _, n := range g.Nodes() {
 		want := 0.0
 		if n.Kind == taskgraph.KindMessage {
@@ -212,3 +216,70 @@ func TestCCHOP(t *testing.T) {
 type fixedCoster float64
 
 func (f fixedCoster) MeanRouteCost() float64 { return float64(f) }
+
+// checkBufferContract fails unless fill, given a nil dst and then a
+// longer NaN-filled dst that it must fill in place (twice, reusing the
+// returned buffer), returns bit-identical vectors of length n.
+func checkBufferContract(t *testing.T, n int, fill func(dst []float64) []float64) {
+	t.Helper()
+	want := fill(nil)
+	if len(want) != n {
+		t.Fatalf("nil dst: len %d, want %d", len(want), n)
+	}
+	dst := make([]float64, n+7)
+	for round := 0; round < 2; round++ {
+		dst = dst[:cap(dst)]
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		got := fill(dst)
+		if len(got) != n {
+			t.Fatalf("round %d: len %d, want %d", round, len(got), n)
+		}
+		if &got[0] != &dst[0] {
+			t.Fatalf("round %d: reallocated a dst with room for %d entries", round, n)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d: [%d] = %v, want %v (nil dst)", round, i, got[i], want[i])
+			}
+		}
+		dst = got
+	}
+}
+
+// contractGraph is a generated graph with messages of several sizes, so
+// every estimator and metric fills nonzero entries of both node kinds.
+func contractGraph(t *testing.T) *taskgraph.Graph {
+	t.Helper()
+	g, err := generator.Random(generator.Default(generator.MDET), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestEstimatorBufferContract: every stock estimator gives the same bits
+// into a nil dst as into a longer, NaN-filled, reused one, on a bus, a
+// ring and a single processor.
+func TestEstimatorBufferContract(t *testing.T) {
+	g := contractGraph(t)
+	half := make([]int, g.NumNodes()/2)
+	for i := range half {
+		half[i] = i % 3
+	}
+	systems := []*platform.System{
+		sys(t, 1),
+		sys(t, 4),
+		sys(t, 5, platform.WithTopology(platform.Ring{NumProcs: 5, PerItemCost: 1})),
+	}
+	for _, e := range []CommEstimator{CCNE(), CCAA(), CCEXP(), CCHOP(fixedCoster(1.5)), CCKnown(half)} {
+		for _, s := range systems {
+			t.Run(fmt.Sprintf("%s/%d", e.Name(), s.NumProcs()), func(t *testing.T) {
+				checkBufferContract(t, g.NumNodes(), func(dst []float64) []float64 {
+					return e.Estimate(dst, g, s)
+				})
+			})
+		}
+	}
+}

@@ -30,12 +30,15 @@ type Metric interface {
 	// Name returns the paper's mnemonic for the metric.
 	Name() string
 
-	// VirtualCosts returns the virtual execution cost c'_i of every node.
-	// Ordinary subtasks get their (possibly inflated) execution time;
-	// communication subtasks get their estimated communication cost
-	// estComm[id]. A node with virtual cost 0 is negligible: it receives a
-	// zero-width window and does not count toward the path's node count.
-	VirtualCosts(g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64
+	// VirtualCosts writes into dst the virtual execution cost c'_i of
+	// every node. Ordinary subtasks get their (possibly inflated)
+	// execution time; communication subtasks get their estimated
+	// communication cost estComm[id]. A node with virtual cost 0 is
+	// negligible: it receives a zero-width window and does not count
+	// toward the path's node count. dst is resized to g.NumNodes() and
+	// reallocated only when short (a nil dst allocates); its contents on
+	// entry are ignored.
+	VirtualCosts(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64
 
 	// Ratio returns the laxity ratio R of a path with end-to-end deadline
 	// d, accumulated virtual cost sumC and n windowed nodes. Lower values
@@ -55,41 +58,26 @@ type Metric interface {
 // it (used by the AST ingredient ablation). When absent, the same virtual
 // costs drive both.
 type WindowCoster interface {
-	// WindowCosts returns the per-node costs used for window sizing.
-	WindowCosts(g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64
+	// WindowCosts writes into dst the per-node costs used for window
+	// sizing, under VirtualCosts' buffer contract.
+	WindowCosts(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64
 }
 
-// costerInto / windowCosterInto are internal capabilities of the stock
-// metrics: fill a caller-provided slice (length g.NumNodes(), contents
-// unspecified on entry) with the same values VirtualCosts/WindowCosts
-// would allocate. The distributor's scratch path uses them to stay
-// allocation-free in steady state.
-type costerInto interface {
-	virtualCostsInto(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64
-}
-
-type windowCosterInto interface {
-	windowCostsInto(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64
-}
-
-// subtaskCosts copies real execution times for subtasks and estimated
-// communication costs for messages. It runs per (graph, size) cell in both
-// the fingerprint and assignment stages, so it reads the graph's flat
-// kind/cost views instead of materializing a Node-slice copy.
-func subtaskCosts(g *taskgraph.Graph, estComm []float64) []float64 {
-	return subtaskCostsInto(make([]float64, g.NumNodes()), g, estComm)
-}
-
-func subtaskCostsInto(vc []float64, g *taskgraph.Graph, estComm []float64) []float64 {
+// subtaskCosts writes real execution times for subtasks and estimated
+// communication costs for messages into dst. It runs per (graph, size)
+// cell in both the fingerprint and assignment stages, so it reads the
+// graph's flat kind/cost views instead of materializing a Node-slice copy.
+func subtaskCosts(dst []float64, g *taskgraph.Graph, estComm []float64) []float64 {
+	dst = resizeSlice(dst, g.NumNodes())
 	kinds, costs := g.Kinds(), g.Costs()
 	for id, k := range kinds {
 		if k == taskgraph.KindSubtask {
-			vc[id] = costs[id]
+			dst[id] = costs[id]
 		} else {
-			vc[id] = estComm[id]
+			dst[id] = estComm[id]
 		}
 	}
-	return vc
+	return dst
 }
 
 // normMetric is the BST normalized laxity ratio: slack is assigned in
@@ -104,12 +92,8 @@ var _ Metric = normMetric{}
 
 func (normMetric) Name() string { return "NORM" }
 
-func (normMetric) VirtualCosts(g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
-	return subtaskCosts(g, estComm)
-}
-
-func (normMetric) virtualCostsInto(dst []float64, g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
-	return subtaskCostsInto(dst, g, estComm)
+func (normMetric) VirtualCosts(dst []float64, g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
+	return subtaskCosts(dst, g, estComm)
 }
 
 func (normMetric) Ratio(d, sumC float64, _ int) float64 {
@@ -133,12 +117,8 @@ var _ Metric = pureMetric{}
 
 func (pureMetric) Name() string { return "PURE" }
 
-func (pureMetric) VirtualCosts(g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
-	return subtaskCosts(g, estComm)
-}
-
-func (pureMetric) virtualCostsInto(dst []float64, g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
-	return subtaskCostsInto(dst, g, estComm)
+func (pureMetric) VirtualCosts(dst []float64, g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
+	return subtaskCosts(dst, g, estComm)
 }
 
 func (pureMetric) Ratio(d, sumC float64, n int) float64 {
@@ -171,12 +151,8 @@ var _ Metric = thresMetric{}
 
 func (thresMetric) Name() string { return "THRES" }
 
-func (m thresMetric) VirtualCosts(g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
-	return inflate(g, estComm, m.thresFactor, m.delta)
-}
-
-func (m thresMetric) virtualCostsInto(dst []float64, g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
-	return inflateInto(dst, g, estComm, m.thresFactor, m.delta)
+func (m thresMetric) VirtualCosts(dst []float64, g *taskgraph.Graph, _ *platform.System, estComm []float64) []float64 {
+	return inflate(dst, g, estComm, m.thresFactor, m.delta)
 }
 
 func (thresMetric) Ratio(d, sumC float64, n int) float64 { return pureMetric{}.Ratio(d, sumC, n) }
@@ -200,14 +176,9 @@ var _ Metric = adaptMetric{}
 
 func (adaptMetric) Name() string { return "ADAPT" }
 
-func (m adaptMetric) VirtualCosts(g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
+func (m adaptMetric) VirtualCosts(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
 	delta := g.AvgParallelism() / float64(sys.NumProcs())
-	return inflate(g, estComm, m.thresFactor, delta)
-}
-
-func (m adaptMetric) virtualCostsInto(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
-	delta := g.AvgParallelism() / float64(sys.NumProcs())
-	return inflateInto(dst, g, estComm, m.thresFactor, delta)
+	return inflate(dst, g, estComm, m.thresFactor, delta)
 }
 
 func (adaptMetric) Ratio(d, sumC float64, n int) float64 { return pureMetric{}.Ratio(d, sumC, n) }
@@ -248,56 +219,34 @@ func (m ablationMetric) Name() string {
 	}
 }
 
-func (m ablationMetric) virtual(g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
-	delta := g.AvgParallelism() / float64(sys.NumProcs())
-	return inflate(g, estComm, m.factor, delta)
+// VirtualCosts are ADAPT's when the ablation ranks by virtual execution
+// times and PURE's otherwise.
+func (m ablationMetric) VirtualCosts(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
+	return m.costs(m.rank, dst, g, sys, estComm)
 }
 
-func (m ablationMetric) VirtualCosts(g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
-	if m.rank {
-		return m.virtual(g, sys, estComm)
+// WindowCosts are ADAPT's when the ablation sizes windows by virtual
+// execution times and PURE's otherwise.
+func (m ablationMetric) WindowCosts(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
+	return m.costs(m.window, dst, g, sys, estComm)
+}
+
+func (m ablationMetric) costs(inflated bool, dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
+	if inflated {
+		return adaptMetric{thresFactor: m.factor}.VirtualCosts(dst, g, sys, estComm)
 	}
-	return subtaskCosts(g, estComm)
-}
-
-func (m ablationMetric) WindowCosts(g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
-	if m.window {
-		return m.virtual(g, sys, estComm)
-	}
-	return subtaskCosts(g, estComm)
-}
-
-func (m ablationMetric) virtualInto(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
-	delta := g.AvgParallelism() / float64(sys.NumProcs())
-	return inflateInto(dst, g, estComm, m.factor, delta)
-}
-
-func (m ablationMetric) virtualCostsInto(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
-	if m.rank {
-		return m.virtualInto(dst, g, sys, estComm)
-	}
-	return subtaskCostsInto(dst, g, estComm)
-}
-
-func (m ablationMetric) windowCostsInto(dst []float64, g *taskgraph.Graph, sys *platform.System, estComm []float64) []float64 {
-	if m.window {
-		return m.virtualInto(dst, g, sys, estComm)
-	}
-	return subtaskCostsInto(dst, g, estComm)
+	return subtaskCosts(dst, g, estComm)
 }
 
 func (ablationMetric) Ratio(d, sumC float64, n int) float64 { return pureMetric{}.Ratio(d, sumC, n) }
 
 func (ablationMetric) Window(c, r float64) float64 { return c + r }
 
-// inflate applies the virtual-execution-time rule shared by THRES and
-// ADAPT: c' = c when c < c_thres, c(1+Δ) otherwise, with
+// inflate writes into vc the virtual-execution-time rule shared by THRES
+// and ADAPT: c' = c when c < c_thres, c(1+Δ) otherwise, with
 // c_thres = thresFactor × mean subtask execution time.
-func inflate(g *taskgraph.Graph, estComm []float64, thresFactor, delta float64) []float64 {
-	return inflateInto(make([]float64, g.NumNodes()), g, estComm, thresFactor, delta)
-}
-
-func inflateInto(vc []float64, g *taskgraph.Graph, estComm []float64, thresFactor, delta float64) []float64 {
+func inflate(vc []float64, g *taskgraph.Graph, estComm []float64, thresFactor, delta float64) []float64 {
+	vc = resizeSlice(vc, g.NumNodes())
 	cthres := thresFactor * g.MeanSubtaskCost()
 	kinds, costs := g.Kinds(), g.Costs()
 	for id, k := range kinds {

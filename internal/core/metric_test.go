@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,9 +77,9 @@ func TestPUREWindow(t *testing.T) {
 
 func TestVirtualCostsNORMAndPURE(t *testing.T) {
 	g := threeChain(t)
-	est := CCAA().Estimate(g, sys(t, 4))
+	est := CCAA().Estimate(nil, g, sys(t, 4))
 	for _, m := range []Metric{NORM(), PURE()} {
-		vc := m.VirtualCosts(g, sys(t, 4), est)
+		vc := m.VirtualCosts(nil, g, sys(t, 4), est)
 		for _, n := range g.Nodes() {
 			want := n.Cost
 			if n.Kind == taskgraph.KindMessage {
@@ -93,8 +94,8 @@ func TestVirtualCostsNORMAndPURE(t *testing.T) {
 
 func TestTHRESInflation(t *testing.T) {
 	g := threeChain(t) // MET = 20
-	est := CCNE().Estimate(g, sys(t, 4))
-	vc := THRES(1, 1.0).VirtualCosts(g, sys(t, 4), est) // cthres = 20
+	est := CCNE().Estimate(nil, g, sys(t, 4))
+	vc := THRES(1, 1.0).VirtualCosts(nil, g, sys(t, 4), est) // cthres = 20
 	// a=10 below threshold, b=20 at threshold (>=), c=30 above.
 	want := map[string]float64{"a": 10, "b": 40, "c": 60}
 	for _, n := range g.Nodes() {
@@ -109,9 +110,9 @@ func TestTHRESInflation(t *testing.T) {
 
 func TestTHRESThresholdFactor(t *testing.T) {
 	g := threeChain(t)
-	est := CCNE().Estimate(g, sys(t, 4))
+	est := CCNE().Estimate(nil, g, sys(t, 4))
 	// cthres = 1.25 × 20 = 25: only c (30) is inflated.
-	vc := THRES(2, 1.25).VirtualCosts(g, sys(t, 4), est)
+	vc := THRES(2, 1.25).VirtualCosts(nil, g, sys(t, 4), est)
 	want := map[string]float64{"a": 10, "b": 20, "c": 90}
 	for _, n := range g.Nodes() {
 		if n.Kind != taskgraph.KindSubtask {
@@ -125,9 +126,9 @@ func TestTHRESThresholdFactor(t *testing.T) {
 
 func TestADAPTSurplusScalesWithProcs(t *testing.T) {
 	g := threeChain(t) // chain: parallelism ξ = 1
-	est := CCNE().Estimate(g, sys(t, 2))
-	vc2 := ADAPT(1.0).VirtualCosts(g, sys(t, 2), est)
-	vc16 := ADAPT(1.0).VirtualCosts(g, sys(t, 16), est)
+	est := CCNE().Estimate(nil, g, sys(t, 2))
+	vc2 := ADAPT(1.0).VirtualCosts(nil, g, sys(t, 2), est)
+	vc16 := ADAPT(1.0).VirtualCosts(nil, g, sys(t, 16), est)
 	// ξ/N = 0.5 at N=2, 0.0625 at N=16; c (cost 30 ≥ cthres 20) inflates.
 	var c taskgraph.NodeID
 	for _, n := range g.Nodes() {
@@ -150,8 +151,8 @@ func TestADAPTFollowsPUREOnParallelSystems(t *testing.T) {
 	// On a huge system the surplus ξ/N vanishes, so ADAPT's virtual costs
 	// approach the real costs (PURE's view).
 	g := threeChain(t)
-	est := CCNE().Estimate(g, sys(t, 1000))
-	vc := ADAPT(1.25).VirtualCosts(g, sys(t, 1000), est)
+	est := CCNE().Estimate(nil, g, sys(t, 1000))
+	vc := ADAPT(1.25).VirtualCosts(nil, g, sys(t, 1000), est)
 	for _, n := range g.Nodes() {
 		if n.Kind != taskgraph.KindSubtask {
 			continue
@@ -179,13 +180,13 @@ func TestMetricNames(t *testing.T) {
 func TestADAPTAblationEndpoints(t *testing.T) {
 	g := threeChain(t)
 	s4 := sys(t, 2)
-	est := CCNE().Estimate(g, s4)
+	est := CCNE().Estimate(nil, g, s4)
 
 	// (false,false) behaves exactly like PURE for both roles.
 	neither := ADAPTAblation(1.25, false, false)
 	pure := PURE()
-	vcN := neither.VirtualCosts(g, s4, est)
-	vcP := pure.VirtualCosts(g, s4, est)
+	vcN := neither.VirtualCosts(nil, g, s4, est)
+	vcP := pure.VirtualCosts(nil, g, s4, est)
 	for i := range vcN {
 		if vcN[i] != vcP[i] {
 			t.Fatalf("neither-variant vc[%d] = %v, PURE = %v", i, vcN[i], vcP[i])
@@ -194,8 +195,8 @@ func TestADAPTAblationEndpoints(t *testing.T) {
 	// (true,true) behaves exactly like ADAPT.
 	both := ADAPTAblation(1.25, true, true)
 	adapt := ADAPT(1.25)
-	vcB := both.VirtualCosts(g, s4, est)
-	vcA := adapt.VirtualCosts(g, s4, est)
+	vcB := both.VirtualCosts(nil, g, s4, est)
+	vcA := adapt.VirtualCosts(nil, g, s4, est)
 	for i := range vcB {
 		if vcB[i] != vcA[i] {
 			t.Fatalf("both-variant vc[%d] = %v, ADAPT = %v", i, vcB[i], vcA[i])
@@ -220,9 +221,9 @@ func TestADAPTAblationNames(t *testing.T) {
 func TestADAPTAblationWindowCosts(t *testing.T) {
 	g := threeChain(t)
 	s2 := sys(t, 2)
-	est := CCNE().Estimate(g, s2)
+	est := CCNE().Estimate(nil, g, s2)
 	m := ADAPTAblation(1.25, false, true).(WindowCoster)
-	win := m.WindowCosts(g, s2, est)
+	win := m.WindowCosts(nil, g, s2, est)
 	var c taskgraph.NodeID
 	for _, n := range g.Nodes() {
 		if n.Name == "c" {
@@ -234,8 +235,65 @@ func TestADAPTAblationWindowCosts(t *testing.T) {
 		t.Fatalf("window cost of c = %v, want 45", win[c])
 	}
 	// Ranking costs stay real.
-	rank := ADAPTAblation(1.25, false, true).VirtualCosts(g, s2, est)
+	rank := ADAPTAblation(1.25, false, true).VirtualCosts(nil, g, s2, est)
 	if !approx(rank[c], 30) {
 		t.Fatalf("rank cost of c = %v, want 30", rank[c])
+	}
+}
+
+// TestMetricBufferContract: every stock metric's VirtualCosts, and
+// WindowCosts where the metric has them, give the same bits into a nil
+// dst as into a longer, NaN-filled, reused one.
+func TestMetricBufferContract(t *testing.T) {
+	g := contractGraph(t)
+	metrics := []Metric{NORM(), PURE(), THRES(2, 1.25), ADAPT(1.25)}
+	for _, rank := range []bool{false, true} {
+		for _, window := range []bool{false, true} {
+			metrics = append(metrics, ADAPTAblation(1.25, rank, window))
+		}
+	}
+	for _, m := range metrics {
+		for _, procs := range []int{2, 16} {
+			s := sys(t, procs)
+			est := CCAA().Estimate(nil, g, s)
+			t.Run(fmt.Sprintf("%s/%d/virtual", m.Name(), procs), func(t *testing.T) {
+				checkBufferContract(t, g.NumNodes(), func(dst []float64) []float64 {
+					return m.VirtualCosts(dst, g, s, est)
+				})
+			})
+			if wc, ok := m.(WindowCoster); ok {
+				t.Run(fmt.Sprintf("%s/%d/window", m.Name(), procs), func(t *testing.T) {
+					checkBufferContract(t, g.NumNodes(), func(dst []float64) []float64 {
+						return wc.WindowCosts(dst, g, s, est)
+					})
+				})
+			}
+		}
+	}
+}
+
+// TestCostVectorsLayout: a distributor's cost vectors are the metric's
+// virtual costs under its estimator, followed by the window costs for a
+// WindowCoster, and a reused dst is filled in place.
+func TestCostVectorsLayout(t *testing.T) {
+	g := contractGraph(t)
+	s := sys(t, 3)
+	est := CCAA().Estimate(nil, g, s)
+	sc := NewScratch()
+	for _, m := range []Metric{PURE(), ADAPTAblation(1.25, false, true)} {
+		want := m.VirtualCosts(nil, g, s, est)
+		if wc, ok := m.(WindowCoster); ok {
+			want = append(want, wc.WindowCosts(nil, g, s, est)...)
+		}
+		d := Distributor{Metric: m, Estimator: CCAA()}
+		checkBufferContract(t, len(want), func(dst []float64) []float64 {
+			return d.CostVectors(dst, g, s, sc)
+		})
+		got := d.CostVectors(nil, g, s, nil)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: cost vector [%d] = %v, want %v", m.Name(), i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -28,11 +28,11 @@ func referenceDistribute(d Distributor, g *taskgraph.Graph, sys *platform.System
 		}
 	}
 
-	est := d.Estimator.Estimate(g, sys)
-	vc := d.Metric.VirtualCosts(g, sys, est)
+	est := d.Estimator.Estimate(nil, g, sys)
+	vc := d.Metric.VirtualCosts(nil, g, sys, est)
 	vcWin := vc
 	if wc, ok := d.Metric.(WindowCoster); ok {
-		vcWin = wc.WindowCosts(g, sys, est)
+		vcWin = wc.WindowCosts(nil, g, sys, est)
 	}
 
 	n := g.NumNodes()

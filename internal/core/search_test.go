@@ -16,11 +16,11 @@ import (
 func bindState(t *testing.T, g *taskgraph.Graph, m Metric, e CommEstimator, procs int) *distState {
 	t.Helper()
 	s := sys(t, procs)
-	est := e.Estimate(g, s)
-	vc := m.VirtualCosts(g, s, est)
+	est := e.Estimate(nil, g, s)
+	vc := m.VirtualCosts(nil, g, s, est)
 	n := g.NumNodes()
 	st := &distState{}
-	st.g, st.sys, st.metric, st.vc, st.vcWin = g, s, m, vc, vc
+	st.g, st.metric, st.vc, st.vcWin = g, m, vc, vc
 	st.res = &Result{
 		Release:  make([]float64, n),
 		Relative: make([]float64, n),

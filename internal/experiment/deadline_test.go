@@ -56,7 +56,7 @@ func TestDeadlineMidDPNeverPublishes(t *testing.T) {
 	}
 	bm := newBlockingMetric()
 	asg := Slicing(bm, core.CCNE())
-	fp, ok := asg.Fingerprint(g, sys)
+	fp, ok := asg.Fingerprint(nil, g, sys, nil)
 	if !ok {
 		t.Fatal("fingerprint not known")
 	}
@@ -86,7 +86,7 @@ func TestDeadlineMidDPNeverPublishes(t *testing.T) {
 
 	// A healthy retry computes afresh, publishes, and matches a plain run.
 	clean := Slicing(core.PURE(), core.CCNE())
-	fp2, _ := clean.Fingerprint(g, sys)
+	fp2, _ := clean.Fingerprint(nil, g, sys, nil)
 	res, shared, err := orc.assignment(context.Background(), g, sys, clean, clean.Label(), fp2, nil, newPoolWorker())
 	if err != nil || !shared {
 		t.Fatalf("healthy retry: shared=%v err=%v", shared, err)

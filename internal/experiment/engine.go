@@ -38,16 +38,18 @@ import (
 type Assigner interface {
 	// Label identifies the strategy in tables ("PURE/CCNE", "ADAPT", "EQF").
 	Label() string
-	// Fingerprint returns a value that fully determines the assignment's
-	// dependence on the platform for a given graph: two platforms with
-	// equal fingerprints yield identical assignments, so results can be
-	// cached across the system-size sweep. A nil fingerprint with ok=true
-	// means the assignment is platform-independent (always cacheable).
-	// ok=false means the dependence could not be determined (e.g. a
-	// platform-dependent estimator failed to build); unknown fingerprints
-	// are never cached and never match, so Assign runs afresh and surfaces
-	// the underlying error.
-	Fingerprint(g *taskgraph.Graph, sys *platform.System) (fp []float64, ok bool)
+	// Fingerprint writes into dst a value that fully determines the
+	// assignment's dependence on the platform for a given graph: two
+	// platforms with equal fingerprints yield identical assignments, so
+	// results can be cached across the system-size sweep. Like Assign, it
+	// may reuse dst's storage (reallocating when short) and run on the
+	// pooled working set sc; both may be nil. An empty fingerprint with
+	// ok=true means the assignment is platform-independent (always
+	// cacheable). ok=false means the dependence could not be determined
+	// (e.g. a platform-dependent estimator failed to build); unknown
+	// fingerprints are never cached and never match, so Assign runs
+	// afresh and surfaces the underlying error.
+	Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) (fp []float64, ok bool)
 	// Assign produces the annotated graph. The slicing assigners poll ctx
 	// between slicing rounds and return ctx.Err() once it settles, may
 	// overwrite and return recycle (a Result the caller has finished
@@ -74,15 +76,8 @@ func (a slicingAssigner) Label() string {
 	return a.dist.Metric.Name() + "/" + a.dist.Estimator.Name()
 }
 
-func (a slicingAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) ([]float64, bool) {
-	est := a.dist.Estimator.Estimate(g, sys)
-	fp := a.dist.Metric.VirtualCosts(g, sys, est)
-	// Metrics sizing windows with separate costs depend on the platform
-	// through those too.
-	if wc, ok := a.dist.Metric.(core.WindowCoster); ok {
-		fp = append(append([]float64(nil), fp...), wc.WindowCosts(g, sys, est)...)
-	}
-	return fp, true
+func (a slicingAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
+	return a.dist.CostVectors(dst, g, sys, sc), true
 }
 
 func (a slicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -109,7 +104,7 @@ func SlicingDyn(m core.Metric, label string,
 
 func (a dynSlicingAssigner) Label() string { return a.label }
 
-func (a dynSlicingAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) ([]float64, bool) {
+func (a dynSlicingAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
 	e, err := a.est(sys)
 	if err != nil {
 		// Unknown: never cached, never matched, so the engine always runs
@@ -118,7 +113,7 @@ func (a dynSlicingAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System
 		// a stale distribution cached at an earlier size.)
 		return nil, false
 	}
-	return a.metric.VirtualCosts(g, sys, e.Estimate(g, sys)), true
+	return core.Distributor{Metric: a.metric, Estimator: e}.CostVectors(dst, g, sys, sc), true
 }
 
 func (a dynSlicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -142,8 +137,8 @@ func Baseline(s strategy.Strategy) Assigner { return baselineAssigner{s: s} }
 
 func (a baselineAssigner) Label() string { return a.s.Name() }
 
-func (a baselineAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
-	return nil, true // platform-independent
+func (a baselineAssigner) Fingerprint(dst []float64, _ *taskgraph.Graph, _ *platform.System, _ *core.Scratch) ([]float64, bool) {
+	return dst[:0], true // platform-independent
 }
 
 func (a baselineAssigner) Assign(_ context.Context, g *taskgraph.Graph, _ *platform.System,
@@ -156,7 +151,7 @@ func (a baselineAssigner) Assign(_ context.Context, g *taskgraph.Graph, _ *platf
 // load balancing), pin it into the graph, then distribute deadlines with
 // exact communication costs (the original BST's strict-locality mode).
 type assignFirst struct {
-	metric core.Metric
+	dist core.Distributor
 }
 
 var (
@@ -165,9 +160,11 @@ var (
 )
 
 // AssignFirst wraps a metric in the assignment-before-distribution flow.
-func AssignFirst(m core.Metric) Assigner { return assignFirst{metric: m} }
+func AssignFirst(m core.Metric) Assigner {
+	return assignFirst{dist: core.Distributor{Metric: m, Estimator: core.CCKnown(nil)}}
+}
 
-func (a assignFirst) Label() string { return a.metric.Name() + "/assign-first" }
+func (a assignFirst) Label() string { return a.dist.Metric.Name() + "/assign-first" }
 
 func (a assignFirst) Transform(g *taskgraph.Graph, sys *platform.System) (*taskgraph.Graph, error) {
 	mapping, err := assign.Cluster(g, sys)
@@ -177,15 +174,13 @@ func (a assignFirst) Transform(g *taskgraph.Graph, sys *platform.System) (*taskg
 	return assign.Apply(g, mapping)
 }
 
-func (a assignFirst) Fingerprint(g *taskgraph.Graph, sys *platform.System) ([]float64, bool) {
-	est := core.CCKnown(nil).Estimate(g, sys)
-	return a.metric.VirtualCosts(g, sys, est), true
+func (a assignFirst) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
+	return a.dist.CostVectors(dst, g, sys, sc), true
 }
 
 func (a assignFirst) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
 	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	d := core.Distributor{Metric: a.metric, Estimator: core.CCKnown(nil)}
-	return d.DistributeScratchContext(ctx, g, sys, recycle, sc)
+	return a.dist.DistributeScratchContext(ctx, g, sys, recycle, sc)
 }
 
 // improvedAssigner wraps a slicing distribution with the reference-[3]
@@ -208,12 +203,10 @@ func (a improvedAssigner) Label() string {
 	return a.dist.Metric.Name() + "+improve"
 }
 
-func (a improvedAssigner) Fingerprint(g *taskgraph.Graph, sys *platform.System) ([]float64, bool) {
+func (a improvedAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
 	// Improvement schedules on the concrete platform, so the outcome
 	// always depends on the processor count.
-	est := a.dist.Estimator.Estimate(g, sys)
-	fp := a.dist.Metric.VirtualCosts(g, sys, est)
-	return append(append([]float64(nil), fp...), float64(sys.NumProcs())), true
+	return append(a.dist.CostVectors(dst, g, sys, sc), float64(sys.NumProcs())), true
 }
 
 func (a improvedAssigner) Assign(_ context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -573,13 +566,15 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 		ucancel()
 	}
 	// runOne executes one unit on box, routing its outcome: cancellation
-	// drains silently, everything else fails the run.
+	// of the run drains silently, everything else fails the run. A context
+	// error counts as cancellation only once uctx is dead: an assigner's
+	// own deadline on a live run is a unit failure naming its cell.
 	runOne := func(gi int, box *workerBox) {
 		if uctx.Err() != nil {
 			return
 		}
 		if err := env.runUnit(uctx, gi, box); err != nil {
-			if isCancellation(err) {
+			if uctx.Err() != nil && isCancellation(err) {
 				ucancel()
 				return
 			}
@@ -897,8 +892,9 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 	orc := cfg.Orchestrator
 	sp := spanner{tr: cfg.Trace, table: table, graph: gi, attempt: attempt, worker: w.id}
 	for a, asg := range assigners {
+		// The cached fingerprint is w.fpCached; it is only read while
+		// cachedRes is set, so an earlier assigner's value never matches.
 		var (
-			cachedFP     []float64
 			cachedKnown  bool
 			cachedRes    *core.Result
 			cachedShared bool
@@ -924,12 +920,13 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 			}
 			ft0 := sp.start()
 			t0 := rec.Start()
-			fp, known := asg.Fingerprint(gg, sys)
+			fp, known := asg.Fingerprint(w.fp, gg, sys, w.dist)
+			w.fp = fp
 			rec.Done(metrics.StageFingerprint, t0)
 			// Reuse only when both fingerprints are known: an unknown
 			// fingerprint (ok=false) never matches anything, so Assign runs
 			// afresh and surfaces whatever failed during fingerprinting.
-			hit := cachedRes != nil && cachedKnown && known && equalFP(fp, cachedFP)
+			hit := cachedRes != nil && cachedKnown && known && equalFP(fp, w.fpCached)
 			cacheTag := "miss"
 			if hit {
 				cacheTag = "hit"
@@ -973,7 +970,10 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 				if cachedRes != nil && !cachedShared {
 					w.spare = cachedRes
 				}
-				cachedRes, cachedFP, cachedKnown, cachedShared = res, fp, known, shared
+				cachedRes, cachedKnown, cachedShared = res, known, shared
+				// fp becomes the cached fingerprint and the old cached
+				// buffer the next cell's.
+				w.fp, w.fpCached = w.fpCached, fp
 			}
 			var (
 				sched *scheduler.Schedule

@@ -335,24 +335,69 @@ func TestWindowCosterFingerprintNotCachedAcrossSizes(t *testing.T) {
 	// The window-only ablation metric's ranking costs are platform-
 	// independent but its window costs are not; the fingerprint must
 	// include both so the sweep re-distributes per size (regression test).
+	// Every slicing assigner fingerprints through the same cost vectors,
+	// the platform-dependent estimator factory included.
 	full := tiny()
 	full.Sizes = []int{2, 16}
 	alone := tiny()
 	alone.Sizes = []int{16}
-	a := Slicing(core.ADAPTAblation(1.25, false, true), core.CCNE())
-	tf, err := full.Run("full", a)
+	m := core.ADAPTAblation(1.25, false, true)
+	for name, a := range map[string]Assigner{
+		"Slicing":    Slicing(m, core.CCNE()),
+		"SlicingDyn": SlicingDyn(m, "dyn", func(*platform.System) (core.CommEstimator, error) { return core.CCNE(), nil }),
+	} {
+		t.Run(name, func(t *testing.T) {
+			tf, err := full.Run("full", a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ta, err := alone.Run("alone", a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := tf.Curves[0].Label
+			mf, _ := tf.Mean(label, 16)
+			ma, _ := ta.Mean(label, 16)
+			if mf != ma {
+				t.Fatalf("cached sweep mean %v != standalone mean %v", mf, ma)
+			}
+		})
+	}
+}
+
+// TestFingerprintWarmZeroAlloc pins the fingerprint stage's allocation
+// contract: once a worker's fingerprint buffer and core.Scratch have
+// warmed up, Fingerprint writes the distributor's cost vectors in place
+// and allocates nothing.
+func TestFingerprintWarmZeroAlloc(t *testing.T) {
+	g := testGraph(t)
+	sys, err := platform.New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := alone.Run("alone", a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	label := tf.Curves[0].Label
-	mf, _ := tf.Mean(label, 16)
-	ma, _ := ta.Mean(label, 16)
-	if mf != ma {
-		t.Fatalf("cached sweep mean %v != standalone mean %v", mf, ma)
+	n := g.NumNodes()
+	for _, tc := range []struct {
+		name string
+		a    Assigner
+		len  int
+	}{
+		{"Slicing(ADAPT)", Slicing(core.ADAPT(1.25), core.CCNE()), n},
+		{"Slicing(window-only)", Slicing(core.ADAPTAblation(1.25, false, true), core.CCNE()), 2 * n},
+		{"Improved(PURE)", Improved(core.PURE(), core.CCNE(), improve.Config{Iterations: 8}), n + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := core.NewScratch()
+			fp, ok := tc.a.Fingerprint(nil, g, sys, sc)
+			if !ok || len(fp) != tc.len {
+				t.Fatalf("fingerprint: ok=%v len=%d, want ok and len %d", ok, len(fp), tc.len)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				fp, _ = tc.a.Fingerprint(fp, g, sys, sc)
+			})
+			if allocs != 0 {
+				t.Errorf("warm Fingerprint allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -657,7 +702,7 @@ type countingAssigner struct {
 
 func (c countingAssigner) Label() string { return c.inner.Label() }
 
-func (c countingAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
+func (c countingAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
 	return nil, c.known
 }
 
@@ -706,7 +751,7 @@ type failingAssigner struct {
 
 func (f failingAssigner) Label() string { return "failing" }
 
-func (f failingAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
+func (f failingAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
 	return nil, true
 }
 
@@ -784,7 +829,7 @@ func TestRunRecordsStageTimings(t *testing.T) {
 // Fingerprint, the shape of a wrapper that defeats the fingerprint cache.
 type uncachedWrapper struct{ Assigner }
 
-func (uncachedWrapper) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
+func (uncachedWrapper) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
 	return nil, false
 }
 

@@ -236,8 +236,10 @@ func TestDomainErrorsAreNotRetried(t *testing.T) {
 // TestAssignerDeadlineIsNotRetried: an assigner returning
 // context.DeadlineExceeded from a deadline of its own, while the run's
 // context is alive, is not retried: only the engine's own UnitTimeout
-// (reported as ErrUnitTimeout) is. The serving layer's wider Retryable
-// predicate still covers the bare deadline its attempts see.
+// (reported as ErrUnitTimeout) is. Nor is it a cancellation of the run:
+// it fails as a *UnitError naming the cell, not as a *PartialError. The
+// serving layer's wider Retryable predicate still covers the bare
+// deadline its attempts see.
 func TestAssignerDeadlineIsNotRetried(t *testing.T) {
 	cfg := chaosCfg()
 	cfg.Graphs = 1
@@ -245,11 +247,23 @@ func TestAssignerDeadlineIsNotRetried(t *testing.T) {
 	cfg.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}
 	deadline := fmt.Errorf("solver: %w", context.DeadlineExceeded)
 	fa := &countingFailAssigner{err: deadline}
-	if _, err := cfg.Run("own-deadline", fa); err == nil {
+	_, err := cfg.Run("own-deadline", fa)
+	if err == nil {
 		t.Fatal("failing assigner succeeded")
 	}
 	if got := fa.calls.Load(); got != 1 {
 		t.Errorf("assigner deadline retried: %d Assign calls, want 1", got)
+	}
+	var pe *PartialError
+	if errors.As(err, &pe) {
+		t.Errorf("assigner deadline reported as an interrupted run: %v", err)
+	}
+	var ue *UnitError
+	if !errors.As(err, &ue) {
+		t.Fatalf("error is not a *UnitError: %v", err)
+	}
+	if ue.Label != "FAIL" || ue.Size != 2 {
+		t.Errorf("UnitError cell = (%q, %d), want (\"FAIL\", 2)", ue.Label, ue.Size)
 	}
 	if retryable(deadline) || !Retryable(deadline) {
 		t.Errorf("retryable = %v, Retryable = %v; want false, true", retryable(deadline), Retryable(deadline))
@@ -286,7 +300,7 @@ type countingFailAssigner struct {
 
 func (f *countingFailAssigner) Label() string { return "FAIL" }
 
-func (f *countingFailAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
+func (f *countingFailAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
 	return nil, false // never cached: every size calls Assign
 }
 
@@ -489,7 +503,7 @@ func TestAssignmentErrorReleasesCacheSlot(t *testing.T) {
 
 	// A successful assignment afterwards occupies exactly one slot.
 	ok := Slicing(core.PURE(), core.CCNE())
-	fp, _ := ok.Fingerprint(g, sys)
+	fp, _ := ok.Fingerprint(nil, g, sys, nil)
 	if _, shared, err := orc.assignment(context.Background(), g, sys, ok, ok.Label(), fp, nil, w); err != nil || !shared {
 		t.Fatalf("successful assignment: shared=%v err=%v", shared, err)
 	}
@@ -535,7 +549,7 @@ type panicOnceAssigner struct{ calls atomic.Int32 }
 
 func (p *panicOnceAssigner) Label() string { return "PANIC" }
 
-func (p *panicOnceAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
+func (p *panicOnceAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
 	return nil, true
 }
 

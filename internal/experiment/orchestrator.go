@@ -144,6 +144,11 @@ type poolWorker struct {
 	dist    *core.Scratch
 	spare   *core.Result
 
+	// Fingerprint buffers: runGraph writes each cell's fingerprint into fp
+	// and swaps it with fpCached, the one its cached Result was computed
+	// under, on every miss.
+	fp, fpCached []float64
+
 	// Result-matrix arena: outRows/outFlat are reused by outMatrix across
 	// unit attempts on this worker. Safe because a panicked or abandoned
 	// attempt makes the box swap in a fresh worker — the hung goroutine

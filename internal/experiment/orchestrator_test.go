@@ -176,7 +176,7 @@ type nanFPAssigner struct {
 
 func (a nanFPAssigner) Label() string { return "nan-fp" }
 
-func (a nanFPAssigner) Fingerprint(*taskgraph.Graph, *platform.System) ([]float64, bool) {
+func (a nanFPAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
 	return []float64{math.NaN(), 1}, true
 }
 

@@ -10,6 +10,7 @@ package generator
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"deadlinedist/internal/rng"
 	"deadlinedist/internal/taskgraph"
@@ -124,8 +125,10 @@ func Default(s Scenario) Config {
 	}
 }
 
-// Validate reports whether the configuration is internally consistent.
+// Validate reports whether the configuration is internally consistent
+// and every number in it finite and in range.
 func (c Config) Validate() error {
+	// The float checks are written as inclusions, so NaN fails each one.
 	switch {
 	case c.MinSubtasks < 1 || c.MaxSubtasks < c.MinSubtasks:
 		return fmt.Errorf("subtask bounds [%d,%d]: %w", c.MinSubtasks, c.MaxSubtasks, errBadConfig)
@@ -133,25 +136,31 @@ func (c Config) Validate() error {
 		return fmt.Errorf("depth bounds [%d,%d]: %w", c.MinDepth, c.MaxDepth, errBadConfig)
 	case c.MinFanout < 1 || c.MaxFanout < c.MinFanout:
 		return fmt.Errorf("fanout bounds [%d,%d]: %w", c.MinFanout, c.MaxFanout, errBadConfig)
-	case c.MET <= 0:
+	case !(c.MET > 0 && c.MET <= MaxScale):
 		return fmt.Errorf("MET %v: %w", c.MET, errBadConfig)
-	case c.ExecDeviation < 0 || c.ExecDeviation > 1:
+	case !(c.ExecDeviation >= 0 && c.ExecDeviation <= 1):
 		return fmt.Errorf("exec deviation %v: %w", c.ExecDeviation, errBadConfig)
-	case c.CCR < 0:
+	case !(c.CCR >= 0 && c.CCR <= MaxScale):
 		return fmt.Errorf("CCR %v: %w", c.CCR, errBadConfig)
-	case c.PerItemCost <= 0:
+	case !(c.PerItemCost > 0 && c.PerItemCost <= math.MaxFloat64):
 		return fmt.Errorf("per-item cost %v: %w", c.PerItemCost, errBadConfig)
-	case c.MsgDeviation < 0 || c.MsgDeviation > 1:
+	case !(c.MsgDeviation >= 0 && c.MsgDeviation <= 1):
 		return fmt.Errorf("message deviation %v: %w", c.MsgDeviation, errBadConfig)
-	case c.OLR <= 0:
+	case !(c.OLR > 0 && c.OLR <= MaxScale):
 		return fmt.Errorf("OLR %v: %w", c.OLR, errBadConfig)
-	case c.PinnedFraction < 0 || c.PinnedFraction > 1:
+	case !(c.PinnedFraction >= 0 && c.PinnedFraction <= 1):
 		return fmt.Errorf("pinned fraction %v: %w", c.PinnedFraction, errBadConfig)
 	case c.PinnedProcs < 0:
 		return fmt.Errorf("pinned processor pool %d: %w", c.PinnedProcs, errBadConfig)
 	}
 	return nil
 }
+
+// MaxScale bounds MET, CCR and OLR. At or below it (with a unit
+// per-item cost) every execution time, message size and end-to-end
+// deadline of a graph that fits in memory is finite, so it encodes as
+// JSON.
+const MaxScale = 1e6
 
 var errBadConfig = errors.New("invalid generator config")
 

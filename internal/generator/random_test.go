@@ -2,6 +2,7 @@ package generator
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,15 @@ func TestConfigValidate(t *testing.T) {
 		{"per-item cost", func(c *Config) { c.PerItemCost = 0 }},
 		{"message deviation", func(c *Config) { c.MsgDeviation = -0.1 }},
 		{"OLR", func(c *Config) { c.OLR = 0 }},
+		{"NaN MET", func(c *Config) { c.MET = math.NaN() }},
+		{"MET above MaxScale", func(c *Config) { c.MET = 2 * MaxScale }},
+		{"NaN exec deviation", func(c *Config) { c.ExecDeviation = math.NaN() }},
+		{"NaN CCR", func(c *Config) { c.CCR = math.NaN() }},
+		{"infinite CCR", func(c *Config) { c.CCR = math.Inf(1) }},
+		{"infinite per-item cost", func(c *Config) { c.PerItemCost = math.Inf(1) }},
+		{"NaN message deviation", func(c *Config) { c.MsgDeviation = math.NaN() }},
+		{"infinite OLR", func(c *Config) { c.OLR = math.Inf(1) }},
+		{"NaN pinned fraction", func(c *Config) { c.PinnedFraction = math.NaN() }},
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)

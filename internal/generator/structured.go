@@ -74,19 +74,58 @@ type StructuredConfig struct {
 	Width int
 }
 
-// Structured generates one structured task graph.
-func Structured(cfg StructuredConfig, src *rng.Source) (*taskgraph.Graph, error) {
+// MaxStructuredSubtasks bounds a structured graph's subtask count, so a
+// Depth and Width that would not fit in memory (or overflow the level
+// arithmetic) are refused before anything is built.
+const MaxStructuredSubtasks = 10000
+
+// Validate reports whether Structured can build cfg: a valid Workload,
+// Depth at least 1, Width at least 1 for shapes that use it, and at most
+// MaxStructuredSubtasks subtasks.
+func (cfg StructuredConfig) Validate() error {
 	if err := cfg.Workload.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Depth < 1 {
-		return nil, fmt.Errorf("structured depth %d: %w", cfg.Depth, errBadConfig)
+		return err
 	}
 	needsWidth := cfg.Shape != ShapeChain
-	if needsWidth && cfg.Width < 1 {
-		return nil, fmt.Errorf("structured width %d: %w", cfg.Width, errBadConfig)
+	switch {
+	case cfg.Depth < 1 || cfg.Depth > MaxStructuredSubtasks:
+		return fmt.Errorf("structured depth %d: %w", cfg.Depth, errBadConfig)
+	case needsWidth && (cfg.Width < 1 || cfg.Width > MaxStructuredSubtasks):
+		return fmt.Errorf("structured width %d: %w", cfg.Width, errBadConfig)
+	case cfg.maxSubtasks() > MaxStructuredSubtasks:
+		return fmt.Errorf("structured %v depth %d width %d: over %d subtasks: %w",
+			cfg.Shape, cfg.Depth, cfg.Width, MaxStructuredSubtasks, errBadConfig)
 	}
+	return nil
+}
 
+// maxSubtasks bounds the shape's subtask count from above, stopping just
+// past MaxStructuredSubtasks. Depth and Width are at most that bound, so
+// no product overflows.
+func (cfg StructuredConfig) maxSubtasks() int {
+	d, w := cfg.Depth, cfg.Width
+	switch cfg.Shape {
+	case ShapeForkJoin:
+		return 1 + d*(w+1)
+	case ShapeLayered:
+		return d * w
+	case ShapeOutTree, ShapeInTree:
+		n, level := 0, 1
+		for l := 0; l < d && n <= MaxStructuredSubtasks; l++ {
+			n += level
+			level *= w
+		}
+		return n
+	}
+	return d
+}
+
+// Structured generates one structured task graph.
+func Structured(cfg StructuredConfig, src *rng.Source) (*taskgraph.Graph, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	needsWidth := cfg.Shape != ShapeChain
 	hint := cfg.Depth * 2 // chain: one subtask + one message per level
 	if needsWidth {
 		hint = cfg.Depth * cfg.Width * 3

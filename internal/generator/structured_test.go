@@ -170,3 +170,33 @@ func TestChainSingleNode(t *testing.T) {
 		t.Fatalf("single-node chain: %d subtasks, %d messages", g.NumSubtasks(), g.NumMessages())
 	}
 }
+
+// TestStructuredRejectsOversizedShapes: a Depth and Width over
+// MaxStructuredSubtasks subtasks are refused by Validate and Structured
+// alike, before the in-tree's level arithmetic can ask for a slice longer
+// than memory; the bound itself is accepted.
+func TestStructuredRejectsOversizedShapes(t *testing.T) {
+	for _, tc := range []struct {
+		cfg StructuredConfig
+		ok  bool
+	}{
+		{StructuredConfig{Shape: ShapeInTree, Depth: 39, Width: 3}, false},
+		{StructuredConfig{Shape: ShapeOutTree, Depth: 10, Width: 3}, false},
+		{StructuredConfig{Shape: ShapeLayered, Depth: 101, Width: 100}, false},
+		{StructuredConfig{Shape: ShapeChain, Depth: MaxStructuredSubtasks + 1}, false},
+		{StructuredConfig{Shape: ShapeForkJoin, Depth: 3, Width: MaxStructuredSubtasks + 1}, false},
+		{StructuredConfig{Shape: ShapeInTree, Depth: 9, Width: 3}, true},
+		{StructuredConfig{Shape: ShapeLayered, Depth: 100, Width: 100}, true},
+	} {
+		tc.cfg.Workload = Default(MDET)
+		err := tc.cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%v depth %d width %d: Validate = %v, want ok=%v", tc.cfg.Shape, tc.cfg.Depth, tc.cfg.Width, err, tc.ok)
+		}
+		if !tc.ok {
+			if _, err := Structured(tc.cfg, rng.New(1)); err == nil {
+				t.Errorf("%v depth %d width %d: Structured accepted", tc.cfg.Shape, tc.cfg.Depth, tc.cfg.Width)
+			}
+		}
+	}
+}
