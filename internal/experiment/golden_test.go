@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,5 +55,53 @@ func TestFiguresByteIdenticalAcrossWorkers(t *testing.T) {
 					key, serial, pooled)
 			}
 		})
+	}
+}
+
+// updateGolden regenerates testdata/figures.golden when set.
+var updateGolden = os.Getenv("UPDATE_GOLDEN") != ""
+
+// TestFigureTablesGolden pins the rendered tables of every registered
+// figure at a reduced batch (4 graphs, sizes 2, 3, 8 and 16, seed 1997)
+// against testdata/figures.golden, byte for byte. Titles, scenarios,
+// curve labels and values all show up in the rendering, so a refactor of
+// how figures are declared or run must leave this file untouched.
+// Regenerate with UPDATE_GOLDEN=1 only for an intended change of results.
+func TestFigureTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	orc := NewOrchestrator(0)
+	defer orc.Close()
+	base := figBase(4, 2, 3, 8, 16)
+	base.Orchestrator = orc
+	var sb strings.Builder
+	for _, key := range FigureOrder() {
+		tables, err := Figures()[key](context.Background(), base)
+		if err != nil {
+			t.Fatalf("figure %s: %v", key, err)
+		}
+		fmt.Fprintf(&sb, "=== figure %s\n", key)
+		for _, tb := range tables {
+			sb.WriteString(tb.String())
+			sb.WriteByte('\n')
+		}
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "figures.golden")
+	if updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (set UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("figure tables drifted from %s:\n--- got ---\n%s", path, got)
 	}
 }
