@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"deadlinedist/internal/core"
@@ -31,9 +30,10 @@ func benchBase() experiment.Config {
 	return cfg
 }
 
-func benchFigure(b *testing.B, fn experiment.FigureFunc) {
+func benchFigure(b *testing.B, key string) {
 	b.Helper()
 	base := benchBase()
+	fn := experiment.Figures()[key]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,73 +47,58 @@ func benchFigure(b *testing.B, fn experiment.FigureFunc) {
 	}
 }
 
-// BenchmarkFigureAll regenerates every figure through one shared
-// orchestrator per iteration — the `dlexp -figure all` shape: all tables
-// run concurrently over one worker pool, sharing the content-addressed
-// batch cache and the cross-table assignment cache. This is the
-// regression guard for the cross-sweep orchestration layer; CI runs it
-// once per push (see .github/workflows/ci.yml).
+// BenchmarkFigureAll regenerates every figure through experiment.RunFigures
+// per iteration — the `dlexp -figure all` shape: all tables run
+// concurrently over one worker pool, sharing the content-addressed batch
+// cache and the cross-table assignment cache. This is the regression
+// guard for the cross-sweep orchestration layer; CI runs it once per push
+// (see .github/workflows/ci.yml).
 func BenchmarkFigureAll(b *testing.B) {
 	base := benchBase()
 	keys := experiment.FigureOrder()
-	registry := experiment.Figures()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		orc := experiment.NewOrchestrator(0)
-		cfg := base
-		cfg.Orchestrator = orc
-		var wg sync.WaitGroup
-		errs := make([]error, len(keys))
-		for ki, key := range keys {
-			wg.Add(1)
-			go func(ki int, fn experiment.FigureFunc) {
-				defer wg.Done()
-				_, errs[ki] = fn(context.Background(), cfg)
-			}(ki, registry[key])
-		}
-		wg.Wait()
-		orc.Close()
-		for ki, err := range errs {
-			if err != nil {
-				b.Fatalf("figure %s: %v", keys[ki], err)
+		for ki, run := range experiment.RunFigures(context.Background(), base, keys) {
+			if run.Err != nil {
+				b.Fatalf("figure %s: %v", keys[ki], run.Err)
 			}
 		}
 	}
 }
 
 // BenchmarkFigure2 regenerates Figure 2 (BST metrics × comm estimation).
-func BenchmarkFigure2(b *testing.B) { benchFigure(b, experiment.Figure2) }
+func BenchmarkFigure2(b *testing.B) { benchFigure(b, "2") }
 
 // BenchmarkFigure3 regenerates Figure 3 (THRES surplus-factor sweep).
-func BenchmarkFigure3(b *testing.B) { benchFigure(b, experiment.Figure3) }
+func BenchmarkFigure3(b *testing.B) { benchFigure(b, "3") }
 
 // BenchmarkFigure4 regenerates Figure 4 (THRES threshold sweep).
-func BenchmarkFigure4(b *testing.B) { benchFigure(b, experiment.Figure4) }
+func BenchmarkFigure4(b *testing.B) { benchFigure(b, "4") }
 
 // BenchmarkFigure5 regenerates Figure 5 (PURE vs THRES vs ADAPT).
-func BenchmarkFigure5(b *testing.B) { benchFigure(b, experiment.Figure5) }
+func BenchmarkFigure5(b *testing.B) { benchFigure(b, "5") }
 
 // BenchmarkSection8CCR regenerates the Section 8 CCR sweep.
-func BenchmarkSection8CCR(b *testing.B) { benchFigure(b, experiment.CCRSweep) }
+func BenchmarkSection8CCR(b *testing.B) { benchFigure(b, "ccr") }
 
 // BenchmarkSection8MET regenerates the Section 8 MET sweep.
-func BenchmarkSection8MET(b *testing.B) { benchFigure(b, experiment.METSweep) }
+func BenchmarkSection8MET(b *testing.B) { benchFigure(b, "met") }
 
 // BenchmarkSection8Parallelism regenerates the Section 8 parallelism sweep.
-func BenchmarkSection8Parallelism(b *testing.B) { benchFigure(b, experiment.ParallelismSweep) }
+func BenchmarkSection8Parallelism(b *testing.B) { benchFigure(b, "par") }
 
 // BenchmarkSection8Topology regenerates the Section 8 topology sweep.
-func BenchmarkSection8Topology(b *testing.B) { benchFigure(b, experiment.TopologySweep) }
+func BenchmarkSection8Topology(b *testing.B) { benchFigure(b, "topo") }
 
 // BenchmarkSection8Shapes regenerates the structured-graph study.
-func BenchmarkSection8Shapes(b *testing.B) { benchFigure(b, experiment.StructuredSweep) }
+func BenchmarkSection8Shapes(b *testing.B) { benchFigure(b, "shapes") }
 
 // BenchmarkExtensionBaselines regenerates the one-pass-baseline comparison.
-func BenchmarkExtensionBaselines(b *testing.B) { benchFigure(b, experiment.BaselineComparison) }
+func BenchmarkExtensionBaselines(b *testing.B) { benchFigure(b, "baselines") }
 
 // BenchmarkExtensionBus regenerates the bus-contention ablation.
-func BenchmarkExtensionBus(b *testing.B) { benchFigure(b, experiment.BusAblation) }
+func BenchmarkExtensionBus(b *testing.B) { benchFigure(b, "bus") }
 
 // BenchmarkWorkerScaling runs one orchestrated sweep at increasing pool
 // sizes, reporting the measured peak occupancy alongside the wall time.
@@ -352,39 +337,39 @@ func sizeName(n int) string {
 }
 
 // BenchmarkSection8Policy regenerates the dispatch-policy sweep.
-func BenchmarkSection8Policy(b *testing.B) { benchFigure(b, experiment.PolicySweep) }
+func BenchmarkSection8Policy(b *testing.B) { benchFigure(b, "policy") }
 
 // BenchmarkSection8Preempt regenerates the run-time-model ablation.
-func BenchmarkSection8Preempt(b *testing.B) { benchFigure(b, experiment.PreemptionAblation) }
+func BenchmarkSection8Preempt(b *testing.B) { benchFigure(b, "preempt") }
 
 // BenchmarkSection8Hetero regenerates the heterogeneous-speed sweep.
-func BenchmarkSection8Hetero(b *testing.B) { benchFigure(b, experiment.HeteroSweep) }
+func BenchmarkSection8Hetero(b *testing.B) { benchFigure(b, "hetero") }
 
 // BenchmarkExtensionLocality regenerates the strict-locality fraction sweep.
-func BenchmarkExtensionLocality(b *testing.B) { benchFigure(b, experiment.LocalitySweep) }
+func BenchmarkExtensionLocality(b *testing.B) { benchFigure(b, "locality") }
 
 // BenchmarkExtensionOrder regenerates the distribution-first vs
 // assignment-first comparison.
-func BenchmarkExtensionOrder(b *testing.B) { benchFigure(b, experiment.OrderComparison) }
+func BenchmarkExtensionOrder(b *testing.B) { benchFigure(b, "order") }
 
 // BenchmarkExtensionChannels regenerates the real-time-channel estimation
 // study.
-func BenchmarkExtensionChannels(b *testing.B) { benchFigure(b, experiment.ChannelSweep) }
+func BenchmarkExtensionChannels(b *testing.B) { benchFigure(b, "channels") }
 
 // BenchmarkExtensionAblation regenerates the AST ingredient ablation.
-func BenchmarkExtensionAblation(b *testing.B) { benchFigure(b, experiment.AblationSweep) }
+func BenchmarkExtensionAblation(b *testing.B) { benchFigure(b, "ablate") }
 
 // BenchmarkExtensionImprove regenerates the iterative-improvement study.
-func BenchmarkExtensionImprove(b *testing.B) { benchFigure(b, experiment.ImproveSweep) }
+func BenchmarkExtensionImprove(b *testing.B) { benchFigure(b, "improve") }
 
 // BenchmarkSection8Apps regenerates the benchmark-application study.
-func BenchmarkSection8Apps(b *testing.B) { benchFigure(b, experiment.AppSweep) }
+func BenchmarkSection8Apps(b *testing.B) { benchFigure(b, "apps") }
 
 // BenchmarkAblationOLRBasis regenerates the deadline-basis ablation.
-func BenchmarkAblationOLRBasis(b *testing.B) { benchFigure(b, experiment.OLRBasisAblation) }
+func BenchmarkAblationOLRBasis(b *testing.B) { benchFigure(b, "olr") }
 
 // BenchmarkAblationDispatch regenerates the dispatch-model ablation.
-func BenchmarkAblationDispatch(b *testing.B) { benchFigure(b, experiment.DispatchAblation) }
+func BenchmarkAblationDispatch(b *testing.B) { benchFigure(b, "dispatch") }
 
 // uncachedAssigner defeats the fingerprint cache by declaring its
 // fingerprint unknown, which forces a fresh Assign at every system size.

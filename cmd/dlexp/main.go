@@ -39,7 +39,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -99,7 +98,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		tracePath  = fs.String("trace", "", "write a Chrome trace-event JSON timeline to this file (open in Perfetto or chrome://tracing)")
 		progEvery  = fs.Duration("progress", 0, "print a progress line to stderr at this interval (0 = off)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h: the usage is all that was asked for
+	} else if err != nil {
 		return err
 	}
 
@@ -231,35 +232,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	registry := experiment.Figures()
-
-	// Run every figure concurrently over the shared pool — figure N+1's
-	// graphs start while figure N's stragglers finish — then print in the
-	// deterministic key order, so output bytes match a sequential run.
-	type figOut struct {
-		tables  []*experiment.Table
-		err     error
-		elapsed time.Duration
-	}
-	outs := make([]figOut, len(keys))
-	var figWG sync.WaitGroup
+	// Every figure runs concurrently over the shared pool; output follows
+	// the deterministic key order, so its bytes match a sequential run.
 	runStart := time.Now()
-	for i, key := range keys {
-		figWG.Add(1)
-		go func(i int, fn experiment.FigureFunc) {
-			defer figWG.Done()
-			start := time.Now()
-			tables, err := fn(ctx, base)
-			outs[i] = figOut{tables: tables, err: err, elapsed: time.Since(start)}
-		}(i, registry[key])
-	}
-	figWG.Wait()
-
+	runs := experiment.RunFigures(ctx, base, keys)
 	allTables := make(map[string][]*experiment.Table, len(keys))
 	var partialKeys []string
 	for ki, key := range keys {
-		tables := outs[ki].tables
-		if err := outs[ki].err; err != nil {
+		tables := runs[ki].Tables
+		if err := runs[ki].Err; err != nil {
 			var pe *experiment.PartialError
 			if !errors.As(err, &pe) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 				return fmt.Errorf("figure %s: %w", key, err)
@@ -270,7 +251,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			partialKeys = append(partialKeys, key)
 			fmt.Fprintf(out, "=== figure %s: INCOMPLETE (%v) ===\n\n", key, err)
 		} else {
-			fmt.Fprintf(out, "=== figure %s (%d graphs/point, %v) ===\n\n", key, *graphs, outs[ki].elapsed.Round(time.Millisecond))
+			fmt.Fprintf(out, "=== figure %s (%d graphs/point, %v) ===\n\n", key, *graphs, runs[ki].Elapsed.Round(time.Millisecond))
 		}
 		allTables[key] = tables
 		for i, t := range tables {

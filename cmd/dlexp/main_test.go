@@ -215,6 +215,20 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunHelp: -h and -help print the usage (to stderr) and succeed
+// without running anything.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run(context.Background(), []string{arg}, &buf); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s wrote output:\n%s", arg, buf.String())
+		}
+	}
+}
+
 func TestRunWritesReport(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "report.md")

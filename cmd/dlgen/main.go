@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -104,6 +105,9 @@ func parseFlags(args []string, usage io.Writer) (*genFlags, error) {
 
 func run(args []string, out io.Writer) error {
 	f, err := parseFlags(args, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil // -h: the usage is all that was asked for
+	}
 	if err != nil {
 		return err
 	}

@@ -82,6 +82,20 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunHelp: -h and -help print the usage (to stderr) and succeed
+// without generating a graph.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run([]string{arg}, &buf); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s wrote a graph:\n%s", arg, buf.String())
+		}
+	}
+}
+
 func TestRunPinnedFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-pinned", "1", "-pinprocs", "2"}, &buf); err != nil {

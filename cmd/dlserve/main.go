@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -83,7 +84,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		sloSpec    = fs.String("slo", "", "SLO spec key=value,... (class=objective[/target[/maxbudget]] for interactive/standard/batch, fast=, slow=, warn=, page=, min=, default=)")
 	)
 	fs.SetOutput(out)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h: the usage is all that was asked for
+	} else if err != nil {
 		return err
 	}
 

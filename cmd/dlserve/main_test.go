@@ -127,6 +127,19 @@ func TestRunBadFlags(t *testing.T) {
 // TestRunObservabilityFlags: -slo reshapes the classes served on /slo,
 // -access-log and -trace create their files, the banner lists /slo, and a
 // classed request lands in the right class with its request id echoed.
+// TestRunHelp: -h and -help print the usage and succeed without serving.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run(context.Background(), []string{arg}, &buf); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+		if out := buf.String(); !strings.HasPrefix(out, "Usage of dlserve:") || strings.Contains(out, "help requested") {
+			t.Errorf("%s printed:\n%s", arg, out)
+		}
+	}
+}
+
 func TestRunObservabilityFlags(t *testing.T) {
 	dir := t.TempDir()
 	accessPath := filepath.Join(dir, "access.jsonl")

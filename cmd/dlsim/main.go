@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -100,6 +101,9 @@ func parseFlags(args []string, usage io.Writer) (*simFlags, error) {
 
 func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) error {
 	f, err := parseFlags(args, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil // -h: the usage is all that was asked for
+	}
 	if err != nil {
 		return err
 	}

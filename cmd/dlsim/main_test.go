@@ -166,6 +166,20 @@ func FuzzSimFlags(f *testing.F) {
 	})
 }
 
+// TestRunHelp: -h and -help print the usage (to stderr) and succeed
+// without reading a graph.
+func TestRunHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var buf bytes.Buffer
+		if err := run(context.Background(), []string{arg}, iotest.ErrReader(errors.New("stdin read")), &buf); err != nil {
+			t.Errorf("%s: %v", arg, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s wrote output:\n%s", arg, buf.String())
+		}
+	}
+}
+
 func TestRunPolicies(t *testing.T) {
 	for _, p := range []string{"EDF", "llf", "FIFO", "hlf"} {
 		var out bytes.Buffer

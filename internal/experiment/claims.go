@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Claim is one falsifiable statement the paper makes about its figures,
@@ -292,8 +293,9 @@ type ClaimResult struct {
 	Detail       string
 }
 
-// VerifyClaims runs every figure a claim needs (sharing runs between
-// claims) and evaluates all claims. It returns one result per claim.
+// VerifyClaims runs every figure a claim needs through RunFigures
+// (sharing runs between claims) and evaluates all claims. It returns one
+// result per claim.
 func VerifyClaims(ctx context.Context, base Config) ([]ClaimResult, error) {
 	claims := Claims()
 	needed := map[string]bool{}
@@ -302,14 +304,13 @@ func VerifyClaims(ctx context.Context, base Config) ([]ClaimResult, error) {
 			needed[f] = true
 		}
 	}
-	registry := Figures()
-	tables := make(map[string][]*Table, len(needed))
-	for key := range needed {
-		ts, err := registry[key](ctx, base)
-		if err != nil {
-			return nil, fmt.Errorf("figure %s: %w", key, err)
+	keys := slices.DeleteFunc(FigureOrder(), func(k string) bool { return !needed[k] })
+	tables := make(map[string][]*Table, len(keys))
+	for i, run := range RunFigures(ctx, base, keys) {
+		if run.Err != nil {
+			return nil, fmt.Errorf("figure %s: %w", keys[i], run.Err)
 		}
-		tables[key] = ts
+		tables[keys[i]] = run.Tables
 	}
 	out := make([]ClaimResult, 0, len(claims))
 	for _, c := range claims {

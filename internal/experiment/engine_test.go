@@ -243,19 +243,6 @@ func TestMeanLookup(t *testing.T) {
 	}
 }
 
-func TestFigureRegistryComplete(t *testing.T) {
-	figs := Figures()
-	order := FigureOrder()
-	if len(figs) != len(order) {
-		t.Fatalf("registry has %d entries, order has %d", len(figs), len(order))
-	}
-	for _, k := range order {
-		if figs[k] == nil {
-			t.Errorf("figure %q missing from registry", k)
-		}
-	}
-}
-
 func TestClaimsWellFormed(t *testing.T) {
 	registry := Figures()
 	ids := map[string]bool{}

@@ -28,12 +28,12 @@ func labels(t *Table) []string {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	tables, err := Figure2(context.Background(), figBase(4, 2, 8))
+	tables, err := Figures()["2"](context.Background(), figBase(4, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 3 {
-		t.Fatalf("Figure2 returned %d tables, want 3 (one per scenario)", len(tables))
+		t.Fatalf("figure 2 returned %d tables, want 3 (one per scenario)", len(tables))
 	}
 	wantScenarios := []string{"LDET", "MDET", "HDET"}
 	for i, table := range tables {
@@ -50,12 +50,12 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	tables, err := Figure3(context.Background(), figBase(4, 2, 8))
+	tables, err := Figures()["3"](context.Background(), figBase(4, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 3 {
-		t.Fatalf("Figure3 returned %d tables", len(tables))
+		t.Fatalf("figure 3 returned %d tables", len(tables))
 	}
 	got := strings.Join(labels(tables[0]), " ")
 	for _, want := range []string{"THRES d=1", "THRES d=2", "THRES d=4"} {
@@ -66,7 +66,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	tables, err := Figure4(context.Background(), figBase(4, 2, 8))
+	tables, err := Figures()["4"](context.Background(), figBase(4, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	tables, err := Figure5(context.Background(), figBase(4, 2, 8))
+	tables, err := Figures()["5"](context.Background(), figBase(4, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,42 +91,36 @@ func TestFigure5Shape(t *testing.T) {
 	}
 }
 
+// TestSweepsProduceTables runs every registered figure and checks its
+// table count, one table per panel, and that every table covers the sweep.
 func TestSweepsProduceTables(t *testing.T) {
 	base := figBase(3, 2, 8)
-	cases := []struct {
-		name   string
-		fn     FigureFunc
-		tables int
-	}{
-		{"ccr", CCRSweep, 4},
-		{"met", METSweep, 3},
-		{"par", ParallelismSweep, 3},
-		{"topo", TopologySweep, 4},
-		{"shapes", StructuredSweep, 5},
-		{"apps", AppSweep, 3},
-		{"baselines", BaselineComparison, 1},
-		{"bus", BusAblation, 2},
-		{"policy", PolicySweep, 4},
-		{"preempt", PreemptionAblation, 2},
-		{"hetero", HeteroSweep, 3},
-		{"channels", ChannelSweep, 4},
-		{"ablate", AblationSweep, 1},
-		{"improve", ImproveSweep, 1},
-		{"olr", OLRBasisAblation, 2},
-		{"dispatch", DispatchAblation, 2},
+	want := map[string]int{
+		"2": 3, "3": 3, "4": 3, "5": 3,
+		"ccr": 4, "met": 3, "par": 3, "topo": 4, "shapes": 5, "apps": 3,
+		"baselines": 1, "bus": 2, "locality": 4, "policy": 4, "preempt": 2,
+		"hetero": 3, "channels": 4, "order": 1, "ablate": 1, "improve": 1,
+		"olr": 2, "dispatch": 2,
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			tables, err := c.fn(context.Background(), base)
+	if len(FigureOrder()) != len(want) {
+		t.Fatalf("registry has %d figures, test expects %d", len(FigureOrder()), len(want))
+	}
+	for _, key := range FigureOrder() {
+		t.Run(key, func(t *testing.T) {
+			n, ok := want[key]
+			if !ok {
+				t.Fatalf("no expected table count for figure %s", key)
+			}
+			tables, err := Figures()[key](context.Background(), base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tables) != c.tables {
-				t.Fatalf("%s returned %d tables, want %d", c.name, len(tables), c.tables)
+			if len(tables) != n {
+				t.Fatalf("%s returned %d tables, want %d", key, len(tables), n)
 			}
 			for _, table := range tables {
 				if len(table.Curves) == 0 || len(table.Curves[0].Points) != 2 {
-					t.Fatalf("%s: malformed table %q", c.name, table.Title)
+					t.Fatalf("%s: malformed table %q", key, table.Title)
 				}
 			}
 		})
@@ -190,12 +184,12 @@ func TestPaperShapeCCNEBeatsCCAA(t *testing.T) {
 }
 
 func TestLocalitySweepShape(t *testing.T) {
-	tables, err := LocalitySweep(context.Background(), figBase(3, 2, 8))
+	tables, err := Figures()["locality"](context.Background(), figBase(3, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 4 {
-		t.Fatalf("LocalitySweep returned %d tables, want 4", len(tables))
+		t.Fatalf("figure locality returned %d tables, want 4", len(tables))
 	}
 	for _, table := range tables {
 		if !strings.Contains(table.Scenario, "pinned=") {
@@ -205,12 +199,12 @@ func TestLocalitySweepShape(t *testing.T) {
 }
 
 func TestOrderComparisonShape(t *testing.T) {
-	tables, err := OrderComparison(context.Background(), figBase(4, 2, 8))
+	tables, err := Figures()["order"](context.Background(), figBase(4, 2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 1 {
-		t.Fatalf("OrderComparison returned %d tables", len(tables))
+		t.Fatalf("figure order returned %d tables", len(tables))
 	}
 	got := strings.Join(labels(tables[0]), " ")
 	for _, want := range []string{"PURE/CCNE", "ADAPT/CCNE", "PURE/assign-first", "NORM/assign-first"} {

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -124,44 +123,4 @@ func (t *Table) PairedDiff(labelA, labelB string, size int) (analysis.Stats, boo
 		s.Add(a[i] - b[i])
 	}
 	return s, true
-}
-
-// FigureFunc regenerates one paper figure (or Section 8 / extension
-// result) from a base configuration. The tables completed before an
-// interruption are returned alongside the error (see the partial-result
-// contract in figures.go).
-type FigureFunc func(ctx context.Context, base Config) ([]*Table, error)
-
-// Figures returns the registry of reproducible experiments, keyed by the
-// identifiers used by cmd/dlexp (see DESIGN.md §4).
-func Figures() map[string]FigureFunc {
-	return map[string]FigureFunc{
-		"2":         Figure2,
-		"3":         Figure3,
-		"4":         Figure4,
-		"5":         Figure5,
-		"ccr":       CCRSweep,
-		"met":       METSweep,
-		"par":       ParallelismSweep,
-		"topo":      TopologySweep,
-		"shapes":    StructuredSweep,
-		"apps":      AppSweep,
-		"baselines": BaselineComparison,
-		"bus":       BusAblation,
-		"locality":  LocalitySweep,
-		"policy":    PolicySweep,
-		"preempt":   PreemptionAblation,
-		"hetero":    HeteroSweep,
-		"channels":  ChannelSweep,
-		"ablate":    AblationSweep,
-		"improve":   ImproveSweep,
-		"olr":       OLRBasisAblation,
-		"dispatch":  DispatchAblation,
-		"order":     OrderComparison,
-	}
-}
-
-// FigureOrder lists the registry keys in presentation order.
-func FigureOrder() []string {
-	return []string{"2", "3", "4", "5", "ccr", "met", "par", "topo", "shapes", "apps", "baselines", "bus", "locality", "policy", "preempt", "hetero", "channels", "order", "ablate", "improve", "olr", "dispatch"}
 }

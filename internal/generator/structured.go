@@ -205,7 +205,8 @@ func (s *structuredBuilder) inTree(depth, branch int) {
 	for i := range frontier {
 		frontier[i] = s.subtask()
 	}
-	for len(frontier) > 1 {
+	// depth-1 converging levels: with branch 1 the tree is a chain.
+	for l := 1; l < depth; l++ {
 		next := make([]taskgraph.NodeID, len(frontier)/branch)
 		for i := range next {
 			v := s.subtask()

@@ -70,6 +70,23 @@ func TestInTreeShape(t *testing.T) {
 	}
 }
 
+// TestWidthOneTreesAreChains: a tree of width 1 is a chain of Depth
+// subtasks, converging (in-tree) as well as branching (out-tree), and the
+// count matches the bound Validate checks.
+func TestWidthOneTreesAreChains(t *testing.T) {
+	for _, shape := range []Shape{ShapeOutTree, ShapeInTree} {
+		g := mustStructured(t, shape, 5, 1, 4)
+		if g.NumSubtasks() != 5 || g.Depth() != 5 || g.NumMessages() != 4 {
+			t.Errorf("%v depth 5 width 1: %d subtasks, depth %d, %d messages; want a 5-subtask chain",
+				shape, g.NumSubtasks(), g.Depth(), g.NumMessages())
+		}
+		cfg := StructuredConfig{Shape: shape, Depth: 5, Width: 1}
+		if n := cfg.maxSubtasks(); n != g.NumSubtasks() {
+			t.Errorf("%v: maxSubtasks %d, generated %d", shape, n, g.NumSubtasks())
+		}
+	}
+}
+
 func TestForkJoinShape(t *testing.T) {
 	g := mustStructured(t, ShapeForkJoin, 3, 4, 4)
 	// 1 source + 3 stages × (4 parallel + 1 join) = 16.

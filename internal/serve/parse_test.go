@@ -143,12 +143,12 @@ func TestParseHitSkipsBuild(t *testing.T) {
 }
 
 // TestParseAmbiguousNamesBuild: with an unnamed subtask, two wires can
-// share canonical bytes. Subtasks ["", "t0"] encode like ["t0", "t0"],
-// and Build refuses both as ambiguous, whether or not their key has a
-// cached answer. An arc naming the generated name of an unnamed subtask
-// still shares the key of a valid graph, so a request whose subtask names
-// are not all distinct and non-empty is built, and refused, even when its
-// key has a cached answer.
+// share canonical bytes, and then they are accepted or refused alike.
+// Subtasks ["", "t0"] encode like ["t0", "t0"], and Build refuses both as
+// ambiguous; no accepted wire has their key, so no answer is ever cached
+// under it. An arc may name the unnamed subtask by its generated name
+// "t0" as well as by "": both wires parse, share the key and build the
+// same graph, so a hit may skip the build.
 func TestParseAmbiguousNamesBuild(t *testing.T) {
 	orc := experiment.NewOrchestrator(1)
 	defer orc.Close()
@@ -162,43 +162,51 @@ func TestParseAmbiguousNamesBuild(t *testing.T) {
 		return req
 	}
 	for _, tc := range []struct {
-		good string // "" when every wire sharing the key is refused
-		bad  []string
+		wires []string // sharing one key
+		valid bool
 	}{
 		{ // Duplicate names, one of them generated.
-			bad: []string{
+			wires: []string{
 				`{"subtasks":[{"name":"","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"t0","size":1}]}`,
 				`{"subtasks":[{"name":"t0","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"t0","size":1}]}`,
 			},
 		},
-		{ // An arc naming the generated name, which does not resolve.
-			good: `{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"b","size":1}]}`,
-			bad:  []string{`{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"b","size":1}]}`},
+		{ // An arc naming the unnamed subtask either way.
+			wires: []string{
+				`{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"b","size":1}]}`,
+				`{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"b","size":1}]}`,
+			},
+			valid: true,
 		},
 	} {
-		key, kerr := contentKey(&decode(tc.bad[0]).Graph, 4, "ADAPT", "EDF")
+		key, kerr := contentKey(&decode(tc.wires[0]).Graph, 4, "ADAPT", "EDF")
 		if kerr != nil {
 			t.Fatal(kerr)
 		}
-		if tc.good != "" {
-			pr, perr := s.parse(decode(tc.good), TierFull)
-			if perr != nil || pr.key != key {
-				t.Fatalf("%s: %v, or not the key of %s", tc.good, perr, tc.bad[0])
+		var graphs []string
+		for _, wire := range tc.wires {
+			req := decode(wire)
+			if k, _ := contentKey(&req.Graph, 4, "ADAPT", "EDF"); k != key {
+				t.Fatalf("%s: expected to share the key of %s", wire, tc.wires[0])
 			}
+			pr, perr := s.parse(req, TierFull)
+			if !tc.valid {
+				if perr == nil || perr.Class != ClassInvalid {
+					t.Errorf("%s: %v, want invalid", wire, perr)
+				}
+				continue
+			}
+			if perr != nil {
+				t.Fatalf("%s: %v", wire, perr)
+			}
+			g, err := pr.graph.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, string(g))
 		}
-		for _, cached := range []bool{false, true} {
-			if cached {
-				publish(s, key)
-			}
-			for _, bad := range tc.bad {
-				req := decode(bad)
-				if k, _ := contentKey(&req.Graph, 4, "ADAPT", "EDF"); k != key {
-					t.Fatalf("%s: expected to share the key of %s", bad, tc.bad[0])
-				}
-				if _, perr := s.parse(req, TierFull); perr == nil || perr.Class != ClassInvalid {
-					t.Errorf("%s (cached %v): %v, want invalid", bad, cached, perr)
-				}
-			}
+		if tc.valid && graphs[0] != graphs[1] {
+			t.Errorf("wires sharing a key build different graphs:\n%s\n%s", graphs[0], graphs[1])
 		}
 	}
 }

@@ -191,11 +191,10 @@ func policyName(p scheduler.Policy) string {
 // bytes (taskgraph.Wire.AppendCanonical), which equal json.Marshal of the
 // built graph, so it needs no Graph. When the key already has a settled
 // answer the graph is never built. That is sound because an answer is
-// settled only for a key whose graph passed Build, and a wire whose
-// subtasks all have distinct names shares canonical bytes only with wires
-// that build the same graph. A graph without distinct names is therefore
-// built even on a hit, as is every graph on a miss, so an invalid graph
-// is refused with a 400 before admission.
+// settled only for a key whose graph passed Build, and wires with equal
+// canonical bytes are accepted or refused alike and build the same graph.
+// Every graph is built on a miss, so an invalid graph is refused with a
+// 400 before admission.
 func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 	if n := len(req.Graph.Subtasks); n > maxSubtasks {
 		return nil, Errorf(ClassInvalid, fmt.Sprintf("graph has %d subtasks (limit %d)", n, maxSubtasks))
@@ -277,7 +276,7 @@ func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 		budget:   budget,
 		pinned:   pinned,
 	}
-	if _, hit := s.cache.Peek(key); !hit || !distinctNames(&req.Graph) {
+	if _, hit := s.cache.Peek(key); !hit {
 		if _, err := pr.graphOrBuild(); err != nil {
 			return nil, err
 		}
@@ -307,28 +306,6 @@ func contentKey(w *taskgraph.Wire, procs int, label, policy string) (string, *Er
 	*bp = buf
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// namePool recycles distinctNames' sets.
-var namePool = sync.Pool{New: func() any { return make(map[string]struct{}) }}
-
-// distinctNames reports whether every subtask has a name of its own: the
-// condition under which canonical bytes determine the graph (see
-// taskgraph.Wire.AppendCanonical).
-func distinctNames(w *taskgraph.Wire) bool {
-	seen := namePool.Get().(map[string]struct{})
-	defer func() {
-		clear(seen)
-		namePool.Put(seen)
-	}()
-	for i := range w.Subtasks {
-		name := w.Subtasks[i].Name
-		if _, dup := seen[name]; dup || name == "" {
-			return false
-		}
-		seen[name] = struct{}{}
-	}
-	return true
 }
 
 // graphOrBuild returns the request's graph, building it from the wire

@@ -19,18 +19,16 @@ import (
 // subtask name encodes as "t<index>", and so does an arc endpoint naming
 // it. Like json.Marshal, it fails on a NaN or infinite number.
 //
-// Canonical bytes determine the graph when names are plain. Take two
-// wires with valid UTF-8 strings (as every wire decoded from JSON has) and
-// equal canonical bytes, where Build accepts the first and the second
-// names each subtask with a distinct non-empty name. Then Build accepts
-// the second too and builds the same graph. The name condition matters:
-// an arc from "t0" in a wire whose subtask 0 is unnamed encodes like one
-// from "", but only the latter resolves. (Subtasks ["", "t0"] encode like
-// ["t0", "t0"]; Build rejects both.)
+// Canonical bytes determine the graph. Take two wires with valid UTF-8
+// strings (as every wire decoded from JSON has) and equal canonical bytes:
+// Build accepts both or neither, and builds the same graph from both. (A
+// second unnamed subtask, which Build refuses, encodes as "" rather than
+// a generated name, so no refused wire shares an accepted one's bytes.)
 func (w *Wire) AppendCanonical(dst []byte) ([]byte, error) {
 	var err error
 	// anon is the index of the first unnamed subtask: the one an empty arc
-	// endpoint resolves to (Build rejects a second one as a duplicate).
+	// endpoint resolves to, and the only one with a generated name (Build
+	// rejects a second one as a duplicate).
 	anon := -1
 	dst = append(dst, `{"subtasks":`...)
 	if len(w.Subtasks) == 0 {
@@ -43,10 +41,8 @@ func (w *Wire) AppendCanonical(dst []byte) ([]byte, error) {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"name":`...)
-			if st.Name == "" {
-				if anon < 0 {
-					anon = i
-				}
+			if st.Name == "" && anon < 0 {
+				anon = i
 				dst = appendGeneratedName(dst, i)
 			} else {
 				dst = AppendJSONString(dst, st.Name)

@@ -15,6 +15,7 @@ var canonicalSeeds = []string{
 	`{"subtasks":[{"name":"","cost":1},{"name":"t0","cost":2,"endToEnd":9}],"arcs":[{"from":"","to":"t0","size":1}]}`,
 	`{"subtasks":[{"name":"t1","cost":1},{"name":"","cost":2,"endToEnd":9}],"arcs":[{"from":"t1","to":"","size":1}]}`,
 	`{"subtasks":[{"name":"","cost":1},{"name":"","cost":2}],"arcs":[]}`,
+	`{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],"arcs":[{"from":"t0","to":"b","size":1}]}`,
 	`{"subtasks":[{"name":"a","cost":1,"pinned":0,"release":2},{"name":"b","cost":2,"endToEnd":9,"pinned":3}],"arcs":[{"from":"a","to":"b","size":0}]}`,
 	`{"subtasks":[{"name":"a","cost":1,"release":-0,"endToEnd":-0,"pinned":null}],"arcs":null}`,
 	`{"subtasks":[{"name":"a","cost":1e-7},{"name":"b","cost":1e21,"endToEnd":1.0}],"arcs":[{"from":"a","to":"b","size":-0}]}`,
@@ -38,7 +39,8 @@ var canonicalSeeds = []string{
 // must decode back to the same bytes: Build refuses a generated name
 // that collides with a given one, so an accepted graph's names are its
 // own. For every named wire the decoder produces, valid graph or not,
-// they must equal the reflective encoding of the wire.
+// they must equal the reflective encoding of the wire. For every input
+// Decode refuses, no accepted wire may share its canonical bytes.
 func FuzzCanonical(f *testing.F) {
 	for _, s := range canonicalSeeds {
 		f.Add([]byte(s))
@@ -59,6 +61,13 @@ func FuzzCanonical(f *testing.F) {
 		}
 		g, err := Decode(data)
 		if err != nil {
+			// Were an accepted wire's canonical bytes equal to canon, canon
+			// would decode to its graph and marshal back to itself.
+			if g2, err := Decode(canon); err == nil {
+				if again, err := json.Marshal(g2); err == nil && bytes.Equal(again, canon) {
+					t.Fatalf("refused wire shares the canonical bytes of an accepted one:\n%s", canon)
+				}
+			}
 			return
 		}
 		marshalled, err := json.Marshal(g)
@@ -211,5 +220,26 @@ func TestCanonicalAppends(t *testing.T) {
 	}
 	if want := `prefix:{"subtasks":[{"name":"a","cost":1e-7}],"arcs":null}`; string(out) != want {
 		t.Errorf("got %s, want %s", out, want)
+	}
+}
+
+// TestGeneratedNameEndpoint: an arc endpoint may name the unnamed subtask
+// by its generated name "t<index>" as well as by its empty name. Both
+// wires have the same canonical bytes, so they must build the same graph.
+func TestGeneratedNameEndpoint(t *testing.T) {
+	var out [2][]byte
+	for i, from := range []string{"", "t0"} {
+		data := `{"subtasks":[{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}],` +
+			`"arcs":[{"from":"` + from + `","to":"b","size":1}]}`
+		g, err := Decode([]byte(data))
+		if err != nil {
+			t.Fatalf("from %q: %v", from, err)
+		}
+		if out[i], err = g.MarshalJSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Errorf("arc from \"\" and from \"t0\" build different graphs:\n%s\n%s", out[0], out[1])
 	}
 }

@@ -45,7 +45,8 @@ type WireArc struct {
 //
 // Every subtask of the graph has a name of its own: Build rejects a
 // repeated name, and an unnamed subtask whose generated name "t<index>"
-// is another subtask's explicit name, as ambiguous.
+// is another subtask's explicit name, as ambiguous. An arc endpoint
+// resolves the unnamed subtask by its empty name or by its generated one.
 func (w *Wire) Build() (*Graph, error) {
 	b := newBuilderSized(len(w.Subtasks), len(w.Arcs))
 	ids := make(map[string]NodeID, len(w.Subtasks))
@@ -76,6 +77,7 @@ func (w *Wire) Build() (*Graph, error) {
 		if other, clash := ids[string(gen)]; clash {
 			return nil, fmt.Errorf("decode task graph: unnamed subtask %d gets the name %q, which subtask %d already has", anon, gen, other)
 		}
+		ids[string(gen)] = ids[""]
 	}
 	for _, a := range w.Arcs {
 		u, ok := ids[a.From]
