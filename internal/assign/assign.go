@@ -6,21 +6,32 @@
 // paper's distribution-first flow reproduces the premise of the paper
 // (experiment X4 in DESIGN.md).
 //
-// The heuristic is Sarkar-style edge zeroing followed by load-balanced
-// cluster-to-processor mapping:
+// The heuristic is load-capped Sarkar-style edge zeroing followed by
+// load-balanced cluster-to-processor mapping:
 //
 //  1. every subtask starts in its own cluster;
-//  2. messages are visited in decreasing size order; a message's producer
-//     and consumer clusters are merged ("the edge is zeroed") unless the
-//     merge increases the graph's estimated critical path (execution plus
-//     the communication costs of unzeroed arcs);
+//  2. messages are visited in decreasing size order (ties by NodeID); a
+//     message's producer and consumer clusters are merged ("the edge is
+//     zeroed") unless they are pinned to different processors or the
+//     merged load would exceed the cap: the balanced per-processor share
+//     of the total work, raised to the critical-path workload and to the
+//     largest subtask;
 //  3. clusters are mapped to processors largest-first onto the least
 //     loaded processor (LPT), honouring pinned subtasks.
+//
+// Sarkar's step 2 also rejects a merge that grows the estimated critical
+// path (execution plus size × mean pair cost of every arc between distinct
+// clusters). That check cannot fire: a merge only turns arc costs
+// size × pairCost ≥ 0 into 0, and IEEE + and max are monotone, so the
+// estimate never grows. Cluster skips it, and refuses the only platforms on
+// which it could have rejected a merge: those whose mean pair cost is
+// negative or non-finite.
 package assign
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"deadlinedist/internal/platform"
@@ -31,6 +42,7 @@ import (
 var (
 	ErrNilInput    = errors.New("assignment needs a graph and a platform")
 	ErrPinConflict = errors.New("pinned subtasks with different processors ended up in one cluster")
+	ErrBadCommCost = errors.New("interprocessor communication cost is negative or non-finite")
 )
 
 // Assignment maps every ordinary subtask to a processor. Entries for
@@ -41,6 +53,11 @@ type Assignment []int
 func Cluster(g *taskgraph.Graph, sys *platform.System) (Assignment, error) {
 	if g == nil || sys == nil {
 		return nil, ErrNilInput
+	}
+	// Merges skip Sarkar's critical-path check, which is sound only for a
+	// non-negative, finite pair cost (see the package comment).
+	if pc := meanPairCost(sys); !(pc >= 0 && pc <= math.MaxFloat64) {
+		return nil, fmt.Errorf("mean interprocessor cost %v: %w", pc, ErrBadCommCost)
 	}
 	n := g.NumNodes()
 
@@ -58,31 +75,23 @@ func Cluster(g *taskgraph.Graph, sys *platform.System) (Assignment, error) {
 		return x
 	}
 
-	// rootPin tracks the strict locality constraint of each cluster;
-	// clusters with conflicting pins are never merged.
+	// rootPin tracks the strict locality constraint of each cluster
+	// (clusters with conflicting pins are never merged) and rootLoad its
+	// workload: merges stop at the balanced per-processor share so the
+	// clustering stays platform-aware (a load-capped Sarkar variant —
+	// unbounded edge zeroing collapses layered graphs into one or two
+	// clusters).
 	rootPin := make([]int, n)
-	for i := range rootPin {
-		rootPin[i] = taskgraph.Unpinned
-	}
-	for _, node := range g.NodesView() {
-		if node.Kind == taskgraph.KindSubtask {
-			rootPin[node.ID] = node.Pinned
-		}
-	}
-
-	// rootLoad tracks cluster workloads; merges stop at the balanced
-	// per-processor share so the clustering stays platform-aware (a
-	// load-capped Sarkar variant — unbounded edge zeroing collapses
-	// layered graphs into one or two clusters).
 	rootLoad := make([]float64, n)
 	maxCost := 0.0
+	var msgs []taskgraph.NodeID
 	for _, node := range g.NodesView() {
-		if node.Kind == taskgraph.KindSubtask {
-			rootLoad[node.ID] = node.Cost
-			if node.Cost > maxCost {
-				maxCost = node.Cost
-			}
+		if node.Kind == taskgraph.KindMessage {
+			msgs = append(msgs, node.ID)
+			continue
 		}
+		rootPin[node.ID], rootLoad[node.ID] = node.Pinned, node.Cost
+		maxCost = max(maxCost, node.Cost)
 	}
 	// The cap is the balanced per-processor share, but never below the
 	// critical-path workload: a cluster following one dependence chain
@@ -95,34 +104,7 @@ func Cluster(g *taskgraph.Graph, sys *platform.System) (Assignment, error) {
 		loadCap = maxCost
 	}
 
-	// zeroed[m] marks messages made free by clustering.
-	zeroed := make([]bool, n)
-	pairCost := meanPairCost(sys)
-	commCost := func(m taskgraph.NodeID) float64 {
-		if zeroed[m] {
-			return 0
-		}
-		if root := find(g.Pred(m)[0]); root == find(g.Succ(m)[0]) {
-			return 0
-		}
-		return g.Node(m).Size * pairCost
-	}
-	criticalPath := func() float64 {
-		return g.LongestPath(func(node taskgraph.Node) float64 {
-			if node.Kind == taskgraph.KindSubtask {
-				return node.Cost
-			}
-			return commCost(node.ID)
-		})
-	}
-
 	// Edge zeroing in decreasing message-size order.
-	var msgs []taskgraph.NodeID
-	for _, node := range g.NodesView() {
-		if node.Kind == taskgraph.KindMessage {
-			msgs = append(msgs, node.ID)
-		}
-	}
 	sort.Slice(msgs, func(i, j int) bool {
 		si, sj := g.Node(msgs[i]).Size, g.Node(msgs[j]).Size
 		if si != sj {
@@ -130,12 +112,9 @@ func Cluster(g *taskgraph.Graph, sys *platform.System) (Assignment, error) {
 		}
 		return msgs[i] < msgs[j]
 	})
-
-	best := criticalPath()
 	for _, m := range msgs {
 		u, v := find(g.Pred(m)[0]), find(g.Succ(m)[0])
 		if u == v {
-			zeroed[m] = true
 			continue
 		}
 		// Never join clusters carrying conflicting strict locality
@@ -147,22 +126,11 @@ func Cluster(g *taskgraph.Graph, sys *platform.System) (Assignment, error) {
 		if rootLoad[u]+rootLoad[v] > loadCap+1e-9 {
 			continue
 		}
-		// Tentatively merge and keep the merge only if the critical path
-		// does not grow (serializing the clusters may lengthen it even
-		// though the message became free).
-		oldU, oldV := parent[u], parent[v]
 		parent[v] = u
-		zeroed[m] = true
-		if cp := criticalPath(); cp <= best+1e-9 {
-			best = cp
-			if rootPin[u] == taskgraph.Unpinned {
-				rootPin[u] = rootPin[v]
-			}
-			rootLoad[u] += rootLoad[v]
-			continue
+		if rootPin[u] == taskgraph.Unpinned {
+			rootPin[u] = rootPin[v]
 		}
-		parent[u], parent[v] = oldU, oldV
-		zeroed[m] = false
+		rootLoad[u] += rootLoad[v]
 	}
 
 	return mapClusters(g, sys, find)

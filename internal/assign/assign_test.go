@@ -2,6 +2,9 @@ package assign
 
 import (
 	"errors"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +158,21 @@ func TestClusterErrors(t *testing.T) {
 	if _, err := Cluster(nil, nil); !errors.Is(err, ErrNilInput) {
 		t.Fatalf("nil inputs: %v", err)
 	}
+	// A negative or infinite per-item cost would let the skipped
+	// critical-path check reject merges, so Cluster refuses it.
+	g, err := generator.Random(generator.Default(generator.MDET), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cost := range []float64{-1, math.Inf(1)} {
+		s, err := platform.New(4, platform.WithTopology(platform.SharedBus{PerItemCost: cost}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Cluster(g, s); !errors.Is(err, ErrBadCommCost) {
+			t.Errorf("PerItemCost %v: got %v, want ErrBadCommCost", cost, err)
+		}
+	}
 }
 
 func TestApplyPinsEverything(t *testing.T) {
@@ -263,5 +281,188 @@ func TestPropertyClusterComplete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// clusterReference is Cluster as it was written with Sarkar's full merge
+// test: every tentative merge recomputes the estimated critical path
+// (execution plus size × mean pair cost of every unzeroed arc) and is
+// undone if the path grows. Cluster skips that recomputation; the two must
+// assign identically on every platform Cluster accepts.
+func clusterReference(g *taskgraph.Graph, sys *platform.System) (Assignment, error) {
+	if g == nil || sys == nil {
+		return nil, ErrNilInput
+	}
+	n := g.NumNodes()
+
+	// Union-find over subtasks.
+	parent := make([]taskgraph.NodeID, n)
+	for i := range parent {
+		parent[i] = taskgraph.NodeID(i)
+	}
+	var find func(taskgraph.NodeID) taskgraph.NodeID
+	find = func(x taskgraph.NodeID) taskgraph.NodeID {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+
+	// rootPin tracks the strict locality constraint of each cluster;
+	// clusters with conflicting pins are never merged.
+	rootPin := make([]int, n)
+	for i := range rootPin {
+		rootPin[i] = taskgraph.Unpinned
+	}
+	for _, node := range g.NodesView() {
+		if node.Kind == taskgraph.KindSubtask {
+			rootPin[node.ID] = node.Pinned
+		}
+	}
+
+	// rootLoad tracks cluster workloads; merges stop at the balanced
+	// per-processor share so the clustering stays platform-aware (a
+	// load-capped Sarkar variant — unbounded edge zeroing collapses
+	// layered graphs into one or two clusters).
+	rootLoad := make([]float64, n)
+	maxCost := 0.0
+	for _, node := range g.NodesView() {
+		if node.Kind == taskgraph.KindSubtask {
+			rootLoad[node.ID] = node.Cost
+			if node.Cost > maxCost {
+				maxCost = node.Cost
+			}
+		}
+	}
+	// The cap is the balanced per-processor share, but never below the
+	// critical-path workload: a cluster following one dependence chain
+	// gains nothing from being split, however many processors exist.
+	loadCap := g.TotalWork() / float64(sys.NumProcs())
+	if cp := g.LongestPath(taskgraph.ExecCost); loadCap < cp {
+		loadCap = cp
+	}
+	if loadCap < maxCost {
+		loadCap = maxCost
+	}
+
+	// zeroed[m] marks messages made free by clustering.
+	zeroed := make([]bool, n)
+	pairCost := meanPairCost(sys)
+	commCost := func(m taskgraph.NodeID) float64 {
+		if zeroed[m] {
+			return 0
+		}
+		if root := find(g.Pred(m)[0]); root == find(g.Succ(m)[0]) {
+			return 0
+		}
+		return g.Node(m).Size * pairCost
+	}
+	criticalPath := func() float64 {
+		return g.LongestPath(func(node taskgraph.Node) float64 {
+			if node.Kind == taskgraph.KindSubtask {
+				return node.Cost
+			}
+			return commCost(node.ID)
+		})
+	}
+
+	// Edge zeroing in decreasing message-size order.
+	var msgs []taskgraph.NodeID
+	for _, node := range g.NodesView() {
+		if node.Kind == taskgraph.KindMessage {
+			msgs = append(msgs, node.ID)
+		}
+	}
+	sort.Slice(msgs, func(i, j int) bool {
+		si, sj := g.Node(msgs[i]).Size, g.Node(msgs[j]).Size
+		if si != sj {
+			return si > sj
+		}
+		return msgs[i] < msgs[j]
+	})
+
+	best := criticalPath()
+	for _, m := range msgs {
+		u, v := find(g.Pred(m)[0]), find(g.Succ(m)[0])
+		if u == v {
+			zeroed[m] = true
+			continue
+		}
+		// Never join clusters carrying conflicting strict locality
+		// constraints, and keep cluster loads within the balanced share.
+		if rootPin[u] != taskgraph.Unpinned && rootPin[v] != taskgraph.Unpinned &&
+			rootPin[u] != rootPin[v] {
+			continue
+		}
+		if rootLoad[u]+rootLoad[v] > loadCap+1e-9 {
+			continue
+		}
+		// Tentatively merge and keep the merge only if the critical path
+		// does not grow (serializing the clusters may lengthen it even
+		// though the message became free).
+		oldU, oldV := parent[u], parent[v]
+		parent[v] = u
+		zeroed[m] = true
+		if cp := criticalPath(); cp <= best+1e-9 {
+			best = cp
+			if rootPin[u] == taskgraph.Unpinned {
+				rootPin[u] = rootPin[v]
+			}
+			rootLoad[u] += rootLoad[v]
+			continue
+		}
+		parent[u], parent[v] = oldU, oldV
+		zeroed[m] = false
+	}
+
+	return mapClusters(g, sys, find)
+}
+
+// TestClusterMatchesCriticalPathReference checks that dropping the
+// critical-path recomputation changes no assignment: random and structured
+// graphs, with and without pinned subtasks, on 1–16 processors.
+func TestClusterMatchesCriticalPathReference(t *testing.T) {
+	var graphs []*taskgraph.Graph
+	for seed := uint64(1); seed <= 6; seed++ {
+		g, err := generator.Random(generator.Default(generator.MDET), rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, shape := range generator.Shapes() {
+		cfg := generator.StructuredConfig{Workload: generator.Default(generator.MDET), Shape: shape, Depth: 4, Width: 3}
+		g, err := generator.Structured(cfg, rng.New(uint64(shape)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for n := 1; n <= 16; n++ {
+		s := sys(t, n)
+		for gi, g := range graphs {
+			for _, pinned := range []bool{false, true} {
+				in := g
+				if pinned {
+					in = g.Clone()
+					for _, node := range g.NodesView() {
+						if node.Kind == taskgraph.KindSubtask && node.ID%3 == 0 {
+							if err := in.SetPinned(node.ID, int(node.ID)%min(n, 3)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				want, werr := clusterReference(in, s)
+				got, err := Cluster(in, s)
+				if (err != nil) != (werr != nil) {
+					t.Fatalf("n=%d graph %d pinned=%v: error %v, reference %v", n, gi, pinned, err, werr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("n=%d graph %d pinned=%v: assignment %v, reference %v", n, gi, pinned, got, want)
+				}
+			}
+		}
 	}
 }

@@ -131,6 +131,22 @@ func pureThresAdapt() []Assigner {
 	}
 }
 
+// networkMemo builds each size of one network family (unit per-item cost)
+// once per figure run, for the engine and the CCHOP estimator factory (run
+// on every graph × size cell) alike; networks are immutable, so shareable.
+func networkMemo(build channel.Builder) func(n int) (*channel.Network, error) {
+	var mu sync.Mutex
+	nets := make(map[int]*channel.Network)
+	return func(n int) (net *channel.Network, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if nets[n] == nil {
+			nets[n], err = build(n, 1)
+		}
+		return nets[n], err
+	}
+}
+
 // registry lists every experiment in presentation order.
 var registry = []figure{
 	// Figure 2: maximum task lateness of the BST metrics (PURE, NORM)
@@ -383,18 +399,16 @@ var registry = []figure{
 	{"channels", func(Config) []panel {
 		var ps []panel
 		for _, name := range []string{"bus", "ring", "star", "mesh"} {
-			build := channel.Builders()[name]
+			nets := networkMemo(channel.Builders()[name])
 			mkEst := func(sys *platform.System) (core.CommEstimator, error) {
-				net, err := build(sys.NumProcs(), 1)
+				net, err := nets(sys.NumProcs())
 				if err != nil {
 					return nil, err
 				}
 				return core.CCHOP(net), nil
 			}
 			ps = append(ps, mdet("Extension X5: real-time channels ("+name+" network)", "MDET "+name+" channels",
-				func(cfg *Config) {
-					cfg.Network = func(n int) (*channel.Network, error) { return build(n, 1) }
-				},
+				func(cfg *Config) { cfg.Network = nets },
 				Slicing(core.ADAPT(defaultThresFactor), core.CCNE()),
 				SlicingDyn(core.ADAPT(defaultThresFactor), "ADAPT/CCHOP", mkEst),
 				Slicing(core.ADAPT(defaultThresFactor), core.CCAA())))

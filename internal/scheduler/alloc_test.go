@@ -3,6 +3,7 @@ package scheduler
 import (
 	"testing"
 
+	"deadlinedist/internal/channel"
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/platform"
@@ -55,6 +56,48 @@ func TestSchedulerRunZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state Scratch.Run allocates %.1f objects/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestRunMultihopWarmZeroAlloc pins the same contract for the multihop
+// scheduler: once warm, a Scratch costs candidates against stamped
+// tentative link times, slices every committed hop out of its one hop
+// backing and refills its cleared Hops map, all without allocating.
+func TestRunMultihopWarmZeroAlloc(t *testing.T) {
+	g, err := generator.Random(generator.Default(generator.MDET), rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{RespectRelease: true, Policy: PolicyEDF}
+	for _, name := range []string{"bus", "ring", "star", "mesh"} {
+		t.Run(name, func(t *testing.T) {
+			sys, err := platform.New(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := channel.Builders()[name](8, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCHOP(net)}.Distribute(g, sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := NewScratch()
+			for warm := 0; warm < 2; warm++ {
+				if _, err := sc.RunMultihop(g, sys, net, r, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := sc.RunMultihop(g, sys, net, r, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm Scratch.RunMultihop allocates %.1f objects/op, want 0", allocs)
 			}
 		})
 	}

@@ -22,7 +22,9 @@ type Hop struct {
 type MultihopSchedule struct {
 	Schedule *Schedule
 	// Hops maps each cross-processor message to its reserved link
-	// transfers in route order (empty for co-located messages).
+	// transfers in route order (co-located messages have no entry). A
+	// Scratch's runs slice every message's hops out of one backing owned
+	// by the Scratch, so they stay valid only until its next RunMultihop.
 	Hops map[taskgraph.NodeID][]Hop
 }
 
@@ -41,6 +43,8 @@ func RunMultihop(g *taskgraph.Graph, sys *platform.System, net *channel.Network,
 }
 
 // RunMultihop is the buffer-reusing form of the package-level RunMultihop.
+// The returned schedule and its hop slices are the Scratch's own storage,
+// valid until its next RunMultihop.
 func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *channel.Network,
 	res *core.Result, cfg Config) (*MultihopSchedule, error) {
 
@@ -60,12 +64,15 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 		return nil, err
 	}
 	sc.buildMsgOrder(g, res)
+	sc.bindProducers(g)
+	kinds, costs := g.Kinds(), g.Costs()
 
 	if sc.multihop == nil {
 		sc.multihop = &MultihopSchedule{Hops: make(map[taskgraph.NodeID][]Hop)}
 	}
 	out := sc.multihop
 	clear(out.Hops)
+	sc.hops = sc.hops[:0]
 	s := sc.schedule(&sc.mhSched, n)
 	for i := range s.Proc {
 		s.Proc[i] = -1
@@ -77,9 +84,8 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 	procFree := sc.procFree
 	sc.linkFree = resize(sc.linkFree, net.NumLinks())
 	clear(sc.linkFree)
-	linkFree := sc.linkFree
 	sc.linkTmp = resize(sc.linkTmp, net.NumLinks())
-	scratch := sc.linkTmp
+	sc.linkStamp = resize(sc.linkStamp, net.NumLinks()) // stale stamps are below every later epoch
 
 	sc.pending = resize(sc.pending, n)
 	pendingPreds := sc.pending
@@ -88,7 +94,7 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 	for id := 0; id < n; id++ {
 		nid := taskgraph.NodeID(id)
 		pendingPreds[nid] = 0
-		if g.Node(nid).Kind != taskgraph.KindSubtask {
+		if kinds[id] != taskgraph.KindSubtask {
 			continue
 		}
 		numSubtasks++
@@ -105,7 +111,7 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 		v := sc.ready.pop()
 
 		lo, hi := 0, sys.NumProcs()
-		if pin := g.Node(v).Pinned; pin != taskgraph.Unpinned {
+		if pin := g.PinnedOf(v); pin != taskgraph.Unpinned {
 			if pin >= sys.NumProcs() {
 				return nil, fmt.Errorf("subtask %q pinned to processor %d on a %d-processor platform: %w",
 					g.Node(v).Name, pin, sys.NumProcs(), ErrBadPin)
@@ -114,48 +120,24 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 		}
 		bestProc, bestStart, bestFinish := -1, math.Inf(1), math.Inf(1)
 		for p := lo; p < hi; p++ {
-			start := procFree[p]
-			if cfg.RespectRelease && res.Release[v] > start {
-				start = res.Release[v]
-			}
-			copy(scratch, linkFree)
-			plan, err := sc.reserveInbound(g, net, s, v, p, scratch, false)
+			exec := sys.ExecTime(costs[v], p)
+			start, ok, err := sc.mhBounded(g, net, s, res, cfg, v, p, procFree[p], exec, bestStart, bestFinish)
 			if err != nil {
 				return nil, err
 			}
-			for _, msgHops := range plan {
-				if k := len(msgHops.hops); k > 0 {
-					if end := msgHops.hops[k-1].End; end > start {
-						start = end
-					}
-				} else if s.Finish[g.Pred(msgHops.msg)[0]] > start { // co-located
-					start = s.Finish[g.Pred(msgHops.msg)[0]]
-				}
+			if !ok {
+				continue // pruned: provably cannot beat the incumbent
 			}
-			finish := start + sys.ExecTime(g.Node(v).Cost, p)
+			finish := start + exec
 			if finish < bestFinish || (finish == bestFinish && start < bestStart) {
 				bestProc, bestStart, bestFinish = p, start, finish
 			}
 		}
 
-		// Commit the winning processor's reservations.
-		plan, err := sc.reserveInbound(g, net, s, v, bestProc, linkFree, true)
-		if err != nil {
-			return nil, err
+		if bestProc < 0 {
+			return nil, fmt.Errorf("subtask %q: %w", g.Node(v).Name, ErrUnplaceable)
 		}
-		for _, msgHops := range plan {
-			m := msgHops.msg
-			u := g.Pred(m)[0]
-			if len(msgHops.hops) == 0 {
-				s.Start[m] = s.Finish[u]
-				s.Finish[m] = s.Finish[u]
-				continue
-			}
-			s.Start[m] = msgHops.hops[0].Start
-			s.Finish[m] = msgHops.hops[len(msgHops.hops)-1].End
-			out.Hops[m] = msgHops.hops
-		}
-
+		sc.commitInbound(g, net, s, out, v, bestProc)
 		s.Proc[v] = bestProc
 		s.Start[v] = bestStart
 		s.Finish[v] = bestFinish
@@ -176,64 +158,81 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 	return out, nil
 }
 
-// msgPlan is the reservation of one inbound message.
-type msgPlan struct {
-	msg  taskgraph.NodeID
-	hops []Hop
+// mhBounded computes the earliest start of subtask v on candidate processor
+// p: v's inbound messages, in deadline order, tentatively reserve the links
+// of their routes (in linkTmp, valid where linkStamp holds this candidate's
+// epoch; elsewhere linkFree applies), and v starts after the last arrival.
+// Branch-and-bound as in stBounded: start only grows, so the candidate is
+// abandoned (ok=false) once start+exec fails the candidate loop's selection
+// predicate; an unpruned start is bit-identical to the full walk's.
+func (sc *Scratch) mhBounded(g *taskgraph.Graph, net *channel.Network, s *Schedule, res *core.Result,
+	cfg Config, v taskgraph.NodeID, p int, procFree, exec, bestStart, bestFinish float64) (float64, bool, error) {
+
+	start := procFree
+	if cfg.RespectRelease && res.Release[v] > start {
+		start = res.Release[v]
+	}
+	if f := start + exec; f > bestFinish || (f == bestFinish && start >= bestStart) {
+		return 0, false, nil
+	}
+	sc.epoch++
+	costs := g.Costs()
+	for _, m := range sc.msgOrder[v] {
+		u := sc.prod[m]
+		t := s.Finish[u]
+		if pu := s.Proc[u]; pu != p {
+			route, err := net.Route(pu, p)
+			if err != nil {
+				return 0, false, err
+			}
+			for _, l := range route {
+				free := sc.linkFree[l]
+				if sc.linkStamp[l] == sc.epoch {
+					free = sc.linkTmp[l]
+				}
+				t = math.Max(t, free) + net.Link(l).PerItem*costs[m]
+				sc.linkTmp[l], sc.linkStamp[l] = t, sc.epoch
+			}
+		}
+		if t > start {
+			start = t
+			if f := start + exec; f > bestFinish || (f == bestFinish && start >= bestStart) {
+				return 0, false, nil
+			}
+		}
+	}
+	return start, true, nil
 }
 
-// reserveInbound reserves link time for every message feeding v on
-// processor p, walking the presorted message-deadline order and mutating
-// linkFree. Co-located messages get empty hop lists. The returned plans live
-// in the Scratch's buffer, valid until the next call; tentative evaluations
-// (commit=false) also draw their hop lists from a reused arena, while
-// committed plans allocate hops that outlive the call (they are published in
-// MultihopSchedule.Hops).
-func (sc *Scratch) reserveInbound(g *taskgraph.Graph, net *channel.Network,
-	s *Schedule, v taskgraph.NodeID, p int, linkFree []float64, commit bool) ([]msgPlan, error) {
+// commitInbound reserves the links of every message feeding v on p, in
+// deadline order, records each transfer interval and publishes the hops in
+// out.Hops, sliced from the hop backing (slices cut before the backing grew
+// keep the old array, which is never written again).
+func (sc *Scratch) commitInbound(g *taskgraph.Graph, net *channel.Network, s *Schedule,
+	out *MultihopSchedule, v taskgraph.NodeID, p int) {
 
-	plans := sc.mhPlanBuf[:0]
-	hopArena := sc.hopBuf[:0]
+	costs := g.Costs()
 	for _, m := range sc.msgOrder[v] {
-		u := g.Pred(m)[0]
+		u := sc.prod[m]
 		if s.Proc[u] == p {
-			plans = append(plans, msgPlan{msg: m})
+			s.Start[m] = s.Finish[u]
+			s.Finish[m] = s.Finish[u]
 			continue
 		}
-		route, err := net.Route(s.Proc[u], p)
-		if err != nil {
-			sc.mhPlanBuf = plans
-			return nil, err
-		}
+		route, _ := net.Route(s.Proc[u], p) // resolved by mhBounded
+		first := len(sc.hops)
 		t := s.Finish[u]
-		var hops []Hop
-		if commit {
-			hops = make([]Hop, 0, len(route))
-		} else {
-			// Carve this message's region out of the arena with a capped
-			// capacity, so its appends can never spill into a later
-			// message's region. (On arena growth, earlier regions keep
-			// referencing the retired backing array, which stays intact.)
-			need := len(hopArena) + len(route)
-			if cap(hopArena) < need {
-				hopArena = append(hopArena, make([]Hop, len(route))...)
-			} else {
-				hopArena = hopArena[:need]
-			}
-			hops = hopArena[need-len(route) : need-len(route) : need]
-		}
 		for _, l := range route {
-			start := math.Max(t, linkFree[l])
-			end := start + net.Link(l).PerItem*g.Node(m).Size
-			linkFree[l] = end
-			hops = append(hops, Hop{Link: l, Start: start, End: end})
-			t = end
+			start := math.Max(t, sc.linkFree[l])
+			t = start + net.Link(l).PerItem*costs[m]
+			sc.linkFree[l] = t
+			sc.hops = append(sc.hops, Hop{Link: l, Start: start, End: t})
 		}
-		plans = append(plans, msgPlan{msg: m, hops: hops})
+		hops := sc.hops[first:len(sc.hops):len(sc.hops)]
+		s.Start[m] = hops[0].Start
+		s.Finish[m] = t
+		out.Hops[m] = hops
 	}
-	sc.mhPlanBuf = plans
-	sc.hopBuf = hopArena
-	return plans, nil
 }
 
 // ValidateMultihop checks a multihop schedule:

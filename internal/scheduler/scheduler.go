@@ -60,6 +60,10 @@ var (
 	ErrNilInput = errors.New("scheduler needs a graph, a platform and a distribution result")
 	ErrBadSize  = errors.New("distribution result does not match the graph")
 	ErrBadPin   = errors.New("strict locality constraint exceeds platform size")
+	// ErrUnplaceable reports a subtask that no processor can start at a
+	// finite time: finite costs whose sums overflow float64 have pushed
+	// every candidate's start to +Inf.
+	ErrUnplaceable = errors.New("no processor can start the subtask at a finite time")
 )
 
 // Run schedules g on sys using the deadline annotations in res. It is a
@@ -183,6 +187,9 @@ func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Resul
 			}
 		}
 
+		if bestProc < 0 {
+			return nil, fmt.Errorf("subtask %q: %w", g.Node(v).Name, ErrUnplaceable)
+		}
 		// Commit: reserve the bus for incoming cross-processor messages
 		// (deadline order) and record message transfer intervals.
 		busFree = sc.commitMessages(g, sys, s, v, bestProc, busFree)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"deadlinedist/internal/channel"
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/platform"
@@ -538,5 +539,38 @@ func TestGanttOutput(t *testing.T) {
 	}
 	if !strings.Contains(out, "makespan") {
 		t.Errorf("Gantt missing makespan header:\n%s", out)
+	}
+}
+
+// TestOverflowedStartRefused: finite costs whose sums overflow to +Inf
+// leave no processor with a finite start for the third subtask on one
+// processor. Every scheduler refuses with ErrUnplaceable; Run and
+// RunMultihop used to index procFree[-1] and panic.
+func TestOverflowedStartRefused(t *testing.T) {
+	b := taskgraph.NewBuilder()
+	for _, name := range []string{"a", "b", "c"} {
+		b.SetEndToEnd(b.AddSubtask(name, 1e308), 1.7e308)
+	}
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sys(t, 1)
+	res := distributed(t, g, s)
+	net, err := channel.Bus(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, respect := range []bool{true, false} {
+		cfg := Config{RespectRelease: respect}
+		if _, err := Run(g, s, res, cfg); !errors.Is(err, ErrUnplaceable) {
+			t.Errorf("Run respect=%v: got %v, want ErrUnplaceable", respect, err)
+		}
+		if _, err := RunPreemptive(g, s, res, cfg); !errors.Is(err, ErrUnplaceable) {
+			t.Errorf("RunPreemptive respect=%v: got %v, want ErrUnplaceable", respect, err)
+		}
+		if _, err := RunMultihop(g, s, net, res, cfg); !errors.Is(err, ErrUnplaceable) {
+			t.Errorf("RunMultihop respect=%v: got %v, want ErrUnplaceable", respect, err)
+		}
 	}
 }

@@ -29,21 +29,24 @@ type Scratch struct {
 	lastSeg     []int
 	events      []readyEvent
 
-	// Multihop buffers (RunMultihop).
-	linkFree []float64
-	linkTmp  []float64
+	// Multihop buffers (RunMultihop): candidate link-free times (linkTmp,
+	// valid where linkStamp equals the never-reset epoch) and the one hop
+	// backing every published MultihopSchedule.Hops slice aliases.
+	linkFree  []float64
+	linkTmp   []float64
+	linkStamp []uint64
+	epoch     uint64
+	hops      []Hop
 
 	// Inbound-message dispatch order (contended-bus Run and RunMultihop):
 	// msgOrder[v] lists subtask v's predecessor messages sorted by (absolute
 	// deadline, NodeID). The distribution is fixed for a whole run, so the
 	// order is built once per run instead of re-sorted for every candidate
-	// processor of every dispatch step. planBuf, mhPlanBuf and hopBuf are the
-	// per-call reservation buffers those paths fill.
-	msgOrder  [][]taskgraph.NodeID
-	msgFlat   []taskgraph.NodeID
-	planBuf   []busInterval
-	mhPlanBuf []msgPlan
-	hopBuf    []Hop
+	// processor of every dispatch step. planBuf is the contended bus's
+	// per-call reservation buffer.
+	msgOrder [][]taskgraph.NodeID
+	msgFlat  []taskgraph.NodeID
+	planBuf  []busInterval
 
 	// prod[m] is message m's producer subtask (its single predecessor),
 	// bound once per run so the dispatch inner loops stop re-deriving

@@ -111,7 +111,7 @@ func TestReuseSchedulesMatchesFresh(t *testing.T) {
 }
 
 // TestReuseMultihopMatchesFresh is the multihop variant: the recycled
-// MultihopSchedule (shared hop map, presorted message order, plan arena)
+// MultihopSchedule (shared hop map, presorted message order, hop backing)
 // must reproduce the share-nothing run hop for hop.
 func TestReuseMultihopMatchesFresh(t *testing.T) {
 	cfg := Config{RespectRelease: true}

@@ -199,12 +199,15 @@ func TestCanonicalRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
+	// Builder and SetCost refuse non-finite costs, so the encoder's own
+	// guard is reached only by writing one into a built graph.
 	b := NewBuilder()
-	b.AddSubtask("a", math.Inf(1))
+	b.AddSubtask("a", 1)
 	g, err := b.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.nodes[0].Cost, g.costs[0] = math.Inf(1), math.Inf(1)
 	if _, err := json.Marshal(g); err == nil {
 		t.Error("graph with an infinite cost marshals")
 	}

@@ -17,6 +17,7 @@ package taskgraph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -127,7 +128,7 @@ var (
 	ErrSelfArc      = errors.New("arc connects a subtask to itself")
 	ErrDupArc       = errors.New("duplicate arc between subtasks")
 	ErrNotSubtask   = errors.New("arc endpoint is not an ordinary subtask")
-	ErrNegativeCost = errors.New("negative execution time or message size")
+	ErrNegativeCost = errors.New("negative or non-finite execution time or message size")
 )
 
 // builderArc records one Connect call: subtask u -> message m -> subtask v.
@@ -187,6 +188,10 @@ func newBuilderSized(subtasks, arcs int) *Builder {
 	return b
 }
 
+// finiteCost reports whether x is a valid execution time or message size:
+// non-negative and finite (NaN fails both comparisons).
+func finiteCost(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
 // arcKey packs the arc u -> v into one word for the duplicate-arc set.
 func arcKey(u, v NodeID) uint64 {
 	return uint64(u)<<32 | uint64(uint32(v))
@@ -200,7 +205,7 @@ func (b *Builder) AddSubtask(name string, cost float64) NodeID {
 	if name == "" {
 		name = "t" + strconv.Itoa(int(id))
 	}
-	if cost < 0 && b.err == nil {
+	if !finiteCost(cost) && b.err == nil {
 		b.err = fmt.Errorf("subtask %q: cost %v: %w", name, cost, ErrNegativeCost)
 	}
 	b.g.nodes = append(b.g.nodes, Node{ID: id, Kind: KindSubtask, Name: name, Cost: cost, Pinned: Unpinned})
@@ -222,7 +227,7 @@ func (b *Builder) Connect(u, v NodeID, size float64) NodeID {
 			b.err = fmt.Errorf("connect %d -> %d: %w", u, v, ErrNotSubtask)
 		case b.hasArc(u, v):
 			b.err = fmt.Errorf("connect %d -> %d: %w", u, v, ErrDupArc)
-		case size < 0:
+		case !finiteCost(size):
 			b.err = fmt.Errorf("connect %d -> %d: size %v: %w", u, v, size, ErrNegativeCost)
 		}
 	}
@@ -584,7 +589,7 @@ func (g *Graph) SetCost(id NodeID, cost float64) error {
 	if id < 0 || int(id) >= len(g.nodes) {
 		return fmt.Errorf("set cost %d: %w", id, ErrBadND)
 	}
-	if cost < 0 {
+	if !finiteCost(cost) {
 		return fmt.Errorf("set cost %d: %w", id, ErrNegativeCost)
 	}
 	if g.nodes[id].Kind == KindSubtask {

@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -492,5 +493,42 @@ func TestAvgParallelismEmptyWork(t *testing.T) {
 	}
 	if p := g.AvgParallelism(); p != 0 {
 		t.Fatalf("zero-work parallelism = %v, want 0", p)
+	}
+}
+
+// TestNonFiniteCostRefused: a NaN or infinite execution time or message
+// size is refused like a negative one, by AddSubtask and Connect (at
+// Finalize) and by SetCost, so no graph's AvgParallelism or schedule ever
+// sees one.
+func TestNonFiniteCostRefused(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := NewBuilder()
+		b.AddSubtask("a", bad)
+		if _, err := b.Finalize(); !errors.Is(err, ErrNegativeCost) {
+			t.Errorf("AddSubtask cost %v: got %v, want ErrNegativeCost", bad, err)
+		}
+
+		b = NewBuilder()
+		x, y := b.AddSubtask("x", 1), b.AddSubtask("y", 1)
+		b.Connect(x, y, bad)
+		if _, err := b.Finalize(); !errors.Is(err, ErrNegativeCost) {
+			t.Errorf("Connect size %v: got %v, want ErrNegativeCost", bad, err)
+		}
+
+		b = NewBuilder()
+		x, y = b.AddSubtask("x", 1), b.AddSubtask("y", 1)
+		m := b.Connect(x, y, 1)
+		g, err := b.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []NodeID{x, m} {
+			if err := g.SetCost(id, bad); !errors.Is(err, ErrNegativeCost) {
+				t.Errorf("SetCost(%d, %v): got %v, want ErrNegativeCost", id, bad, err)
+			}
+		}
+		if p := g.AvgParallelism(); p != 1 {
+			t.Errorf("after refused SetCost(%v): AvgParallelism %v, want 1", bad, p)
+		}
 	}
 }
