@@ -190,7 +190,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			<-ctx.Done()
 			ready.SetDraining(true)
 		}()
-		srv, err := obs.ServeReady(*httpAddr, rec, prog, ready)
+		srv, err := obs.Serve(*httpAddr, rec, prog, ready)
 		if err != nil {
 			return err
 		}

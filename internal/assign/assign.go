@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"deadlinedist/internal/platform"
@@ -133,62 +134,61 @@ func Cluster(g *taskgraph.Graph, sys *platform.System) (Assignment, error) {
 		rootLoad[u] += rootLoad[v]
 	}
 
-	return mapClusters(g, sys, find)
+	return mapClusters(g, sys, find, rootLoad, rootPin)
 }
 
 // mapClusters places clusters on processors, largest first, onto the least
 // loaded processor; clusters containing pinned subtasks go to the pinned
-// processor.
+// processor. Per-cluster state lives in flat arrays indexed by the cluster's
+// root NodeID: load and proc are Cluster's per-root arrays, overwritten
+// here, so each load is summed afresh in node-ID order.
 func mapClusters(g *taskgraph.Graph, sys *platform.System,
-	find func(taskgraph.NodeID) taskgraph.NodeID) (Assignment, error) {
+	find func(taskgraph.NodeID) taskgraph.NodeID, load []float64, proc []int) (Assignment, error) {
 
-	type cluster struct {
-		load float64
-		pin  int
-		ids  []taskgraph.NodeID
+	n := g.NumNodes()
+	// first[r] is root r's smallest member, taskgraph.None until r's first
+	// member is visited. proc[r] is the cluster's pin (taskgraph.Unpinned
+	// when free) until placement, then the processor it goes to.
+	first := make([]taskgraph.NodeID, n)
+	for i := range first {
+		first[i] = taskgraph.None
 	}
-	clusters := make(map[taskgraph.NodeID]*cluster)
+	var roots []taskgraph.NodeID
 	for _, node := range g.NodesView() {
 		if node.Kind != taskgraph.KindSubtask {
 			continue
 		}
 		root := find(node.ID)
-		c := clusters[root]
-		if c == nil {
-			c = &cluster{pin: taskgraph.Unpinned}
-			clusters[root] = c
+		if first[root] == taskgraph.None {
+			first[root], load[root], proc[root] = node.ID, 0, taskgraph.Unpinned
+			roots = append(roots, root)
 		}
-		c.load += node.Cost
-		c.ids = append(c.ids, node.ID)
+		load[root] += node.Cost
 		if node.Pinned != taskgraph.Unpinned {
-			if c.pin != taskgraph.Unpinned && c.pin != node.Pinned {
+			if proc[root] != taskgraph.Unpinned && proc[root] != node.Pinned {
 				return nil, fmt.Errorf("cluster of %q: %w", node.Name, ErrPinConflict)
 			}
 			if node.Pinned >= sys.NumProcs() {
 				return nil, fmt.Errorf("subtask %q pinned to %d on %d processors",
 					node.Name, node.Pinned, sys.NumProcs())
 			}
-			c.pin = node.Pinned
+			proc[root] = node.Pinned
 		}
 	}
-	ordered := make([]*cluster, 0, len(clusters))
-	for _, c := range clusters {
-		ordered = append(ordered, c)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].load != ordered[j].load {
-			return ordered[i].load > ordered[j].load
+	// (load, first member) is a strict order, so the sort is unique.
+	slices.SortFunc(roots, func(a, b taskgraph.NodeID) int {
+		if load[a] != load[b] {
+			if load[a] > load[b] {
+				return -1
+			}
+			return 1
 		}
-		return ordered[i].ids[0] < ordered[j].ids[0]
+		return int(first[a] - first[b])
 	})
 
-	out := make(Assignment, g.NumNodes())
-	for i := range out {
-		out[i] = -1
-	}
 	loads := make([]float64, sys.NumProcs())
-	for _, c := range ordered {
-		p := c.pin
+	for _, r := range roots {
+		p := proc[r]
 		if p == taskgraph.Unpinned {
 			p = 0
 			for q := 1; q < sys.NumProcs(); q++ {
@@ -197,9 +197,14 @@ func mapClusters(g *taskgraph.Graph, sys *platform.System,
 				}
 			}
 		}
-		loads[p] += c.load / sys.Speed(p)
-		for _, id := range c.ids {
-			out[id] = p
+		loads[p] += load[r] / sys.Speed(p)
+		proc[r] = p
+	}
+	out := make(Assignment, n)
+	for _, node := range g.NodesView() {
+		out[node.ID] = -1
+		if node.Kind == taskgraph.KindSubtask {
+			out[node.ID] = proc[find(node.ID)]
 		}
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -416,7 +417,75 @@ func clusterReference(g *taskgraph.Graph, sys *platform.System) (Assignment, err
 		zeroed[m] = false
 	}
 
-	return mapClusters(g, sys, find)
+	return mapClustersReference(g, sys, find)
+}
+
+// mapClustersReference is the map-of-clusters placement mapClusters
+// replaced: one heap cluster per root collecting its member IDs.
+func mapClustersReference(g *taskgraph.Graph, sys *platform.System,
+	find func(taskgraph.NodeID) taskgraph.NodeID) (Assignment, error) {
+
+	type cluster struct {
+		load float64
+		pin  int
+		ids  []taskgraph.NodeID
+	}
+	clusters := make(map[taskgraph.NodeID]*cluster)
+	for _, node := range g.NodesView() {
+		if node.Kind != taskgraph.KindSubtask {
+			continue
+		}
+		root := find(node.ID)
+		c := clusters[root]
+		if c == nil {
+			c = &cluster{pin: taskgraph.Unpinned}
+			clusters[root] = c
+		}
+		c.load += node.Cost
+		c.ids = append(c.ids, node.ID)
+		if node.Pinned != taskgraph.Unpinned {
+			if c.pin != taskgraph.Unpinned && c.pin != node.Pinned {
+				return nil, fmt.Errorf("cluster of %q: %w", node.Name, ErrPinConflict)
+			}
+			if node.Pinned >= sys.NumProcs() {
+				return nil, fmt.Errorf("subtask %q pinned to %d on %d processors",
+					node.Name, node.Pinned, sys.NumProcs())
+			}
+			c.pin = node.Pinned
+		}
+	}
+	ordered := make([]*cluster, 0, len(clusters))
+	for _, c := range clusters {
+		ordered = append(ordered, c)
+	}
+	sort.Slice(ordered, func(i, j int) bool {
+		if ordered[i].load != ordered[j].load {
+			return ordered[i].load > ordered[j].load
+		}
+		return ordered[i].ids[0] < ordered[j].ids[0]
+	})
+
+	out := make(Assignment, g.NumNodes())
+	for i := range out {
+		out[i] = -1
+	}
+	loads := make([]float64, sys.NumProcs())
+	for _, c := range ordered {
+		p := c.pin
+		if p == taskgraph.Unpinned {
+			p = 0
+			for q := 1; q < sys.NumProcs(); q++ {
+				if loads[q] < loads[p] {
+					p = q
+				}
+			}
+		}
+		loads[p] += c.load / sys.Speed(p)
+		for _, id := range c.ids {
+			out[id] = p
+		}
+	}
+	return out, nil
 }
 
 // TestClusterMatchesCriticalPathReference checks that dropping the

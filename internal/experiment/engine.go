@@ -464,12 +464,11 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	}
 	cfg.Metrics.SetPoolWorkers(orc.Workers())
 
-	gt0 := cfg.Trace.Now()
-	genStart := cfg.Metrics.Start()
-	graphs, batchShared, err := cfg.sharedBatch(rctx, owned)
-	cfg.Metrics.Done(metrics.StageGenerate, genStart)
 	// Generation is batch-scoped, not cell-scoped: graph -1 by convention.
-	cfg.Trace.StageSpan(title, -1, 0, "generate", "", 0, 0, gt0, "")
+	genClock := stageClock{rec: cfg.Metrics, tr: cfg.Trace, table: title, graph: -1}
+	gt0 := genClock.start()
+	graphs, batchShared, err := cfg.sharedBatch(rctx, owned)
+	genClock.done(metrics.StageGenerate, "", 0, gt0, "")
 	if err != nil {
 		return nil, fmt.Errorf("generate batch: %w", err)
 	}
@@ -830,11 +829,13 @@ func outcomeOf(err error) obs.Outcome {
 	}
 }
 
-// spanner emits the stage spans of one unit attempt, carrying the identity
-// shared by every cell: table, graph, attempt and worker. With tracing off
-// (nil tracer) both methods are free — start returns the zero time without
-// reading the clock.
-type spanner struct {
+// stageClock times the pipeline stages of one unit attempt for both sinks,
+// carrying the identity shared by every cell: table, graph, attempt and
+// worker. start reads the clock once and done once more, giving the one
+// duration to the recorder and the tracer; with both sinks nil, start
+// returns the zero time and neither reads the clock.
+type stageClock struct {
+	rec     *metrics.Recorder
 	tr      *obs.Tracer
 	table   string
 	graph   int
@@ -842,10 +843,29 @@ type spanner struct {
 	worker  int
 }
 
-func (s spanner) start() time.Time { return s.tr.Now() }
+func (c stageClock) start() time.Time {
+	if c.rec == nil && c.tr == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
 
-func (s spanner) stage(stage, label string, size int, t0 time.Time, cache string) {
-	s.tr.StageSpan(s.table, s.graph, s.attempt, stage, label, size, s.worker, t0, cache)
+// done records stage s of the cell (label, size) begun at t0.
+func (c stageClock) done(s metrics.Stage, label string, size int, t0 time.Time, cache string) {
+	if t0.IsZero() {
+		return
+	}
+	d := time.Since(t0)
+	c.rec.Observe(s, d)
+	c.tr.StageSpan(c.table, c.graph, c.attempt, s.String(), label, size, c.worker, t0, d, cache)
+}
+
+// span records stage s on the tracer only, for a stage the recorder times
+// elsewhere; t0 comes from the tracer's Now, zero when tracing is off.
+func (c stageClock) span(s metrics.Stage, label string, size int, t0 time.Time, cache string) {
+	if !t0.IsZero() {
+		c.tr.StageSpan(c.table, c.graph, c.attempt, s.String(), label, size, c.worker, t0, time.Since(t0), cache)
+	}
 }
 
 // sharedBatch fetches the run's batch through the orchestrator's
@@ -878,8 +898,8 @@ func (cfg Config) batchID() generator.BatchID {
 // distribution when its fingerprint is known and unchanged across sizes.
 // When crossOK is set (a run over a shared batch), per-run cache
 // misses consult the orchestrator's cross-table assignment cache before
-// computing. All stage timers are gated on a non-nil recorder — with
-// metrics off, the steady state takes no clock readings.
+// computing. Every stage is timed once through a stageClock: with metrics
+// and tracing off, the steady state takes no clock readings.
 //
 // Results go to out[a][si] — the attempt's private buffer — never to shared
 // storage; ctx is checked at every cell boundary so a cancelled run drains
@@ -890,7 +910,7 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 
 	rec := cfg.Metrics
 	orc := cfg.Orchestrator
-	sp := spanner{tr: cfg.Trace, table: table, graph: gi, attempt: attempt, worker: w.id}
+	clk := stageClock{rec: rec, tr: cfg.Trace, table: table, graph: gi, attempt: attempt, worker: w.id}
 	for a, asg := range assigners {
 		// The cached fingerprint is w.fpCached; it is only read while
 		// cachedRes is set, so an earlier assigner's value never matches.
@@ -909,20 +929,16 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 			gg := g
 			if transformer != nil {
 				var err error
-				st0 := sp.start()
-				t0 := rec.Start()
+				t0 := clk.start()
 				gg, err = transformer.Transform(g, sys)
-				rec.Done(metrics.StageTransform, t0)
-				sp.stage("transform", label, sys.NumProcs(), st0, "")
+				clk.done(metrics.StageTransform, label, sys.NumProcs(), t0, "")
 				if err != nil {
 					return fmt.Errorf("%s: transform: %w", label, err)
 				}
 			}
-			ft0 := sp.start()
-			t0 := rec.Start()
+			t0 := clk.start()
 			fp, known := asg.Fingerprint(w.fp, gg, sys, w.dist)
 			w.fp = fp
-			rec.Done(metrics.StageFingerprint, t0)
 			// Reuse only when both fingerprints are known: an unknown
 			// fingerprint (ok=false) never matches anything, so Assign runs
 			// afresh and surfaces whatever failed during fingerprinting.
@@ -931,7 +947,7 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 			if hit {
 				cacheTag = "hit"
 			}
-			sp.stage("fingerprint", label, sys.NumProcs(), ft0, cacheTag)
+			clk.done(metrics.StageFingerprint, label, sys.NumProcs(), t0, cacheTag)
 			if hit {
 				rec.CacheHit()
 			} else {
@@ -941,20 +957,20 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 					shared bool
 					err    error
 				)
-				at0 := sp.start()
 				if crossOK && known && transformer == nil {
 					// Transformed graphs are per-size values, so only
 					// untransformed runs key the cross-table cache.
+					t0 = cfg.Trace.Now()
 					res, shared, err = orc.assignment(ctx, gg, sys, asg, label, fp, rec, w)
 					// "cross": the cross-table cache answered (by hit or by
 					// this worker computing and publishing — the span length
-					// tells which).
-					sp.stage("assign", label, sys.NumProcs(), at0, "cross")
+					// tells which). The recorder times only a computation,
+					// inside orc.assignment.
+					clk.span(metrics.StageAssign, label, sys.NumProcs(), t0, "cross")
 				} else {
-					t0 = rec.Start()
+					t0 = clk.start()
 					res, err = assignWith(ctx, asg, gg, sys, w)
-					rec.Done(metrics.StageAssign, t0)
-					sp.stage("assign", label, sys.NumProcs(), at0, "miss")
+					clk.done(metrics.StageAssign, label, sys.NumProcs(), t0, "miss")
 					if err == nil {
 						rec.AddSearch(SearchCounters(res.Search))
 					}
@@ -980,8 +996,7 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 				ms    *scheduler.MultihopSchedule
 				err   error
 			)
-			sc0 := sp.start()
-			t0 = rec.Start()
+			t0 = clk.start()
 			switch {
 			case nets[si] != nil:
 				if ms, err = w.scratch.RunMultihop(gg, sys, nets[si], cachedRes, cfg.Scheduler); err == nil {
@@ -992,8 +1007,7 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 			default:
 				sched, err = w.scratch.Run(gg, sys, cachedRes, cfg.Scheduler)
 			}
-			rec.Done(metrics.StageSchedule, t0)
-			sp.stage("schedule", label, sys.NumProcs(), sc0, "")
+			clk.done(metrics.StageSchedule, label, sys.NumProcs(), t0, "")
 			if err != nil {
 				return fmt.Errorf("%s: schedule: %w", label, err)
 			}
@@ -1013,11 +1027,9 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 					return fmt.Errorf("%s: invalid schedule at %d procs: %w", label, sys.NumProcs(), verr)
 				}
 			}
-			m0 := sp.start()
-			t0 = rec.Start()
+			t0 = clk.start()
 			out[a][si] = measure(gg, cachedRes, sched)
-			rec.Done(metrics.StageMeasure, t0)
-			sp.stage("measure", label, sys.NumProcs(), m0, "")
+			clk.done(metrics.StageMeasure, label, sys.NumProcs(), t0, "")
 		}
 		if cachedRes != nil && !cachedShared {
 			w.spare = cachedRes

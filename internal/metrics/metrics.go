@@ -75,6 +75,14 @@ type stageRecorder struct {
 	buckets [numBuckets]atomic.Int64
 }
 
+// observe records one wall-time observation: the one path behind
+// Recorder.Observe, Recorder.ObserveRequest and Histogram.Observe.
+func (sr *stageRecorder) observe(d time.Duration) {
+	sr.count.Add(1)
+	sr.nanos.Add(int64(d))
+	sr.buckets[bucketIndex(d)].Add(1)
+}
+
 // Recorder accumulates per-stage timings and cache traffic. All methods are
 // safe for concurrent use and no-ops on a nil receiver. The zero value is
 // ready to use.
@@ -134,10 +142,7 @@ func (r *Recorder) Observe(s Stage, d time.Duration) {
 	if r == nil || s < 0 || s >= NumStages {
 		return
 	}
-	sr := &r.stages[s]
-	sr.count.Add(1)
-	sr.nanos.Add(int64(d))
-	sr.buckets[bucketIndex(d)].Add(1)
+	r.stages[s].observe(d)
 }
 
 // Start returns the current time, or the zero time on a nil receiver so
@@ -330,9 +335,7 @@ func (r *Recorder) ObserveRequest(d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.requests.count.Add(1)
-	r.requests.nanos.Add(int64(d))
-	r.requests.buckets[bucketIndex(d)].Add(1)
+	r.requests.observe(d)
 }
 
 // Histogram is a standalone wall-time histogram over the package's
@@ -349,9 +352,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	h.rec.count.Add(1)
-	h.rec.nanos.Add(int64(d))
-	h.rec.buckets[bucketIndex(d)].Add(1)
+	h.rec.observe(d)
 }
 
 // Count returns the number of observations so far.

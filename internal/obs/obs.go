@@ -190,15 +190,17 @@ func (t *Tracer) UnitSpan(table string, graph, attempt, worker int, start time.T
 	})
 }
 
-// StageSpan records one pipeline stage of one cell. cache tags the cell's
+// StageSpan records one pipeline stage of one cell, which began at start
+// and took dur; the caller reads the clock, so the span and a metrics
+// observation of the same stage carry one duration. cache tags the cell's
 // fingerprint-cache outcome where it applies ("hit", "miss", "cross").
-func (t *Tracer) StageSpan(table string, graph, attempt int, stage, label string, size, worker int, start time.Time, cache string) {
+func (t *Tracer) StageSpan(table string, graph, attempt int, stage, label string, size, worker int, start time.Time, dur time.Duration, cache string) {
 	if t == nil {
 		return
 	}
 	t.emit(Event{
 		TS:      start.Sub(t.start).Nanoseconds(),
-		Dur:     time.Since(start).Nanoseconds(),
+		Dur:     dur.Nanoseconds(),
 		Kind:    "stage",
 		Table:   table,
 		Graph:   graph,

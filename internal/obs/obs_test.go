@@ -15,7 +15,7 @@ func TestNilTracerAndProgressAreNoOps(t *testing.T) {
 		t.Error("nil tracer Now() read the clock")
 	}
 	tr.UnitSpan("t", 0, 1, 1, time.Time{}, OutcomeOK, "", 0, "")
-	tr.StageSpan("t", 0, 1, "assign", "PURE/CCNE", 4, 1, time.Time{}, "miss")
+	tr.StageSpan("t", 0, 1, "assign", "PURE/CCNE", 4, 1, time.Time{}, 0, "miss")
 	tr.Mark("t", 0, 2, OutcomeRetry, "panic")
 	tr.UnitReplayed("t", 3)
 	if err := tr.Close(); err != nil {
@@ -38,7 +38,7 @@ func TestTracerEventLogRoundTrip(t *testing.T) {
 	var buf strings.Builder
 	tr := New(Options{Events: &buf})
 	u0 := tr.Now()
-	tr.StageSpan("Figure 2", 7, 1, "fingerprint", "PURE/CCNE", 4, 3, tr.Now(), "hit")
+	tr.StageSpan("Figure 2", 7, 1, "fingerprint", "PURE/CCNE", 4, 3, tr.Now(), time.Microsecond, "hit")
 	tr.Mark("Figure 2", 7, 2, OutcomeFaultInjected, "panic")
 	tr.UnitSpan("Figure 2", 7, 2, 3, u0, OutcomePanic, "PURE/CCNE", 8, "panic: boom")
 	tr.UnitReplayed("Figure 2", 9)
@@ -76,8 +76,8 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 	var buf strings.Builder
 	tr := New(Options{Chrome: &buf})
 	u0 := tr.Now()
-	tr.StageSpan("T", 0, 1, "assign", "ADAPT", 4, 2, tr.Now(), "miss")
-	tr.StageSpan("T", 0, 1, "schedule", "ADAPT", 4, 2, tr.Now(), "")
+	tr.StageSpan("T", 0, 1, "assign", "ADAPT", 4, 2, tr.Now(), time.Microsecond, "miss")
+	tr.StageSpan("T", 0, 1, "schedule", "ADAPT", 4, 2, tr.Now(), time.Microsecond, "")
 	tr.UnitSpan("T", 0, 1, 2, u0, OutcomeOK, "", 0, "")
 	tr.Mark("T", 1, 2, OutcomeRetry, "timeout")
 	tr.UnitReplayed("T", 5)

@@ -27,7 +27,7 @@ func probe(t *testing.T, url string) (int, string) {
 // once the drain begins.
 func TestReadyzSplitFromHealthz(t *testing.T) {
 	ready := NewReadiness()
-	srv, err := ServeReady("127.0.0.1:0", nil, nil, ready)
+	srv, err := Serve("127.0.0.1:0", nil, nil, ready)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 // state) keeps /readyz permanently green, preserving the pre-split
 // behavior of probes pointed at dlexp -http.
 func TestReadyzWithoutReadiness(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil, nil)
+	srv, err := Serve("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,17 +57,12 @@ type StageLatency struct {
 	P99   float64 `json:"p99Seconds"`
 }
 
-// Serve binds addr and starts the ops endpoint. Without a readiness state
-// (see ServeReady), /readyz always answers ready: batch CLIs have no
-// traffic to steer away, so the probe degrades to a second liveness check.
-func Serve(addr string, rec *metrics.Recorder, prog *Progress) (*Server, error) {
-	return ServeReady(addr, rec, prog, nil)
-}
-
-// ServeReady is Serve with an explicit readiness state machine driving
-// /readyz: daemons (dlserve) and drain-aware CLIs pass a Readiness they
-// flip on startup completion and on SIGTERM.
-func ServeReady(addr string, rec *metrics.Recorder, prog *Progress, ready *Readiness) (*Server, error) {
+// Serve binds addr and starts the ops endpoint. ready drives /readyz:
+// daemons and drain-aware CLIs pass a Readiness they flip on startup
+// completion and on SIGTERM. With a nil ready, /readyz always answers
+// ready: a batch CLI has no traffic to steer away, so the probe degrades to
+// a second liveness check.
+func Serve(addr string, rec *metrics.Recorder, prog *Progress, ready *Readiness) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ops listener: %w", err)

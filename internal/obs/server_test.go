@@ -37,7 +37,7 @@ func TestServerEndpoints(t *testing.T) {
 	prog.StartTable("Figure 2", 4)
 	prog.UnitDone("Figure 2")
 
-	srv, err := Serve("127.0.0.1:0", rec, prog)
+	srv, err := Serve("127.0.0.1:0", rec, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestServerNilSources(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil, nil)
+	srv, err := Serve("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestServerNilSources(t *testing.T) {
 }
 
 func TestServerBadAddressFailsEagerly(t *testing.T) {
-	if _, err := Serve("256.0.0.1:bad", nil, nil); err == nil {
+	if _, err := Serve("256.0.0.1:bad", nil, nil, nil); err == nil {
 		t.Error("bad address accepted")
 	}
 	var nilSrv *Server

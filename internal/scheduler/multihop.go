@@ -43,8 +43,9 @@ func RunMultihop(g *taskgraph.Graph, sys *platform.System, net *channel.Network,
 }
 
 // RunMultihop is the buffer-reusing form of the package-level RunMultihop.
-// The returned schedule and its hop slices are the Scratch's own storage,
-// valid until its next RunMultihop.
+// It runs Run's list scheduler with the network in place of the bus. The
+// returned schedule and its hop slices are the Scratch's own storage, valid
+// until its next RunMultihop.
 func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *channel.Network,
 	res *core.Result, cfg Config) (*MultihopSchedule, error) {
 
@@ -55,106 +56,22 @@ func (sc *Scratch) RunMultihop(g *taskgraph.Graph, sys *platform.System, net *ch
 		return nil, fmt.Errorf("network spans %d processors, platform has %d: %w",
 			net.NumProcs(), sys.NumProcs(), ErrBadSize)
 	}
-	n := g.NumNodes()
-	if len(res.Absolute) != n || len(res.Release) != n {
-		return nil, fmt.Errorf("%d annotations for %d nodes: %w", len(res.Absolute), n, ErrBadSize)
-	}
-	sc.keys = resize(sc.keys, n)
-	if err := priorityKeysInto(sc.keys, g, res, cfg.Policy); err != nil {
-		return nil, err
-	}
-	sc.buildMsgOrder(g, res)
-	sc.bindProducers(g)
-	kinds, costs := g.Kinds(), g.Costs()
-
 	if sc.multihop == nil {
 		sc.multihop = &MultihopSchedule{Hops: make(map[taskgraph.NodeID][]Hop)}
 	}
 	out := sc.multihop
 	clear(out.Hops)
 	sc.hops = sc.hops[:0]
-	s := sc.schedule(&sc.mhSched, n)
-	for i := range s.Proc {
-		s.Proc[i] = -1
-	}
-	out.Schedule = s
-
-	sc.procFree = resize(sc.procFree, sys.NumProcs())
-	clear(sc.procFree)
-	procFree := sc.procFree
 	sc.linkFree = resize(sc.linkFree, net.NumLinks())
 	clear(sc.linkFree)
 	sc.linkTmp = resize(sc.linkTmp, net.NumLinks())
 	sc.linkStamp = resize(sc.linkStamp, net.NumLinks()) // stale stamps are below every later epoch
 
-	sc.pending = resize(sc.pending, n)
-	pendingPreds := sc.pending
-	sc.ready.reset(sc.keys)
-	numSubtasks := 0
-	for id := 0; id < n; id++ {
-		nid := taskgraph.NodeID(id)
-		pendingPreds[nid] = 0
-		if kinds[id] != taskgraph.KindSubtask {
-			continue
-		}
-		numSubtasks++
-		pendingPreds[nid] = len(g.Pred(nid))
-		if pendingPreds[nid] == 0 {
-			sc.ready.push(nid)
-		}
+	s, err := sc.dispatch(g, sys, net, res, cfg, &sc.mhSched)
+	if err != nil {
+		return nil, err
 	}
-
-	for step := 0; step < numSubtasks; step++ {
-		if sc.ready.len() == 0 {
-			return nil, fmt.Errorf("internal: no schedulable subtask at step %d", step)
-		}
-		v := sc.ready.pop()
-
-		lo, hi := 0, sys.NumProcs()
-		if pin := g.PinnedOf(v); pin != taskgraph.Unpinned {
-			if pin >= sys.NumProcs() {
-				return nil, fmt.Errorf("subtask %q pinned to processor %d on a %d-processor platform: %w",
-					g.Node(v).Name, pin, sys.NumProcs(), ErrBadPin)
-			}
-			lo, hi = pin, pin+1
-		}
-		bestProc, bestStart, bestFinish := -1, math.Inf(1), math.Inf(1)
-		for p := lo; p < hi; p++ {
-			exec := sys.ExecTime(costs[v], p)
-			start, ok, err := sc.mhBounded(g, net, s, res, cfg, v, p, procFree[p], exec, bestStart, bestFinish)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue // pruned: provably cannot beat the incumbent
-			}
-			finish := start + exec
-			if finish < bestFinish || (finish == bestFinish && start < bestStart) {
-				bestProc, bestStart, bestFinish = p, start, finish
-			}
-		}
-
-		if bestProc < 0 {
-			return nil, fmt.Errorf("subtask %q: %w", g.Node(v).Name, ErrUnplaceable)
-		}
-		sc.commitInbound(g, net, s, out, v, bestProc)
-		s.Proc[v] = bestProc
-		s.Start[v] = bestStart
-		s.Finish[v] = bestFinish
-		procFree[bestProc] = bestFinish
-		s.Order = append(s.Order, v)
-		if bestFinish > s.Makespan {
-			s.Makespan = bestFinish
-		}
-		for _, m := range g.Succ(v) {
-			for _, w := range g.Succ(m) {
-				pendingPreds[w]--
-				if pendingPreds[w] == 0 {
-					sc.ready.push(w)
-				}
-			}
-		}
-	}
+	out.Schedule = s
 	return out, nil
 }
 
@@ -206,10 +123,10 @@ func (sc *Scratch) mhBounded(g *taskgraph.Graph, net *channel.Network, s *Schedu
 
 // commitInbound reserves the links of every message feeding v on p, in
 // deadline order, records each transfer interval and publishes the hops in
-// out.Hops, sliced from the hop backing (slices cut before the backing grew
-// keep the old array, which is never written again).
+// the Scratch's MultihopSchedule, sliced from the hop backing (slices cut
+// before the backing grew keep the old array, which is never written again).
 func (sc *Scratch) commitInbound(g *taskgraph.Graph, net *channel.Network, s *Schedule,
-	out *MultihopSchedule, v taskgraph.NodeID, p int) {
+	v taskgraph.NodeID, p int) {
 
 	costs := g.Costs()
 	for _, m := range sc.msgOrder[v] {
@@ -231,7 +148,7 @@ func (sc *Scratch) commitInbound(g *taskgraph.Graph, net *channel.Network, s *Sc
 		hops := sc.hops[first:len(sc.hops):len(sc.hops)]
 		s.Start[m] = hops[0].Start
 		s.Finish[m] = t
-		out.Hops[m] = hops
+		sc.multihop.Hops[m] = hops
 	}
 }
 

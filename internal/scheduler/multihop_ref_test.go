@@ -165,16 +165,12 @@ func reserveInboundReference(g *taskgraph.Graph, net *channel.Network, s *Schedu
 	return plans, nil
 }
 
-// multihopCase builds one reference-check input: a random MDET graph (40%
-// of its inputs and outputs pinned when pinned is set) on an n-processor
-// platform and network family name, distributed by a metric/estimator pair
-// chosen by seed so deadlines, and hence dispatch and link orders, vary.
-// When hetero is set, speeds alternate 1 and 2 and costs and sizes are
-// rounded to integers, so candidates often tie on finish with different
-// starts and the start tie-break decides.
-func multihopCase(seed uint64, name string, n int, pinned, hetero bool) (*taskgraph.Graph, *platform.System,
-	*channel.Network, *core.Result, error) {
-
+// randomCase builds a random MDET graph (40% of its inputs and outputs
+// pinned when pinned is set) on an n-processor platform with opts. When
+// hetero is set, speeds alternate 1 and 2 and costs and sizes are rounded
+// to integers, so candidates often tie on finish with different starts and
+// the start tie-break decides.
+func randomCase(seed uint64, n int, pinned, hetero bool, opts ...platform.Option) (*taskgraph.Graph, *platform.System, error) {
 	wcfg := generator.Default(generator.MDET)
 	if pinned {
 		wcfg.PinnedFraction = 0.4
@@ -182,9 +178,8 @@ func multihopCase(seed uint64, name string, n int, pinned, hetero bool) (*taskgr
 	}
 	g, err := generator.Random(wcfg, rng.New(seed))
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	var opts []platform.Option
 	if hetero {
 		speeds := make([]float64, n)
 		for i := range speeds {
@@ -193,11 +188,34 @@ func multihopCase(seed uint64, name string, n int, pinned, hetero bool) (*taskgr
 		opts = append(opts, platform.WithSpeeds(speeds))
 		for id, c := range g.Costs() {
 			if err := g.SetCost(taskgraph.NodeID(id), math.Round(c)); err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	sys, err := platform.New(n, opts...)
+	return g, sys, err
+}
+
+// seedDistributor picks the distribution for a case by seed, so deadlines,
+// and hence dispatch, bus and link orders, vary; est is the seed%3 == 0
+// estimator.
+func seedDistributor(seed uint64, est core.CommEstimator) core.Distributor {
+	switch seed % 3 {
+	case 1:
+		return core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}
+	case 2:
+		return core.Distributor{Metric: core.NORM(), Estimator: core.CCAA()}
+	}
+	return core.Distributor{Metric: core.ADAPT(1.25), Estimator: est}
+}
+
+// multihopCase builds one reference-check input: a randomCase on network
+// family name, distributed by seedDistributor with the network's CCHOP
+// estimator.
+func multihopCase(seed uint64, name string, n int, pinned, hetero bool) (*taskgraph.Graph, *platform.System,
+	*channel.Network, *core.Result, error) {
+
+	g, sys, err := randomCase(seed, n, pinned, hetero)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -205,14 +223,7 @@ func multihopCase(seed uint64, name string, n int, pinned, hetero bool) (*taskgr
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	d := core.Distributor{Metric: core.ADAPT(1.25), Estimator: core.CCHOP(net)}
-	switch seed % 3 {
-	case 1:
-		d = core.Distributor{Metric: core.PURE(), Estimator: core.CCNE()}
-	case 2:
-		d = core.Distributor{Metric: core.NORM(), Estimator: core.CCAA()}
-	}
-	res, err := d.Distribute(g, sys)
+	res, err := seedDistributor(seed, core.CCHOP(net)).Distribute(g, sys)
 	return g, sys, net, res, err
 }
 

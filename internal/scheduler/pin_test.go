@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"deadlinedist/internal/channel"
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/platform"
@@ -68,6 +69,31 @@ func TestPinnedForcesCommunication(t *testing.T) {
 	}
 }
 
+// entryPoints runs one input through each scheduler entry point; the
+// multihop one gets a ring spanning the platform.
+func entryPoints(t *testing.T) map[string]func(*taskgraph.Graph, *platform.System, *core.Result) error {
+	return map[string]func(*taskgraph.Graph, *platform.System, *core.Result) error{
+		"Run": func(g *taskgraph.Graph, s *platform.System, res *core.Result) error {
+			_, err := Run(g, s, res, Config{})
+			return err
+		},
+		"RunPreemptive": func(g *taskgraph.Graph, s *platform.System, res *core.Result) error {
+			_, err := RunPreemptive(g, s, res, Config{})
+			return err
+		},
+		"RunMultihop": func(g *taskgraph.Graph, s *platform.System, res *core.Result) error {
+			net, err := channel.Ring(s.NumProcs(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = RunMultihop(g, s, net, res, Config{})
+			return err
+		},
+	}
+}
+
+// TestPinnedOutOfRange checks that every entry point refuses a pin beyond
+// the platform with ErrBadPin.
 func TestPinnedOutOfRange(t *testing.T) {
 	b := taskgraph.NewBuilder()
 	x := b.AddSubtask("x", 10)
@@ -79,8 +105,34 @@ func TestPinnedOutOfRange(t *testing.T) {
 	}
 	s := sys(t, 2)
 	res := distributed(t, g, s)
-	if _, err := Run(g, s, res, Config{}); !errors.Is(err, ErrBadPin) {
-		t.Fatalf("got %v, want ErrBadPin", err)
+	for name, run := range entryPoints(t) {
+		if err := run(g, s, res); !errors.Is(err, ErrBadPin) {
+			t.Errorf("%s: got %v, want ErrBadPin", name, err)
+		}
+	}
+}
+
+// TestAnnotationSizeMismatch checks that every entry point refuses a
+// distribution result made for another graph with ErrBadSize.
+func TestAnnotationSizeMismatch(t *testing.T) {
+	b := taskgraph.NewBuilder()
+	u := b.AddSubtask("u", 10)
+	v := b.AddSubtask("v", 10)
+	b.Connect(u, v, 2)
+	b.SetEndToEnd(v, 100)
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sys(t, 2)
+	res := distributed(t, g, s)
+	short := *res
+	short.Absolute = res.Absolute[:len(res.Absolute)-1]
+	short.Release = res.Release[:len(res.Release)-1]
+	for name, run := range entryPoints(t) {
+		if err := run(g, s, &short); !errors.Is(err, ErrBadSize) {
+			t.Errorf("%s: got %v, want ErrBadSize", name, err)
+		}
 	}
 }
 

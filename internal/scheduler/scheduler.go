@@ -9,6 +9,8 @@
 // the optional contended-bus mode serializes them on a single shared bus in
 // deadline order (deadline-based message scheduling, made possible because
 // the distribution stage assigns deadlines to communication subtasks too).
+// RunMultihop routes messages over a multihop network of real-time channels
+// instead, through the same dispatch loop.
 package scheduler
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"deadlinedist/internal/channel"
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/taskgraph"
@@ -79,6 +82,18 @@ func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Resul
 	if g == nil || sys == nil || res == nil {
 		return nil, ErrNilInput
 	}
+	return sc.dispatch(g, sys, nil, res, cfg, &sc.sched)
+}
+
+// dispatch is the one list scheduler behind Run and RunMultihop. Messages
+// travel over the platform's bus model when net is nil and over the
+// multihop network net otherwise. The two models differ only in how a
+// candidate processor's inbound arrivals are costed (stBounded, mhBounded)
+// and how the winner's messages are committed (commitMessages,
+// commitInbound); slot is the calling entry point's recycled Schedule.
+func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, net *channel.Network,
+	res *core.Result, cfg Config, slot **Schedule) (*Schedule, error) {
+
 	n := g.NumNodes()
 	if len(res.Absolute) != n || len(res.Release) != n {
 		return nil, fmt.Errorf("%d annotations for %d nodes: %w", len(res.Absolute), n, ErrBadSize)
@@ -87,8 +102,8 @@ func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Resul
 	if err := priorityKeysInto(sc.keys, g, res, cfg.Policy); err != nil {
 		return nil, err
 	}
-	contended := sys.BusContention()
-	if contended {
+	contended := net == nil && sys.BusContention()
+	if contended || net != nil {
 		sc.buildMsgOrder(g, res)
 	}
 	sc.bindProducers(g)
@@ -97,7 +112,7 @@ func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Resul
 	succOff, succAdj := g.SuccCSR()
 	predOff, predAdj := g.PredCSR()
 
-	s := sc.schedule(&sc.sched, n)
+	s := sc.schedule(slot, n)
 	for i := range s.Proc {
 		s.Proc[i] = -1
 	}
@@ -174,8 +189,18 @@ func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Resul
 		bestProc, bestStart, bestFinish := -1, math.Inf(1), math.Inf(1)
 		for p := lo; p < hi; p++ {
 			exec := sys.ExecTime(costs[v], p)
-			start, ok := sc.stBounded(g, sys, res, s, cfg, v, p, procFree[p], busFree,
-				exec, bestStart, bestFinish, contended, crossProc)
+			var start float64
+			var ok bool
+			if net == nil {
+				start, ok = sc.stBounded(g, sys, res, s, cfg, v, p, procFree[p], busFree,
+					exec, bestStart, bestFinish, contended, crossProc)
+			} else {
+				var err error
+				if start, ok, err = sc.mhBounded(g, net, s, res, cfg, v, p, procFree[p],
+					exec, bestStart, bestFinish); err != nil {
+					return nil, err
+				}
+			}
 			if !ok {
 				continue // pruned: provably cannot beat the incumbent
 			}
@@ -190,9 +215,13 @@ func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Resul
 		if bestProc < 0 {
 			return nil, fmt.Errorf("subtask %q: %w", g.Node(v).Name, ErrUnplaceable)
 		}
-		// Commit: reserve the bus for incoming cross-processor messages
-		// (deadline order) and record message transfer intervals.
-		busFree = sc.commitMessages(g, sys, s, v, bestProc, busFree)
+		// Commit: reserve the bus or the links for incoming cross-processor
+		// messages (deadline order) and record message transfer intervals.
+		if net == nil {
+			busFree = sc.commitMessages(g, sys, s, v, bestProc, busFree)
+		} else {
+			sc.commitInbound(g, net, s, v, bestProc)
+		}
 
 		s.Proc[v] = bestProc
 		s.Start[v] = bestStart

@@ -9,7 +9,9 @@ import (
 // drivers (the experiment engine schedules graphs × assigners × sizes runs
 // per sweep) create one Scratch per worker goroutine and call its Run /
 // RunPreemptive / RunMultihop methods, amortizing all per-run queue,
-// bookkeeping and schedule allocations. Each method returns the Scratch's
+// bookkeeping and schedule allocations. Run and RunMultihop share one
+// dispatch loop and its buffers; RunPreemptive simulates over Run's
+// placement. Each method returns the Scratch's
 // own Schedule (and MultihopSchedule) storage, valid until its next
 // scheduling call, so a caller consumes each schedule before requesting the
 // next; the package-level Run, RunPreemptive and RunMultihop use a fresh

@@ -242,3 +242,46 @@ func (sc *Scratch) st(g *taskgraph.Graph, sys *platform.System, res *core.Result
 	}
 	return start
 }
+
+// FuzzRunMatchesShadowDispatcher explores TestRunMatchesShadowDispatcher's
+// equivalence over fuzzer-chosen seeds and sizes 1–16, with bus contention
+// on and off, pinned subtasks, heterogeneous speeds (integer costs, so
+// finish ties exercise the start tie-break), every dispatch policy and both
+// release modes.
+func FuzzRunMatchesShadowDispatcher(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(0))
+	f.Add(uint64(7), uint8(8), uint8(0x0b))
+	f.Add(uint64(42), uint8(15), uint8(0x3f))
+	policies := Policies()
+	sc := NewScratch()
+	f.Fuzz(func(t *testing.T, seed uint64, size, flags uint8) {
+		n := 1 + int(size)%16
+		var opts []platform.Option
+		if flags&8 != 0 {
+			opts = append(opts, platform.WithBusContention())
+		}
+		g, sys, err := randomCase(seed, n, flags&1 != 0, flags&2 != 0, opts...)
+		if err != nil {
+			t.Skip(err)
+		}
+		res, err := seedDistributor(seed, core.CCNE()).Distribute(g, sys)
+		if err != nil {
+			t.Skip(err)
+		}
+		cfg := Config{RespectRelease: flags&4 != 0, Policy: policies[int(flags>>4)%len(policies)]}
+		want, err := runShadow(g, sys, res, cfg)
+		if err != nil {
+			t.Fatalf("seed %d n=%d flags %#x: shadow: %v", seed, n, flags, err)
+		}
+		got, err := sc.Run(g, sys, res, cfg)
+		if err != nil {
+			t.Fatalf("seed %d n=%d flags %#x: Run: %v", seed, n, flags, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d n=%d flags %#x: Run differs from the unpruned shadow", seed, n, flags)
+		}
+		if err := Validate(g, sys, res, got, cfg); err != nil {
+			t.Fatalf("seed %d n=%d flags %#x: %v", seed, n, flags, err)
+		}
+	})
+}
