@@ -67,14 +67,15 @@ func (d Distributor) Distribute(g *taskgraph.Graph, sys *platform.System) (*Resu
 	return d.distribute(nil, g, sys, nil, nil)
 }
 
-// Scratch owns the distributor's working set (DP tables, the DP frontier,
-// live successor lists, final anchors, candidate memos) so that batch
-// drivers can reuse it across Distribute calls instead of reallocating
-// ~O(n·width) state per run. A Scratch may be carried across different
-// graphs and strategies — every buffer is resized and re-stamped per run,
-// and the lazy row-clearing generation is monotone for the Scratch's
-// lifetime, so stale rows from an earlier run are never read. Not safe for
-// concurrent use; create one per goroutine.
+// Scratch owns the distributor's working set (DP row records and spill
+// arena, the DP frontier, live successor lists, final anchors, candidate
+// memos) so that batch callers can reuse it across Distribute calls
+// instead of reallocating ~O(n·width) state per run. A Scratch may be
+// carried across different graphs and strategies — every buffer is
+// resized and re-stamped per run, and the lazy row-clearing generation
+// never repeats a stamp still present in the rows (see nextGen), so stale
+// rows from an earlier run are never read. Not safe for concurrent use;
+// create one per goroutine.
 type Scratch struct {
 	st distState
 }
@@ -171,10 +172,10 @@ func (d Distributor) distribute(ctx context.Context, g *taskgraph.Graph, sys *pl
 	res.Metric = d.Metric.Name()
 	res.Estimator = d.Estimator.Name()
 
-	st := &distState{}
-	if sc != nil {
-		st = &sc.st
+	if sc == nil {
+		sc = NewScratch()
 	}
+	st := &sc.st
 	st.costs, res.EstimatedComm = d.costVectors(st.costs, res.EstimatedComm, g, sys)
 	st.vc, st.vcWin = st.costs[:n], st.costs[:n]
 	if len(st.costs) > n {
@@ -241,40 +242,68 @@ type startCand struct {
 	// found reports whether any deadline-anchored candidate exists from
 	// this start.
 	found bool
-	end   taskgraph.NodeID
+	// end is the candidate's last node, as a topological position.
+	end   int32
 	k     int
 	ratio float64
 	// reachBits is the start's reachable set (through unassigned nodes) at
-	// the time the candidate was computed, as a bitset, so the
-	// per-iteration validity check (is all of it still unassigned?) is a
-	// word-AND sweep against the assigned bitset instead of a per-node walk.
+	// the time the candidate was computed, as a bitset over topological
+	// positions, so the per-iteration validity check (is all of it still
+	// unassigned?) is a word-AND sweep against the assigned bitset instead
+	// of a per-node walk.
 	reachBits []uint64
 	// path is the backtracked node sequence of the best candidate, kept so a
 	// winning memoized candidate can be sliced without re-running its DP
-	// just to rebuild the par table.
+	// just to rebuild its rows.
 	path []taskgraph.NodeID
 }
 
+// dpRow is one topological position's record: its DP row and its live
+// successor range.
+//
+// The row holds the cells dp[k] (the maximum accumulated virtual cost over
+// paths from the current start to the position's node containing k
+// windowed nodes) and par[k] (the predecessor on that path, as a
+// position; -1 at the start) for k in the band [min, max]. The cell at
+// k == min is held inline in val and par; cells min < k <= max live in the
+// distState's arena. Cells outside the band are logically -Inf and never
+// stored. A row whose gen differs from the state's gen is logically empty
+// (every cell -Inf), so starting a DP run is O(1).
+//
+// The node's unassigned successors are liveAdj[lo:hi] (see distState);
+// only prepare and slice write lo and hi. The live list is empty exactly
+// when every successor is assigned, which is when the node's deadline
+// anchor is final.
+//
+// The record is 32 bytes, so a row's stamp, its usual only cell and its
+// arc range share one cache line.
+type dpRow struct {
+	gen      uint32
+	min, max int32
+	par      int32
+	val      float64
+	lo, hi   int32
+}
+
 // distState is the per-distribution working set.
+//
+// The DP works in topological positions: position p is the node
+// topo[p], and topoIdx[id] is node id's position. Every DP-side array
+// (rows, the arena, the live successor lists, the frontier, reach
+// and assigned bitsets) is indexed by position, so a frontier pop is the
+// row itself. The rest (anchors, pending counts, the start set, the
+// result) stays indexed by NodeID.
 type distState struct {
 	g      *taskgraph.Graph
 	metric Metric
 	vc     []float64
 
-	// CSR adjacency of g, bound by prepare so the DP and slicing inner
-	// loops iterate flat arrays instead of calling through the Graph API.
+	// CSR adjacency of g, bound by prepare so slicing iterates flat arrays
+	// instead of calling through the Graph API.
 	succOff []int32
 	succAdj []taskgraph.NodeID
 	predOff []int32
 	predAdj []taskgraph.NodeID
-
-	// Live successor lists: liveAdj is a scratch copy of succAdj, and node
-	// id's unassigned successors are liveAdj[succOff[id]:liveEnd[id]], in
-	// original arc order. slice unlinks each assigned node from its
-	// unassigned predecessors' lists, so the DP's arc loop never meets an
-	// assigned node.
-	liveAdj []taskgraph.NodeID
-	liveEnd []int32
 
 	// vcWin are the window-sizing costs (same slice as vc unless the
 	// metric implements WindowCoster).
@@ -283,51 +312,46 @@ type distState struct {
 	assigned []bool
 	res      *Result
 
-	// DP buffers, reused across runs. dp[id][k] is the maximum accumulated
-	// virtual cost over paths from the current start to id containing k
-	// windowed nodes; par[id][k] is the predecessor on that path. Rows are
-	// generation-stamped: a row with rowGen != gen is logically all -Inf
-	// and is cleared lazily on its first write, so starting a new DP run is
-	// O(1) instead of O(touched × width). The flat backings survive Scratch
-	// reuse; gen is monotone for the state's lifetime, so rows left over
-	// from an earlier distribution are stale by construction.
-	dp      [][]float64
-	par     [][]taskgraph.NodeID
-	dpFlat  []float64
-	parFlat []taskgraph.NodeID
-	rowGen  []uint64
-	gen     uint64
-	// touched lists the rows written by the current DP run, in first-write
-	// order (the candidate enumeration order of the reference search).
-	touched []taskgraph.NodeID
-	// ends is touched filtered to the deadline-anchored rows, in the same
-	// order: the only rows evalStart scans.
-	ends []taskgraph.NodeID
-	// frontier is the current DP's work set as a bitset over topological
-	// positions: clearRow sets bit topoIdx[id], and runDP pops the lowest
-	// set bit, which visits stamped rows in topological order. Every run
-	// pops each bit it sets, so the frontier is empty between runs.
-	frontier []uint64
-	// infRow is a width-sized -Inf template row: when a DP write extends a
-	// row's band (see rowMin/rowMax), the skipped-over gap is memmoved from
-	// it instead of stored per element.
-	infRow []float64
-	// rowMin[id] and rowMax[id] are the lowest and highest k holding a
-	// defined value in row id this generation (0 and -1 after a logical
-	// clear). Cells inside the band are written values or explicit -Inf
-	// gap fill; cells outside it are logically -Inf and never materialized
-	// — a write landing there compares against -Inf directly and gap-fills
-	// up to the band's old edge, so clearing a row is O(1) and readers
-	// scan only the band.
-	rowMin []int32
-	rowMax []int32
-
 	// topo is the bound graph's topological order and topoIdx[id] the
-	// position of id in it (the frontier's bit index).
+	// position of id in it.
 	topo    []taskgraph.NodeID
 	topoIdx []int32
-	// assignedBits mirrors assigned as a word-packed bitset (bit id of word
-	// id/64), so reachFree is a word-AND sweep.
+	// posOff/posAdj is the successor CSR renumbered into positions, in
+	// original arc order, built once per graph.
+	posOff []int32
+	posAdj []int32
+	// Live successor lists: liveAdj is a per-run copy of posAdj, and
+	// position p's unassigned successors are liveAdj[rows[p].lo:rows[p].hi],
+	// in original arc order. Each entry carries its successor's virtual
+	// cost, so the DP's arc loop reads the position and the cost from one
+	// place. slice unlinks each assigned node from its unassigned
+	// predecessors' lists, so the arc loop never meets an assigned node.
+	liveAdj []liveArc
+
+	// DP storage, reused across runs: rows[p] is position p's row record
+	// (see dpRow), and arenaVal/arenaPar hold its spilled cells at
+	// p*width+k. width bounds k: the windowed-node count of any path is at
+	// most the longest path's node count. The backings survive Scratch
+	// reuse; nextGen never hands out a stamp still present in the rows, so
+	// rows left over from an earlier distribution are stale by
+	// construction.
+	rows     []dpRow
+	arenaVal []float64
+	arenaPar []int32
+	width    int
+	gen      uint32
+	// ends lists the deadline-anchored rows stamped by the current DP run,
+	// in stamp order (the candidate enumeration order of the reference
+	// search): the only rows evalStart scans.
+	ends []int32
+	// frontier is the current DP's stamped rows as a bitset over
+	// positions: stamp sets bit p, and runDP walks the set bits upward
+	// from the start, which visits the stamped rows in topological order.
+	// After the run it holds the DP's reach; evalStart copies it into the
+	// candidate and clears it, so the frontier is empty between runs.
+	frontier []uint64
+	// assignedBits mirrors assigned as a bitset over positions, so
+	// reachFree is a word-AND sweep.
 	assignedBits []uint64
 
 	// Final anchors: relVal[id] is valid once pending[id] == 0 and
@@ -355,11 +379,9 @@ type distState struct {
 	// Incremental start tracking: pending[id] and succPending[id] count
 	// unassigned predecessors and successors; startBits marks (bit id of
 	// word id/64) the unassigned nodes whose predecessors are all assigned.
-	// startbuf is the reused enumeration buffer.
 	pending     []int
 	succPending []int
 	startBits   []uint64
-	startbuf    []taskgraph.NodeID
 	unassigned  int
 
 	// winbuf is slice's scratch buffer for the chosen path's raw windows,
@@ -369,65 +391,43 @@ type distState struct {
 	// pathBuf, in slicing order.
 	pathEnd []int32
 
-	// prevG memoizes the DP row width and topological index of the last
-	// prepared graph: batch callers run the same graph through many
-	// strategies and system sizes before moving on, so the longest-path
-	// pass (into lpBuf) amortizes to once per graph.
-	prevG     *taskgraph.Graph
-	prevWidth int
-	lpBuf     []int32
+	// prevG memoizes the per-graph numbering (topoIdx, posOff/posAdj,
+	// width) of the last prepared graph: batch callers run the same graph
+	// through many strategies and system sizes before moving on, so it is
+	// built once per graph. lpBuf is the longest-path pass's buffer.
+	prevG *taskgraph.Graph
+	lpBuf []int32
 }
 
 // prepare sizes the working set for the bound graph, reusing any buffers
-// left by a previous distribution. Stale DP rows are handled by the monotone
-// generation stamp; everything else is explicitly reset here.
+// left by a previous distribution. Stale DP rows are handled by the
+// generation stamp (nextGen); everything else is explicitly reset here.
 func (st *distState) prepare() {
 	n := st.g.NumNodes()
 	st.succOff, st.succAdj = st.g.SuccCSR()
 	st.predOff, st.predAdj = st.g.PredCSR()
-	// The windowed-node count of any path is bounded by the longest path's
-	// node count, which is far smaller than the node count for layered
-	// graphs; sizing rows accordingly keeps the DP inner loop tight.
 	st.topo = st.g.TopoOrder()
 	if st.g != st.prevG {
-		st.prevG, st.prevWidth = st.g, st.longestPathNodes()+1
-		st.topoIdx = resizeSlice(st.topoIdx, n)
-		for i, id := range st.topo {
-			st.topoIdx[id] = int32(i)
-		}
+		st.number()
 	}
-	width := st.prevWidth
-	st.dp = resizeSlice(st.dp, n)
-	st.par = resizeSlice(st.par, n)
-	// Rows are cleared lazily on first touch (rowGen stamps stay behind the
-	// next run's gen), so the flat backing needs no -Inf initialization.
-	if cap(st.dpFlat) < n*width {
-		st.dpFlat = make([]float64, n*width)
-		st.parFlat = make([]taskgraph.NodeID, n*width)
+	// Rows are cleared lazily on first touch (their gen stamps stay behind
+	// the next run's gen), and arena cells are written before they are
+	// read, so neither needs initializing.
+	st.rows = resizeSlice(st.rows, n)
+	for p := range st.rows {
+		st.rows[p].lo, st.rows[p].hi = st.posOff[p], st.posOff[p+1]
 	}
-	dpFlat := st.dpFlat[:n*width]
-	parFlat := st.parFlat[:n*width]
-	for i := 0; i < n; i++ {
-		st.dp[i] = dpFlat[i*width : (i+1)*width]
-		st.par[i] = parFlat[i*width : (i+1)*width]
+	if cells := n * st.width; cap(st.arenaVal) < cells {
+		st.arenaVal = make([]float64, cells)
+		st.arenaPar = make([]int32, cells)
 	}
-	st.rowGen = resizeSlice(st.rowGen, n)
-	st.rowMin = resizeSlice(st.rowMin, n)
-	st.rowMax = resizeSlice(st.rowMax, n)
-	if cap(st.infRow) < width {
-		st.infRow = make([]float64, width)
-		for i := range st.infRow {
-			st.infRow[i] = negInf
-		}
-	}
-	st.infRow = st.infRow[:width]
 	words := (n + 63) / 64
 	st.assignedBits = resizeSlice(st.assignedBits, words)
 	clear(st.assignedBits)
 	st.startBits = resizeSlice(st.startBits, words)
 	clear(st.startBits)
-	// A completed DP leaves the frontier empty; clearing it here keeps a
-	// Scratch reusable after a run that a recovered panic cut short.
+	// A completed search leaves the frontier empty; clearing it here keeps
+	// a Scratch reusable after a run that a recovered panic cut short.
 	st.frontier = resizeSlice(st.frontier, words)
 	clear(st.frontier)
 	switch st.metric.(type) {
@@ -450,15 +450,15 @@ func (st *distState) prepare() {
 	st.succPending = resizeSlice(st.succPending, n)
 	st.relVal = resizeSlice(st.relVal, n)
 	st.dlVal = resizeSlice(st.dlVal, n)
-	st.liveEnd = resizeSlice(st.liveEnd, n)
-	st.liveAdj = resizeSlice(st.liveAdj, len(st.succAdj))
-	copy(st.liveAdj, st.succAdj)
+	st.liveAdj = resizeSlice(st.liveAdj, len(st.posAdj))
+	for i, v := range st.posAdj {
+		st.liveAdj[i] = liveArc{cost: st.vc[st.topo[v]], to: v}
+	}
 	st.unassigned = n
 	for i := 0; i < n; i++ {
 		id := taskgraph.NodeID(i)
 		st.pending[i] = int(st.predOff[i+1] - st.predOff[i])
 		st.succPending[i] = int(st.succOff[i+1] - st.succOff[i])
-		st.liveEnd[i] = st.succOff[i+1]
 		if st.pending[i] == 0 {
 			st.relVal[i] = st.g.ReleaseOf(id)
 			st.startBits[i>>6] |= 1 << (uint(i) & 63)
@@ -467,6 +467,39 @@ func (st *distState) prepare() {
 			st.dlVal[i] = st.g.EndToEndOf(id)
 		}
 	}
+}
+
+// liveArc is one live successor: its position and its virtual cost.
+type liveArc struct {
+	cost float64
+	to   int32
+}
+
+// number builds the bound graph's position numbering: topoIdx, the
+// position-space successor lists (each in original arc order) and the DP
+// row width.
+func (st *distState) number() {
+	n := st.g.NumNodes()
+	st.topoIdx = resizeSlice(st.topoIdx, n)
+	for p, id := range st.topo {
+		st.topoIdx[id] = int32(p)
+	}
+	st.posOff = resizeSlice(st.posOff, n+1)
+	st.posAdj = resizeSlice(st.posAdj, len(st.succAdj))
+	off := int32(0)
+	for p, id := range st.topo {
+		st.posOff[p] = off
+		for _, s := range st.succAdj[st.succOff[id]:st.succOff[id+1]] {
+			st.posAdj[off] = st.topoIdx[s]
+			off++
+		}
+	}
+	st.posOff[n] = off
+	// The windowed-node count of any path is bounded by the longest path's
+	// node count, which is far smaller than the node count for layered
+	// graphs; sizing rows accordingly keeps the arena small.
+	st.width = st.longestPathNodes() + 1
+	st.prevG = st.g
 }
 
 // longestPathNodes returns the node count of the bound graph's longest
@@ -488,8 +521,8 @@ func (st *distState) longestPathNodes() int {
 }
 
 // release drops the per-run references so a pooled state does not pin the
-// result or cost slices between runs (prevG is kept — it backs the row-width
-// memo and only ever pins one graph).
+// result or cost slices between runs (prevG is kept — it backs the
+// numbering memo and only ever pins one graph).
 func (st *distState) release() {
 	st.g = nil
 	st.metric = nil
@@ -556,21 +589,27 @@ func (st *distState) deadlineAnchorSlow(id taskgraph.NodeID) (float64, bool) {
 // ratio among all (release-anchored, deadline-anchored) node pairs. Ties
 // are broken by discovery order (arbitrary, per the paper): the first start
 // in ID order, then the first candidate in DP first-write order, reaching
-// the minimum — exactly the reference search's choice.
+// the minimum — exactly the reference search's choice. The starts are the
+// unassigned nodes whose predecessors are all assigned: the set bits of
+// startBits, which slice maintains via pending-predecessor counts, read
+// in ID order.
 func (st *distState) findCriticalPath() (*startCand, error) {
 	var best *startCand
-	for _, s := range st.startCandidates() {
-		st.res.Search.StartsExamined++
-		c := &st.cand[s]
-		switch {
-		case c.valid && st.reachFree(c.reachBits):
-			st.res.Search.CacheReuses++
-		default:
-			st.runDP(s)
-			st.evalStart(s, c)
-		}
-		if c.found && (best == nil || c.ratio < best.ratio) {
-			best = c
+	for w, word := range st.startBits {
+		for ; word != 0; word &= word - 1 {
+			s := taskgraph.NodeID(w<<6 | bits.TrailingZeros64(word))
+			st.res.Search.StartsExamined++
+			c := &st.cand[s]
+			switch {
+			case c.valid && st.reachFree(c.reachBits):
+				st.res.Search.CacheReuses++
+			default:
+				st.runDP(s)
+				st.evalStart(s, c)
+			}
+			if c.found && (best == nil || c.ratio < best.ratio) {
+				best = c
+			}
 		}
 	}
 	if best == nil {
@@ -578,9 +617,8 @@ func (st *distState) findCriticalPath() (*startCand, error) {
 	}
 
 	// The winner's path was backtracked when its candidate was evaluated,
-	// so no DP tables need rebuilding here. The
-	// caller copies best.path out of the memo's reused buffer before the
-	// memo can be overwritten.
+	// so no DP rows need rebuilding here. The caller copies best.path out
+	// of the memo's reused buffer before the memo can be overwritten.
 	return best, nil
 }
 
@@ -605,14 +643,18 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 	c.valid = true
 	c.found = false
 	kind := st.ratioKind
-	for _, id := range st.ends {
-		row := st.dp[id]
-		span := st.dlVal[id] - relAnchor
-		// Cells outside [rowMin, rowMax] are logically -Inf and never
-		// contribute, so the scan covers only the band.
-		m := int(st.rowMax[id])
-		for k := int(st.rowMin[id]); k <= m; k++ {
-			rk := row[k]
+	for _, p := range st.ends {
+		row := &st.rows[p]
+		span := st.dlVal[st.topo[p]] - relAnchor
+		// Cells outside [min, max] are logically -Inf and never contribute,
+		// so the scan covers only the band: the inline cell, then the
+		// spilled ones.
+		lo, hi := int(row.min), int(row.max)
+		rk := row.val
+		for k := lo; k <= hi; k++ {
+			if k > lo {
+				rk = st.arenaVal[int(p)*st.width+k]
+			}
 			if rk == negInf {
 				continue
 			}
@@ -634,148 +676,165 @@ func (st *distState) evalStart(s taskgraph.NodeID, c *startCand) {
 				r = st.metric.Ratio(span, rk, k)
 			}
 			if !c.found || r < c.ratio {
-				c.end, c.k, c.ratio = id, k, r
+				c.end, c.k, c.ratio = p, k, r
 				c.found = true
 			}
 		}
 	}
-	// The touched rows are exactly the DP's reach: runDP processes every
+	// The frontier now holds exactly the DP's reach: runDP processes every
 	// row it stamps (see there).
-	bits := resizeSlice(c.reachBits, len(st.assignedBits))
-	clear(bits)
-	for _, id := range st.touched {
-		bits[id>>6] |= 1 << (uint(id) & 63)
-	}
-	c.reachBits = bits
-	// Backtrack the winning (end, k) now, while this start's dp/par tables
-	// are still in place: the memoized candidate then carries its own path
-	// and never needs the tables again.
+	c.reachBits = resizeSlice(c.reachBits, len(st.frontier))
+	copy(c.reachBits, st.frontier)
+	clear(st.frontier)
+	// Backtrack the winning (end, k) now, while this start's rows are
+	// still in place: the memoized candidate then carries its own path and
+	// never needs them again.
 	c.path = c.path[:0]
 	if c.found {
 		c.path = st.backtrackInto(c.path, c.end, c.k)
 	}
 }
 
-// startCandidates fills the reused buffer with the unassigned nodes whose
-// predecessors are all assigned, in ID order: the set bits of startBits,
-// which slice maintains via pending-predecessor counts.
-func (st *distState) startCandidates() []taskgraph.NodeID {
-	out := st.startbuf[:0]
-	for w, word := range st.startBits {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, taskgraph.NodeID(w<<6|bits.TrailingZeros64(word)))
-		}
-	}
-	st.startbuf = out
-	return out
-}
+// dpProbe, when set, sees the state at the end of every DP run, while the
+// run's rows and reach are in place. Only tests set it.
+var dpProbe func(st *distState)
 
-// runDP fills dp/par with the maximum accumulated virtual cost of every
+// runDP fills the rows with the maximum accumulated virtual cost of every
 // path from s through unassigned nodes, bucketed by windowed-node count.
 //
-// Reach is the DP's own row stamp: clearRow runs on every unassigned
-// successor of a processed node, so rowGen[v] == gen exactly when v is
-// reached from s through unassigned nodes. clearRow also sets v's bit in
-// the frontier, and the loop pops the lowest set topological position
-// until none is left (pending counts the set bits). A successor sits
-// later in topological order than its predecessor, so the pops visit the
-// stamped rows in topological order: every stamped row is processed after
-// all writes into it, and st.touched ends up holding exactly the
-// reachable set.
+// Reach is the DP's own row stamp: stamp runs on every unassigned
+// successor of a processed row, so rows[p].gen == gen exactly when p is
+// reached from s through unassigned nodes. stamp also sets p's bit in
+// the frontier, and the loop moves to the next set bit above the row just
+// processed until every stamped row is done (pending counts the stamped
+// rows not yet processed). A successor sits later in topological order
+// than its predecessor, so every bit set during the run lies above the
+// current row, and the loop visits the stamped rows in topological order:
+// every row is processed after all writes into it, and the frontier ends
+// up holding exactly the reachable set.
 func (st *distState) runDP(s taskgraph.NodeID) {
-	st.gen++
-	st.touched = st.touched[:0]
-	st.ends = st.ends[:0]
+	st.nextGen()
 	st.res.Search.DPRuns++
 
-	vc := st.vc
-	ws := 0
-	if vc[s] > 0 {
+	u := st.topoIdx[s]
+	vcs := st.vc[s]
+	ws := int32(0)
+	if vcs > 0 {
 		ws = 1
 	}
-	st.clearRow(s)
-	st.dp[s][ws] = vc[s]
-	st.par[s][ws] = taskgraph.None
-	st.rowMin[s], st.rowMax[s] = int32(ws), int32(ws)
+	rows, frontier := st.rows, st.frontier
+	gen, ends := st.gen, st.ends[:0]
+	r := &rows[u]
+	ends = stamp(r, u, gen, frontier, ends)
+	r.min, r.max, r.val, r.par = ws, ws, vcs, -1
 
-	succOff, liveAdj, liveEnd := st.succOff, st.liveAdj, st.liveEnd
-	topo, frontier := st.topo, st.frontier
-	dp, par := st.dp, st.par
-	rowGen, rowMin, rowMax := st.rowGen, st.rowMin, st.rowMax
-	gen := st.gen
-	pending, cells := 1, 0
-	for w := int(st.topoIdx[s]) >> 6; pending > 0; {
-		word := frontier[w]
-		if word == 0 {
-			w++
-			continue
-		}
-		frontier[w] = word & (word - 1)
-		u := topo[w<<6|bits.TrailingZeros64(word)]
+	liveAdj := st.liveAdj
+	arena, width := st.arenaVal, st.width
+	pending, nrows, cells := 1, 0, 0
+	for {
 		pending--
-		row := dp[u]
+		nrows++
 		// By topological order every write into row u has happened, so
-		// [rowMin[u], rowMax[u]] bounds its populated cells.
-		umin, umax := int(rowMin[u]), int(rowMax[u])
-		for _, v := range liveAdj[succOff[u]:liveEnd[u]] {
-			cells += umax - umin + 1
-			vcv := vc[v]
+		// [min, max] bounds its populated cells.
+		ru := &rows[u]
+		umin, umax := int(ru.min), int(ru.max)
+		uval := ru.val
+		succs := liveAdj[ru.lo:ru.hi]
+		cells += (umax - umin + 1) * len(succs)
+		for _, arc := range succs {
+			v, vcv := arc.to, arc.cost
 			wv := 0
 			if vcv > 0 {
 				wv = 1
 			}
-			if rowGen[v] != gen {
-				st.clearRow(v)
+			rv := &rows[v]
+			if rv.gen != gen {
+				ends = stamp(rv, v, gen, frontier, ends)
 				pending++
 			}
-			vrow, vpar := dp[v], par[v]
-			vmin, vmax := int(rowMin[v]), int(rowMax[v])
+			// The inline cell, then the spilled ones. Opening an empty row
+			// and meeting the inline cell are handled here; every other
+			// write goes to relaxSpill. A write into an empty row compares
+			// against -Inf (false for NaN and -Inf, exactly as a compare
+			// against a stored -Inf cell) and opens the band at kv; an
+			// equal value never replaces a parent.
+			rk := uval
 			for k := umin; k <= umax; k++ {
-				rk := row[k]
+				if k > umin {
+					rk = arena[int(u)*width+k]
+				}
 				if rk == negInf {
 					continue
 				}
-				kv := k + wv
-				cand := rk + vcv
+				kv, cand := k+wv, rk+vcv
 				switch {
-				case kv > vmax:
-					// The cell is above the row's band, hence logically
-					// -Inf: the write condition is cand > -Inf (false for
-					// NaN and -Inf, exactly as a compare against a stored
-					// -Inf cell). Skipped-over cells become explicit -Inf
-					// so band scans read defined values; par gap cells
-					// stay unwritten — they are only read behind dp cells
-					// that hold finite path values. A first write into an
-					// empty row opens the band at kv and fills nothing.
+				case rv.max < 0:
 					if cand > negInf {
-						if vmax < 0 {
-							vmin = kv
-						} else {
-							copy(vrow[vmax+1:kv], st.infRow)
-						}
-						vrow[kv] = cand
-						vpar[kv] = u
-						vmax = kv
+						rv.min, rv.max, rv.val, rv.par = int32(kv), int32(kv), cand, u
 					}
-				case kv < vmin:
-					// Below the band: same rule, gap-filling up to the old
-					// low-water mark.
-					if cand > negInf {
-						copy(vrow[kv+1:vmin], st.infRow)
-						vrow[kv] = cand
-						vpar[kv] = u
-						vmin = kv
+				case kv == int(rv.min):
+					if cand > rv.val {
+						rv.val, rv.par = cand, u
 					}
-				case cand > vrow[kv]:
-					vrow[kv] = cand
-					vpar[kv] = u
+				default:
+					st.relaxSpill(rv, v, kv, cand, u)
 				}
 			}
-			rowMin[v], rowMax[v] = int32(vmin), int32(vmax)
 		}
+		if pending == 0 {
+			break
+		}
+		w := int(u) >> 6
+		word := frontier[w] &^ (2<<(uint(u)&63) - 1)
+		for word == 0 {
+			w++
+			word = frontier[w]
+		}
+		u = int32(w<<6 | bits.TrailingZeros64(word))
 	}
-	st.res.Search.DPRows += len(st.touched)
+	st.ends = ends
+	st.res.Search.DPRows += nrows
 	st.res.Search.DPCells += cells
+	if dpProbe != nil {
+		dpProbe(st)
+	}
+}
+
+// relaxSpill offers cell kv of the non-empty row v (record rv) the value
+// cand reached through row u, for a kv other than the inline cell's. A
+// write outside the band compares against -Inf, like a write into an
+// empty row; the skipped-over cells between the band and kv become
+// explicit -Inf, so band scans read defined values (their par stays
+// unwritten: it is only read behind a cell holding a path value). A write
+// below the band moves the inline cell into the arena first. Inside the
+// band the compare is strict, so an equal value keeps the earlier parent.
+func (st *distState) relaxSpill(rv *dpRow, v int32, kv int, cand float64, u int32) {
+	vmin, vmax := int(rv.min), int(rv.max)
+	base := int(v) * st.width
+	val, par := st.arenaVal[base:base+st.width], st.arenaPar[base:base+st.width]
+	switch {
+	case kv > vmax:
+		if cand > negInf {
+			fillNegInf(val[vmax+1 : kv])
+			val[kv], par[kv] = cand, u
+			rv.max = int32(kv)
+		}
+	case kv < vmin:
+		if cand > negInf {
+			val[vmin], par[vmin] = rv.val, rv.par
+			fillNegInf(val[kv+1 : vmin])
+			rv.min, rv.val, rv.par = int32(kv), cand, u
+		}
+	case cand > val[kv]:
+		val[kv], par[kv] = cand, u
+	}
+}
+
+// fillNegInf sets every cell of gap to -Inf.
+func fillNegInf(gap []float64) {
+	for i := range gap {
+		gap[i] = negInf
+	}
 }
 
 // resizeSlice returns buf with length n, reusing its storage when large
@@ -787,35 +846,58 @@ func resizeSlice[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// clearRow logically resets a generation-stale row, records it as touched
-// (and as an end when its deadline anchor is final) and queues it on the
-// frontier: an empty band (rowMin 0, rowMax -1) marks every cell -Inf
-// without storing a single one — readers are bounded by the band, and
-// writes outside it gap-fill from the infRow template (see runDP's inner
-// loop).
-func (st *distState) clearRow(id taskgraph.NodeID) {
-	st.rowMin[id], st.rowMax[id] = 0, -1
-	st.rowGen[id] = st.gen
-	st.touched = append(st.touched, id)
-	if st.succPending[id] == 0 {
-		st.ends = append(st.ends, id)
+// nextGen starts a DP run's generation. When the counter wraps, every
+// stamp in the row backing (its spare capacity included, which a later
+// graph may reslice) is reset to 0 and counting restarts at 1, so no
+// stale row can ever carry the current generation.
+func (st *distState) nextGen() {
+	st.gen++
+	if st.gen == 0 {
+		rows := st.rows[:cap(st.rows)]
+		for i := range rows {
+			rows[i].gen = 0
+		}
+		st.gen = 1
 	}
-	p := st.topoIdx[id]
-	st.frontier[p>>6] |= 1 << (uint(p) & 63)
 }
 
-// backtrackInto reconstructs the path ending at (end, k) from the par
-// table, appending into dst (reused across evaluations).
-func (st *distState) backtrackInto(dst []taskgraph.NodeID, end taskgraph.NodeID, k int) []taskgraph.NodeID {
+// stamp logically resets row p (record r) for the DP run gen, appends p
+// to ends when its deadline anchor is final (its live list is empty), and
+// queues it on the frontier. An empty band (min 0, max -1) marks every
+// cell -Inf without storing a single one: readers are bounded by the
+// band, and writes outside it gap-fill (see relaxSpill).
+func stamp(r *dpRow, p int32, gen uint32, frontier []uint64, ends []int32) []int32 {
+	r.gen, r.min, r.max = gen, 0, -1
+	if r.lo == r.hi {
+		ends = append(ends, p)
+	}
+	frontier[p>>6] |= 1 << (uint(p) & 63)
+	return ends
+}
+
+// cell returns row p's cell k and its parent position, from the inline
+// cell or the arena. k must lie in the row's band.
+func (st *distState) cell(p int32, k int) (float64, int32) {
+	r := &st.rows[p]
+	if k == int(r.min) {
+		return r.val, r.par
+	}
+	i := int(p)*st.width + k
+	return st.arenaVal[i], st.arenaPar[i]
+}
+
+// backtrackInto reconstructs the path ending at (end, k) from the rows'
+// parents, appending its node IDs into dst (reused across evaluations).
+func (st *distState) backtrackInto(dst []taskgraph.NodeID, end int32, k int) []taskgraph.NodeID {
 	first := len(dst)
-	id := end
-	for id != taskgraph.None {
+	for p := end; p >= 0; {
+		id := st.topo[p]
 		dst = append(dst, id)
-		prev := st.par[id][k]
+		_, prev := st.cell(p, k)
 		if st.vc[id] > 0 {
 			k--
 		}
-		id = prev
+		p = prev
 	}
 	for i, j := first, len(dst)-1; i < j; i, j = i+1, j-1 {
 		dst[i], dst[j] = dst[j], dst[i]
@@ -919,7 +1001,8 @@ func (st *distState) slice(path []taskgraph.NodeID, ratio float64) {
 		}
 		st.res.Absolute[id] = t
 		st.assigned[id] = true
-		st.assignedBits[id>>6] |= 1 << (uint(id) & 63)
+		p := st.topoIdx[id]
+		st.assignedBits[p>>6] |= 1 << (uint(p) & 63)
 		st.startBits[id>>6] &^= 1 << (uint(id) & 63)
 	}
 	st.unassigned -= len(path)
@@ -937,6 +1020,7 @@ func (st *distState) slice(path []taskgraph.NodeID, ratio float64) {
 				st.startBits[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
+		pos := st.topoIdx[id]
 		for _, p := range st.predAdj[st.predOff[id]:st.predOff[id+1]] {
 			st.succPending[p]--
 			if st.assigned[p] {
@@ -946,11 +1030,11 @@ func (st *distState) slice(path []taskgraph.NodeID, ratio float64) {
 				st.dlVal[p], _ = st.deadlineAnchorSlow(p)
 			}
 			// Unlink stably: the DP's arc order decides ties.
-			lo, hi := st.succOff[p], st.liveEnd[p]
-			live := st.liveAdj[lo:hi]
-			i := slices.Index(live, id)
+			r := &st.rows[st.topoIdx[p]]
+			live := st.liveAdj[r.lo:r.hi]
+			i := slices.IndexFunc(live, func(a liveArc) bool { return a.to == pos })
 			copy(live[i:], live[i+1:])
-			st.liveEnd[p] = hi - 1
+			r.hi--
 		}
 	}
 }

@@ -234,8 +234,8 @@ func TestSearchStatsCounters(t *testing.T) {
 
 	// Exact counts on a hand-built layered graph: the diamond a -> {b, c}
 	// -> d plus an independent chain x -> y, PURE under CCNE (message nodes
-	// cost zero). Every DP row holds one defined cell, so the [rowMin,
-	// rowMax] band makes each expanded arc visit exactly one cell.
+	// cost zero). Every DP row holds one defined cell, its inline cell, so
+	// the band makes each expanded arc visit exactly one cell.
 	//   round 1: starts a, x. DP(a) expands all 8 rows and 8 arcs of the
 	//            diamond; DP(x) expands x, m_xy, y over 2 arcs. The path
 	//            a-b-d (laxity ratio 16/3) beats x-y (14) and is sliced.

@@ -41,9 +41,11 @@ func incrementalGraphs(t *testing.T, seed uint64) map[string]*taskgraph.Graph {
 // checkIncremental fails the test unless the state that slice keeps up to
 // date matches a recomputation from the assignment state: for every
 // unassigned node, the final anchors equal the slow anchors, the live
-// successor list is the original list filtered by !assigned in original
-// order, and the start bit is set exactly when every predecessor is
-// assigned. The DP frontier must be empty between runs.
+// successor list (kept in topological positions) is the original list
+// filtered by !assigned in original order (so it is empty exactly when
+// the deadline anchor is final, which is how the DP spots ends), and the
+// start bit is set exactly when every predecessor is assigned. The DP frontier must be
+// empty between runs.
 //
 // In graphs built by taskgraph.Builder every arc runs through a message
 // node with one predecessor and one successor, so slice only ever unlinks
@@ -77,7 +79,12 @@ func checkIncremental(t *testing.T, st *distState, round int) {
 				live = append(live, v)
 			}
 		}
-		if got := st.liveAdj[st.succOff[id]:st.liveEnd[id]]; !slices.Equal(got, live) {
+		r := st.rows[st.topoIdx[id]]
+		var got []taskgraph.NodeID
+		for _, a := range st.liveAdj[r.lo:r.hi] {
+			got = append(got, st.topo[a.to])
+		}
+		if !slices.Equal(got, live) {
 			t.Fatalf("round %d: live successors of %d = %v, want %v", round, id, got, live)
 		}
 		if start != wantRelOK {

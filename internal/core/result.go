@@ -60,7 +60,8 @@ type SearchStats struct {
 	// DP sweeps (each sweep's reachable set).
 	DPRows int
 	// DPCells is the number of DP cells visited: for every arc expanded,
-	// the width of its source row's [rowMin, rowMax] band.
+	// the width of its source row's band [min, max], the inline cell and
+	// any cells spilled to the arena.
 	DPCells int
 }
 

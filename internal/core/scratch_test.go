@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/platform"
@@ -224,4 +226,55 @@ func TestScratchArcChangeMatchesCold(t *testing.T) {
 		{"with extra arc", build(true), sys},
 		{"without again", build(false), sys},
 	})
+}
+
+// TestScratchGenerationWrap carries one scratch across the wrap of the
+// 32-bit DP generation counter. A run on a larger graph leaves stamped
+// rows beyond a smaller graph's length; the counter is then moved to its
+// last value, as 2^32 runs later, so the next run's generations restart
+// from 1. The wrap must reset every stamp in the backing, the spare rows
+// included, and every run must still match a cold one.
+func TestScratchGenerationWrap(t *testing.T) {
+	if size := unsafe.Sizeof(dpRow{}); size != 32 {
+		t.Errorf("dpRow is %d bytes, want 32", size)
+	}
+	sys, err := platform.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := equivalenceGraphs(t, 6)["random"]
+	small := equivalenceGraphs(t, 5)["random"]
+	if big.NumNodes() <= small.NumNodes() {
+		t.Fatalf("precondition: %d nodes, want more than %d", big.NumNodes(), small.NumNodes())
+	}
+	d := Distributor{Metric: PURE(), Estimator: CCNE()}
+	sc := NewScratch()
+	for i, g := range []*taskgraph.Graph{big, small, small, big} {
+		if i == 2 {
+			sc.st.gen = math.MaxUint32
+		}
+		got, err := d.DistributeScratch(g, sys, nil, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.Distribute(g, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameResult(got, want); diff != "" {
+			t.Fatalf("run %d: %s", i, diff)
+		}
+		if i != 2 {
+			continue
+		}
+		rows := sc.st.rows
+		for p, r := range rows[len(rows):cap(rows)] {
+			if r.gen != 0 {
+				t.Fatalf("spare row %d kept generation %d across the wrap", len(rows)+p, r.gen)
+			}
+		}
+		if sc.st.gen == 0 || sc.st.gen > 1<<20 {
+			t.Fatalf("generation after the wrap = %d, want a small restarted count", sc.st.gen)
+		}
+	}
 }

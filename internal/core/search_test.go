@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -59,9 +60,10 @@ func checkReference(t *testing.T, g *taskgraph.Graph, d Distributor, s *platform
 // predecessor brings fewer windowed nodes: s -> x1 -> x2 -> x3 -> J and
 // s -> y -> J, where y also waits on a four-subtask chain, so Kahn's order
 // places y's message into J after x3's. The DP from s first opens J's
-// band at k = 5 (s, x1, x2, x3, J) and then writes k = 3 (s, y, J) below
-// it, filling the gap at k = 4 with -Inf. Under CCNE every message node
-// costs zero, so only subtasks count.
+// band at k = 5 (s, x1, x2, x3, J) in the row's inline cell and then
+// writes k = 3 (s, y, J) below it: the k = 5 cell moves into the arena,
+// the gap at k = 4 is filled with -Inf, and k = 3 becomes the inline
+// cell. Under CCNE every message node costs zero, so only subtasks count.
 func TestJoinWriteBelowBand(t *testing.T) {
 	b := taskgraph.NewBuilder()
 	s := b.AddSubtask("s", 2)
@@ -96,17 +98,118 @@ func TestJoinWriteBelowBand(t *testing.T) {
 
 	st := bindState(t, g, PURE(), CCNE(), 4)
 	st.runDP(s)
-	if lo, hi := st.rowMin[j], st.rowMax[j]; lo != 3 || hi != 5 {
-		t.Fatalf("J's band = [%d, %d], want [3, 5]", lo, hi)
+	pos := st.topoIdx
+	jp := pos[j]
+	if r := st.rows[jp]; r.min != 3 || r.max != 5 {
+		t.Fatalf("J's band = [%d, %d], want [3, 5]", r.min, r.max)
 	}
-	if got := st.dp[j][3]; got != 6 {
-		t.Errorf("dp[J][3] = %v, want 6 (s, y, J)", got)
+	for _, c := range []struct {
+		k   int
+		val float64
+		par int32
+	}{
+		{3, 6, pos[my]}, // s, y, J: the inline cell
+		{4, negInf, -1}, // gap fill; its parent is never read
+		{5, 6, pos[mx]}, // s, x1, x2, x3, J: moved into the arena
+	} {
+		val, par := st.cell(jp, c.k)
+		if val != c.val || (c.par >= 0 && par != c.par) {
+			t.Errorf("J's cell %d = (%v, %d), want (%v, %d)", c.k, val, par, c.val, c.par)
+		}
 	}
-	if got := st.dp[j][4]; got != negInf {
-		t.Errorf("dp[J][4] = %v, want -Inf gap fill", got)
+	if i := int(jp)*st.width + 5; st.arenaVal[i] != 6 || st.arenaPar[i] != pos[mx] {
+		t.Errorf("arena cell 5 of J = (%v, %d), want the moved first write (6, %d)", st.arenaVal[i], st.arenaPar[i], pos[mx])
 	}
-	if got := st.dp[j][5]; got != 6 {
-		t.Errorf("dp[J][5] = %v, want 6 (s, x1, x2, x3, J)", got)
+
+	sc := NewScratch()
+	for _, m := range []Metric{PURE(), NORM(), THRES(1, 1.25), ADAPT(1.25)} {
+		for _, e := range []CommEstimator{CCNE(), CCAA()} {
+			checkReference(t, g, Distributor{Metric: m, Estimator: e}, sys(t, 4), sc)
+		}
+	}
+}
+
+// TestRowBandGrowsBothWays drives one DP row through every write its
+// record meets: J's first write opens the band at k = 4 in the inline
+// cell, an equal value at k = 4 keeps the first parent, a write at k = 3
+// moves the inline cell into the arena, a write at k = 7 gap-fills the
+// arena above the band, and a second equal value at k = 4 meets the
+// moved cell in the arena and keeps its parent too. Subtask costs are
+// integers and CCNE costs message nodes at zero, so the equal values are
+// exact; independent chains into y and d1 delay their messages into J in
+// topological order.
+func TestRowBandGrowsBothWays(t *testing.T) {
+	b := taskgraph.NewBuilder()
+	s := b.AddSubtask("s", 2)
+	j := b.AddSubtask("J", 1)
+	// chain appends n unit-cost subtasks after from and returns the last.
+	chain := func(name string, from taskgraph.NodeID, n int) taskgraph.NodeID {
+		for i := 0; i < n; i++ {
+			next := b.AddSubtask(fmt.Sprint(name, i+1), 1)
+			if from != taskgraph.None {
+				b.Connect(from, next, 1)
+			}
+			from = next
+		}
+		return from
+	}
+	a := chain("a", s, 2)     // k = 4 at J, value 5: first write
+	a2 := chain("b", s, 2)    // k = 4, value 5: equal, inline
+	y := b.AddSubtask("y", 3) // k = 3, value 6: below the band
+	b.Connect(s, y, 1)
+	b.Connect(chain("c", taskgraph.None, 4), y, 1)
+	x := chain("x", s, 5)       // k = 7, value 8: above the band
+	d1 := b.AddSubtask("d1", 1) // k = 4, value 5: equal, in the arena
+	b.Connect(s, d1, 1)
+	b.Connect(chain("g", taskgraph.None, 5), d1, 1)
+	d := chain("d", d1, 1)
+	ma := b.Connect(a, j, 1)
+	ma2 := b.Connect(a2, j, 1)
+	my := b.Connect(y, j, 1)
+	mx := b.Connect(x, j, 1)
+	md := b.Connect(d, j, 1)
+	b.SetEndToEnd(j, 60)
+	g, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := g.TopoOrder()
+	order := []taskgraph.NodeID{ma, ma2, my, mx}
+	for i := 1; i < len(order); i++ {
+		if slices.Index(topo, order[i-1]) > slices.Index(topo, order[i]) {
+			t.Fatalf("precondition: J's messages must come in order %v in %v", order, topo)
+		}
+	}
+	if slices.Index(topo, md) < slices.Index(topo, my) {
+		t.Fatalf("precondition: d's message must follow y's in %v", topo)
+	}
+
+	st := bindState(t, g, PURE(), CCNE(), 4)
+	st.runDP(s)
+	pos := st.topoIdx
+	jp := pos[j]
+	if r := st.rows[jp]; r.min != 3 || r.max != 7 {
+		t.Fatalf("J's band = [%d, %d], want [3, 7]", r.min, r.max)
+	}
+	for _, c := range []struct {
+		k   int
+		val float64
+		par int32
+	}{
+		{3, 6, pos[my]},
+		{4, 5, pos[ma]},
+		{5, negInf, -1},
+		{6, negInf, -1},
+		{7, 8, pos[mx]},
+	} {
+		val, par := st.cell(jp, c.k)
+		if val != c.val || (c.par >= 0 && par != c.par) {
+			t.Errorf("J's cell %d = (%v, %d), want (%v, %d)", c.k, val, par, c.val, c.par)
+		}
+	}
+	path := st.backtrackInto(nil, jp, 4)
+	if path[1] != g.Succ(s)[0] || path[len(path)-2] != ma {
+		t.Errorf("backtrack from (J, 4) = %v, want the first path s, a1, a2, J", path)
 	}
 
 	sc := NewScratch()
@@ -139,15 +242,16 @@ func TestRerunShrinksReach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := bindState(t, g, PURE(), CCNE(), 4)
 	bitsOf := func(ids ...taskgraph.NodeID) []uint64 {
 		bits := make([]uint64, (g.NumNodes()+63)/64)
 		for _, id := range ids {
-			bits[id>>6] |= 1 << (uint(id) & 63)
+			p := st.topoIdx[id]
+			bits[p>>6] |= 1 << (uint(p) & 63)
 		}
 		return bits
 	}
 
-	st := bindState(t, g, PURE(), CCNE(), 4)
 	best, err := st.findCriticalPath()
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +271,6 @@ func TestRerunShrinksReach(t *testing.T) {
 	rows := st.res.Search.DPRows
 	st.runDP(s)
 	st.evalStart(s, c)
-	if want := []taskgraph.NodeID{s, msj}; !slices.Equal(st.touched, want) {
-		t.Errorf("rerun touched %v, want %v", st.touched, want)
-	}
 	if got := st.res.Search.DPRows - rows; got != 2 {
 		t.Errorf("rerun processed %d rows, want 2", got)
 	}

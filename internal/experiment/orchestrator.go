@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,7 +64,7 @@ type Orchestrator struct {
 	seed maphash.Seed
 
 	batches *sfcache.Cache[generator.BatchID, []*taskgraph.Graph]
-	assigns *sfcache.Cache[assignKey, *core.Result]
+	assigns *sfcache.Cache[assignKey, assignEntry]
 }
 
 // Cache capacities. A batch is a whole table's workload, and an invocation
@@ -187,9 +188,16 @@ func newPoolWorker() *poolWorker {
 type assignKey struct {
 	g     *taskgraph.Graph
 	label string
-	// fp is the fingerprint encoded as float bits (NaN-normalized), so the
-	// key equality matches equalFP.
-	fp string
+	// fp is fpHash of the fingerprint. Two fingerprints may share it, so
+	// a hit is confirmed against the entry's own copy (assignEntry.fp).
+	fp uint64
+}
+
+// assignEntry is one cached assignment and the fingerprint it was
+// computed for.
+type assignEntry struct {
+	res *core.Result
+	fp  []float64
 }
 
 // NewOrchestrator starts a shared pool of the given size (GOMAXPROCS when
@@ -229,7 +237,7 @@ func (o *Orchestrator) Workers() int { return o.workers }
 // Call it before the first run. n <= 0 is ignored.
 func (o *Orchestrator) SetCrossCacheCap(n int) {
 	if n > 0 {
-		o.assigns = sfcache.New[assignKey, *core.Result](n, o.hashAssign)
+		o.assigns = sfcache.New[assignKey, assignEntry](n, o.hashAssign)
 	}
 }
 
@@ -240,16 +248,16 @@ func (o *Orchestrator) hashBatch(key generator.BatchID) uint64 {
 }
 
 // hashAssign picks an assignment key's shard from the graph's address,
-// the label and the fingerprint bits. The address is stable: the key holds
+// the label and the fingerprint hash. The address is stable: the key holds
 // the graph, and Go never moves a heap object.
 func (o *Orchestrator) hashAssign(key assignKey) uint64 {
 	var h maphash.Hash
 	h.SetSeed(o.seed)
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], uint64(reflect.ValueOf(key.g).Pointer()))
+	var p [16]byte
+	binary.LittleEndian.PutUint64(p[:8], uint64(reflect.ValueOf(key.g).Pointer()))
+	binary.LittleEndian.PutUint64(p[8:], key.fp)
 	h.Write(p[:])
 	h.WriteString(key.label)
-	h.WriteString(key.fp)
 	return h.Sum64()
 }
 
@@ -328,18 +336,18 @@ func (o *Orchestrator) batch(ctx context.Context, key generator.BatchID, rec *me
 // unless the cache refuses it. The second return reports whether the
 // Result is shared cache storage — shared results must not be recycled by
 // the caller.
+//
+// The key holds a hash of the fingerprint, and each published entry its
+// own copy of the vector. A hit whose vector differs (another fingerprint
+// with the same hash) is computed uncached, so it is never answered with
+// the other fingerprint's Result and never replaces it. A waiter whose
+// owner fails gets the owner's error unconfirmed, as before: failures are
+// never cached, so a retry computes afresh.
 func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys *platform.System,
 	asg Assigner, label string, fp []float64, rec *metrics.Recorder,
 	w *poolWorker) (*core.Result, bool, error) {
 
-	key := assignKey{g: gg, label: label, fp: fpBits(fp)}
-	res, out, err := o.assigns.Do(ctx, key, func(out sfcache.Outcome) (*core.Result, error) {
-		if out != sfcache.Miss {
-			rec.CrossRejected()
-		}
-		if out == sfcache.Flushed {
-			rec.CrossFlush()
-		}
+	compute := func() (*core.Result, error) {
 		rec.CrossMiss()
 		t0 := rec.Start()
 		// Compute with the worker's pooled scratch but never its spare
@@ -354,11 +362,30 @@ func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys 
 			rec.AddSearch(SearchCounters(res.Search))
 		}
 		return res, err
+	}
+	key := assignKey{g: gg, label: label, fp: fpHash(fp)}
+	e, out, err := o.assigns.Do(ctx, key, func(out sfcache.Outcome) (assignEntry, error) {
+		if out != sfcache.Miss {
+			rec.CrossRejected()
+		}
+		if out == sfcache.Flushed {
+			rec.CrossFlush()
+		}
+		res, err := compute()
+		if err != nil || out == sfcache.Rejected {
+			return assignEntry{res: res}, err
+		}
+		// Only a published entry keeps a copy of its fingerprint.
+		return assignEntry{res: res, fp: slices.Clone(fp)}, nil
 	})
-	if out == sfcache.Hit {
+	if out == sfcache.Hit && err == nil {
+		if !sameFP(e.fp, fp) {
+			res, err := compute()
+			return res, false, err
+		}
 		rec.CrossHit()
 	}
-	return res, err == nil && out != sfcache.Rejected, err
+	return e.res, err == nil && out != sfcache.Rejected, err
 }
 
 // Workbench is the exported view of one pool worker's scratch state,
@@ -419,22 +446,40 @@ func SearchCounters(st core.SearchStats) metrics.SearchCounters {
 	}
 }
 
-// fpBits encodes a fingerprint as its float bit pattern, collapsing every
-// NaN payload onto one canonical NaN so key equality matches equalFP (which
-// treats any two NaNs as equal). nil and empty both encode to "" — the
-// platform-independent sentinel.
-func fpBits(fp []float64) string {
-	if len(fp) == 0 {
-		return ""
+// canonNaN is the one NaN bit pattern every NaN of a fingerprint counts
+// as: equalFP treats any two NaNs as equal.
+var canonNaN = math.Float64bits(math.NaN())
+
+// canonBits returns v's bits, with every NaN payload collapsed onto
+// canonNaN.
+func canonBits(v float64) uint64 {
+	if v != v {
+		return canonNaN
 	}
-	buf := make([]byte, 8*len(fp))
-	canonNaN := math.Float64bits(math.NaN())
-	for i, v := range fp {
-		bits := math.Float64bits(v)
-		if math.IsNaN(v) {
-			bits = canonNaN
+	return math.Float64bits(v)
+}
+
+// fpHash hashes a fingerprint's canonical bits (canonBits) and its length.
+// nil and empty hash alike: both are the platform-independent sentinel.
+func fpHash(fp []float64) uint64 {
+	h := uint64(len(fp))
+	for _, v := range fp {
+		h = (h ^ canonBits(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// sameFP reports whether two fingerprints have the same canonical bits:
+// the equality the cross-table key stands for.
+func sameFP(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if canonBits(a[i]) != canonBits(b[i]) {
+			return false
 		}
-		binary.LittleEndian.PutUint64(buf[i*8:], bits)
 	}
-	return string(buf)
+	return true
 }

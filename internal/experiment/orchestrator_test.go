@@ -11,6 +11,7 @@ import (
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
+	"deadlinedist/internal/sfcache"
 	"deadlinedist/internal/strategy"
 	"deadlinedist/internal/taskgraph"
 )
@@ -214,26 +215,68 @@ func TestNaNFingerprintCachedAcrossSizes(t *testing.T) {
 	}
 }
 
-// TestFpBits checks the cache-key encoding: NaN payloads collapse onto one
-// canonical NaN (matching equalFP), nil and empty share the no-dependence
-// sentinel, and distinct values get distinct keys.
-func TestFpBits(t *testing.T) {
-	if fpBits(nil) != "" || fpBits([]float64{}) != "" {
-		t.Error("nil/empty fingerprints must encode to the empty sentinel")
+// TestAssignKeyCollision forces two fingerprints onto one cross-table
+// key: an entry computed for one fingerprint is planted under the other's
+// key. The lookup for the other must be computed, uncached and correct,
+// and must leave the planted entry in place; the planted fingerprint
+// still gets its own correct, shared result under its own key.
+func TestAssignKeyCollision(t *testing.T) {
+	orc := NewOrchestrator(1)
+	defer orc.Close()
+	g := testGraph(t)
+	asg := Slicing(core.PURE(), core.CCEXP())
+	w := newPoolWorker()
+	sysA, err := platform.New(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	nan1 := math.NaN()
-	nan2 := math.Float64frombits(math.Float64bits(nan1) ^ 1) // distinct payload
-	if !math.IsNaN(nan2) {
-		t.Fatal("payload flip no longer a NaN")
+	sysB, err := platform.New(8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fpBits([]float64{nan1, 2}) != fpBits([]float64{nan2, 2}) {
-		t.Error("NaN payloads must encode identically")
+	fpA, _ := asg.Fingerprint(nil, g, sysA, nil)
+	fpB, _ := asg.Fingerprint(nil, g, sysB, nil)
+	d := core.Distributor{Metric: core.PURE(), Estimator: core.CCEXP()}
+	wantA, err := d.Distribute(g, sysA)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fpBits([]float64{1}) == fpBits([]float64{2}) {
-		t.Error("distinct fingerprints must encode distinctly")
+	wantB, err := d.Distribute(g, sysB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fpBits([]float64{1}) == fpBits([]float64{1, 1}) {
-		t.Error("different lengths must encode distinctly")
+	if sameFP(fpA, fpB) || reflect.DeepEqual(wantA.Relative, wantB.Relative) {
+		t.Fatal("precondition: the two platforms must give different fingerprints and windows")
+	}
+
+	keyB := assignKey{g: g, label: asg.Label(), fp: fpHash(fpB)}
+	planted := assignEntry{res: wantA, fp: fpA}
+	if _, _, err := orc.assigns.Do(context.Background(), keyB, func(sfcache.Outcome) (assignEntry, error) {
+		return planted, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rec := metrics.New()
+	check := func(sys *platform.System, fp []float64, want *core.Result, wantShared bool) {
+		t.Helper()
+		res, shared, err := orc.assignment(context.Background(), g, sys, asg, asg.Label(), fp, rec, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared != wantShared {
+			t.Errorf("%d procs: shared = %v, want %v", sys.NumProcs(), shared, wantShared)
+		}
+		if !reflect.DeepEqual(res.Relative, want.Relative) || !reflect.DeepEqual(res.Release, want.Release) {
+			t.Errorf("%d procs: result differs from a plain distribution", sys.NumProcs())
+		}
+	}
+	check(sysB, fpB, wantB, false)
+	if e, ok := orc.assigns.Peek(keyB); !ok || e.res != wantA || !sameFP(e.fp, fpA) {
+		t.Error("the colliding lookup replaced the planted entry")
+	}
+	check(sysA, fpA, wantA, true)
+	if snap := rec.Snapshot(); snap.CrossHits != 0 || snap.CrossMisses != 2 {
+		t.Errorf("cross hits/misses = %d/%d, want 0/2", snap.CrossHits, snap.CrossMisses)
 	}
 }
 

@@ -77,27 +77,26 @@ func benchRuns(path string, re *regexp.Regexp) map[string][]float64 {
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op`)
 
-// perfgate compares two `go test -bench` outputs. The repeats of each
-// benchmark are averaged; benchmarks found on one side only are reported
-// and skipped. It fails when the geomean of head/base ns/op over the shared
-// benchmarks exceeds the limit, and prints the five worst ratios so a
-// localized regression inside a healthy geomean still shows in the log.
+// perfgate compares two `go test -bench` outputs. Each benchmark's
+// repeats are reduced to their median, which one slow repeat on a shared
+// runner cannot move; benchmarks found on one side only are reported and
+// skipped. It fails when the geomean of head/base median ns/op over the
+// shared benchmarks exceeds the limit, and prints the five worst ratios so
+// a localized regression inside a healthy geomean still shows in the log.
 func perfgate(args []string) {
 	fs := flag.NewFlagSet("perfgate", flag.ExitOnError)
-	limit := fs.Float64("limit", 1.10, "largest allowed geomean of head/base ns/op")
+	limit := fs.Float64("limit", 1.10, "largest allowed geomean of head/base median ns/op")
 	fs.Parse(args)
 	need(fs.Args(), 2)
-	mean := func(path string) map[string]float64 {
+	median := func(path string) map[string]float64 {
 		out := make(map[string]float64)
 		for name, v := range benchRuns(path, benchLine) {
-			for _, x := range v {
-				out[name] += x
-			}
-			out[name] /= float64(len(v))
+			slices.Sort(v)
+			out[name] = (v[(len(v)-1)/2] + v[len(v)/2]) / 2
 		}
 		return out
 	}
-	base, head := mean(fs.Arg(0)), mean(fs.Arg(1))
+	base, head := median(fs.Arg(0)), median(fs.Arg(1))
 	var shared, names []string
 	for name := range base {
 		names = append(names, name)
