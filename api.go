@@ -155,7 +155,8 @@ func EqualFlexibility() Strategy { return strategy.EQF() }
 type (
 	// ScheduleResult is the outcome of one list-scheduling run.
 	ScheduleResult = scheduler.Schedule
-	// SchedulerConfig tunes the list scheduler.
+	// SchedulerConfig tunes the list scheduler and selects its run-time
+	// model (Preemptive) and message model (Network).
 	SchedulerConfig = scheduler.Config
 	// DispatchPolicy is the priority rule used among schedulable subtasks.
 	DispatchPolicy = scheduler.Policy
@@ -173,27 +174,21 @@ const (
 
 // Schedule runs the paper's deadline-driven list scheduler: EDF selection
 // over schedulable subtasks, earliest-start-time processor choice,
-// non-preemptive execution.
+// non-preemptive execution. cfg selects the Section 8 variants:
+// Preemptive re-simulates the placement under preemptive EDF (the result
+// carries execution Segments), and Network routes messages over a
+// multihop network's contended, deadline-scheduled links (the result
+// carries per-message Hops).
 func Schedule(g *Graph, sys *System, res *Result, cfg SchedulerConfig) (*ScheduleResult, error) {
 	return scheduler.Run(g, sys, res, cfg)
 }
 
-// SchedulePreemptive re-simulates the list scheduler's assignment under
-// preemptive EDF (the Section 8 run-time-model alternative).
-func SchedulePreemptive(g *Graph, sys *System, res *Result, cfg SchedulerConfig) (*ScheduleResult, error) {
-	return scheduler.RunPreemptive(g, sys, res, cfg)
-}
-
-// ValidateSchedule checks a schedule's structural soundness (placement,
-// overlap-freedom, precedence + communication delays, bus exclusivity).
+// ValidateSchedule checks the structural soundness of a schedule produced
+// under cfg: placement, overlap-freedom, precedence + communication delays,
+// and the model's own resources (bus exclusivity, execution segments, or
+// route adherence and link exclusivity).
 func ValidateSchedule(g *Graph, sys *System, res *Result, s *ScheduleResult, cfg SchedulerConfig) error {
 	return scheduler.Validate(g, sys, res, s, cfg)
-}
-
-// ValidatePreemptiveSchedule checks the structural soundness of a
-// preemptive schedule via its execution segments.
-func ValidatePreemptiveSchedule(g *Graph, sys *System, res *Result, s *ScheduleResult, cfg SchedulerConfig) error {
-	return scheduler.ValidatePreemptive(g, sys, res, s, cfg)
 }
 
 // Gantt renders a per-processor ASCII Gantt chart of a schedule.
@@ -252,7 +247,8 @@ func StructuredGraph(cfg StructuredConfig, src *RandomSource) (*Graph, error) {
 	return generator.Structured(cfg, src)
 }
 
-// Multihop real-time channels (see internal/channel; reference [13]).
+// Multihop real-time channels (see internal/channel; reference [13]). A
+// Network set in SchedulerConfig.Network carries Schedule's messages.
 type (
 	// Network is a multihop interconnect with contended,
 	// deadline-scheduled links.
@@ -261,8 +257,6 @@ type (
 	LinkID = channel.LinkID
 	// Hop is one reserved link transfer of a message.
 	Hop = scheduler.Hop
-	// MultihopSchedule is a schedule with per-message link reservations.
-	MultihopSchedule = scheduler.MultihopSchedule
 )
 
 // BusNetwork returns a single shared medium (the paper's bus, as a
@@ -281,19 +275,6 @@ func MeshNetwork(n int, perItem float64) (*Network, error) { return channel.Mesh
 // CCHOP returns the real-time-channel estimation strategy: each message is
 // charged its size times the network's mean uncontended route cost.
 func CCHOP(net *Network) CommEstimator { return core.CCHOP(net) }
-
-// ScheduleMultihop schedules g with messages travelling over net's
-// contended, deadline-scheduled links (store-and-forward real-time
-// channels).
-func ScheduleMultihop(g *Graph, sys *System, net *Network, res *Result, cfg SchedulerConfig) (*MultihopSchedule, error) {
-	return scheduler.RunMultihop(g, sys, net, res, cfg)
-}
-
-// ValidateMultihopSchedule checks a multihop schedule's structural
-// soundness (placement, route adherence, link exclusivity).
-func ValidateMultihopSchedule(g *Graph, sys *System, net *Network, res *Result, ms *MultihopSchedule, cfg SchedulerConfig) error {
-	return scheduler.ValidateMultihop(g, sys, net, res, ms, cfg)
-}
 
 // Task assignment (see internal/assign).
 type (

@@ -162,12 +162,12 @@ func TestPublicMultihop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SchedulerConfig{RespectRelease: true}
-	ms, err := ScheduleMultihop(g, sys, net, res, cfg)
+	cfg := SchedulerConfig{RespectRelease: true, Network: net}
+	ms, err := Schedule(g, sys, res, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateMultihopSchedule(g, sys, net, res, ms, cfg); err != nil {
+	if err := ValidateSchedule(g, sys, res, ms, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(ms.Hops) != 1 {

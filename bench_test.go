@@ -266,10 +266,12 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 		}
 	})
 	b.Run("scratch-preemptive", func(b *testing.B) {
+		cfg := cfg
+		cfg.Preemptive = true
 		sc := scheduler.NewScratch()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sc.RunPreemptive(g, sys, res, cfg); err != nil {
+			if _, err := sc.Run(g, sys, res, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -166,26 +166,17 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	if err != nil {
 		return err
 	}
-	cfg := scheduler.Config{RespectRelease: f.respect, Policy: pol}
+	cfg := scheduler.Config{RespectRelease: f.respect, Policy: pol, Preemptive: f.preempt}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	schedStart := time.Now()
-	var sched *scheduler.Schedule
-	if f.preempt {
-		if sched, err = scheduler.RunPreemptive(g, sys, res, cfg); err != nil {
-			return err
-		}
-		if err := scheduler.ValidatePreemptive(g, sys, res, sched, cfg); err != nil {
-			return fmt.Errorf("schedule validation: %w", err)
-		}
-	} else {
-		if sched, err = scheduler.Run(g, sys, res, cfg); err != nil {
-			return err
-		}
-		if err := scheduler.Validate(g, sys, res, sched, cfg); err != nil {
-			return fmt.Errorf("schedule validation: %w", err)
-		}
+	sched, err := scheduler.Run(g, sys, res, cfg)
+	if err != nil {
+		return err
+	}
+	if err := scheduler.Validate(g, sys, res, sched, cfg); err != nil {
+		return fmt.Errorf("schedule validation: %w", err)
 	}
 	rec.Observe(metrics.StageSchedule, time.Since(schedStart))
 
@@ -210,7 +201,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, out io.Writer) err
 	}
 
 	fmt.Fprintf(out, "\nschedule: policy %s, makespan %.2f, utilization %.1f%%", cfg.Policy, sched.Makespan, 100*sched.Utilization(g, sys))
-	if f.preempt {
+	if cfg.Preemptive {
 		fmt.Fprintf(out, ", %d preemptions", sched.Preemptions(g))
 	}
 	fmt.Fprintln(out)

@@ -34,11 +34,7 @@ func tracePipeline(t *testing.T, preemptive bool) (*taskgraph.Graph, *core.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := scheduler.Run
-	if preemptive {
-		run = scheduler.RunPreemptive
-	}
-	sched, err := run(g, sys, res, scheduler.Config{RespectRelease: true})
+	sched, err := scheduler.Run(g, sys, res, scheduler.Config{RespectRelease: true, Preemptive: preemptive})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestConsistencyPreemptiveMatchesNonPreemptiveWithoutContention(t *testing.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := SchedulePreemptive(g, sys, res, cfg)
+	pre, err := Schedule(g, sys, res, SchedulerConfig{RespectRelease: true, Preemptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestConsistencyMultihopMeshMatchesContentionFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := ScheduleMultihop(g, sys, net, res, cfg)
+	multi, err := Schedule(g, sys, res, SchedulerConfig{RespectRelease: true, Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func TestConsistencyMultihopMeshMatchesContentionFree(t *testing.T) {
 		if n.Kind != KindSubtask {
 			continue
 		}
-		if math.Abs(free.Finish[n.ID]-multi.Schedule.Finish[n.ID]) > 1e-9 {
+		if math.Abs(free.Finish[n.ID]-multi.Finish[n.ID]) > 1e-9 {
 			t.Fatalf("subtask %q: contention-free %v vs mesh channels %v",
-				n.Name, free.Finish[n.ID], multi.Schedule.Finish[n.ID])
+				n.Name, free.Finish[n.ID], multi.Finish[n.ID])
 		}
 	}
 }

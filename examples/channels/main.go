@@ -48,6 +48,8 @@ func run() error {
 		return err
 	}
 	cfg := dl.SchedulerConfig{RespectRelease: true}
+	chCfg := cfg
+	chCfg.Network = net
 
 	fmt.Printf("%-22s %14s %14s\n", "estimation strategy", "max lateness", "missed windows")
 	var best *dl.Result
@@ -57,15 +59,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		ms, err := dl.ScheduleMultihop(g, sys, net, res, cfg)
+		ms, err := dl.Schedule(g, sys, res, chCfg)
 		if err != nil {
 			return err
 		}
-		if err := dl.ValidateMultihopSchedule(g, sys, net, res, ms, cfg); err != nil {
+		if err := dl.ValidateSchedule(g, sys, res, ms, chCfg); err != nil {
 			return err
 		}
-		l := ms.Schedule.MaxLateness(g, res)
-		fmt.Printf("%-22s %14.2f %14d\n", est.Name(), l, ms.Schedule.MissedDeadlines(g, res))
+		l := ms.MaxLateness(g, res)
+		fmt.Printf("%-22s %14.2f %14d\n", est.Name(), l, ms.MissedDeadlines(g, res))
 		if best == nil || l < bestLateness {
 			best, bestLateness = res, l
 		}

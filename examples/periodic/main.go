@@ -82,7 +82,8 @@ func run() error {
 	fmt.Print(dl.Gantt(combined, sys, sched, 72))
 
 	// The same assignment under the preemptive EDF run-time model.
-	pre, err := dl.SchedulePreemptive(combined, sys, res, cfg)
+	cfg.Preemptive = true
+	pre, err := dl.Schedule(combined, sys, res, cfg)
 	if err != nil {
 		return err
 	}

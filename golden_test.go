@@ -66,7 +66,9 @@ func TestGoldenPipeline(t *testing.T) {
 			if got := sched.MaxLateness(g, res); math.Abs(got-want.maxLateness) > 1e-5 {
 				t.Errorf("max lateness = %v, want %v", got, want.maxLateness)
 			}
-			pre, err := SchedulePreemptive(g, sys, res, cfg)
+			pcfg := cfg
+			pcfg.Preemptive = true
+			pre, err := Schedule(g, sys, res, pcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +78,7 @@ func TestGoldenPipeline(t *testing.T) {
 			if err := ValidateSchedule(g, sys, res, sched, cfg); err != nil {
 				t.Errorf("validate: %v", err)
 			}
-			if err := ValidatePreemptiveSchedule(g, sys, res, pre, cfg); err != nil {
+			if err := ValidateSchedule(g, sys, res, pre, pcfg); err != nil {
 				t.Errorf("validate preemptive: %v", err)
 			}
 		})

@@ -33,10 +33,9 @@ func TestDPShapeOverFigures(t *testing.T) {
 			t.Fatalf("figure %s: %v", keys[i], run.Err)
 		}
 	}
-	// The search counters leave out the improvement assigners' DP work
-	// (improve.Run returns a copy without Result.Search), so the probe sees
-	// at least what they report.
-	if want := cfg.Metrics.Snapshot().Search; sh.Runs < want.DPRuns || sh.Rows < want.DPRows {
+	// Every DP run reaches the search counters, the improvement assigners'
+	// included, so the probe sees exactly what they report.
+	if want := cfg.Metrics.Snapshot().Search; sh.Runs != want.DPRuns || sh.Rows != want.DPRows {
 		t.Errorf("probe saw %d runs and %d rows, search counters report %d and %d", sh.Runs, sh.Rows, want.DPRuns, want.DPRows)
 	}
 	share := func(n int64) float64 { return float64(n) / float64(sh.Rows) }

@@ -256,15 +256,13 @@ type Config struct {
 	// default platform (homogeneous, contention-free shared bus, unit
 	// per-item cost).
 	Platform func(n int) (*platform.System, error)
-	// Scheduler configures the list scheduler.
+	// Scheduler configures the list scheduler, its run-time model
+	// included. Its Network is set per size from the Network field.
 	Scheduler scheduler.Config
-	// Preemptive re-simulates each schedule under preemptive EDF (the
-	// Section 8 run-time-model alternative) instead of the paper's
-	// non-preemptive model.
-	Preemptive bool
-	// Network, when non-nil, routes messages over a multihop network with
-	// contended, deadline-scheduled links (reference [13]-style real-time
-	// channels) instead of the contention-free platform costs.
+	// Network, when non-nil, builds the multihop network of each size
+	// that routes messages over contended, deadline-scheduled links
+	// (reference [13]-style real-time channels) instead of the
+	// contention-free platform costs.
 	Network func(n int) (*channel.Network, error)
 	// Measure maps a run to the observed value (default MaxLateness).
 	Measure Measure
@@ -991,37 +989,16 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 				// buffer the next cell's.
 				w.fp, w.fpCached = w.fpCached, fp
 			}
-			var (
-				sched *scheduler.Schedule
-				ms    *scheduler.MultihopSchedule
-				err   error
-			)
+			scfg := cfg.Scheduler
+			scfg.Network = nets[si]
 			t0 = clk.start()
-			switch {
-			case nets[si] != nil:
-				if ms, err = w.scratch.RunMultihop(gg, sys, nets[si], cachedRes, cfg.Scheduler); err == nil {
-					sched = ms.Schedule
-				}
-			case cfg.Preemptive:
-				sched, err = w.scratch.RunPreemptive(gg, sys, cachedRes, cfg.Scheduler)
-			default:
-				sched, err = w.scratch.Run(gg, sys, cachedRes, cfg.Scheduler)
-			}
+			sched, err := w.scratch.Run(gg, sys, cachedRes, scfg)
 			clk.done(metrics.StageSchedule, label, sys.NumProcs(), t0, "")
 			if err != nil {
 				return fmt.Errorf("%s: schedule: %w", label, err)
 			}
 			if n := cfg.ValidateSample; n > 0 && (gi+a+si)%n == 0 {
-				var verr error
-				switch {
-				case ms != nil:
-					verr = scheduler.ValidateMultihop(gg, sys, nets[si], cachedRes, ms, cfg.Scheduler)
-				case cfg.Preemptive:
-					verr = scheduler.ValidatePreemptive(gg, sys, cachedRes, sched, cfg.Scheduler)
-				default:
-					verr = scheduler.Validate(gg, sys, cachedRes, sched, cfg.Scheduler)
-				}
-				if verr != nil {
+				if verr := scheduler.Validate(gg, sys, cachedRes, sched, scfg); verr != nil {
 					// An invalid schedule is a bug, not a transient fault:
 					// permanent, so the sweep fails on the first one.
 					return fmt.Errorf("%s: invalid schedule at %d procs: %w", label, sys.NumProcs(), verr)

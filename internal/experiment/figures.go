@@ -348,7 +348,7 @@ var registry = []figure{
 				name = "preemptive EDF"
 			}
 			ps = append(ps, mdet("Section 8: run-time model ("+name+")", "MDET "+name,
-				func(cfg *Config) { cfg.Preemptive = preemptive }, pureAdapt()...))
+				func(cfg *Config) { cfg.Scheduler.Preemptive = preemptive }, pureAdapt()...))
 		}
 		return ps
 	}},

@@ -233,7 +233,7 @@ func decodeBits(b []string) ([]float64, bool) {
 func (cfg Config) journalKey(title string, assigners []Assigner) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "title=%s|seed=%d|graphs=%d|preemptive=%t|network=%t|",
-		title, cfg.Seed, cfg.Graphs, cfg.Preemptive, cfg.Network != nil)
+		title, cfg.Seed, cfg.Graphs, cfg.Scheduler.Preemptive, cfg.Network != nil)
 	if cfg.Custom == nil {
 		fmt.Fprintf(h, "batch=%#v|", cfg.batchID())
 	} else {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"deadlinedist/internal/channel"
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/scheduler"
@@ -210,7 +211,7 @@ func TestJournalKeySeparatesConfigurations(t *testing.T) {
 	vary := []Config{cfg, cfg, cfg, cfg}
 	vary[0].Seed++
 	vary[1].Graphs++
-	vary[2].Preemptive = true
+	vary[2].Scheduler.Preemptive = true
 	vary[3].Sizes = []int{2}
 	for i, v := range vary {
 		if v.journalKey("t", asg) == base {
@@ -222,6 +223,33 @@ func TestJournalKeySeparatesConfigurations(t *testing.T) {
 	}
 	if cfg.journalKey("t", []Assigner{Slicing(core.ADAPT(1.25), core.CCNE())}) == base {
 		t.Error("assigner labels not part of the journal key")
+	}
+}
+
+// TestJournalKeyDigestsPinned pins the journal keys of a preemptive and a
+// network table, so journals written by earlier builds keep resuming: the
+// run-time model moved into Config.Scheduler without changing the digest.
+func TestJournalKeyDigestsPinned(t *testing.T) {
+	cfg := Default(generator.MDET)
+	cfg.Graphs = 4
+	cfg.Sizes = []int{2, 3, 8, 16}
+	asg := []Assigner{Slicing(core.PURE(), core.CCNE())}
+	pre := cfg
+	pre.Scheduler.Preemptive = true
+	net := cfg
+	net.Network = networkMemo(channel.Builders()["ring"])
+	for _, c := range []struct {
+		name, title, want string
+		cfg               Config
+	}{
+		{"preemptive", "Section 8: run-time model (preemptive EDF)",
+			"30f96398e870c086613e91537c733b6c34000be5cf90390d92b97367781cd3c4", pre},
+		{"network", "Extension X5: real-time channels (ring network)",
+			"37cfceaab845beb49af424cf762f9064bc0f144790f8e5d854eedbd766fedb75", net},
+	} {
+		if got := c.cfg.journalKey(c.title, asg); got != c.want {
+			t.Errorf("%s journal key %s, want %s", c.name, got, c.want)
+		}
 	}
 }
 

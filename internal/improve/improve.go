@@ -64,8 +64,11 @@ func Run(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config)
 		transfer = 0.25
 	}
 
+	// Each schedule is consumed before the next run, so one Scratch serves
+	// every iteration.
+	sc := scheduler.NewScratch()
 	cur := cloneResult(res)
-	sched, err := scheduler.Run(g, sys, cur, cfg.Scheduler)
+	sched, err := sc.Run(g, sys, cur, cfg.Scheduler)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +86,7 @@ func Run(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config)
 		if !reshape(cur, worst, transfer) {
 			break // binding subtask has no donors left
 		}
-		if sched, err = scheduler.Run(g, sys, cur, cfg.Scheduler); err != nil {
+		if sched, err = sc.Run(g, sys, cur, cfg.Scheduler); err != nil {
 			return nil, err
 		}
 		l := sched.MaxLateness(g, cur)
@@ -157,6 +160,8 @@ func reshape(res *core.Result, binding taskgraph.NodeID, transfer float64) bool 
 	return true
 }
 
+// cloneResult deep-copies r. Search is copied too: every clone descends
+// from the initial distribution, whose search work it reports.
 func cloneResult(r *core.Result) *core.Result {
 	c := &core.Result{
 		Release:       append([]float64(nil), r.Release...),
@@ -166,6 +171,7 @@ func cloneResult(r *core.Result) *core.Result {
 		EstimatedComm: append([]float64(nil), r.EstimatedComm...),
 		Metric:        r.Metric,
 		Estimator:     r.Estimator,
+		Search:        r.Search,
 	}
 	c.Paths = make([][]taskgraph.NodeID, len(r.Paths))
 	for i, p := range r.Paths {

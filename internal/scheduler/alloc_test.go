@@ -61,8 +61,8 @@ func TestSchedulerRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRunMultihopWarmZeroAlloc pins the same contract for the multihop
-// scheduler: once warm, a Scratch costs candidates against stamped
+// TestRunMultihopWarmZeroAlloc pins the same contract for runs over a
+// multihop network: once warm, a Scratch costs candidates against stamped
 // tentative link times, slices every committed hop out of its one hop
 // backing and refills its cleared Hops map, all without allocating.
 func TestRunMultihopWarmZeroAlloc(t *testing.T) {
@@ -70,7 +70,6 @@ func TestRunMultihopWarmZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{RespectRelease: true, Policy: PolicyEDF}
 	for _, name := range []string{"bus", "ring", "star", "mesh"} {
 		t.Run(name, func(t *testing.T) {
 			sys, err := platform.New(8)
@@ -85,19 +84,20 @@ func TestRunMultihopWarmZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cfg := Config{RespectRelease: true, Policy: PolicyEDF, Network: net}
 			sc := NewScratch()
 			for warm := 0; warm < 2; warm++ {
-				if _, err := sc.RunMultihop(g, sys, net, r, cfg); err != nil {
+				if _, err := sc.Run(g, sys, r, cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := sc.RunMultihop(g, sys, net, r, cfg); err != nil {
+				if _, err := sc.Run(g, sys, r, cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("warm Scratch.RunMultihop allocates %.1f objects/op, want 0", allocs)
+				t.Errorf("warm Scratch.Run over a network allocates %.1f objects/op, want 0", allocs)
 			}
 		})
 	}

@@ -98,7 +98,7 @@ func TestReadyHeapInterleaved(t *testing.T) {
 
 // TestScratchReuseDeterminism runs a batch of graphs through one shared
 // Scratch (as the experiment engine does) and through fresh allocations,
-// across all three runners, checking the schedules are identical — buffer
+// across all three models, checking the schedules are identical — buffer
 // reuse must not leak state between runs.
 func TestScratchReuseDeterminism(t *testing.T) {
 	sys, err := platform.New(4)
@@ -148,11 +148,13 @@ func TestScratchReuseDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: shared-scratch schedule differs from fresh run", seed)
 		}
 
-		freshP, err := RunPreemptive(g, sys, res, cfg)
+		pcfg := cfg
+		pcfg.Preemptive = true
+		freshP, err := Run(g, sys, res, pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reusedP, err := shared.RunPreemptive(g, sys, res, cfg)
+		reusedP, err := shared.Run(g, sys, res, pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,15 +169,17 @@ func TestScratchReuseDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freshM, err := RunMultihop(g, sys, net, res, cfg)
+		mcfg := cfg
+		mcfg.Network = net
+		freshM, err := Run(g, sys, res, mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reusedM, err := shared.RunMultihop(g, sys, net, res, cfg)
+		reusedM, err := shared.Run(g, sys, res, mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameSchedule(freshM.Schedule, reusedM.Schedule) {
+		if !sameSchedule(freshM, reusedM) {
 			t.Fatalf("seed %d: shared-scratch multihop schedule differs", seed)
 		}
 	}

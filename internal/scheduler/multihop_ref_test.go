@@ -14,13 +14,13 @@ import (
 	"deadlinedist/internal/taskgraph"
 )
 
-// runMultihopReference is the unpruned multihop list scheduler RunMultihop
-// is checked against: every candidate processor copies the whole link
-// table, builds the full hop plan of every inbound message and only then
-// compares its start time, and the winner's plan is rebuilt into freshly
-// allocated hop slices. RunMultihop must produce bit-identical schedules.
+// runMultihopReference is the unpruned multihop list scheduler a Run over a
+// network is checked against: every candidate processor copies the whole
+// link table, builds the full hop plan of every inbound message and only
+// then compares its start time, and the winner's plan is rebuilt into
+// freshly allocated hop slices. Run must produce bit-identical schedules.
 func runMultihopReference(g *taskgraph.Graph, sys *platform.System, net *channel.Network,
-	res *core.Result, cfg Config) (*MultihopSchedule, error) {
+	res *core.Result, cfg Config) (*Schedule, error) {
 
 	sc := NewScratch()
 	n := g.NumNodes()
@@ -30,12 +30,11 @@ func runMultihopReference(g *taskgraph.Graph, sys *platform.System, net *channel
 	}
 	sc.buildMsgOrder(g, res)
 
-	out := &MultihopSchedule{Hops: make(map[taskgraph.NodeID][]Hop)}
-	s := &Schedule{Start: make([]float64, n), Finish: make([]float64, n), Proc: make([]int, n)}
+	s := &Schedule{Start: make([]float64, n), Finish: make([]float64, n), Proc: make([]int, n),
+		Hops: make(map[taskgraph.NodeID][]Hop)}
 	for i := range s.Proc {
 		s.Proc[i] = -1
 	}
-	out.Schedule = s
 	procFree := make([]float64, sys.NumProcs())
 	linkFree := make([]float64, net.NumLinks())
 	scratch := make([]float64, net.NumLinks())
@@ -106,7 +105,7 @@ func runMultihopReference(g *taskgraph.Graph, sys *platform.System, net *channel
 			}
 			s.Start[m] = mp.hops[0].Start
 			s.Finish[m] = mp.hops[len(mp.hops)-1].End
-			out.Hops[m] = mp.hops
+			s.Hops[m] = mp.hops
 		}
 		s.Proc[v] = bestProc
 		s.Start[v] = bestStart
@@ -125,7 +124,7 @@ func runMultihopReference(g *taskgraph.Graph, sys *platform.System, net *channel
 			}
 		}
 	}
-	return out, nil
+	return s, nil
 }
 
 // refPlan is one inbound message's reservation in the reference scheduler.
@@ -227,21 +226,21 @@ func multihopCase(seed uint64, name string, n int, pinned, hetero bool) (*taskgr
 	return g, sys, net, res, err
 }
 
-// checkMultihopMatchesReference runs RunMultihop on the reused Scratch and
+// checkMultihopMatchesReference runs Run over net on the reused Scratch and
 // the unpruned reference, requiring bit-identical placements, dispatch
 // order, makespan and hops.
 func checkMultihopMatchesReference(sc *Scratch, g *taskgraph.Graph, sys *platform.System,
 	net *channel.Network, res *core.Result, cfg Config) error {
 
-	want, err := runMultihopReference(g, sys, net, res, cfg)
+	ws, err := runMultihopReference(g, sys, net, res, cfg)
 	if err != nil {
 		return fmt.Errorf("reference: %v", err)
 	}
-	got, err := sc.RunMultihop(g, sys, net, res, cfg)
+	cfg.Network = net
+	gs, err := sc.Run(g, sys, res, cfg)
 	if err != nil {
-		return fmt.Errorf("RunMultihop: %v", err)
+		return fmt.Errorf("Run: %v", err)
 	}
-	gs, ws := got.Schedule, want.Schedule
 	switch {
 	case !reflect.DeepEqual(gs.Proc, ws.Proc):
 		return fmt.Errorf("Proc %v, reference %v", gs.Proc, ws.Proc)
@@ -253,14 +252,14 @@ func checkMultihopMatchesReference(sc *Scratch, g *taskgraph.Graph, sys *platfor
 		return fmt.Errorf("Order %v, reference %v", gs.Order, ws.Order)
 	case gs.Makespan != ws.Makespan:
 		return fmt.Errorf("Makespan %v, reference %v", gs.Makespan, ws.Makespan)
-	case !reflect.DeepEqual(got.Hops, want.Hops):
-		return fmt.Errorf("Hops %v, reference %v", got.Hops, want.Hops)
+	case !reflect.DeepEqual(gs.Hops, ws.Hops):
+		return fmt.Errorf("Hops %v, reference %v", gs.Hops, ws.Hops)
 	}
-	return ValidateMultihop(g, sys, net, res, got, cfg)
+	return Validate(g, sys, res, gs, cfg)
 }
 
-// TestRunMultihopMatchesReference pits the branch-and-bound RunMultihop
-// against the unpruned reference over random graphs, every network family,
+// TestRunMultihopMatchesReference pits the branch-and-bound Run over a
+// network against the unpruned reference over random graphs, every network family,
 // platform sizes 1–16, pinned and unpinned workloads, both release modes and
 // every dispatch policy, on homogeneous and heterogeneous platforms. One
 // Scratch serves every case, so recycled link tables, stamps and hop

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -38,12 +39,12 @@ func TestMultihopStoreAndForward(t *testing.T) {
 	s := sys(t, 4)
 	net := ringNet(t, 4)
 	res := distributed(t, g, s)
-	ms, err := RunMultihop(g, s, net, res, Config{})
+	ms, err := Run(g, s, res, Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(ms.Schedule.Start[v], 20) {
-		t.Fatalf("v starts %v, want 20 (10 exec + 2 hops × 5)", ms.Schedule.Start[v])
+	if !approx(ms.Start[v], 20) {
+		t.Fatalf("v starts %v, want 20 (10 exec + 2 hops × 5)", ms.Start[v])
 	}
 	var msg taskgraph.NodeID
 	for _, n := range g.Nodes() {
@@ -59,8 +60,8 @@ func TestMultihopStoreAndForward(t *testing.T) {
 		!approx(hops[1].Start, 15) || !approx(hops[1].End, 20) {
 		t.Fatalf("hops = %+v, want [10,15] then [15,20]", hops)
 	}
-	if err := ValidateMultihop(g, s, net, res, ms, Config{}); err != nil {
-		t.Errorf("ValidateMultihop: %v", err)
+	if err := Validate(g, s, res, ms, Config{Network: net}); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -87,18 +88,18 @@ func TestMultihopLinkContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := distributed(t, g, s)
-	ms, err := RunMultihop(g, s, net, res, Config{})
+	ms, err := Run(g, s, res, Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// p1 and p2 serialize on proc 0 (finish 10 and 20); the transfers
 	// serialize on the bus: second arrives at 20+..., consumer starts at
 	// the last arrival.
-	if ms.Schedule.Start[c] < 24-1e-9 {
-		t.Fatalf("consumer starts %v; two serialized 4-unit transfers demand >= 24", ms.Schedule.Start[c])
+	if ms.Start[c] < 24-1e-9 {
+		t.Fatalf("consumer starts %v; two serialized 4-unit transfers demand >= 24", ms.Start[c])
 	}
-	if err := ValidateMultihop(g, s, net, res, ms, Config{}); err != nil {
-		t.Errorf("ValidateMultihop: %v", err)
+	if err := Validate(g, s, res, ms, Config{Network: net}); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -115,16 +116,16 @@ func TestMultihopCoLocatedFree(t *testing.T) {
 	s := sys(t, 4)
 	net := ringNet(t, 4)
 	res := distributed(t, g, s)
-	ms, err := RunMultihop(g, s, net, res, Config{})
+	ms, err := Run(g, s, res, Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The scheduler should co-locate to avoid the 50-unit transfer.
-	if ms.Schedule.Proc[u] != ms.Schedule.Proc[v] {
+	if ms.Proc[u] != ms.Proc[v] {
 		t.Fatal("consumer not co-located with producer despite huge message")
 	}
-	if !approx(ms.Schedule.Start[v], 10) {
-		t.Fatalf("v starts %v, want 10", ms.Schedule.Start[v])
+	if !approx(ms.Start[v], 10) {
+		t.Fatalf("v starts %v, want 10", ms.Start[v])
 	}
 }
 
@@ -138,11 +139,17 @@ func TestMultihopErrors(t *testing.T) {
 	}
 	s := sys(t, 4)
 	res := distributed(t, g, s)
-	if _, err := RunMultihop(nil, s, ringNet(t, 4), res, Config{}); err == nil {
+	if _, err := Run(nil, s, res, Config{Network: ringNet(t, 4)}); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := RunMultihop(g, s, ringNet(t, 8), res, Config{}); err == nil {
-		t.Error("network/platform size mismatch accepted")
+	if _, err := Run(g, s, res, Config{Network: ringNet(t, 8)}); !errors.Is(err, ErrBadSize) {
+		t.Errorf("network/platform size mismatch: got %v, want ErrBadSize", err)
+	}
+	if _, err := Run(g, s, res, Config{Network: ringNet(t, 4), Preemptive: true}); !errors.Is(err, ErrPreemptiveNetwork) {
+		t.Errorf("preemptive run over a network: got %v, want ErrPreemptiveNetwork", err)
+	}
+	if err := Validate(g, s, res, nil, Config{Network: ringNet(t, 4), Preemptive: true}); !errors.Is(err, ErrPreemptiveNetwork) {
+		t.Errorf("validating a preemptive run over a network: got %v, want ErrPreemptiveNetwork", err)
 	}
 }
 
@@ -170,13 +177,13 @@ func TestPropertyMultihopValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cfg := Config{RespectRelease: true}
-		ms, err := RunMultihop(g, s, net, res, cfg)
+		cfg := Config{RespectRelease: true, Network: net}
+		ms, err := Run(g, s, res, cfg)
 		if err != nil {
 			t.Logf("seed %d %s: %v", seed, name, err)
 			return false
 		}
-		if err := ValidateMultihop(g, s, net, res, ms, cfg); err != nil {
+		if err := Validate(g, s, res, ms, cfg); err != nil {
 			t.Logf("seed %d %s: %v", seed, name, err)
 			return false
 		}
@@ -204,13 +211,13 @@ func TestMultihopSlowerThanContentionFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMultihop(g, s, net, res, Config{RespectRelease: true})
+	multi, err := Run(g, s, res, Config{RespectRelease: true, Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.Schedule.MaxLateness(g, res) < free.MaxLateness(g, res)-1e-9 {
+	if multi.MaxLateness(g, res) < free.MaxLateness(g, res)-1e-9 {
 		t.Errorf("contended channels (%v) beat the contention-free model (%v)",
-			multi.Schedule.MaxLateness(g, res), free.MaxLateness(g, res))
+			multi.MaxLateness(g, res), free.MaxLateness(g, res))
 	}
 }
 
@@ -229,7 +236,7 @@ func TestValidateMultihopCatchesCorruption(t *testing.T) {
 	s := sys(t, 4)
 	net := ringNet(t, 4)
 	res := distributed(t, g, s)
-	ms, err := RunMultihop(g, s, net, res, Config{})
+	ms, err := Run(g, s, res, Config{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +247,23 @@ func TestValidateMultihopCatchesCorruption(t *testing.T) {
 		}
 	}
 
+	cfg := Config{Network: net}
+	if err := Validate(g, s, res, ms, cfg); err != nil {
+		t.Fatalf("valid schedule rejected: %v", err)
+	}
 	t.Run("dropped hops", func(t *testing.T) {
-		bad := &MultihopSchedule{Schedule: ms.Schedule, Hops: map[taskgraph.NodeID][]Hop{}}
-		if err := ValidateMultihop(g, s, net, res, bad, Config{}); err == nil {
+		bad := *ms
+		bad.Hops = map[taskgraph.NodeID][]Hop{}
+		if err := Validate(g, s, res, &bad, cfg); err == nil {
 			t.Error("missing hops not caught")
 		}
 	})
 	t.Run("wrong link", func(t *testing.T) {
 		hops := append([]Hop(nil), ms.Hops[msg]...)
 		hops[0].Link = hops[1].Link
-		bad := &MultihopSchedule{Schedule: ms.Schedule, Hops: map[taskgraph.NodeID][]Hop{msg: hops}}
-		if err := ValidateMultihop(g, s, net, res, bad, Config{}); err == nil {
+		bad := *ms
+		bad.Hops = map[taskgraph.NodeID][]Hop{msg: hops}
+		if err := Validate(g, s, res, &bad, cfg); err == nil {
 			t.Error("wrong route link not caught")
 		}
 	})
@@ -258,8 +271,9 @@ func TestValidateMultihopCatchesCorruption(t *testing.T) {
 		hops := append([]Hop(nil), ms.Hops[msg]...)
 		hops[0].Start = -5
 		hops[0].End = hops[0].Start + (ms.Hops[msg][0].End - ms.Hops[msg][0].Start)
-		bad := &MultihopSchedule{Schedule: ms.Schedule, Hops: map[taskgraph.NodeID][]Hop{msg: hops}}
-		if err := ValidateMultihop(g, s, net, res, bad, Config{}); err == nil {
+		bad := *ms
+		bad.Hops = map[taskgraph.NodeID][]Hop{msg: hops}
+		if err := Validate(g, s, res, &bad, cfg); err == nil {
 			t.Error("departure before producer not caught")
 		}
 	})

@@ -69,30 +69,29 @@ func TestPinnedForcesCommunication(t *testing.T) {
 	}
 }
 
-// entryPoints runs one input through each scheduler entry point; the
-// multihop one gets a ring spanning the platform.
-func entryPoints(t *testing.T) map[string]func(*taskgraph.Graph, *platform.System, *core.Result) error {
+// models runs one input through Run under each model: the bus, preemptive
+// EDF and a ring spanning the platform.
+func models(t *testing.T) map[string]func(*taskgraph.Graph, *platform.System, *core.Result) error {
+	run := func(cfg func(*platform.System) Config) func(*taskgraph.Graph, *platform.System, *core.Result) error {
+		return func(g *taskgraph.Graph, s *platform.System, res *core.Result) error {
+			_, err := Run(g, s, res, cfg(s))
+			return err
+		}
+	}
 	return map[string]func(*taskgraph.Graph, *platform.System, *core.Result) error{
-		"Run": func(g *taskgraph.Graph, s *platform.System, res *core.Result) error {
-			_, err := Run(g, s, res, Config{})
-			return err
-		},
-		"RunPreemptive": func(g *taskgraph.Graph, s *platform.System, res *core.Result) error {
-			_, err := RunPreemptive(g, s, res, Config{})
-			return err
-		},
-		"RunMultihop": func(g *taskgraph.Graph, s *platform.System, res *core.Result) error {
+		"bus":        run(func(*platform.System) Config { return Config{} }),
+		"preemptive": run(func(*platform.System) Config { return Config{Preemptive: true} }),
+		"ring": run(func(s *platform.System) Config {
 			net, err := channel.Ring(s.NumProcs(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = RunMultihop(g, s, net, res, Config{})
-			return err
-		},
+			return Config{Network: net}
+		}),
 	}
 }
 
-// TestPinnedOutOfRange checks that every entry point refuses a pin beyond
+// TestPinnedOutOfRange checks that every model refuses a pin beyond
 // the platform with ErrBadPin.
 func TestPinnedOutOfRange(t *testing.T) {
 	b := taskgraph.NewBuilder()
@@ -105,14 +104,14 @@ func TestPinnedOutOfRange(t *testing.T) {
 	}
 	s := sys(t, 2)
 	res := distributed(t, g, s)
-	for name, run := range entryPoints(t) {
+	for name, run := range models(t) {
 		if err := run(g, s, res); !errors.Is(err, ErrBadPin) {
 			t.Errorf("%s: got %v, want ErrBadPin", name, err)
 		}
 	}
 }
 
-// TestAnnotationSizeMismatch checks that every entry point refuses a
+// TestAnnotationSizeMismatch checks that every model refuses a
 // distribution result made for another graph with ErrBadSize.
 func TestAnnotationSizeMismatch(t *testing.T) {
 	b := taskgraph.NewBuilder()
@@ -129,7 +128,7 @@ func TestAnnotationSizeMismatch(t *testing.T) {
 	short := *res
 	short.Absolute = res.Absolute[:len(res.Absolute)-1]
 	short.Release = res.Release[:len(res.Release)-1]
-	for name, run := range entryPoints(t) {
+	for name, run := range models(t) {
 		if err := run(g, s, &short); !errors.Is(err, ErrBadSize) {
 			t.Errorf("%s: got %v, want ErrBadSize", name, err)
 		}

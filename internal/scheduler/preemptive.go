@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -22,30 +21,17 @@ type Segment struct {
 
 const simEps = 1e-9
 
-// RunPreemptive schedules g under a preemptive EDF run-time model, the
-// Section 8 alternative to the paper's non-preemptive time-driven model.
-//
-// The processor assignment is produced by the paper's non-preemptive list
-// scheduler (Run); execution is then re-simulated event-driven with
-// preemptive EDF dispatch on every processor: at any instant each
+// preempt re-simulates the list scheduler's placement base under a
+// preemptive EDF run-time model, the Section 8 alternative to the paper's
+// non-preemptive time-driven model: execution is simulated event-driven
+// with preemptive EDF dispatch on every processor, so at any instant each
 // processor runs its ready subtask with the earliest absolute deadline,
 // preempting whenever a more urgent subtask becomes ready. Messages leave
 // when their producer completes and arrive after the platform
 // communication cost (contention-free, concurrent with computation). The
 // returned schedule carries the execution Segments; Start is the first
 // dispatch and Finish the completion of each subtask.
-func RunPreemptive(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config) (*Schedule, error) {
-	return NewScratch().RunPreemptive(g, sys, res, cfg)
-}
-
-// RunPreemptive is the buffer-reusing form of the package-level
-// RunPreemptive.
-func (sc *Scratch) RunPreemptive(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config) (*Schedule, error) {
-	base, err := sc.Run(g, sys, res, cfg)
-	if err != nil {
-		return nil, err
-	}
-
+func (sc *Scratch) preempt(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config, base *Schedule) (*Schedule, error) {
 	n := g.NumNodes()
 	out := sc.schedule(&sc.preSched, n)
 	out.Proc = base.Proc
@@ -221,78 +207,4 @@ func (s *Schedule) Preemptions(g *taskgraph.Graph) int {
 		return 0
 	}
 	return len(s.Segments) - g.NumSubtasks()
-}
-
-// ValidatePreemptive checks the structural soundness of a preemptive
-// schedule:
-//
-//  1. per subtask, the segment durations sum to its execution time, the
-//     first segment matches Start and the last matches Finish;
-//  2. segments on the same processor never overlap;
-//  3. no segment begins before the subtask's inputs have arrived (or, with
-//     RespectRelease, before its release time);
-//  4. message transfers begin at their producer's completion;
-//  5. pinned subtasks run on their pinned processor.
-func ValidatePreemptive(g *taskgraph.Graph, sys *platform.System, res *core.Result, s *Schedule, cfg Config) error {
-	perTask := make(map[taskgraph.NodeID][]Segment)
-	perProc := make([][]Segment, sys.NumProcs())
-	for _, seg := range s.Segments {
-		if seg.Proc < 0 || seg.Proc >= sys.NumProcs() {
-			return fmt.Errorf("segment on invalid processor %d", seg.Proc)
-		}
-		perTask[seg.Node] = append(perTask[seg.Node], seg)
-		perProc[seg.Proc] = append(perProc[seg.Proc], seg)
-	}
-
-	for _, node := range g.NodesView() {
-		id := node.ID
-		if node.Kind != taskgraph.KindSubtask {
-			u := g.Pred(id)[0]
-			if s.Start[id] < s.Finish[u]-simEps {
-				return fmt.Errorf("message %v departs %v before producer finishes %v", id, s.Start[id], s.Finish[u])
-			}
-			continue
-		}
-		segs := perTask[id]
-		if len(segs) == 0 {
-			return fmt.Errorf("subtask %v has no execution segments", id)
-		}
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
-		total := 0.0
-		for _, seg := range segs {
-			total += seg.End - seg.Start
-			if node.Pinned != taskgraph.Unpinned && seg.Proc != node.Pinned {
-				return fmt.Errorf("subtask %v pinned to %d but ran on %d", id, node.Pinned, seg.Proc)
-			}
-		}
-		want := sys.ExecTime(node.Cost, s.Proc[id])
-		if math.Abs(total-want) > 1e-6 {
-			return fmt.Errorf("subtask %v executed %v, want %v", id, total, want)
-		}
-		if math.Abs(segs[0].Start-s.Start[id]) > 1e-6 {
-			return fmt.Errorf("subtask %v first segment %v != Start %v", id, segs[0].Start, s.Start[id])
-		}
-		if math.Abs(segs[len(segs)-1].End-s.Finish[id]) > 1e-6 {
-			return fmt.Errorf("subtask %v last segment %v != Finish %v", id, segs[len(segs)-1].End, s.Finish[id])
-		}
-		for _, m := range g.Pred(id) {
-			if segs[0].Start < s.Finish[m]-simEps {
-				return fmt.Errorf("subtask %v starts %v before message %v arrives %v",
-					id, segs[0].Start, m, s.Finish[m])
-			}
-		}
-		if cfg.RespectRelease && segs[0].Start < res.Release[id]-simEps {
-			return fmt.Errorf("subtask %v starts %v before release %v", id, segs[0].Start, res.Release[id])
-		}
-	}
-
-	for p, segs := range perProc {
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
-		for i := 1; i < len(segs); i++ {
-			if segs[i].Start < segs[i-1].End-simEps {
-				return fmt.Errorf("processor %d: segment overlap at %v", p, segs[i].Start)
-			}
-		}
-	}
-	return nil
 }

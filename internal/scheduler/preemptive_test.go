@@ -23,7 +23,7 @@ func TestPreemptiveSimpleChain(t *testing.T) {
 	}
 	s := sys(t, 1)
 	res := distributed(t, g, s)
-	sched, err := RunPreemptive(g, s, res, Config{})
+	sched, err := Run(g, s, res, Config{Preemptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestPreemptiveSimpleChain(t *testing.T) {
 	if sched.Preemptions(g) != 0 {
 		t.Errorf("chain run preempted %d times", sched.Preemptions(g))
 	}
-	if err := ValidatePreemptive(g, s, res, sched, Config{}); err != nil {
-		t.Errorf("ValidatePreemptive: %v", err)
+	if err := Validate(g, s, res, sched, Config{Preemptive: true}); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -55,8 +55,8 @@ func TestPreemptionHappens(t *testing.T) {
 	res := manualResult(g, map[taskgraph.NodeID]float64{long: 1000, urgent: 60})
 	res.Release[urgent] = 30 // arrives while long is running
 
-	cfg := Config{RespectRelease: true}
-	sched, err := RunPreemptive(g, s, res, cfg)
+	cfg := Config{RespectRelease: true, Preemptive: true}
+	sched, err := Run(g, s, res, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func TestPreemptionHappens(t *testing.T) {
 	if sched.Preemptions(g) != 1 {
 		t.Fatalf("preemptions = %d, want 1", sched.Preemptions(g))
 	}
-	if err := ValidatePreemptive(g, s, res, sched, cfg); err != nil {
-		t.Errorf("ValidatePreemptive: %v", err)
+	if err := Validate(g, s, res, sched, cfg); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 
 	// The non-preemptive time-driven plan must leave the processor idle
 	// until urgent's release (it cannot start long and interrupt it), so
 	// long finishes later than under preemption.
-	nonp, err := Run(g, s, res, cfg)
+	nonp, err := Run(g, s, res, Config{RespectRelease: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +107,15 @@ func TestPreemptiveRespectsMessages(t *testing.T) {
 	}
 	s := sys(t, 2)
 	res := distributed(t, g, s)
-	sched, err := RunPreemptive(g, s, res, Config{})
+	sched, err := Run(g, s, res, Config{Preemptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approx(sched.Start[v], 17) {
 		t.Fatalf("v starts %v, want 17 (cross-processor message)", sched.Start[v])
 	}
-	if err := ValidatePreemptive(g, s, res, sched, Config{}); err != nil {
-		t.Errorf("ValidatePreemptive: %v", err)
+	if err := Validate(g, s, res, sched, Config{Preemptive: true}); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -136,8 +136,8 @@ func TestPropertyPreemptiveValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cfg := Config{RespectRelease: respect}
-		sched, err := RunPreemptive(g, s, res, cfg)
+		cfg := Config{RespectRelease: respect, Preemptive: true}
+		sched, err := Run(g, s, res, cfg)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -146,7 +146,7 @@ func TestPropertyPreemptiveValid(t *testing.T) {
 			t.Logf("seed %d: %d of %d completed", seed, len(sched.Order), g.NumSubtasks())
 			return false
 		}
-		if err := ValidatePreemptive(g, s, res, sched, cfg); err != nil {
+		if err := Validate(g, s, res, sched, cfg); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
@@ -174,7 +174,7 @@ func TestPreemptiveNeverWorseMaxLatenessOnOneProc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := RunPreemptive(g, s, res, Config{})
+		pre, err := Run(g, s, res, Config{Preemptive: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestPreemptiveGanttUsesSegments(t *testing.T) {
 	s := sys(t, 1)
 	res := manualResult(g, map[taskgraph.NodeID]float64{long: 1000, urgent: 60})
 	res.Release[urgent] = 30
-	sched, err := RunPreemptive(g, s, res, Config{RespectRelease: true})
+	sched, err := Run(g, s, res, Config{RespectRelease: true, Preemptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,31 +263,42 @@ func TestValidatePreemptiveCatchesCorruption(t *testing.T) {
 	}
 	s := sys(t, 2)
 	res := distributed(t, g, s)
-	sched, err := RunPreemptive(g, s, res, Config{})
+	sched, err := Run(g, s, res, Config{Preemptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePreemptive(g, s, res, sched, Config{}); err != nil {
+	if err := Validate(g, s, res, sched, Config{Preemptive: true}); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 	// Missing segments.
 	bad := *sched
 	bad.Segments = nil
-	if err := ValidatePreemptive(g, s, res, &bad, Config{}); err == nil {
+	if err := Validate(g, s, res, &bad, Config{Preemptive: true}); err == nil {
 		t.Error("missing segments not caught")
 	}
 	// Truncated execution.
 	bad2 := *sched
 	bad2.Segments = append([]Segment(nil), sched.Segments...)
 	bad2.Segments[0].End = bad2.Segments[0].Start + 1
-	if err := ValidatePreemptive(g, s, res, &bad2, Config{}); err == nil {
+	if err := Validate(g, s, res, &bad2, Config{Preemptive: true}); err == nil {
 		t.Error("short execution not caught")
+	}
+	// A gap inside the execution: first start and last end still match,
+	// but the segments sum to less than the execution time.
+	gap := *sched
+	first := sched.Segments[0]
+	gap.Segments = append([]Segment{
+		{Node: first.Node, Proc: first.Proc, Start: first.Start, End: first.Start + 4},
+		{Node: first.Node, Proc: first.Proc, Start: first.Start + 6, End: first.End},
+	}, sched.Segments[1:]...)
+	if err := Validate(g, s, res, &gap, Config{Preemptive: true}); err == nil {
+		t.Error("execution gap not caught")
 	}
 	// Invalid processor.
 	bad3 := *sched
 	bad3.Segments = append([]Segment(nil), sched.Segments...)
 	bad3.Segments[0].Proc = 99
-	if err := ValidatePreemptive(g, s, res, &bad3, Config{}); err == nil {
+	if err := Validate(g, s, res, &bad3, Config{Preemptive: true}); err == nil {
 		t.Error("invalid processor not caught")
 	}
 }

@@ -9,8 +9,11 @@
 // the optional contended-bus mode serializes them on a single shared bus in
 // deadline order (deadline-based message scheduling, made possible because
 // the distribution stage assigns deadlines to communication subtasks too).
-// RunMultihop routes messages over a multihop network of real-time channels
-// instead, through the same dispatch loop.
+//
+// The Section 8 variants change only the model, so they are Config fields
+// of the one Run and the one Validate: Network routes messages over a
+// multihop network of real-time channels through the same dispatch loop,
+// and Preemptive re-simulates the placement under preemptive EDF.
 package scheduler
 
 import (
@@ -37,6 +40,20 @@ type Config struct {
 	// Policy is the dispatch priority rule (default PolicyEDF, the
 	// paper's deadline-driven scheduler).
 	Policy Policy
+
+	// Preemptive selects the Section 8 run-time model: the list
+	// scheduler's placement is re-simulated under preemptive EDF, and the
+	// Schedule carries the execution Segments. Messages are then
+	// contention-free, so it cannot be combined with Network.
+	Preemptive bool
+
+	// Network, when non-nil, routes messages over a multihop network
+	// (reference [13]-style real-time channels) instead of the platform's
+	// bus: a message traverses its fixed shortest route store-and-forward,
+	// every link serializes its transfers, and each subtask's incoming
+	// messages reserve links in message-deadline order. It must span the
+	// platform's processors, and the Schedule carries the Hops.
+	Network *channel.Network
 }
 
 // Schedule is the outcome of one list-scheduling run. All slices are
@@ -54,8 +71,14 @@ type Schedule struct {
 	Order []taskgraph.NodeID
 	// Segments holds per-burst execution intervals. Nil for
 	// non-preemptive schedules (one implicit segment per subtask); filled
-	// by RunPreemptive.
+	// by a Preemptive run.
 	Segments []Segment
+	// Hops maps each cross-processor message to its reserved link
+	// transfers in route order (co-located messages have no entry). Nil
+	// unless the run used a Network. A Scratch's runs slice every
+	// message's hops out of one backing owned by the Scratch, so they stay
+	// valid only until its next run.
+	Hops map[taskgraph.NodeID][]Hop
 }
 
 // Errors returned by Run.
@@ -67,33 +90,48 @@ var (
 	// finite time: finite costs whose sums overflow float64 have pushed
 	// every candidate's start to +Inf.
 	ErrUnplaceable = errors.New("no processor can start the subtask at a finite time")
+	// ErrPreemptiveNetwork refuses a Config with both Preemptive and
+	// Network: the preemptive simulation models contention-free messages
+	// only.
+	ErrPreemptiveNetwork = errors.New("preemptive simulation cannot route messages over a network")
 )
 
-// Run schedules g on sys using the deadline annotations in res. It is a
-// convenience wrapper over Scratch.Run with fresh buffers; batch drivers
-// should hold a Scratch per goroutine and call its method instead.
+// Run schedules g on sys using the deadline annotations in res, under the
+// run-time and message model cfg selects. It is a convenience wrapper over
+// Scratch.Run with fresh buffers; batch drivers should hold a Scratch per
+// goroutine and call its method instead.
 func Run(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config) (*Schedule, error) {
 	return NewScratch().Run(g, sys, res, cfg)
 }
 
 // Run schedules g on sys using the deadline annotations in res, reusing the
-// Scratch's buffers.
+// Scratch's buffers. The list scheduler places every subtask; a Preemptive
+// run then re-simulates that placement under preemptive EDF.
 func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config) (*Schedule, error) {
 	if g == nil || sys == nil || res == nil {
 		return nil, ErrNilInput
 	}
-	return sc.dispatch(g, sys, nil, res, cfg, &sc.sched)
+	if cfg.Preemptive && cfg.Network != nil {
+		return nil, ErrPreemptiveNetwork
+	}
+	s, err := sc.dispatch(g, sys, res, cfg)
+	if err != nil || !cfg.Preemptive {
+		return s, err
+	}
+	return sc.preempt(g, sys, res, cfg, s)
 }
 
-// dispatch is the one list scheduler behind Run and RunMultihop. Messages
-// travel over the platform's bus model when net is nil and over the
-// multihop network net otherwise. The two models differ only in how a
-// candidate processor's inbound arrivals are costed (stBounded, mhBounded)
-// and how the winner's messages are committed (commitMessages,
-// commitInbound); slot is the calling entry point's recycled Schedule.
-func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, net *channel.Network,
-	res *core.Result, cfg Config, slot **Schedule) (*Schedule, error) {
-
+// dispatch is the one list scheduler. Messages travel over the platform's
+// bus model when cfg.Network is nil and over that multihop network
+// otherwise. The two models differ only in how a candidate processor's
+// inbound arrivals are costed (stBounded, mhBounded) and how the winner's
+// messages are committed (commitMessages, commitInbound).
+func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config) (*Schedule, error) {
+	net := cfg.Network
+	if net != nil && net.NumProcs() != sys.NumProcs() {
+		return nil, fmt.Errorf("network spans %d processors, platform has %d: %w",
+			net.NumProcs(), sys.NumProcs(), ErrBadSize)
+	}
 	n := g.NumNodes()
 	if len(res.Absolute) != n || len(res.Release) != n {
 		return nil, fmt.Errorf("%d annotations for %d nodes: %w", len(res.Absolute), n, ErrBadSize)
@@ -112,9 +150,12 @@ func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, net *chann
 	succOff, succAdj := g.SuccCSR()
 	predOff, predAdj := g.PredCSR()
 
-	s := sc.schedule(slot, n)
+	s := sc.schedule(&sc.sched, n)
 	for i := range s.Proc {
 		s.Proc[i] = -1
+	}
+	if net != nil {
+		sc.bindNetwork(net, s)
 	}
 
 	sc.procFree = resize(sc.procFree, sys.NumProcs())

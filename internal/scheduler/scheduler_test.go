@@ -544,8 +544,8 @@ func TestGanttOutput(t *testing.T) {
 
 // TestOverflowedStartRefused: finite costs whose sums overflow to +Inf
 // leave no processor with a finite start for the third subtask on one
-// processor. Every scheduler refuses with ErrUnplaceable; Run and
-// RunMultihop used to index procFree[-1] and panic.
+// processor. Every model refuses with ErrUnplaceable; the bus and network
+// dispatch used to index procFree[-1] and panic.
 func TestOverflowedStartRefused(t *testing.T) {
 	b := taskgraph.NewBuilder()
 	for _, name := range []string{"a", "b", "c"} {
@@ -566,11 +566,11 @@ func TestOverflowedStartRefused(t *testing.T) {
 		if _, err := Run(g, s, res, cfg); !errors.Is(err, ErrUnplaceable) {
 			t.Errorf("Run respect=%v: got %v, want ErrUnplaceable", respect, err)
 		}
-		if _, err := RunPreemptive(g, s, res, cfg); !errors.Is(err, ErrUnplaceable) {
-			t.Errorf("RunPreemptive respect=%v: got %v, want ErrUnplaceable", respect, err)
+		if _, err := Run(g, s, res, Config{RespectRelease: respect, Preemptive: true}); !errors.Is(err, ErrUnplaceable) {
+			t.Errorf("preemptive respect=%v: got %v, want ErrUnplaceable", respect, err)
 		}
-		if _, err := RunMultihop(g, s, net, res, cfg); !errors.Is(err, ErrUnplaceable) {
-			t.Errorf("RunMultihop respect=%v: got %v, want ErrUnplaceable", respect, err)
+		if _, err := Run(g, s, res, Config{RespectRelease: respect, Network: net}); !errors.Is(err, ErrUnplaceable) {
+			t.Errorf("network respect=%v: got %v, want ErrUnplaceable", respect, err)
 		}
 	}
 }

@@ -7,23 +7,21 @@ import (
 
 // Scratch holds the reusable working buffers of the list scheduler. Batch
 // drivers (the experiment engine schedules graphs × assigners × sizes runs
-// per sweep) create one Scratch per worker goroutine and call its Run /
-// RunPreemptive / RunMultihop methods, amortizing all per-run queue,
-// bookkeeping and schedule allocations. Run and RunMultihop share one
-// dispatch loop and its buffers; RunPreemptive simulates over Run's
-// placement. Each method returns the Scratch's
-// own Schedule (and MultihopSchedule) storage, valid until its next
-// scheduling call, so a caller consumes each schedule before requesting the
-// next; the package-level Run, RunPreemptive and RunMultihop use a fresh
-// Scratch and so return share-nothing schedules. A Scratch is not safe for
-// concurrent use.
+// per sweep) create one Scratch per worker goroutine and call its Run,
+// amortizing all per-run queue, bookkeeping and schedule allocations. Every
+// model shares one dispatch loop and its buffers; a Preemptive run
+// simulates over that loop's placement. Run returns the Scratch's own
+// Schedule storage (its Hops included), valid until the next Run, so a
+// caller consumes each schedule before requesting the next; the
+// package-level Run uses a fresh Scratch and so returns share-nothing
+// schedules. A Scratch is not safe for concurrent use.
 type Scratch struct {
 	keys     []float64
 	pending  []int
 	procFree []float64
 	ready    readyHeap
 
-	// Preemptive-simulation buffers (RunPreemptive).
+	// Preemptive-simulation buffers.
 	procReady   []readyHeap
 	remaining   []float64
 	pendingMsgs []int
@@ -31,16 +29,17 @@ type Scratch struct {
 	lastSeg     []int
 	events      []readyEvent
 
-	// Multihop buffers (RunMultihop): candidate link-free times (linkTmp,
-	// valid where linkStamp equals the never-reset epoch) and the one hop
-	// backing every published MultihopSchedule.Hops slice aliases.
+	// Network buffers: candidate link-free times (linkTmp, valid where
+	// linkStamp equals the never-reset epoch), the one hop backing every
+	// published Schedule.Hops slice aliases, and the recycled Hops map.
 	linkFree  []float64
 	linkTmp   []float64
 	linkStamp []uint64
 	epoch     uint64
 	hops      []Hop
+	hopIndex  map[taskgraph.NodeID][]Hop
 
-	// Inbound-message dispatch order (contended-bus Run and RunMultihop):
+	// Inbound-message dispatch order (contended bus and network runs):
 	// msgOrder[v] lists subtask v's predecessor messages sorted by (absolute
 	// deadline, NodeID). The distribution is fixed for a whole run, so the
 	// order is built once per run instead of re-sorted for every candidate
@@ -56,13 +55,10 @@ type Scratch struct {
 	// non-message nodes.
 	prod []taskgraph.NodeID
 
-	// Recycled schedules. One slot per entry point; the preemptive slot is
-	// separate because RunPreemptive calls Run first and returns a second
-	// Schedule layered over the base placement.
+	// Recycled schedules: the list scheduler's, and the preemptive
+	// simulation's, which is layered over the list scheduler's placement.
 	sched    *Schedule
 	preSched *Schedule
-	mhSched  *Schedule
-	multihop *MultihopSchedule
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -83,6 +79,7 @@ func (sc *Scratch) schedule(slot **Schedule, n int) *Schedule {
 	s.Makespan = 0
 	s.Order = s.Order[:0]
 	s.Segments = s.Segments[:0]
+	s.Hops = nil
 	return s
 }
 

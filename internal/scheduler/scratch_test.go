@@ -57,7 +57,7 @@ func snapshot(s *Schedule) *Schedule {
 // TestReuseSchedulesMatchesFresh runs every pipeline case through one
 // Scratch, which recycles its schedules, and checks each schedule against
 // a share-nothing run: recycling must be invisible in the output, across
-// the plain, contended-bus and preemptive entry points.
+// the plain, contended-bus and preemptive models.
 func TestReuseSchedulesMatchesFresh(t *testing.T) {
 	cfg := Config{RespectRelease: true}
 	t.Run("plain", func(t *testing.T) {
@@ -93,13 +93,15 @@ func TestReuseSchedulesMatchesFresh(t *testing.T) {
 		}
 	})
 	t.Run("preemptive", func(t *testing.T) {
+		cfg := cfg
+		cfg.Preemptive = true
 		sc := NewScratch()
 		for i, c := range reuseCases(t) {
-			want, err := RunPreemptive(c.g, c.sys, c.res, cfg)
+			want, err := Run(c.g, c.sys, c.res, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sc.RunPreemptive(c.g, c.sys, c.res, cfg)
+			got, err := sc.Run(c.g, c.sys, c.res, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,26 +112,26 @@ func TestReuseSchedulesMatchesFresh(t *testing.T) {
 	})
 }
 
-// TestReuseMultihopMatchesFresh is the multihop variant: the recycled
-// MultihopSchedule (shared hop map, presorted message order, hop backing)
-// must reproduce the share-nothing run hop for hop.
+// TestReuseMultihopMatchesFresh is the network variant: the recycled
+// schedule (shared hop map, presorted message order, hop backing) must
+// reproduce the share-nothing run hop for hop.
 func TestReuseMultihopMatchesFresh(t *testing.T) {
-	cfg := Config{RespectRelease: true}
 	sc := NewScratch()
 	for i, c := range reuseCases(t) {
 		net, err := channel.Ring(c.sys.NumProcs(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunMultihop(c.g, c.sys, net, c.res, cfg)
+		cfg := Config{RespectRelease: true, Network: net}
+		want, err := Run(c.g, c.sys, c.res, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sc.RunMultihop(c.g, c.sys, net, c.res, cfg)
+		got, err := sc.Run(c.g, c.sys, c.res, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(snapshot(got.Schedule), snapshot(want.Schedule)) {
+		if !reflect.DeepEqual(snapshot(got), snapshot(want)) {
 			t.Errorf("case %d: recycled multihop schedule differs from fresh run", i)
 		}
 		if len(got.Hops) != len(want.Hops) {
@@ -140,7 +142,7 @@ func TestReuseMultihopMatchesFresh(t *testing.T) {
 				t.Errorf("case %d: message %v hops differ", i, m)
 			}
 		}
-		if err := ValidateMultihop(c.g, c.sys, net, c.res, got, cfg); err != nil {
+		if err := Validate(c.g, c.sys, c.res, got, cfg); err != nil {
 			t.Errorf("case %d: recycled multihop schedule invalid: %v", i, err)
 		}
 	}

@@ -2,27 +2,48 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
+	"deadlinedist/internal/channel"
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/taskgraph"
 )
 
-// Validate checks that a schedule is structurally sound:
+// Validate checks that a schedule Run produced under cfg is structurally
+// sound. Every model is checked for:
 //
-//  1. every ordinary subtask is placed on a valid processor and runs for
-//     exactly its platform execution time;
-//  2. no two subtasks overlap on the same processor;
+//  1. every ordinary subtask is placed on a valid processor (its pinned
+//     one, if pinned) and runs for exactly its platform execution time:
+//     Finish−Start, or under Preemptive the sum of its Segments, which run
+//     on its processor, the first at Start and the last ending at Finish;
+//  2. no two subtasks (segments, under Preemptive) overlap on the same
+//     processor;
 //  3. every subtask starts no earlier than the arrival of each of its
-//     input messages (producer finish + communication cost, or the
-//     message's recorded transfer finish under bus contention);
-//  4. if cfg.RespectRelease, no subtask starts before its release time;
-//  5. under bus contention, cross-processor message transfers do not
-//     overlap on the bus.
+//     input messages (producer finish + communication cost on the
+//     contention-free bus, the message's recorded finish otherwise) and, if
+//     cfg.RespectRelease, no earlier than its release time;
+//  4. no message departs before its producer finishes.
+//
+// The message model adds its own checks. Under bus contention,
+// cross-processor transfers do not overlap on the bus. Over a Network,
+// every cross-processor message's Hops follow its route contiguously in
+// time, each lasting its link's transfer time, the first departing no
+// earlier than the producer's finish and the last ending at the message's
+// Finish; and no link carries two overlapping transfers.
 func Validate(g *taskgraph.Graph, sys *platform.System, res *core.Result, s *Schedule, cfg Config) error {
 	const eps = 1e-9
+	if cfg.Preemptive && cfg.Network != nil {
+		return ErrPreemptiveNetwork
+	}
+	net := cfg.Network
+	// Only the contention-free bus leaves a message's arrival to be
+	// computed from the platform; every other model records it as the
+	// message's Finish.
+	onBus := net == nil && !cfg.Preemptive
+	bus, computed := onBus && sys.BusContention(), onBus && !sys.BusContention()
 
 	type iv struct {
 		id            taskgraph.NodeID
@@ -30,6 +51,24 @@ func Validate(g *taskgraph.Graph, sys *platform.System, res *core.Result, s *Sch
 	}
 	perProc := make([][]iv, sys.NumProcs())
 	var busIvs []iv
+	var perLink [][]iv
+	if net != nil {
+		perLink = make([][]iv, net.NumLinks())
+	}
+	var perTask [][]Segment
+	if cfg.Preemptive {
+		perTask = make([][]Segment, g.NumNodes())
+		for _, seg := range s.Segments {
+			if seg.Proc < 0 || seg.Proc >= sys.NumProcs() {
+				return fmt.Errorf("segment on invalid processor %d", seg.Proc)
+			}
+			if seg.Node < 0 || int(seg.Node) >= g.NumNodes() {
+				return fmt.Errorf("segment of unknown node %v", seg.Node)
+			}
+			perTask[seg.Node] = append(perTask[seg.Node], seg)
+			perProc[seg.Proc] = append(perProc[seg.Proc], iv{id: seg.Node, start: seg.Start, finish: seg.End})
+		}
+	}
 
 	for _, n := range g.NodesView() {
 		id := n.ID
@@ -42,26 +81,33 @@ func Validate(g *taskgraph.Graph, sys *platform.System, res *core.Result, s *Sch
 				return fmt.Errorf("subtask %v pinned to processor %d but scheduled on %d", id, n.Pinned, p)
 			}
 			want := sys.ExecTime(n.Cost, p)
-			if d := s.Finish[id] - s.Start[id]; d < want-eps || d > want+eps {
-				return fmt.Errorf("subtask %v duration %v, want %v", id, d, want)
+			start := s.Start[id]
+			if cfg.Preemptive {
+				first, err := checkSegments(perTask[id], id, p, want, s)
+				if err != nil {
+					return err
+				}
+				start = first
+			} else {
+				if d := s.Finish[id] - s.Start[id]; math.Abs(d-want) > eps {
+					return fmt.Errorf("subtask %v duration %v, want %v", id, d, want)
+				}
+				perProc[p] = append(perProc[p], iv{id: id, start: s.Start[id], finish: s.Finish[id]})
 			}
-			if cfg.RespectRelease && s.Start[id] < res.Release[id]-eps {
-				return fmt.Errorf("subtask %v starts %v before release %v", id, s.Start[id], res.Release[id])
+			if cfg.RespectRelease && start < res.Release[id]-eps {
+				return fmt.Errorf("subtask %v starts %v before release %v", id, start, res.Release[id])
 			}
 			for _, m := range g.Pred(id) {
-				u := g.Pred(m)[0]
-				var arrival float64
-				if sys.BusContention() {
-					arrival = s.Finish[m]
-				} else {
+				arrival := s.Finish[m]
+				if computed {
+					u := g.Pred(m)[0]
 					arrival = s.Finish[u] + sys.CommCost(s.Proc[u], p, g.Node(m).Size)
 				}
-				if s.Start[id] < arrival-eps {
+				if start < arrival-eps {
 					return fmt.Errorf("subtask %v starts %v before message %v arrives %v",
-						id, s.Start[id], m, arrival)
+						id, start, m, arrival)
 				}
 			}
-			perProc[p] = append(perProc[p], iv{id: id, start: s.Start[id], finish: s.Finish[id]})
 			continue
 		}
 		// Message: transfer cannot begin before the producer finishes.
@@ -69,7 +115,15 @@ func Validate(g *taskgraph.Graph, sys *platform.System, res *core.Result, s *Sch
 		if s.Start[id] < s.Finish[u]-eps {
 			return fmt.Errorf("message %v starts %v before producer finishes %v", id, s.Start[id], s.Finish[u])
 		}
-		if sys.BusContention() && s.Finish[id] > s.Start[id]+eps {
+		switch {
+		case net != nil:
+			if err := checkHops(g, net, s, id); err != nil {
+				return err
+			}
+			for _, h := range s.Hops[id] {
+				perLink[h.Link] = append(perLink[h.Link], iv{id: id, start: h.Start, finish: h.End})
+			}
+		case bus && s.Finish[id] > s.Start[id]+eps:
 			busIvs = append(busIvs, iv{id: id, start: s.Start[id], finish: s.Finish[id]})
 		}
 	}
@@ -90,10 +144,85 @@ func Validate(g *taskgraph.Graph, sys *platform.System, res *core.Result, s *Sch
 			return err
 		}
 	}
-	if sys.BusContention() {
-		if err := checkOverlap("bus", busIvs); err != nil {
+	if err := checkOverlap("bus", busIvs); err != nil {
+		return err
+	}
+	for l, ivs := range perLink {
+		if err := checkOverlap(fmt.Sprintf("link %d", l), ivs); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkSegments checks subtask id's execution segments of a preemptive
+// schedule: they run on its processor p, sum to its execution time want,
+// and the first starts at Start and the last ends at Finish. It returns
+// the first segment's start, where the subtask's inputs must have arrived.
+func checkSegments(segs []Segment, id taskgraph.NodeID, p int, want float64, s *Schedule) (float64, error) {
+	if len(segs) == 0 {
+		return 0, fmt.Errorf("subtask %v has no execution segments", id)
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
+	total := 0.0
+	for _, seg := range segs {
+		total += seg.End - seg.Start
+		if seg.Proc != p {
+			return 0, fmt.Errorf("subtask %v placed on %d but ran on %d", id, p, seg.Proc)
+		}
+	}
+	if math.Abs(total-want) > 1e-6 {
+		return 0, fmt.Errorf("subtask %v executed %v, want %v", id, total, want)
+	}
+	if math.Abs(segs[0].Start-s.Start[id]) > 1e-6 {
+		return 0, fmt.Errorf("subtask %v first segment %v != Start %v", id, segs[0].Start, s.Start[id])
+	}
+	if last := segs[len(segs)-1].End; math.Abs(last-s.Finish[id]) > 1e-6 {
+		return 0, fmt.Errorf("subtask %v last segment %v != Finish %v", id, last, s.Finish[id])
+	}
+	return segs[0].Start, nil
+}
+
+// checkHops checks message id's link reservations over net: a co-located
+// message has none, and a cross-processor one reserves its route's links in
+// order, contiguously in time from its producer's finish, each for the
+// link's transfer time, ending at the message's Finish.
+func checkHops(g *taskgraph.Graph, net *channel.Network, s *Schedule, id taskgraph.NodeID) error {
+	const eps = 1e-9
+	u, w := g.Pred(id)[0], g.Succ(id)[0]
+	hops := s.Hops[id]
+	if len(hops) == 0 {
+		if s.Proc[u] != s.Proc[w] {
+			return fmt.Errorf("cross-processor message %v has no hops", id)
+		}
+		return nil
+	}
+	route, err := net.Route(s.Proc[u], s.Proc[w])
+	if err != nil {
+		return err
+	}
+	if len(route) != len(hops) {
+		return fmt.Errorf("message %v reserved %d hops, route has %d", id, len(hops), len(route))
+	}
+	if hops[0].Start < s.Finish[u]-eps {
+		return fmt.Errorf("message %v departs before its producer finishes", id)
+	}
+	prevEnd := hops[0].Start
+	for hi, h := range hops {
+		if h.Link != route[hi] {
+			return fmt.Errorf("message %v hop %d on link %d, route says %d", id, hi, h.Link, route[hi])
+		}
+		if h.Start < prevEnd-eps {
+			return fmt.Errorf("message %v hop %d starts before previous hop ends", id, hi)
+		}
+		want := net.Link(h.Link).PerItem * g.Node(id).Size
+		if math.Abs((h.End-h.Start)-want) > eps {
+			return fmt.Errorf("message %v hop %d duration %v, want %v", id, hi, h.End-h.Start, want)
+		}
+		prevEnd = h.End
+	}
+	if math.Abs(s.Finish[id]-prevEnd) > eps {
+		return fmt.Errorf("message %v finish %v != last hop end %v", id, s.Finish[id], prevEnd)
 	}
 	return nil
 }

@@ -61,43 +61,77 @@ func decode(data []byte, v any, what string) {
 	check(json.Unmarshal(data, v) == nil, "%s is not the expected JSON: %s", what, data)
 }
 
+// benchStat is one `go test -bench` result line: ns/op and, when the run
+// had -benchmem, B/op and allocs/op (mem set).
+type benchStat struct {
+	ns, bytes, allocs float64
+	mem               bool
+}
+
 // benchRuns maps each benchmark matched by re in `go test -bench` output
-// to the ns/op of its runs, in file order.
-func benchRuns(path string, re *regexp.Regexp) map[string][]float64 {
-	runs := make(map[string][]float64)
+// to its runs, in file order. re's first group names the benchmark, the
+// second matches ns/op and optional third and fourth groups B/op and
+// allocs/op.
+func benchRuns(path string, re *regexp.Regexp) map[string][]benchStat {
+	runs := make(map[string][]benchStat)
+	num := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		check(err == nil, "%s: %v", path, err)
+		return v
+	}
 	for _, line := range strings.Split(string(readFile(path)), "\n") {
 		if m := re.FindStringSubmatch(line); m != nil {
-			ns, err := strconv.ParseFloat(m[2], 64)
-			check(err == nil, "%s: %v", path, err)
-			runs[m[1]] = append(runs[m[1]], ns)
+			st := benchStat{ns: num(m[2])}
+			if len(m) > 4 && m[3] != "" {
+				st.bytes, st.allocs, st.mem = num(m[3]), num(m[4]), true
+			}
+			runs[m[1]] = append(runs[m[1]], st)
 		}
 	}
 	return runs
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
-// perfgate compares two `go test -bench` outputs. Each benchmark's
-// repeats are reduced to their median, which one slow repeat on a shared
-// runner cannot move; benchmarks found on one side only are reported and
-// skipped. It fails when the geomean of head/base median ns/op over the
-// shared benchmarks exceeds the limit, and prints the five worst ratios so
-// a localized regression inside a healthy geomean still shows in the log.
-func perfgate(args []string) {
-	fs := flag.NewFlagSet("perfgate", flag.ExitOnError)
-	limit := fs.Float64("limit", 1.10, "largest allowed geomean of head/base median ns/op")
-	fs.Parse(args)
-	need(fs.Args(), 2)
-	median := func(path string) map[string]float64 {
-		out := make(map[string]float64)
-		for name, v := range benchRuns(path, benchLine) {
-			slices.Sort(v)
-			out[name] = (v[(len(v)-1)/2] + v[len(v)/2]) / 2
-		}
-		return out
+// Allocation gate. Allocation counts barely move between runs of the same
+// code: over five rounds of the gated benchmarks on unchanged code,
+// allocs/op spread by at most 1.1% (max/min, the concurrent figure
+// benchmarks; most are exact) and B/op by at most 0.3%. A benchmark fails
+// when its head median allocs/op exceeds allocLimit times the base median,
+// and likewise B/op when the base runs' own B/op spread (max/min) is at
+// most bytesSpread; a noisier B/op is reported but not gated.
+const (
+	allocLimit  = 1.05
+	bytesSpread = 1.02
+)
+
+// median returns the median of f over runs.
+func median(runs []benchStat, f func(benchStat) float64) float64 {
+	v := make([]float64, len(runs))
+	for i, r := range runs {
+		v[i] = f(r)
 	}
-	base, head := median(fs.Arg(0)), median(fs.Arg(1))
-	var shared, names []string
+	slices.Sort(v)
+	return (v[(len(v)-1)/2] + v[len(v)/2]) / 2
+}
+
+func nsOf(r benchStat) float64     { return r.ns }
+func bytesOf(r benchStat) float64  { return r.bytes }
+func allocsOf(r benchStat) float64 { return r.allocs }
+
+// gateResult is perfgate's verdict on two benchmark outputs.
+type gateResult struct {
+	report   []string // lines to print
+	geomean  float64  // of head/base median ns/op over the shared benchmarks
+	shared   int
+	memFails []string // benchmarks over the allocation gate
+}
+
+// gate compares base and head runs: the geomean of head/base median ns/op
+// over the benchmarks both sides ran, with the five worst ratios, and each
+// benchmark's median allocs/op and B/op under the allocation gate.
+func gate(base, head map[string][]benchStat, limit float64) gateResult {
+	var names []string
 	for name := range base {
 		names = append(names, name)
 	}
@@ -107,7 +141,8 @@ func perfgate(args []string) {
 		}
 	}
 	sort.Strings(names)
-	var oneSided []string
+	var r gateResult
+	var shared []string
 	for _, name := range names {
 		_, inBase := base[name]
 		_, inHead := head[name]
@@ -115,28 +150,82 @@ func perfgate(args []string) {
 		case inBase && inHead:
 			shared = append(shared, name)
 		case inBase:
-			oneSided = append(oneSided, name+" only in base")
+			r.report = append(r.report, fmt.Sprintf("perfgate: %s only in base, skipped", name))
 		default:
-			oneSided = append(oneSided, name+" only in head")
+			r.report = append(r.report, fmt.Sprintf("perfgate: %s only in head, skipped", name))
 		}
 	}
-	check(len(shared) > 0, "perfgate: no shared benchmarks between base and head")
-	for _, s := range oneSided {
-		fmt.Printf("perfgate: %s, skipped\n", s)
+	r.shared = len(shared)
+	if len(shared) == 0 {
+		return r
 	}
+	ratio := func(name string) float64 { return median(head[name], nsOf) / median(base[name], nsOf) }
 	logSum := 0.0
 	for _, name := range shared {
-		logSum += math.Log(head[name] / base[name])
+		logSum += math.Log(ratio(name))
 	}
-	geomean := math.Exp(logSum / float64(len(shared)))
-	fmt.Printf("perfgate: %d benchmarks, geomean head/base = %.3f (limit %.2f)\n", len(shared), geomean, *limit)
-	sort.SliceStable(shared, func(i, j int) bool {
-		return head[shared[i]]/base[shared[i]] > head[shared[j]]/base[shared[j]]
-	})
-	for _, name := range shared[:min(5, len(shared))] {
-		fmt.Printf("  %6.3fx  %s  %12.1f -> %12.1f ns/op\n", head[name]/base[name], name, base[name], head[name])
+	r.geomean = math.Exp(logSum / float64(len(shared)))
+	r.report = append(r.report, fmt.Sprintf("perfgate: %d benchmarks, geomean head/base = %.3f (limit %.2f)", len(shared), r.geomean, limit))
+	worst := slices.Clone(shared)
+	sort.SliceStable(worst, func(i, j int) bool { return ratio(worst[i]) > ratio(worst[j]) })
+	for _, name := range worst[:min(5, len(worst))] {
+		r.report = append(r.report, fmt.Sprintf("  %6.3fx  %s  %12.1f -> %12.1f ns/op",
+			ratio(name), name, median(base[name], nsOf), median(head[name], nsOf)))
 	}
-	check(geomean <= *limit, "perfgate: FAIL geomean regression %.3f > %.2f", geomean, *limit)
+
+	withMem := func(runs []benchStat) bool {
+		return !slices.ContainsFunc(runs, func(s benchStat) bool { return !s.mem })
+	}
+	memGated := 0
+	for _, name := range shared {
+		b, h := base[name], head[name]
+		if !withMem(b) || !withMem(h) {
+			continue
+		}
+		memGated++
+		if ba, ha := median(b, allocsOf), median(h, allocsOf); ha > ba*allocLimit {
+			r.memFails = append(r.memFails, fmt.Sprintf("  %s  %.0f -> %.0f allocs/op", name, ba, ha))
+		}
+		lo, hi := b[0].bytes, b[0].bytes
+		for _, run := range b {
+			lo, hi = min(lo, run.bytes), max(hi, run.bytes)
+		}
+		if hi > lo*bytesSpread {
+			r.report = append(r.report, fmt.Sprintf("perfgate: %s B/op spreads %.0f..%.0f in base, not gated", name, lo, hi))
+			continue
+		}
+		if bb, hb := median(b, bytesOf), median(h, bytesOf); hb > bb*allocLimit {
+			r.memFails = append(r.memFails, fmt.Sprintf("  %s  %.0f -> %.0f B/op", name, bb, hb))
+		}
+	}
+	r.report = append(r.report, fmt.Sprintf("perfgate: %d benchmarks allocation-gated (limit %.2fx median allocs/op and B/op)", memGated, allocLimit))
+	return r
+}
+
+// perfgate compares two `go test -bench` outputs. Each benchmark's
+// repeats are reduced to their median, which one slow repeat on a shared
+// runner cannot move; benchmarks found on one side only are reported and
+// skipped. It fails when the geomean of head/base median ns/op over the
+// shared benchmarks exceeds the limit, and prints the five worst ratios so
+// a localized regression inside a healthy geomean still shows in the log.
+// Runs made with -benchmem also pass each benchmark's median allocs/op and
+// B/op through the allocation gate, which a regression in one benchmark
+// fails on its own.
+func perfgate(args []string) {
+	fs := flag.NewFlagSet("perfgate", flag.ExitOnError)
+	limit := fs.Float64("limit", 1.10, "largest allowed geomean of head/base median ns/op")
+	fs.Parse(args)
+	need(fs.Args(), 2)
+	r := gate(benchRuns(fs.Arg(0), benchLine), benchRuns(fs.Arg(1), benchLine), *limit)
+	check(r.shared > 0, "perfgate: no shared benchmarks between base and head")
+	for _, line := range r.report {
+		fmt.Println(line)
+	}
+	for _, line := range r.memFails {
+		fmt.Println(line)
+	}
+	check(r.geomean <= *limit, "perfgate: FAIL geomean regression %.3f > %.2f", r.geomean, *limit)
+	check(len(r.memFails) == 0, "perfgate: FAIL %d allocation regressions over %.2fx", len(r.memFails), allocLimit)
 	fmt.Println("perfgate: OK")
 }
 
@@ -260,7 +349,7 @@ func scaling(args []string) {
 	}
 	runs := benchRuns(args[0], scalingLine)
 	check(len(runs["1"]) > 0 && len(runs["4"]) > 0, "missing sub-benchmarks: %v", runs)
-	one, four := runs["1"][len(runs["1"])-1], runs["4"][len(runs["4"])-1]
+	one, four := runs["1"][len(runs["1"])-1].ns, runs["4"][len(runs["4"])-1].ns
 	speedup := one / four
 	fmt.Printf("workers=1 %.0f ns/op, workers=4 %.0f ns/op, speedup %.2fx (floor %.1fx on %d CPUs)\n",
 		one, four, speedup, floor, cpus)
