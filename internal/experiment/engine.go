@@ -529,6 +529,7 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 		assigners: assigners,
 		measure:   measure,
 		crossOK:   batchShared,
+		models:    cfg.cacheModels(batchShared, systems, nets),
 		vals:      vals,
 		jkey:      jkey,
 		completed: prefilled,
@@ -661,8 +662,11 @@ type unitEnv struct {
 	assigners []Assigner
 	measure   Measure
 	crossOK   bool
-	vals      [][][]float64
-	jkey      string
+	// models[si] is the outcome-cache model id of size si, 0 where the
+	// cache keys no cell (see cacheModels).
+	models []uint32
+	vals   [][][]float64
+	jkey   string
 
 	mu        sync.Mutex
 	completed int // units committed (including journal-prefilled ones)
@@ -773,7 +777,7 @@ func (e *unitEnv) attemptUnit(ctx context.Context, gi, attempt int, box *workerB
 		if err := e.cfg.Faults.Inject(actx, e.title, gi, attempt, e.cfg.Metrics, e.cfg.Trace); err != nil {
 			return err
 		}
-		return runGraph(actx, e.cfg, e.graphs[gi], e.systems, e.nets, e.assigners, e.measure, gi, out, w, e.crossOK, ref, e.title, attempt)
+		return e.runGraph(actx, gi, out, w, ref, attempt)
 	})
 	var pe *PanicError
 	switch {
@@ -866,6 +870,25 @@ func (c stageClock) span(s metrics.Stage, label string, size int, t0 time.Time, 
 	}
 }
 
+// cacheModels returns the outcome-cache model id of every size: 0 unless
+// the batch is shared (only shared graphs key the cross-table caches), the
+// table keeps the default measure (an outcome holds its value), no network
+// routes the messages and the platform has a class.
+func (cfg Config) cacheModels(batchShared bool, systems []*platform.System, nets []*channel.Network) []uint32 {
+	models := make([]uint32, len(systems))
+	if !batchShared || cfg.Measure != nil {
+		return models
+	}
+	scfg := cfg.Scheduler
+	scfg.Network = nil
+	for si, sys := range systems {
+		if class, ok := sys.Class(); ok && nets[si] == nil {
+			models[si] = cfg.Orchestrator.modelID(outcomeModel{class: class, procs: sys.NumProcs(), cfg: scfg})
+		}
+	}
+	return models
+}
+
 // sharedBatch fetches the run's batch through the orchestrator's
 // content-addressed cache. A Custom generator has no content identity, and
 // a run-owned orchestrator has no caches (no other table could read them),
@@ -892,34 +915,44 @@ func (cfg Config) batchID() generator.BatchID {
 	return generator.RandomBatchID(cfg.Workload, cfg.Seed, cfg.Graphs)
 }
 
-// runGraph runs one graph through every assigner and size, reusing the
+// runGraph runs graph gi through every assigner and size, reusing the
 // distribution when its fingerprint is known and unchanged across sizes.
-// When crossOK is set (a run over a shared batch), per-run cache
-// misses consult the orchestrator's cross-table assignment cache before
+// When crossOK is set (a run over a shared batch), per-run cache misses
+// consult the orchestrator's cross-table assignment cache before
 // computing. Every stage is timed once through a stageClock: with metrics
 // and tracing off, the steady state takes no clock readings.
+//
+// A cell schedules only an outcome it cannot take from an earlier run
+// (DESIGN.md §8.3): within a row — one assigner's unchanged distribution of
+// the untransformed graph — a later size reuses the row's schedule when
+// scheduler.Carries says the processors it left idle make no difference;
+// otherwise a shared distribution consults the orchestrator's cross-table
+// outcome cache. A cell that validation samples always checks a real
+// schedule against its own platform.
 //
 // Results go to out[a][si] — the attempt's private buffer — never to shared
 // storage; ctx is checked at every cell boundary so a cancelled run drains
 // at the next cell; ref tracks the current cell for failure reporting.
-func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*platform.System,
-	nets []*channel.Network, assigners []Assigner, measure Measure, gi int,
-	out [][]float64, w *poolWorker, crossOK bool, ref *cellRef, table string, attempt int) error {
+func (e *unitEnv) runGraph(ctx context.Context, gi int, out [][]float64, w *poolWorker,
+	ref *cellRef, attempt int) error {
 
+	cfg := e.cfg
+	g := e.graphs[gi]
 	rec := cfg.Metrics
 	orc := cfg.Orchestrator
-	clk := stageClock{rec: rec, tr: cfg.Trace, table: table, graph: gi, attempt: attempt, worker: w.id}
-	for a, asg := range assigners {
+	clk := stageClock{rec: rec, tr: cfg.Trace, table: e.title, graph: gi, attempt: attempt, worker: w.id}
+	for a, asg := range e.assigners {
 		// The cached fingerprint is w.fpCached; it is only read while
 		// cachedRes is set, so an earlier assigner's value never matches.
 		var (
 			cachedKnown  bool
 			cachedRes    *core.Result
 			cachedShared bool
+			row          rowOutcome
 		)
 		label := asg.Label()
 		transformer, _ := asg.(GraphTransformer)
-		for si, sys := range systems {
+		for si, sys := range e.systems {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -955,7 +988,7 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 					shared bool
 					err    error
 				)
-				if crossOK && known && transformer == nil {
+				if e.crossOK && known && transformer == nil {
 					// Transformed graphs are per-size values, so only
 					// untransformed runs key the cross-table cache.
 					t0 = cfg.Trace.Now()
@@ -988,31 +1021,130 @@ func runGraph(ctx context.Context, cfg Config, g *taskgraph.Graph, systems []*pl
 				// fp becomes the cached fingerprint and the old cached
 				// buffer the next cell's.
 				w.fp, w.fpCached = w.fpCached, fp
+				// A new distribution starts a new row.
+				row = rowOutcome{}
 			}
 			scfg := cfg.Scheduler
-			scfg.Network = nets[si]
-			t0 = clk.start()
-			sched, err := w.scratch.Run(gg, sys, cachedRes, scfg)
-			clk.done(metrics.StageSchedule, label, sys.NumProcs(), t0, "")
+			scfg.Network = e.nets[si]
+			n := cfg.ValidateSample
+			v, err := e.cell(ctx, clk, w, &row, cellIn{g: gg, sys: sys, si: si, res: cachedRes, scfg: scfg,
+				shared: cachedShared, sampled: n > 0 && (gi+a+si)%n == 0, label: label})
 			if err != nil {
-				return fmt.Errorf("%s: schedule: %w", label, err)
+				return err
 			}
-			if n := cfg.ValidateSample; n > 0 && (gi+a+si)%n == 0 {
-				if verr := scheduler.Validate(gg, sys, cachedRes, sched, scfg); verr != nil {
-					// An invalid schedule is a bug, not a transient fault:
-					// permanent, so the sweep fails on the first one.
-					return fmt.Errorf("%s: invalid schedule at %d procs: %w", label, sys.NumProcs(), verr)
-				}
+			if transformer != nil {
+				row = rowOutcome{} // the next size schedules another graph
 			}
-			t0 = clk.start()
-			out[a][si] = measure(gg, cachedRes, sched)
-			clk.done(metrics.StageMeasure, label, sys.NumProcs(), t0, "")
+			out[a][si] = v
 		}
 		if cachedRes != nil && !cachedShared {
 			w.spare = cachedRes
 		}
 	}
 	return nil
+}
+
+// rowOutcome is the last schedule outcome of a row: the platform it was
+// scheduled on, its used-processor count and measured value, and the
+// schedule itself while the worker's scheduler scratch still holds it (nil
+// after a cross-table hit). set is false until the row has an outcome.
+type rowOutcome struct {
+	set   bool
+	sys   *platform.System
+	used  int
+	val   float64
+	sched *scheduler.Schedule
+}
+
+// cellIn is what one cell schedules and measures: graph g (transformed
+// or not) distributed as res on sys, the si-th size, under scfg. shared
+// reports whether res is cross-table cache storage, sampled whether
+// validation samples the cell.
+type cellIn struct {
+	g       *taskgraph.Graph
+	sys     *platform.System
+	si      int
+	res     *core.Result
+	scfg    scheduler.Config
+	shared  bool
+	sampled bool
+	label   string
+}
+
+// cell computes one cell's value: from the row's outcome when it carries
+// to the cell's platform, from the cross-table outcome cache when the
+// distribution is shared and the size has a cache model, and otherwise by
+// scheduling for real. A sampled cell validates a real schedule against
+// its own platform: the row's held one, or a fresh run. Every real run
+// becomes the row's outcome.
+func (e *unitEnv) cell(ctx context.Context, clk stageClock, w *poolWorker, row *rowOutcome, c cellIn) (float64, error) {
+	procs := c.sys.NumProcs()
+	if row.set && (row.sched != nil || !c.sampled) && scheduler.Carries(row.used, row.sys, c.sys, c.scfg) {
+		t0 := e.cfg.Trace.Now()
+		e.cfg.Metrics.ReusedIdle()
+		clk.span(metrics.StageSchedule, c.label, procs, t0, "idle")
+		if row.sched == nil {
+			return reused(clk, c, row.val, "idle"), nil
+		}
+		return e.evaluate(clk, c, row.sched)
+	}
+	if !c.shared || c.sampled || e.models[c.si] == 0 {
+		return e.schedule(clk, w, row, c)
+	}
+	t0 := e.cfg.Trace.Now()
+	key := outcomeKey{g: c.g, res: resultHash(c.res), model: e.models[c.si]}
+	val, used, hit, err := e.cfg.Orchestrator.outcome(ctx, key, c.res, func() (float64, int, error) {
+		val, err := e.schedule(clk, w, row, c)
+		return val, row.used, err
+	})
+	if !hit {
+		return val, err
+	}
+	e.cfg.Metrics.ReusedCross()
+	clk.span(metrics.StageSchedule, c.label, procs, t0, "cross")
+	*row = rowOutcome{set: true, sys: c.sys, used: used, val: val}
+	return reused(clk, c, val, "cross"), nil
+}
+
+// reused observes the measure stage of a cell whose value an earlier run
+// measured, tagged with where the value came from, so the stage still
+// counts every cell once.
+func reused(clk stageClock, c cellIn, val float64, from string) float64 {
+	clk.done(metrics.StageMeasure, c.label, c.sys.NumProcs(), clk.start(), from)
+	return val
+}
+
+// schedule runs the scheduler on the worker's scratch, then validates and
+// measures the schedule and makes it the row's outcome.
+func (e *unitEnv) schedule(clk stageClock, w *poolWorker, row *rowOutcome, c cellIn) (float64, error) {
+	*row = rowOutcome{}
+	t0 := clk.start()
+	sched, err := w.scratch.Run(c.g, c.sys, c.res, c.scfg)
+	clk.done(metrics.StageSchedule, c.label, c.sys.NumProcs(), t0, "")
+	if err != nil {
+		return 0, fmt.Errorf("%s: schedule: %w", c.label, err)
+	}
+	val, err := e.evaluate(clk, c, sched)
+	if err == nil {
+		*row = rowOutcome{set: true, sys: c.sys, used: sched.ProcsUsed(), val: val, sched: sched}
+	}
+	return val, err
+}
+
+// evaluate validates sched against the cell's platform when the cell is
+// sampled, and measures it.
+func (e *unitEnv) evaluate(clk stageClock, c cellIn, sched *scheduler.Schedule) (float64, error) {
+	if c.sampled {
+		if verr := scheduler.Validate(c.g, c.sys, c.res, sched, c.scfg); verr != nil {
+			// An invalid schedule is a bug, not a transient fault:
+			// permanent, so the sweep fails on the first one.
+			return 0, fmt.Errorf("%s: invalid schedule at %d procs: %w", c.label, c.sys.NumProcs(), verr)
+		}
+	}
+	t0 := clk.start()
+	v := e.measure(c.g, c.res, sched)
+	clk.done(metrics.StageMeasure, c.label, c.sys.NumProcs(), t0, "")
+	return v, nil
 }
 
 // assignWith runs one assignment on the worker's pooled scratch, offering

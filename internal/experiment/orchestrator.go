@@ -49,9 +49,18 @@ import (
 // Entries never go stale — all inputs of an entry are immutable for the
 // orchestrator's lifetime — and are dropped only by a capacity flush.
 //
-// Both caches are sfcache caches: bounded, sharded singleflight maps with
-// flush-and-readmit at capacity, where a failed owner releases its slot.
-// The per-run Recorder counts each run's share of their traffic.
+// Schedule-outcome cache: keyed by (graph pointer, hash of the
+// distribution's Release and Absolute bits, platform class and size,
+// scheduler config) — everything the list scheduler reads — so tables that
+// schedule one input, under whatever label, schedule it once. An entry
+// holds the default measure's value and the schedule's used-processor
+// count, never the Schedule. Only shared (cross-table, immutable) Results
+// are keyed, and a hit is confirmed element by element against the
+// entry's own Result.
+//
+// All three caches are sfcache caches: bounded, sharded singleflight maps
+// with flush-and-readmit at capacity, where a failed owner releases its
+// slot. The per-run Recorder counts each run's share of their traffic.
 //
 // An Orchestrator is safe for concurrent use by any number of runs.
 type Orchestrator struct {
@@ -63,17 +72,26 @@ type Orchestrator struct {
 	// implementation detail and never observable in results.
 	seed maphash.Seed
 
-	batches *sfcache.Cache[generator.BatchID, []*taskgraph.Graph]
-	assigns *sfcache.Cache[assignKey, assignEntry]
+	batches  *sfcache.Cache[generator.BatchID, []*taskgraph.Graph]
+	assigns  *sfcache.Cache[assignKey, assignEntry]
+	outcomes *sfcache.Cache[outcomeKey, outcome]
+
+	// models interns every outcomeModel a table schedules under, so an
+	// outcome key carries a small id instead of the whole model. A sweep
+	// uses a few hundred models at most.
+	modelMu sync.Mutex
+	models  map[outcomeModel]uint32
 }
 
 // Cache capacities. A batch is a whole table's workload, and an invocation
 // uses a few dozen at most, so maxBatchEntries never refuses one. Beyond
-// maxAssignEntries, assignments are computed without being published until
-// the flush re-admits (a miss recomputes a bit-identical result).
+// maxAssignEntries (maxOutcomeEntries), assignments (schedule outcomes) are
+// computed without being published until the flush re-admits (a miss
+// recomputes a bit-identical result).
 const (
-	maxBatchEntries  = 1 << 10
-	maxAssignEntries = 1 << 16
+	maxBatchEntries   = 1 << 10
+	maxAssignEntries  = 1 << 16
+	maxOutcomeEntries = 1 << 16
 )
 
 // poolJob is one unit of pool work: a graph pipeline plus the recorder of
@@ -200,6 +218,37 @@ type assignEntry struct {
 	fp  []float64
 }
 
+// outcomeKey addresses one cached schedule outcome: the inputs of one
+// scheduler.Run up to the distribution's content, which res stands for.
+type outcomeKey struct {
+	g *taskgraph.Graph
+	// res is resultHash of the distribution. Two distributions may share
+	// it, so a hit is confirmed against the entry's own Result.
+	res uint64
+	// model is the modelID of the platform class and size and the
+	// scheduler config.
+	model uint32
+}
+
+// outcomeModel is what an outcome key holds besides the graph and the
+// distribution: the platform's class and processor count and the
+// scheduler config.
+type outcomeModel struct {
+	class platform.Class
+	procs int
+	cfg   scheduler.Config
+}
+
+// outcome is one cached schedule outcome: the default measure's value, the
+// schedule's used-processor count (scheduler.Schedule.ProcsUsed, so a row
+// can carry the outcome to larger platforms) and the shared Result it was
+// scheduled for.
+type outcome struct {
+	res  *core.Result
+	val  float64
+	used int
+}
+
 // NewOrchestrator starts a shared pool of the given size (GOMAXPROCS when
 // workers <= 0). Callers must Close it exactly once, after every run using
 // it has returned.
@@ -220,6 +269,8 @@ func newOrchestrator(workers int, caches bool) *Orchestrator {
 	if caches {
 		o.batches = sfcache.New[generator.BatchID, []*taskgraph.Graph](maxBatchEntries, o.hashBatch)
 		o.SetCrossCacheCap(maxAssignEntries)
+		o.outcomes = sfcache.New[outcomeKey, outcome](maxOutcomeEntries, o.hashOutcome)
+		o.models = make(map[outcomeModel]uint32)
 	}
 	for i := 0; i < workers; i++ {
 		o.wg.Add(1)
@@ -259,6 +310,31 @@ func (o *Orchestrator) hashAssign(key assignKey) uint64 {
 	h.Write(p[:])
 	h.WriteString(key.label)
 	return h.Sum64()
+}
+
+// hashOutcome picks an outcome key's shard from all three of its fields.
+func (o *Orchestrator) hashOutcome(key outcomeKey) uint64 {
+	var h maphash.Hash
+	h.SetSeed(o.seed)
+	var p [20]byte
+	binary.LittleEndian.PutUint64(p[:8], uint64(reflect.ValueOf(key.g).Pointer()))
+	binary.LittleEndian.PutUint64(p[8:16], key.res)
+	binary.LittleEndian.PutUint32(p[16:], key.model)
+	h.Write(p[:])
+	return h.Sum64()
+}
+
+// modelID returns the id interned for m. Ids start at 1: 0 marks a cell
+// the outcome cache does not key.
+func (o *Orchestrator) modelID(m outcomeModel) uint32 {
+	o.modelMu.Lock()
+	defer o.modelMu.Unlock()
+	id, ok := o.models[m]
+	if !ok {
+		id = uint32(len(o.models)) + 1
+		o.models[m] = id
+	}
+	return id
 }
 
 // Close shuts the pool down and waits for the workers to exit. No run may
@@ -386,6 +462,67 @@ func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys 
 		rec.CrossHit()
 	}
 	return e.res, err == nil && out != sfcache.Rejected, err
+}
+
+// outcome resolves one schedule outcome through the cross-table cache. res
+// must be shared cache storage, never recycled, since a published entry
+// keeps it to confirm later hits. A hit whose entry was scheduled for a
+// Result with the same Release and Absolute bits returns the entry's value
+// and used-processor count with hit set. Otherwise run schedules and
+// measures the input for real, and a miss publishes its outcome unless the
+// cache refuses it. A colliding entry (another distribution with the same
+// hash) is never answered and never replaced, and a waiter whose owner
+// failed runs the input itself.
+func (o *Orchestrator) outcome(ctx context.Context, key outcomeKey, res *core.Result,
+	run func() (float64, int, error)) (val float64, used int, hit bool, err error) {
+
+	e, out, err := o.outcomes.Do(ctx, key, func(sfcache.Outcome) (outcome, error) {
+		val, used, err := run()
+		return outcome{res: res, val: val, used: used}, err
+	})
+	if out != sfcache.Hit {
+		return e.val, e.used, false, err
+	}
+	if err == nil && sameResult(e.res, res) {
+		return e.val, e.used, true, nil
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return 0, 0, false, cerr
+	}
+	val, used, err = run()
+	return val, used, false, err
+}
+
+// resultHash hashes the distribution fields the scheduler reads: the bits
+// of every Release and Absolute value.
+func resultHash(res *core.Result) uint64 {
+	h := uint64(len(res.Release))
+	for _, vs := range [2][]float64{res.Release, res.Absolute} {
+		for _, v := range vs {
+			h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
+	}
+	return h
+}
+
+// sameResult reports whether a and b have the same Release and Absolute
+// bits: the equality an outcome key stands for.
+func sameResult(a, b *core.Result) bool {
+	return a == b || sameBits(a.Release, b.Release) && sameBits(a.Absolute, b.Absolute)
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Workbench is the exported view of one pool worker's scratch state,

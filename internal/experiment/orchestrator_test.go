@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"deadlinedist/internal/generator"
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
+	"deadlinedist/internal/scheduler"
 	"deadlinedist/internal/sfcache"
 	"deadlinedist/internal/strategy"
 	"deadlinedist/internal/taskgraph"
@@ -311,3 +313,144 @@ func TestBatchParallelDeterminism(t *testing.T) {
 // assignEntryCount returns the live assignment-cache entry count, settled
 // or in flight.
 func (o *Orchestrator) assignEntryCount() int { return o.assigns.Len() }
+
+// TestOutcomeKeyCollision forces two distributions onto one schedule-outcome
+// key: an outcome scheduled for one is planted under the other's key. The
+// other must be scheduled, uncached and correct, and must leave the
+// planted entry in place; the planted distribution still gets its own
+// correct value, published under its own key and then hit.
+func TestOutcomeKeyCollision(t *testing.T) {
+	orc := NewOrchestrator(1)
+	defer orc.Close()
+	g := testGraph(t)
+	d := core.Distributor{Metric: core.PURE(), Estimator: core.CCEXP()}
+	results := make([]*core.Result, 2)
+	for i, n := range []int{2, 8} {
+		sys, err := platform.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = d.Distribute(g, sys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resA, resB := results[0], results[1]
+	if sameResult(resA, resB) {
+		t.Fatal("precondition: the two distributions must differ")
+	}
+	sys, err := platform.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := scheduler.Config{RespectRelease: true}
+	want := func(res *core.Result) (float64, int) {
+		s, err := scheduler.Run(g, sys, res, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.MaxLateness(g, res), s.ProcsUsed()
+	}
+	valA, usedA := want(resA)
+	valB, usedB := want(resB)
+	if valA == valB {
+		t.Fatal("precondition: the two distributions must measure differently")
+	}
+	class, _ := sys.Class()
+	model := orc.modelID(outcomeModel{class: class, procs: 4, cfg: cfg})
+	keyA := outcomeKey{g: g, res: resultHash(resA), model: model}
+	keyB := outcomeKey{g: g, res: resultHash(resB), model: model}
+	planted := outcome{res: resA, val: valA, used: usedA}
+	if _, _, err := orc.outcomes.Do(context.Background(), keyB, func(sfcache.Outcome) (outcome, error) {
+		return planted, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(key outcomeKey, res *core.Result, wantVal float64, wantUsed int, wantHit, wantRun bool) {
+		t.Helper()
+		ran := false
+		val, used, hit, err := orc.outcome(context.Background(), key, res, func() (float64, int, error) {
+			ran = true
+			v, u := want(res)
+			return v, u, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if val != wantVal || used != wantUsed || hit != wantHit || ran != wantRun {
+			t.Errorf("outcome = (%v, %d, hit %v, ran %v), want (%v, %d, hit %v, ran %v)",
+				val, used, hit, ran, wantVal, wantUsed, wantHit, wantRun)
+		}
+	}
+	check(keyB, resB, valB, usedB, false, true)
+	if e, ok := orc.outcomes.Peek(keyB); !ok || e != planted {
+		t.Error("the colliding lookup replaced the planted entry")
+	}
+	check(keyA, resA, valA, usedA, false, true)
+	// A distinct Result with A's content hits A's entry.
+	clone := *resA
+	clone.Release = slices.Clone(resA.Release)
+	clone.Absolute = slices.Clone(resA.Absolute)
+	check(keyA, &clone, valA, usedA, true, false)
+}
+
+// TestOutcomeCacheSharesIdenticalRows runs one table and then a table of
+// identical rows under another label on one orchestrator: the second
+// table's distributions are its own Results with the same content, so
+// every one of its cells is answered by the first table's outcomes —
+// through the cross-table cache or past idle processors — and none is
+// scheduled again. A third such table samples every cell for validation,
+// so it schedules every cell it does not carry past idle processors and
+// never takes a cross-table value. All three tables are identical.
+func TestOutcomeCacheSharesIdenticalRows(t *testing.T) {
+	orc := NewOrchestrator(2)
+	defer orc.Close()
+	cfg := Default(generator.MDET)
+	cfg.Graphs = 4
+	cfg.Sizes = []int{2, 3, 4, 6, 8, 12, 16}
+	cfg.Orchestrator = orc
+	cells := int64(cfg.Graphs * len(cfg.Sizes))
+	run := func(label string, validate int) (*Table, metrics.Snapshot) {
+		t.Helper()
+		c := cfg
+		c.Metrics = metrics.New()
+		c.ValidateSample = validate
+		tab, err := c.Run("rows", labelled{Slicing(core.PURE(), core.CCNE()), label})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab, c.Metrics.Snapshot()
+	}
+	first, s1 := run("PURE", 0)
+	second, s2 := run("alias", 0)
+	third, s3 := run("validated", 1)
+	scheduled := func(s metrics.Snapshot) int64 { return s.Stages[metrics.StageSchedule].Count }
+	if scheduled(s1)+s1.ReusedIdle != cells || s1.ReusedCross != 0 {
+		t.Errorf("first table: %d scheduled + %d idle, %d cross; want %d cells, 0 cross",
+			scheduled(s1), s1.ReusedIdle, s1.ReusedCross, cells)
+	}
+	if s1.ReusedIdle == 0 {
+		t.Error("first table: no cell reused a schedule past idle processors")
+	}
+	if scheduled(s2) != 0 || s2.ReusedCross == 0 || s2.ReusedIdle+s2.ReusedCross != cells {
+		t.Errorf("second table: %d scheduled, %d idle, %d cross; want 0 scheduled, every cell reused",
+			scheduled(s2), s2.ReusedIdle, s2.ReusedCross)
+	}
+	for i, s := range []metrics.Snapshot{s1, s2, s3} {
+		if got := s.Stages[metrics.StageMeasure].Count; got != cells {
+			t.Errorf("table %d: %d measure observations, want one per cell (%d)", i+1, got, cells)
+		}
+	}
+	if s3.ReusedCross != 0 || scheduled(s3)+s3.ReusedIdle != cells {
+		t.Errorf("validated table: %d scheduled, %d idle, %d cross; want no cross-table value",
+			scheduled(s3), s3.ReusedIdle, s3.ReusedCross)
+	}
+	for i, tab := range []*Table{second, third} {
+		for si, p := range tab.Curves[0].Points {
+			for gi, v := range p.Raw {
+				if w := first.Curves[0].Points[si].Raw[gi]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Errorf("table %d, %d procs, graph %d: %v, first table %v", i+2, p.Size, gi, v, w)
+				}
+			}
+		}
+	}
+}

@@ -105,6 +105,13 @@ type Recorder struct {
 	poolPeak      atomic.Int64
 	poolWorkers   atomic.Int64
 
+	// Schedule reuse: cells whose schedule outcome the engine took from an
+	// earlier run instead of scheduling (the schedule stage observes only
+	// real runs) — the row's schedule past its idle processors, or the
+	// cross-table outcome cache.
+	reusedIdle  atomic.Int64
+	reusedCross atomic.Int64
+
 	// Critical-path search counters, accumulated from the distribution
 	// core's per-run SearchStats.
 	searchIterations atomic.Int64
@@ -224,6 +231,22 @@ func (r *Recorder) CrossRejected() {
 func (r *Recorder) CrossFlush() {
 	if r != nil {
 		r.crossFlushes.Add(1)
+	}
+}
+
+// ReusedIdle records a cell that reused its row's schedule past the
+// processors that schedule left idle instead of scheduling.
+func (r *Recorder) ReusedIdle() {
+	if r != nil {
+		r.reusedIdle.Add(1)
+	}
+}
+
+// ReusedCross records a cell answered by the cross-table schedule-outcome
+// cache instead of scheduling.
+func (r *Recorder) ReusedCross() {
+	if r != nil {
+		r.reusedCross.Add(1)
 	}
 }
 
@@ -485,6 +508,11 @@ type Snapshot struct {
 	CrossFlushes  int64        `json:"crossFlushes,omitempty"`
 	PoolJobs      int64        `json:"poolJobs,omitempty"`
 	PoolPeak      int64        `json:"poolPeak,omitempty"`
+	// ReusedIdle and ReusedCross count the cells whose schedule was reused
+	// (Recorder.ReusedIdle, Recorder.ReusedCross); the schedule stage's
+	// count is the cells scheduled for real.
+	ReusedIdle  int64 `json:"reusedIdle,omitempty"`
+	ReusedCross int64 `json:"reusedCross,omitempty"`
 
 	// Hardware context, read at snapshot time: without it, poolPeak and
 	// throughput numbers are uninterpretable (a recorded poolPeak of 1 can
@@ -564,6 +592,8 @@ func (r *Recorder) Snapshot() Snapshot {
 	snap.CrossMisses = r.crossMisses.Load()
 	snap.CrossRejected = r.crossRejected.Load()
 	snap.CrossFlushes = r.crossFlushes.Load()
+	snap.ReusedIdle = r.reusedIdle.Load()
+	snap.ReusedCross = r.reusedCross.Load()
 	snap.PoolJobs = r.poolJobs.Load()
 	snap.PoolPeak = r.poolPeak.Load()
 	snap.Cpus = runtime.NumCPU()
@@ -636,6 +666,14 @@ func (s Snapshot) String() string {
 			fmt.Fprintf(&b, ", %d publishes rejected at capacity, %d flushes",
 				s.CrossRejected, s.CrossFlushes)
 		}
+	}
+	if reused := s.ReusedIdle + s.ReusedCross; reused > 0 {
+		cells := reused
+		if int(StageSchedule) < len(s.Stages) {
+			cells += s.Stages[StageSchedule].Count
+		}
+		fmt.Fprintf(&b, "\nschedule reuse: %d of %d cells (%d past idle processors, %d cross-table)",
+			reused, cells, s.ReusedIdle, s.ReusedCross)
 	}
 	if s.PoolJobs > 0 {
 		fmt.Fprintf(&b, "\nshared pool: %d jobs, peak occupancy %d of %d workers",

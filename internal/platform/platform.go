@@ -212,3 +212,45 @@ func (s *System) Homogeneous() bool {
 	}
 	return true
 }
+
+// Class is a platform's identity up to its processor count: its
+// interconnect, its one processor speed and its contention mode. Two
+// systems of one class and one processor count cost every computation and
+// every message alike. Classes are comparable, so they can key a cache.
+type Class struct {
+	topo       Topology
+	speed      float64
+	contention bool
+}
+
+// Class returns the system's class. ok is false for heterogeneous speeds,
+// which one speed cannot describe, for a topology defined outside this
+// package, whose values need not be comparable, and for a NaN speed or
+// per-item cost, which would make a class unequal to itself.
+func (s *System) Class() (c Class, ok bool) {
+	switch s.topo.(type) {
+	case SharedBus, FullMesh, Ring, Star:
+	default:
+		return Class{}, false
+	}
+	if !s.Homogeneous() {
+		return Class{}, false
+	}
+	c = Class{topo: s.topo, speed: s.speeds[0], contention: s.contention}
+	if c != c { //nolint:staticcheck // a NaN field makes the class unequal to itself
+		return Class{}, false
+	}
+	return c, true
+}
+
+// Interchangeable reports whether the class's processors are alike: one
+// speed (every class has one) and an interconnect whose cost between two
+// distinct processors ignores which they are (SharedBus, FullMesh, Star).
+// A Ring's cost grows with the hop distance, so its processors differ.
+func (c Class) Interchangeable() bool {
+	switch c.topo.(type) {
+	case SharedBus, FullMesh, Star:
+		return true
+	}
+	return false
+}

@@ -12,10 +12,11 @@ import (
 
 // TestSchedulerRunZeroAlloc pins the steady-state allocation contract of the
 // pooled dispatch path: with schedule recycling on, a warmed-up Scratch runs
-// the EDF list scheduler — in both bus modes — without allocating. The
-// producer cache, presorted message orders and bounded start-time evaluation
-// all write into Scratch-owned buffers; a fresh allocation on the dispatch
-// hot path fails this guard.
+// the EDF list scheduler — in both bus modes, and with the preemptive
+// re-simulation — without allocating. The producer cache, dispatch order,
+// presorted message orders, bounded start-time evaluation and the
+// preemptive event and segment buffers all write into Scratch-owned
+// buffers; a fresh allocation on the hot path fails this guard.
 func TestSchedulerRunZeroAlloc(t *testing.T) {
 	g, err := generator.Random(generator.Default(generator.MDET), rng.New(3))
 	if err != nil {
@@ -28,13 +29,14 @@ func TestSchedulerRunZeroAlloc(t *testing.T) {
 		}
 		return r
 	}
-	cfg := Config{RespectRelease: true, Policy: PolicyEDF}
 	modes := []struct {
-		name string
-		opts []platform.Option
+		name       string
+		opts       []platform.Option
+		preemptive bool
 	}{
-		{"uncontended", nil},
-		{"contended-bus", []platform.Option{platform.WithBusContention()}},
+		{"uncontended", nil, false},
+		{"contended-bus", []platform.Option{platform.WithBusContention()}, false},
+		{"preemptive", nil, true},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -43,6 +45,7 @@ func TestSchedulerRunZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := res(sys)
+			cfg := Config{RespectRelease: true, Policy: PolicyEDF, Preemptive: mode.preemptive}
 			sc := NewScratch()
 			for warm := 0; warm < 2; warm++ {
 				if _, err := sc.Run(g, sys, r, cfg); err != nil {

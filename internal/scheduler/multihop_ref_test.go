@@ -25,7 +25,7 @@ func runMultihopReference(g *taskgraph.Graph, sys *platform.System, net *channel
 	sc := NewScratch()
 	n := g.NumNodes()
 	sc.keys = resize(sc.keys, n)
-	if err := priorityKeysInto(sc.keys, g, res, cfg.Policy); err != nil {
+	if _, err := priorityKeysInto(sc.keys, g, res, cfg.Policy); err != nil {
 		return nil, err
 	}
 	sc.buildMsgOrder(g, res)

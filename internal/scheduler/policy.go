@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math"
 
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/taskgraph"
@@ -50,28 +51,37 @@ func Policies() []Policy { return []Policy{PolicyEDF, PolicyLLF, PolicyFIFO, Pol
 
 // priorityKeysInto fills keys (sized to the graph) with the per-node
 // dispatch key under the policy (smaller = dispatched first; ties broken by
-// NodeID). The buffer form lets batch drivers reuse one allocation across
-// runs.
-func priorityKeysInto(keys []float64, g *taskgraph.Graph, res *core.Result, p Policy) error {
+// NodeID) and reports whether any key's bits changed from what keys held.
+// The buffer form lets batch drivers reuse one allocation across runs, and
+// the report lets a run keep the previous run's dispatch order.
+func priorityKeysInto(keys []float64, g *taskgraph.Graph, res *core.Result, p Policy) (changed bool, err error) {
+	set := func(i int, v float64) {
+		if math.Float64bits(keys[i]) != math.Float64bits(v) {
+			keys[i] = v
+			changed = true
+		}
+	}
 	switch p {
 	case PolicyEDF:
-		copy(keys, res.Absolute)
+		for i, v := range res.Absolute {
+			set(i, v)
+		}
 	case PolicyLLF:
 		for i := range keys {
 			id := taskgraph.NodeID(i)
-			keys[i] = res.Absolute[id] - g.Node(id).Cost
+			set(i, res.Absolute[id]-g.Node(id).Cost)
 		}
 	case PolicyFIFO:
 		for i := range keys {
-			keys[i] = float64(i)
+			set(i, float64(i))
 		}
 	case PolicyHLF:
 		from := g.LongestPathFrom(taskgraph.ExecCost)
 		for i := range keys {
-			keys[i] = -from[i]
+			set(i, -from[i])
 		}
 	default:
-		return fmt.Errorf("unknown dispatch policy %d", int(p))
+		return false, fmt.Errorf("unknown dispatch policy %d", int(p))
 	}
-	return nil
+	return changed, nil
 }

@@ -3,7 +3,7 @@ package scheduler
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/platform"
@@ -44,8 +44,7 @@ func (sc *Scratch) preempt(g *taskgraph.Graph, sys *platform.System, res *core.R
 	sc.pendingMsgs = resize(sc.pendingMsgs, n)
 	pendingMsgs := sc.pendingMsgs
 	sc.arrivedAt = resize(sc.arrivedAt, n)
-	arrivedAt := sc.arrivedAt
-	clear(arrivedAt)
+	clear(sc.arrivedAt)
 	numSubtasks := 0
 	for id := 0; id < n; id++ {
 		nid := taskgraph.NodeID(id)
@@ -61,20 +60,12 @@ func (sc *Scratch) preempt(g *taskgraph.Graph, sys *platform.System, res *core.R
 
 	// Pending ready events, one per not-yet-ready subtask. Workloads are
 	// small (hundreds of nodes), so linear scans keep this simple.
-	events := sc.events[:0]
-	defer func() { sc.events = events[:0] }()
-
-	readyTime := func(v taskgraph.NodeID, arrived float64) float64 {
-		if cfg.RespectRelease && res.Release[v] > arrived {
-			return res.Release[v]
-		}
-		return arrived
-	}
+	sc.events = sc.events[:0]
 	for id := 0; id < n; id++ {
 		nid := taskgraph.NodeID(id)
 		node := g.Node(nid)
 		if node.Kind == taskgraph.KindSubtask && pendingMsgs[nid] == 0 {
-			events = append(events, readyEvent{t: readyTime(nid, node.Release), v: nid})
+			sc.events = append(sc.events, readyEvent{t: readyTime(res, cfg, nid, node.Release), v: nid})
 		}
 	}
 
@@ -86,46 +77,9 @@ func (sc *Scratch) preempt(g *taskgraph.Graph, sys *platform.System, res *core.R
 	for p := range ready {
 		ready[p].reset(res.Absolute)
 	}
-	pick := func(p int) taskgraph.NodeID { return ready[p].peek() }
 	sc.lastSeg = resize(sc.lastSeg, sys.NumProcs())
-	lastSeg := sc.lastSeg
-	for i := range lastSeg {
-		lastSeg[i] = -1
-	}
-	addSegment := func(v taskgraph.NodeID, p int, start, end float64) {
-		if end < start {
-			end = start
-		}
-		if idx := lastSeg[p]; idx >= 0 {
-			last := &out.Segments[idx]
-			if last.Node == v && math.Abs(last.End-start) <= simEps {
-				last.End = end
-				return
-			}
-		}
-		out.Segments = append(out.Segments, Segment{Node: v, Proc: p, Start: start, End: end})
-		lastSeg[p] = len(out.Segments) - 1
-	}
-
-	complete := func(v taskgraph.NodeID, t float64) {
-		out.Finish[v] = t
-		out.Order = append(out.Order, v)
-		if t > out.Makespan {
-			out.Makespan = t
-		}
-		for _, m := range g.Succ(v) {
-			w := g.Succ(m)[0]
-			cost := sys.CommCost(base.Proc[v], base.Proc[w], g.Node(m).Size)
-			out.Start[m] = t
-			out.Finish[m] = t + cost
-			pendingMsgs[w]--
-			if out.Finish[m] > arrivedAt[w] {
-				arrivedAt[w] = out.Finish[m]
-			}
-			if pendingMsgs[w] == 0 {
-				events = append(events, readyEvent{t: readyTime(w, arrivedAt[w]), v: w})
-			}
-		}
+	for i := range sc.lastSeg {
+		sc.lastSeg[i] = -1
 	}
 
 	completions := 0
@@ -137,27 +91,27 @@ func (sc *Scratch) preempt(g *taskgraph.Graph, sys *platform.System, res *core.R
 		}
 
 		// Admit every subtask that is ready by the current time.
-		kept := events[:0]
-		for _, e := range events {
+		kept := sc.events[:0]
+		for _, e := range sc.events {
 			if e.t <= t+simEps {
 				ready[base.Proc[e.v]].push(e.v)
 			} else {
 				kept = append(kept, e)
 			}
 		}
-		events = kept
+		sc.events = kept
 
 		// The running task on each processor is the EDF-minimum ready
 		// task; the horizon is the earliest completion or ready event.
 		next := math.Inf(1)
 		for p := range ready {
-			if v := pick(p); v != taskgraph.None {
+			if v := ready[p].peek(); v != taskgraph.None {
 				if c := t + remaining[v]; c < next {
 					next = c
 				}
 			}
 		}
-		for _, e := range events {
+		for _, e := range sc.events {
 			if e.t < next {
 				next = e.t
 			}
@@ -171,18 +125,18 @@ func (sc *Scratch) preempt(g *taskgraph.Graph, sys *platform.System, res *core.R
 
 		// Advance every processor to the horizon.
 		for p := range ready {
-			v := pick(p)
+			v := ready[p].peek()
 			if v == taskgraph.None {
 				continue
 			}
 			if out.Start[v] < 0 {
 				out.Start[v] = t
 			}
-			addSegment(v, p, t, next)
+			sc.addSegment(out, v, p, t, next)
 			remaining[v] -= next - t
 			if remaining[v] <= simEps {
-				ready[p].pop() // v is the minimum (pick returned it)
-				complete(v, next)
+				ready[p].pop() // v is the minimum (peek returned it)
+				sc.complete(g, sys, res, cfg, base, out, v, next)
 				completions++
 			}
 		}
@@ -190,13 +144,72 @@ func (sc *Scratch) preempt(g *taskgraph.Graph, sys *platform.System, res *core.R
 	}
 
 	// Deterministic segment order for consumers.
-	sort.Slice(out.Segments, func(i, j int) bool {
-		if out.Segments[i].Start != out.Segments[j].Start {
-			return out.Segments[i].Start < out.Segments[j].Start
-		}
-		return out.Segments[i].Proc < out.Segments[j].Proc
-	})
+	slices.SortFunc(out.Segments, segmentOrder)
 	return out, nil
+}
+
+// readyTime is when subtask v, whose inputs have all arrived by arrived,
+// becomes ready: no earlier than its release under RespectRelease.
+func readyTime(res *core.Result, cfg Config, v taskgraph.NodeID, arrived float64) float64 {
+	if cfg.RespectRelease && res.Release[v] > arrived {
+		return res.Release[v]
+	}
+	return arrived
+}
+
+// addSegment records that v runs on p over [start, end], extending p's last
+// segment when it is v's and ends at start.
+func (sc *Scratch) addSegment(out *Schedule, v taskgraph.NodeID, p int, start, end float64) {
+	if end < start {
+		end = start
+	}
+	if idx := sc.lastSeg[p]; idx >= 0 {
+		last := &out.Segments[idx]
+		if last.Node == v && math.Abs(last.End-start) <= simEps {
+			last.End = end
+			return
+		}
+	}
+	out.Segments = append(out.Segments, Segment{Node: v, Proc: p, Start: start, End: end})
+	sc.lastSeg[p] = len(out.Segments) - 1
+}
+
+// complete records v's completion at t and sends its messages: each
+// consumer whose last input this was gets a ready event.
+func (sc *Scratch) complete(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config,
+	base, out *Schedule, v taskgraph.NodeID, t float64) {
+
+	out.Finish[v] = t
+	out.Order = append(out.Order, v)
+	if t > out.Makespan {
+		out.Makespan = t
+	}
+	for _, m := range g.Succ(v) {
+		w := g.Succ(m)[0]
+		cost := sys.CommCost(base.Proc[v], base.Proc[w], g.Node(m).Size)
+		out.Start[m] = t
+		out.Finish[m] = t + cost
+		sc.pendingMsgs[w]--
+		if out.Finish[m] > sc.arrivedAt[w] {
+			sc.arrivedAt[w] = out.Finish[m]
+		}
+		if sc.pendingMsgs[w] == 0 {
+			sc.events = append(sc.events, readyEvent{t: readyTime(res, cfg, w, sc.arrivedAt[w]), v: w})
+		}
+	}
+}
+
+// segmentOrder orders segments by start, then processor. It is negative
+// exactly when a segment was "less" under the sort.Slice predicate it
+// replaces, so the sorted order is unchanged.
+func segmentOrder(a, b Segment) int {
+	if a.Start != b.Start {
+		if a.Start < b.Start {
+			return -1
+		}
+		return 1
+	}
+	return a.Proc - b.Proc
 }
 
 // Preemptions returns how many times subtasks were preempted: the number

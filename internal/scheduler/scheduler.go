@@ -121,11 +121,49 @@ func (sc *Scratch) Run(g *taskgraph.Graph, sys *platform.System, res *core.Resul
 	return sc.preempt(g, sys, res, cfg, s)
 }
 
-// dispatch is the one list scheduler. Messages travel over the platform's
-// bus model when cfg.Network is nil and over that multihop network
-// otherwise. The two models differ only in how a candidate processor's
-// inbound arrivals are costed (stBounded, mhBounded) and how the winner's
-// messages are committed (commitMessages, commitInbound).
+// ProcsUsed returns one more than the highest processor s places a subtask
+// on: the schedule uses only processors 0 to ProcsUsed()-1.
+func (s *Schedule) ProcsUsed() int {
+	used := 0
+	for _, p := range s.Proc {
+		if p >= used {
+			used = p + 1
+		}
+	}
+	return used
+}
+
+// Carries reports whether a schedule Run produced on from, using its first
+// used processors only (Schedule.ProcsUsed), is bit for bit the schedule
+// Run produces for the same graph and distribution on to under cfg. It
+// holds when from left a processor idle, to has at least used processors,
+// both are one platform.Class with interchangeable processors, and no
+// Network routes the messages. A subtask becomes ready once its producers
+// are placed, wherever they are placed, so the dispatch order is the same
+// on both. A processor above the used ones hosts no producer and is idle
+// throughout, so it offers every subtask the same start as processor used,
+// which from offered and never chose (ties go to the lower index). Hence
+// adding or removing such processors changes no placement, no bus plan and
+// no preemptive re-simulation.
+func Carries(used int, from, to *platform.System, cfg Config) bool {
+	if cfg.Network != nil || used >= from.NumProcs() || used > to.NumProcs() {
+		return false
+	}
+	cf, ok := from.Class()
+	if !ok || !cf.Interchangeable() {
+		return false
+	}
+	ct, ok := to.Class()
+	return ok && ct == cf
+}
+
+// dispatch is the one list scheduler: it places the subtasks in their
+// dispatch order (dispatchOrder), each on the processor that yields the
+// earliest start. Messages travel over the platform's bus model when
+// cfg.Network is nil and over that multihop network otherwise. The two
+// models differ only in how a candidate processor's inbound arrivals are
+// costed (stBounded, mhBounded) and how the winner's messages are
+// committed (commitMessages, commitInbound).
 func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg Config) (*Schedule, error) {
 	net := cfg.Network
 	if net != nil && net.NumProcs() != sys.NumProcs() {
@@ -137,17 +175,20 @@ func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, res *core.
 		return nil, fmt.Errorf("%d annotations for %d nodes: %w", len(res.Absolute), n, ErrBadSize)
 	}
 	sc.keys = resize(sc.keys, n)
-	if err := priorityKeysInto(sc.keys, g, res, cfg.Policy); err != nil {
+	changed, err := priorityKeysInto(sc.keys, g, res, cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	sc.bindProducers(g)
+	if err := sc.dispatchOrder(g, changed); err != nil {
 		return nil, err
 	}
 	contended := net == nil && sys.BusContention()
 	if contended || net != nil {
 		sc.buildMsgOrder(g, res)
 	}
-	sc.bindProducers(g)
 	prod := sc.prod
-	kinds, costs := g.Kinds(), g.Costs()
-	succOff, succAdj := g.SuccCSR()
+	costs := g.Costs()
 	predOff, predAdj := g.PredCSR()
 
 	s := sc.schedule(&sc.sched, n)
@@ -162,40 +203,11 @@ func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, res *core.
 	clear(sc.procFree)
 	procFree := sc.procFree
 	busFree := 0.0
+	// On a homogeneous platform every processor runs v for the same time,
+	// so it is computed once per subtask instead of once per candidate.
+	homogeneous := sys.Homogeneous()
 
-	// pendingPreds counts unscheduled ordinary-subtask predecessors
-	// (messages are transparent for readiness: a subtask is schedulable
-	// once its producing subtasks are placed). Initially-ready subtasks go
-	// straight onto the dispatch heap.
-	sc.pending = resize(sc.pending, n)
-	pendingPreds := sc.pending
-	sc.ready.reset(sc.keys)
-	numSubtasks := 0
-	for id := 0; id < n; id++ {
-		nid := taskgraph.NodeID(id)
-		pendingPreds[nid] = 0
-		if kinds[id] != taskgraph.KindSubtask {
-			continue
-		}
-		numSubtasks++
-		for _, m := range predAdj[predOff[id]:predOff[id+1]] {
-			pendingPreds[nid] += int(predOff[m+1] - predOff[m]) // each message has one producer
-		}
-		if pendingPreds[nid] == 0 {
-			sc.ready.push(nid)
-		}
-	}
-
-	for step := 0; step < numSubtasks; step++ {
-		if sc.ready.len() == 0 {
-			return nil, errors.New("internal: no schedulable subtask (cycle?)")
-		}
-		// Dispatch the highest-priority ready subtask (EDF: earliest
-		// absolute deadline); ties by NodeID for determinism. The heap's
-		// (key, NodeID) order makes pop pick exactly the subtask the old
-		// linear scan selected.
-		v := sc.ready.pop()
-
+	for _, v := range sc.order {
 		// Choose the processor yielding the earliest start time. Subtasks
 		// with strict locality constraints only consider their pinned
 		// processor.
@@ -227,9 +239,12 @@ func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, res *core.
 			}
 		}
 
+		exec := sys.ExecTime(costs[v], lo)
 		bestProc, bestStart, bestFinish := -1, math.Inf(1), math.Inf(1)
 		for p := lo; p < hi; p++ {
-			exec := sys.ExecTime(costs[v], p)
+			if !homogeneous {
+				exec = sys.ExecTime(costs[v], p)
+			}
 			var start float64
 			var ok bool
 			if net == nil {
@@ -268,21 +283,11 @@ func (sc *Scratch) dispatch(g *taskgraph.Graph, sys *platform.System, res *core.
 		s.Start[v] = bestStart
 		s.Finish[v] = bestFinish
 		procFree[bestProc] = bestFinish
-
-		s.Order = append(s.Order, v)
 		if bestFinish > s.Makespan {
 			s.Makespan = bestFinish
 		}
-
-		for _, m := range succAdj[succOff[v]:succOff[v+1]] {
-			for _, w := range succAdj[succOff[m]:succOff[m+1]] {
-				pendingPreds[w]--
-				if pendingPreds[w] == 0 {
-					sc.ready.push(w)
-				}
-			}
-		}
 	}
+	s.Order = append(s.Order, sc.order...)
 	return s, nil
 }
 

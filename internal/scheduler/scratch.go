@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"errors"
+
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/taskgraph"
 )
@@ -20,6 +22,12 @@ type Scratch struct {
 	pending  []int
 	procFree []float64
 	ready    readyHeap
+
+	// Dispatch order of the last run (dispatchOrder): the subtasks in
+	// placement order, computed for graph orderOf under the priority keys
+	// keys still holds. orderOf is nil when no order is held.
+	order   []taskgraph.NodeID
+	orderOf *taskgraph.Graph
 
 	// Preemptive-simulation buffers.
 	procReady   []readyHeap
@@ -50,10 +58,11 @@ type Scratch struct {
 	planBuf  []busInterval
 
 	// prod[m] is message m's producer subtask (its single predecessor),
-	// bound once per run so the dispatch inner loops stop re-deriving
-	// g.Pred(m)[0] through the CSR header per visit; taskgraph.None for
-	// non-message nodes.
-	prod []taskgraph.NodeID
+	// bound once per graph (prodOf) so the dispatch inner loops stop
+	// re-deriving g.Pred(m)[0] through the CSR header per visit;
+	// taskgraph.None for non-message nodes.
+	prod   []taskgraph.NodeID
+	prodOf *taskgraph.Graph
 
 	// Recycled schedules: the list scheduler's, and the preemptive
 	// simulation's, which is layered over the list scheduler's placement.
@@ -83,10 +92,15 @@ func (sc *Scratch) schedule(slot **Schedule, n int) *Schedule {
 	return s
 }
 
-// bindProducers fills prod for the bound graph. Messages are built by
+// bindProducers fills prod for g, unless it is already bound to g (a
+// graph's topology is immutable once built). Messages are built by
 // Builder.Connect with exactly one predecessor (the producing subtask), so
 // prod[m] = first CSR predecessor of m.
 func (sc *Scratch) bindProducers(g *taskgraph.Graph) {
+	if sc.prodOf == g {
+		return
+	}
+	sc.prodOf = g
 	n := g.NumNodes()
 	sc.prod = resize(sc.prod, n)
 	kinds := g.Kinds()
@@ -98,6 +112,69 @@ func (sc *Scratch) bindProducers(g *taskgraph.Graph) {
 			sc.prod[id] = taskgraph.None
 		}
 	}
+}
+
+// dispatchOrder fills order with the subtasks in the order the list
+// scheduler places them: repeatedly the ready subtask of least (key,
+// NodeID) under the keys in sc.keys, where a subtask is ready once all its
+// producers are placed. Readiness does not depend on where the producers
+// are placed, so the order is a function of the graph and the keys alone.
+// The previous run's order is kept when both are unchanged (keysChanged,
+// from priorityKeysInto, compares the keys bit for bit), as they are when
+// one distribution is scheduled on several platforms.
+func (sc *Scratch) dispatchOrder(g *taskgraph.Graph, keysChanged bool) error {
+	if sc.orderOf == g && !keysChanged {
+		return nil
+	}
+	sc.orderOf = nil
+	n := g.NumNodes()
+	kinds := g.Kinds()
+	succOff, succAdj := g.SuccCSR()
+	predOff, predAdj := g.PredCSR()
+
+	// pending counts unplaced producers (messages are transparent for
+	// readiness: a subtask is schedulable once its producing subtasks are
+	// placed). Initially-ready subtasks go straight onto the heap.
+	sc.pending = resize(sc.pending, n)
+	pending := sc.pending
+	sc.ready.reset(sc.keys)
+	numSubtasks := 0
+	for id := 0; id < n; id++ {
+		pending[id] = 0
+		if kinds[id] != taskgraph.KindSubtask {
+			continue
+		}
+		numSubtasks++
+		for _, m := range predAdj[predOff[id]:predOff[id+1]] {
+			pending[id] += int(predOff[m+1] - predOff[m]) // each message has one producer
+		}
+		if pending[id] == 0 {
+			sc.ready.push(taskgraph.NodeID(id))
+		}
+	}
+	if cap(sc.order) < numSubtasks {
+		sc.order = make([]taskgraph.NodeID, 0, numSubtasks)
+	}
+	sc.order = sc.order[:0]
+	for range numSubtasks {
+		if sc.ready.len() == 0 {
+			return errors.New("internal: no schedulable subtask (cycle?)")
+		}
+		// The heap's (key, NodeID) order is a strict total order, so pop
+		// yields the unique highest-priority ready subtask.
+		v := sc.ready.pop()
+		sc.order = append(sc.order, v)
+		for _, m := range succAdj[succOff[v]:succOff[v+1]] {
+			for _, w := range succAdj[succOff[m]:succOff[m+1]] {
+				pending[w]--
+				if pending[w] == 0 {
+					sc.ready.push(w)
+				}
+			}
+		}
+	}
+	sc.orderOf = g
+	return nil
 }
 
 // buildMsgOrder fills msgOrder with every subtask's predecessor messages in

@@ -23,7 +23,7 @@ func runShadow(g *taskgraph.Graph, sys *platform.System, res *core.Result, cfg C
 	sc := NewScratch()
 	n := g.NumNodes()
 	sc.keys = resize(sc.keys, n)
-	if err := priorityKeysInto(sc.keys, g, res, cfg.Policy); err != nil {
+	if _, err := priorityKeysInto(sc.keys, g, res, cfg.Policy); err != nil {
 		return nil, err
 	}
 	if sys.BusContention() {

@@ -85,10 +85,13 @@ type shard[K comparable, V any] struct {
 	_       [40]byte
 }
 
-// entry is one singleflight slot. val and err are written once, before
-// ready is closed.
+// entry is one singleflight slot. done, val and err are written once,
+// under the shard mutex. ready is made by the first caller that finds the
+// entry unsettled and is closed when it settles, so an entry nobody waits
+// for costs one allocation.
 type entry[V any] struct {
 	ready chan struct{}
+	done  bool
 	val   V
 	err   error
 }
@@ -120,10 +123,18 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func(Outcome) (V, error)
 	s := &c.shards[c.hash(key)&c.mask]
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
-		s.mu.Unlock()
 		c.hits.Add(1)
+		if e.done {
+			s.mu.Unlock()
+			return e.val, Hit, e.err
+		}
+		if e.ready == nil {
+			e.ready = make(chan struct{})
+		}
+		ready := e.ready
+		s.mu.Unlock()
 		select {
-		case <-e.ready:
+		case <-ready:
 			return e.val, Hit, e.err
 		case <-ctx.Done():
 			var zero V
@@ -146,7 +157,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func(Outcome) (V, error)
 	}
 	var e *entry[V]
 	if out != Rejected {
-		e = &entry[V]{ready: make(chan struct{})}
+		e = &entry[V]{}
 		s.entries[key] = e
 	}
 	s.mu.Unlock()
@@ -172,22 +183,30 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fn func(Outcome) (V, error)
 		c.release(s, key, e, werr)
 		return v, out, err
 	}
-	e.val = v
-	close(e.ready)
+	s.mu.Lock()
+	e.val, e.done = v, true
+	ready := e.ready
+	s.mu.Unlock()
+	if ready != nil {
+		close(ready)
+	}
 	return v, out, nil
 }
 
 // release frees a failed owner's slot and hands err to its waiters. The
-// key is deleted before ready is closed, so no later caller can join a
+// key is deleted as the entry settles, so no later caller can join a
 // failed entry.
 func (c *Cache[K, V]) release(s *shard[K, V], key K, e *entry[V], err error) {
 	s.mu.Lock()
 	if s.entries[key] == e {
 		delete(s.entries, key)
 	}
+	e.err, e.done = err, true
+	ready := e.ready
 	s.mu.Unlock()
-	e.err = err
-	close(e.ready)
+	if ready != nil {
+		close(ready)
+	}
 }
 
 // Peek returns the cached value for key if it is a settled success,
@@ -195,16 +214,9 @@ func (c *Cache[K, V]) release(s *shard[K, V], key K, e *entry[V], err error) {
 func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	s := &c.shards[c.hash(key)&c.mask]
 	s.mu.Lock()
-	e, ok := s.entries[key]
-	s.mu.Unlock()
-	if ok {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				return e.val, true
-			}
-		default:
-		}
+	defer s.mu.Unlock()
+	if e, ok := s.entries[key]; ok && e.done && e.err == nil {
+		return e.val, true
 	}
 	var zero V
 	return zero, false
