@@ -373,12 +373,12 @@ func BenchmarkAblationOLRBasis(b *testing.B) { benchFigure(b, "olr") }
 // BenchmarkAblationDispatch regenerates the dispatch-model ablation.
 func BenchmarkAblationDispatch(b *testing.B) { benchFigure(b, "dispatch") }
 
-// uncachedAssigner defeats the fingerprint cache by declaring its
-// fingerprint unknown, which forces a fresh Assign at every system size.
+// uncachedAssigner defeats the fingerprint cache with a fingerprint that
+// is the processor count, which forces a fresh Assign at every system size.
 type uncachedAssigner struct{ experiment.Assigner }
 
-func (u uncachedAssigner) Fingerprint([]float64, *Graph, *System, *Scratch) ([]float64, bool) {
-	return nil, false
+func (u uncachedAssigner) Fingerprint(dst []float64, _ *Graph, sys *System, _ *Scratch) ([]float64, error) {
+	return append(dst[:0], float64(sys.NumProcs())), nil
 }
 
 // BenchmarkEngineFingerprintCache runs the same sweep twice: once with the

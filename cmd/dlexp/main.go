@@ -81,7 +81,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		verify     = fs.Bool("verify", false, "evaluate the paper's claims against the reproduced tables")
 		reportPath = fs.String("report", "", "write a Markdown reproduction report to this file")
 		stats      = fs.Bool("stats", false, "print per-stage engine timings and fingerprint-cache traffic")
-		crossCap   = fs.Int("cross-cap", 0, "cross-table assignment cache capacity in entries (0 = default 65536)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 		mutexProf  = fs.String("mutexprofile", "", "write a mutex-contention profile to this file at exit")
@@ -159,7 +158,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	orc := experiment.NewOrchestrator(*workers)
 	defer orc.Close()
 	base.Orchestrator = orc
-	orc.SetCrossCacheCap(*crossCap)
 
 	// The ops endpoint and the progress line are fed by the same recorder
 	// as -stats, so asking for either turns recording on.

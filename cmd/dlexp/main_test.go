@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -293,17 +294,31 @@ func TestRunVerifyMode(t *testing.T) {
 	}
 }
 
+// TestRunStats checks the -stats block, including its "schedule reuse"
+// line, and that the pool size does not change the reuse counts.
 func TestRunStats(t *testing.T) {
-	var buf bytes.Buffer
-	err := run(context.Background(), []string{"-figure", "2", "-graphs", "2", "-sizes", "2,4", "-stats"}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"stage", "assign", "schedule", "fingerprint cache", "hit rate"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-stats output missing %q", want)
+	reuse := regexp.MustCompile(`(?m)^schedule reuse: [1-9]\d* of \d+ cells \(\d+ past idle processors, \d+ cross-table\)$`)
+	var lines []string
+	for _, workers := range []string{"1", "4"} {
+		var buf bytes.Buffer
+		args := []string{"-figure", "2", "-graphs", "2", "-sizes", "2-8", "-stats", "-workers", workers}
+		if err := run(context.Background(), args, &buf); err != nil {
+			t.Fatal(err)
 		}
+		out := buf.String()
+		for _, want := range []string{"stage", "assign", "schedule", "fingerprint cache", "hit rate"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("-stats output missing %q", want)
+			}
+		}
+		line := reuse.FindString(out)
+		if line == "" {
+			t.Fatalf("-workers %s: no schedule reuse line in -stats output:\n%s", workers, out)
+		}
+		lines = append(lines, line)
+	}
+	if lines[0] != lines[1] {
+		t.Errorf("schedule reuse differs with the pool size:\n-workers 1: %s\n-workers 4: %s", lines[0], lines[1])
 	}
 }
 

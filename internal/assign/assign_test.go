@@ -160,13 +160,15 @@ func TestClusterErrors(t *testing.T) {
 		t.Fatalf("nil inputs: %v", err)
 	}
 	// A negative or infinite per-item cost would let the skipped
-	// critical-path check reject merges, so Cluster refuses it.
+	// critical-path check reject merges, so Cluster refuses it. platform.New
+	// refuses such costs on its own topologies, so a topology defined here
+	// carries them.
 	g, err := generator.Random(generator.Default(generator.MDET), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cost := range []float64{-1, math.Inf(1)} {
-		s, err := platform.New(4, platform.WithTopology(platform.SharedBus{PerItemCost: cost}))
+		s, err := platform.New(4, platform.WithTopology(flatBus{cost}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,6 +176,19 @@ func TestClusterErrors(t *testing.T) {
 			t.Errorf("PerItemCost %v: got %v, want ErrBadCommCost", cost, err)
 		}
 	}
+}
+
+// flatBus costs a message as platform.SharedBus does, but New cannot check
+// the cost of a topology defined outside its package.
+type flatBus struct{ perItem float64 }
+
+func (flatBus) Name() string { return "flat-bus" }
+
+func (b flatBus) CommCost(from, to int, size float64) float64 {
+	if from == to {
+		return 0
+	}
+	return b.perItem * size
 }
 
 func TestApplyPinsEverything(t *testing.T) {

@@ -56,9 +56,9 @@ func TestDeadlineMidDPNeverPublishes(t *testing.T) {
 	}
 	bm := newBlockingMetric()
 	asg := Slicing(bm, core.CCNE())
-	fp, ok := asg.Fingerprint(nil, g, sys, nil)
-	if !ok {
-		t.Fatal("fingerprint not known")
+	fp, err := asg.Fingerprint(nil, g, sys, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

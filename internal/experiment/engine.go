@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,16 +39,14 @@ type Assigner interface {
 	Label() string
 	// Fingerprint writes into dst a value that fully determines the
 	// assignment's dependence on the platform for a given graph: two
-	// platforms with equal fingerprints yield identical assignments, so
-	// results can be cached across the system-size sweep. Like Assign, it
-	// may reuse dst's storage (reallocating when short) and run on the
-	// pooled working set sc; both may be nil. An empty fingerprint with
-	// ok=true means the assignment is platform-independent (always
-	// cacheable). ok=false means the dependence could not be determined
-	// (e.g. a platform-dependent estimator failed to build); unknown
-	// fingerprints are never cached and never match, so Assign runs
-	// afresh and surfaces the underlying error.
-	Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) (fp []float64, ok bool)
+	// platforms with bit-identical fingerprints yield identical
+	// assignments, so results can be cached across the system-size sweep.
+	// Like Assign, it may reuse dst's storage (reallocating when short) and
+	// run on the pooled working set sc; both may be nil. An empty
+	// fingerprint means the assignment is platform-independent. An error
+	// (e.g. a platform-dependent estimator failed to build) fails the cell
+	// as an Assign error does.
+	Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, error)
 	// Assign produces the annotated graph. The slicing assigners poll ctx
 	// between slicing rounds and return ctx.Err() once it settles, may
 	// overwrite and return recycle (a Result the caller has finished
@@ -76,8 +73,8 @@ func (a slicingAssigner) Label() string {
 	return a.dist.Metric.Name() + "/" + a.dist.Estimator.Name()
 }
 
-func (a slicingAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
-	return a.dist.CostVectors(dst, g, sys, sc), true
+func (a slicingAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, error) {
+	return a.dist.CostVectors(dst, g, sys, sc), nil
 }
 
 func (a slicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -104,16 +101,12 @@ func SlicingDyn(m core.Metric, label string,
 
 func (a dynSlicingAssigner) Label() string { return a.label }
 
-func (a dynSlicingAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
+func (a dynSlicingAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, error) {
 	e, err := a.est(sys)
 	if err != nil {
-		// Unknown: never cached, never matched, so the engine always runs
-		// a fresh Assign, which surfaces the error. (A plain nil here would
-		// collide with the platform-independent sentinel and silently reuse
-		// a stale distribution cached at an earlier size.)
-		return nil, false
+		return nil, err
 	}
-	return core.Distributor{Metric: a.metric, Estimator: e}.CostVectors(dst, g, sys, sc), true
+	return core.Distributor{Metric: a.metric, Estimator: e}.CostVectors(dst, g, sys, sc), nil
 }
 
 func (a dynSlicingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -137,8 +130,8 @@ func Baseline(s strategy.Strategy) Assigner { return baselineAssigner{s: s} }
 
 func (a baselineAssigner) Label() string { return a.s.Name() }
 
-func (a baselineAssigner) Fingerprint(dst []float64, _ *taskgraph.Graph, _ *platform.System, _ *core.Scratch) ([]float64, bool) {
-	return dst[:0], true // platform-independent
+func (a baselineAssigner) Fingerprint(dst []float64, _ *taskgraph.Graph, _ *platform.System, _ *core.Scratch) ([]float64, error) {
+	return dst[:0], nil // platform-independent
 }
 
 func (a baselineAssigner) Assign(_ context.Context, g *taskgraph.Graph, _ *platform.System,
@@ -150,8 +143,9 @@ func (a baselineAssigner) Assign(_ context.Context, g *taskgraph.Graph, _ *platf
 // compute a full static task assignment first (Sarkar-style clustering +
 // load balancing), pin it into the graph, then distribute deadlines with
 // exact communication costs (the original BST's strict-locality mode).
+// It fingerprints and assigns as the slicing assigner it embeds.
 type assignFirst struct {
-	dist core.Distributor
+	slicingAssigner
 }
 
 var (
@@ -161,7 +155,7 @@ var (
 
 // AssignFirst wraps a metric in the assignment-before-distribution flow.
 func AssignFirst(m core.Metric) Assigner {
-	return assignFirst{dist: core.Distributor{Metric: m, Estimator: core.CCKnown(nil)}}
+	return assignFirst{slicingAssigner{dist: core.Distributor{Metric: m, Estimator: core.CCKnown(nil)}}}
 }
 
 func (a assignFirst) Label() string { return a.dist.Metric.Name() + "/assign-first" }
@@ -172,15 +166,6 @@ func (a assignFirst) Transform(g *taskgraph.Graph, sys *platform.System) (*taskg
 		return nil, err
 	}
 	return assign.Apply(g, mapping)
-}
-
-func (a assignFirst) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
-	return a.dist.CostVectors(dst, g, sys, sc), true
-}
-
-func (a assignFirst) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
-	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
-	return a.dist.DistributeScratchContext(ctx, g, sys, recycle, sc)
 }
 
 // improvedAssigner wraps a slicing distribution with the reference-[3]
@@ -203,15 +188,15 @@ func (a improvedAssigner) Label() string {
 	return a.dist.Metric.Name() + "+improve"
 }
 
-func (a improvedAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, bool) {
+func (a improvedAssigner) Fingerprint(dst []float64, g *taskgraph.Graph, sys *platform.System, sc *core.Scratch) ([]float64, error) {
 	// Improvement schedules on the concrete platform, so the outcome
 	// always depends on the processor count.
-	return append(a.dist.CostVectors(dst, g, sys, sc), float64(sys.NumProcs())), true
+	return append(a.dist.CostVectors(dst, g, sys, sc), float64(sys.NumProcs())), nil
 }
 
-func (a improvedAssigner) Assign(_ context.Context, g *taskgraph.Graph, sys *platform.System,
+func (a improvedAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
 	_ *core.Result, sc *core.Scratch) (*core.Result, error) {
-	res, err := a.dist.DistributeScratch(g, sys, nil, sc)
+	res, err := a.dist.DistributeScratchContext(ctx, g, sys, nil, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -222,26 +207,8 @@ func (a improvedAssigner) Assign(_ context.Context, g *taskgraph.Graph, sys *pla
 	return out.Distribution, nil
 }
 
-// Measure maps one completed run to the observed quantity.
-type Measure func(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64
-
-// MaxLateness is the paper's measure: maximum subtask lateness in the
-// final schedule.
-func MaxLateness(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64 {
-	return sched.MaxLateness(g, res)
-}
-
-// Makespan measures the schedule length instead.
-func Makespan(_ *taskgraph.Graph, _ *core.Result, sched *scheduler.Schedule) float64 {
-	return sched.Makespan
-}
-
-// EndToEndLateness measures output lateness against end-to-end deadlines.
-func EndToEndLateness(g *taskgraph.Graph, _ *core.Result, sched *scheduler.Schedule) float64 {
-	return sched.EndToEndLateness(g)
-}
-
-// Config parameterizes one experiment run.
+// Config parameterizes one experiment run. Every cell measures the
+// paper's quality measure: the maximum subtask lateness of its schedule.
 type Config struct {
 	// Workload is the task-graph generator configuration.
 	Workload generator.Config
@@ -264,8 +231,6 @@ type Config struct {
 	// (reference [13]-style real-time channels) instead of the
 	// contention-free platform costs.
 	Network func(n int) (*channel.Network, error)
-	// Measure maps a run to the observed value (default MaxLateness).
-	Measure Measure
 	// Workers sizes the run's own pool when Orchestrator is nil (default
 	// GOMAXPROCS). Ignored when Orchestrator is set — the shared pool's
 	// size governs instead.
@@ -300,10 +265,6 @@ type Config struct {
 	// in. Shared across runs, it drives dlexp's /progress endpoint and the
 	// periodic stderr progress line.
 	Progress *obs.Progress
-	// MaxErrors caps how many distinct graph-pipeline errors Run reports
-	// before summarizing the rest (default 8). The first error cancels the
-	// remaining pipelines either way.
-	MaxErrors int
 	// UnitTimeout bounds one attempt of one unit of pool work (one graph
 	// through every assigner × size cell). An attempt exceeding it is
 	// abandoned — its private buffers are discarded and its worker replaced
@@ -403,7 +364,8 @@ type Table struct {
 var ErrNoAssigners = errors.New("experiment needs at least one assigner")
 
 // defaultMaxErrors bounds the number of distinct graph-pipeline errors one
-// Run reports when Config.MaxErrors is unset.
+// Run reports before summarizing the rest. The first error cancels the
+// remaining pipelines either way.
 const defaultMaxErrors = 8
 
 // Run executes the full pipeline for every assigner over the size sweep and
@@ -432,10 +394,6 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	}
 	if len(cfg.Sizes) == 0 {
 		return nil, errors.New("empty system-size sweep")
-	}
-	measure := cfg.Measure
-	if measure == nil {
-		measure = MaxLateness
 	}
 	makeSys := cfg.Platform
 	if makeSys == nil {
@@ -527,7 +485,6 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 		systems:   systems,
 		nets:      nets,
 		assigners: assigners,
-		measure:   measure,
 		crossOK:   batchShared,
 		models:    cfg.cacheModels(batchShared, systems, nets),
 		vals:      vals,
@@ -538,13 +495,9 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	// Fail fast: the first error stops feeding the pool and makes the
 	// workers drain the remaining jobs without running them, instead of
 	// burning the rest of the batch. Every distinct error is collected (up
-	// to MaxErrors) so one bad strategy does not mask another. Cancellation
-	// (SIGINT, budget) drains the same way but records no error — the
-	// partial-table path below reports it instead.
-	maxErrors := cfg.MaxErrors
-	if maxErrors <= 0 {
-		maxErrors = defaultMaxErrors
-	}
+	// to defaultMaxErrors) so one bad strategy does not mask another.
+	// Cancellation (SIGINT, budget) drains the same way but records no
+	// error — the partial-table path below reports it instead.
 	uctx, ucancel := context.WithCancel(rctx)
 	defer ucancel()
 	var (
@@ -555,7 +508,7 @@ func (cfg Config) RunContext(ctx context.Context, title string, assigners ...Ass
 	fail := func(gi int, err error) {
 		cfg.Progress.UnitFailed(title)
 		mu.Lock()
-		if len(errs) < maxErrors {
+		if len(errs) < defaultMaxErrors {
 			errs = append(errs, fmt.Errorf("graph %d: %w", gi, err))
 		} else {
 			omitted++
@@ -660,7 +613,6 @@ type unitEnv struct {
 	systems   []*platform.System
 	nets      []*channel.Network
 	assigners []Assigner
-	measure   Measure
 	crossOK   bool
 	// models[si] is the outcome-cache model id of size si, 0 where the
 	// cache keys no cell (see cacheModels).
@@ -871,12 +823,11 @@ func (c stageClock) span(s metrics.Stage, label string, size int, t0 time.Time, 
 }
 
 // cacheModels returns the outcome-cache model id of every size: 0 unless
-// the batch is shared (only shared graphs key the cross-table caches), the
-// table keeps the default measure (an outcome holds its value), no network
-// routes the messages and the platform has a class.
+// the batch is shared (only shared graphs key the cross-table caches), no
+// network routes the messages and the platform has a class.
 func (cfg Config) cacheModels(batchShared bool, systems []*platform.System, nets []*channel.Network) []uint32 {
 	models := make([]uint32, len(systems))
-	if !batchShared || cfg.Measure != nil {
+	if !batchShared {
 		return models
 	}
 	scfg := cfg.Scheduler
@@ -916,7 +867,7 @@ func (cfg Config) batchID() generator.BatchID {
 }
 
 // runGraph runs graph gi through every assigner and size, reusing the
-// distribution when its fingerprint is known and unchanged across sizes.
+// distribution while its fingerprint's bits are unchanged across sizes.
 // When crossOK is set (a run over a shared batch), per-run cache misses
 // consult the orchestrator's cross-table assignment cache before
 // computing. Every stage is timed once through a stageClock: with metrics
@@ -945,7 +896,6 @@ func (e *unitEnv) runGraph(ctx context.Context, gi int, out [][]float64, w *pool
 		// The cached fingerprint is w.fpCached; it is only read while
 		// cachedRes is set, so an earlier assigner's value never matches.
 		var (
-			cachedKnown  bool
 			cachedRes    *core.Result
 			cachedShared bool
 			row          rowOutcome
@@ -968,12 +918,12 @@ func (e *unitEnv) runGraph(ctx context.Context, gi int, out [][]float64, w *pool
 				}
 			}
 			t0 := clk.start()
-			fp, known := asg.Fingerprint(w.fp, gg, sys, w.dist)
+			fp, err := asg.Fingerprint(w.fp, gg, sys, w.dist)
+			if err != nil {
+				return fmt.Errorf("%s: %w", label, err)
+			}
 			w.fp = fp
-			// Reuse only when both fingerprints are known: an unknown
-			// fingerprint (ok=false) never matches anything, so Assign runs
-			// afresh and surfaces whatever failed during fingerprinting.
-			hit := cachedRes != nil && cachedKnown && known && equalFP(fp, w.fpCached)
+			hit := cachedRes != nil && sameBits(fp, w.fpCached)
 			cacheTag := "miss"
 			if hit {
 				cacheTag = "hit"
@@ -986,9 +936,8 @@ func (e *unitEnv) runGraph(ctx context.Context, gi int, out [][]float64, w *pool
 				var (
 					res    *core.Result
 					shared bool
-					err    error
 				)
-				if e.crossOK && known && transformer == nil {
+				if e.crossOK && transformer == nil {
 					// Transformed graphs are per-size values, so only
 					// untransformed runs key the cross-table cache.
 					t0 = cfg.Trace.Now()
@@ -1017,7 +966,7 @@ func (e *unitEnv) runGraph(ctx context.Context, gi int, out [][]float64, w *pool
 				if cachedRes != nil && !cachedShared {
 					w.spare = cachedRes
 				}
-				cachedRes, cachedKnown, cachedShared = res, known, shared
+				cachedRes, cachedShared = res, shared
 				// fp becomes the cached fingerprint and the old cached
 				// buffer the next cell's.
 				w.fp, w.fpCached = w.fpCached, fp
@@ -1092,7 +1041,7 @@ func (e *unitEnv) cell(ctx context.Context, clk stageClock, w *poolWorker, row *
 		return e.schedule(clk, w, row, c)
 	}
 	t0 := e.cfg.Trace.Now()
-	key := outcomeKey{g: c.g, res: resultHash(c.res), model: e.models[c.si]}
+	key := outcomeKey{g: c.g, res: bitsHash(c.res.Release, c.res.Absolute), model: e.models[c.si]}
 	val, used, hit, err := e.cfg.Orchestrator.outcome(ctx, key, c.res, func() (float64, int, error) {
 		val, err := e.schedule(clk, w, row, c)
 		return val, row.used, err
@@ -1142,7 +1091,7 @@ func (e *unitEnv) evaluate(clk stageClock, c cellIn, sched *scheduler.Schedule) 
 		}
 	}
 	t0 := clk.start()
-	v := e.measure(c.g, c.res, sched)
+	v := sched.MaxLateness(c.g, c.res)
 	clk.done(metrics.StageMeasure, c.label, c.sys.NumProcs(), t0, "")
 	return v, nil
 }
@@ -1233,25 +1182,6 @@ func (cfg Config) batch() ([]*taskgraph.Graph, error) {
 		}
 	}
 	return graphs, nil
-}
-
-// equalFP reports whether two known fingerprints are elementwise equal.
-// nil and empty are interchangeable (both mean "no platform dependence");
-// "unknown" is expressed by the ok=false return of Fingerprint, not by a
-// sentinel value, so equality here is plain and symmetric. NaN elements
-// compare equal to each other (bit-style equality): a NaN-bearing
-// fingerprint that reproduces identically at every size must hit the cache,
-// not miss it at each sweep step.
-func equalFP(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-			return false
-		}
-	}
-	return true
 }
 
 func scenarioName(w generator.Config) string {

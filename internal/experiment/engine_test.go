@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"regexp"
 	"runtime"
@@ -165,27 +166,6 @@ func TestBaselineAssigner(t *testing.T) {
 	}
 	if table.Curves[0].Points[0].Stats.N() != cfg.Graphs {
 		t.Error("baseline curve incomplete")
-	}
-}
-
-func TestMeasureOverride(t *testing.T) {
-	cfg := tiny()
-	cfg.Measure = Makespan
-	table, err := cfg.Run("makespan", Slicing(core.PURE(), core.CCNE()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Makespans are positive; lateness would be mostly negative here.
-	for _, p := range table.Curves[0].Points {
-		if p.Stats.Mean() <= 0 {
-			t.Errorf("size %d: makespan mean %v, want > 0", p.Size, p.Stats.Mean())
-		}
-	}
-	// More processors cannot increase the makespan much.
-	m2, _ := table.Mean("PURE/CCNE", 2)
-	m8, _ := table.Mean("PURE/CCNE", 8)
-	if m8 > m2 {
-		t.Errorf("makespan grew with processors: %v at 2, %v at 8", m2, m8)
 	}
 }
 
@@ -374,9 +354,9 @@ func TestFingerprintWarmZeroAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := core.NewScratch()
-			fp, ok := tc.a.Fingerprint(nil, g, sys, sc)
-			if !ok || len(fp) != tc.len {
-				t.Fatalf("fingerprint: ok=%v len=%d, want ok and len %d", ok, len(fp), tc.len)
+			fp, err := tc.a.Fingerprint(nil, g, sys, sc)
+			if err != nil || len(fp) != tc.len {
+				t.Fatalf("fingerprint: err=%v len=%d, want len %d", err, len(fp), tc.len)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				fp, _ = tc.a.Fingerprint(fp, g, sys, sc)
@@ -447,21 +427,6 @@ func TestEvaluatePropagatesOtherPanics(t *testing.T) {
 	}()
 	evaluate(Claim{ID: "X", Check: func(map[string][]*Table) (bool, string) { panic("boom") }}, nil)
 	t.Fatal("evaluate swallowed the panic")
-}
-
-func TestEndToEndLatenessMeasure(t *testing.T) {
-	cfg := tiny()
-	cfg.Measure = EndToEndLateness
-	table, err := cfg.Run("e2e", Slicing(core.PURE(), core.CCNE()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feasible workloads: every output meets its end-to-end deadline.
-	for _, p := range table.Curves[0].Points {
-		if p.Stats.Max() > 0 {
-			t.Errorf("size %d: end-to-end lateness %v > 0", p.Size, p.Stats.Max())
-		}
-	}
 }
 
 func TestCustomBatch(t *testing.T) {
@@ -590,7 +555,12 @@ func TestNetworkedRun(t *testing.T) {
 	}
 }
 
+// TestEqualFPSymmetric pins the fingerprint equality, sameBits: symmetric,
+// nil equal to empty, and bit-exact (a NaN matches its own bits, -0 does
+// not match +0).
 func TestEqualFPSymmetric(t *testing.T) {
+	nan := math.NaN()
+	otherNaN := math.Float64frombits(math.Float64bits(nan) ^ 1)
 	cases := []struct {
 		name string
 		a, b []float64
@@ -605,64 +575,28 @@ func TestEqualFPSymmetric(t *testing.T) {
 		{"diff-len", []float64{1}, []float64{1, 2}, false},
 		{"nil-nonempty", nil, []float64{1}, false},
 		{"nonempty-nil", []float64{1}, nil, false},
+		{"same-nan", []float64{nan, 1}, []float64{nan, 1}, true},
+		{"other-nan", []float64{nan}, []float64{otherNaN}, false},
+		{"signed-zero", []float64{0}, []float64{math.Copysign(0, -1)}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := equalFP(c.a, c.b); got != c.want {
-				t.Errorf("equalFP(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+			if got := sameBits(c.a, c.b); got != c.want {
+				t.Errorf("sameBits(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 			}
-			if fwd, rev := equalFP(c.a, c.b), equalFP(c.b, c.a); fwd != rev {
-				t.Errorf("equalFP asymmetric on (%v, %v): %v vs %v", c.a, c.b, fwd, rev)
+			if fwd, rev := sameBits(c.a, c.b), sameBits(c.b, c.a); fwd != rev {
+				t.Errorf("sameBits asymmetric on (%v, %v): %v vs %v", c.a, c.b, fwd, rev)
+			}
+			if c.want && bitsHash(c.a) != bitsHash(c.b) {
+				t.Errorf("bitsHash differs on equal (%v, %v)", c.a, c.b)
 			}
 		})
 	}
 }
 
-// flakyEstFactory models a transiently failing platform-dependent
-// estimator (e.g. network construction): the first call for each platform
-// size errors, retries succeed. Not safe for concurrent use — run with
-// Workers = 1.
-func flakyEstFactory() func(sys *platform.System) (core.CommEstimator, error) {
-	failed := map[int]bool{}
-	return func(sys *platform.System) (core.CommEstimator, error) {
-		if n := sys.NumProcs(); !failed[n] {
-			failed[n] = true
-			return nil, errors.New("transient estimator failure")
-		}
-		return core.CCNE(), nil
-	}
-}
-
-// TestUnknownFingerprintNotReusedAcrossSizes is the regression test for the
-// nil-fingerprint cache collision: dynSlicingAssigner.Fingerprint used to
-// return a plain nil on estimator error, which compared equal to a nil
-// fingerprint cached at an earlier size, so the engine silently reused the
-// stale distribution. With the ok=false convention the engine must run a
-// fresh Assign at every size whose fingerprint is unknown, making the sweep
-// agree with a standalone run of the larger size.
-func TestUnknownFingerprintNotReusedAcrossSizes(t *testing.T) {
-	run := func(sizes []int) *Table {
-		cfg := tiny()
-		cfg.Sizes = sizes
-		cfg.Workers = 1 // the flaky factory below is stateful
-		table, err := cfg.Run("flaky", SlicingDyn(core.ADAPT(1.25), "ADAPT/flaky", flakyEstFactory()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return table
-	}
-	sweep := run([]int{2, 16})
-	alone := run([]int{16})
-	ms, _ := sweep.Mean("ADAPT/flaky", 16)
-	ma, _ := alone.Mean("ADAPT/flaky", 16)
-	if ms != ma {
-		t.Fatalf("sweep reused a stale distribution at size 16: mean %v, standalone %v", ms, ma)
-	}
-}
-
-// TestPersistentEstimatorFailureSurfaces: when the factory fails for a size
-// on every call, the error must abort the run instead of being swallowed by
-// a cache hit.
+// TestPersistentEstimatorFailureSurfaces: when the factory fails for a size,
+// the fingerprint's error must fail that cell, naming its strategy, instead
+// of being swallowed by a cache hit on the distribution of an earlier size.
 func TestPersistentEstimatorFailureSurfaces(t *testing.T) {
 	cfg := tiny()
 	cfg.Sizes = []int{2, 16}
@@ -674,23 +608,33 @@ func TestPersistentEstimatorFailureSurfaces(t *testing.T) {
 		return core.CCNE(), nil
 	}
 	_, err := cfg.Run("persistent", SlicingDyn(core.ADAPT(1.25), "ADAPT/dyn", factory))
-	if err == nil || !strings.Contains(err.Error(), "no estimator for 16 processors") {
+	if err == nil || !strings.Contains(err.Error(), "ADAPT/dyn: no estimator for 16 processors") {
 		t.Fatalf("estimator failure not surfaced: %v", err)
 	}
 }
 
-// countingAssigner delegates to a slicing strategy but reports a fixed
-// fingerprint state and counts Assign calls.
+// perSizeFP is the fingerprint of an assignment that depends on the
+// processor count alone: it never matches across sizes.
+func perSizeFP(dst []float64, sys *platform.System) []float64 {
+	return append(dst[:0], float64(sys.NumProcs()))
+}
+
+// countingAssigner delegates to a slicing strategy but reports an empty
+// fingerprint, or the processor count when perSize is set, and counts
+// Assign calls.
 type countingAssigner struct {
 	inner   Assigner
-	known   bool
+	perSize bool
 	assigns *atomic.Int64
 }
 
 func (c countingAssigner) Label() string { return c.inner.Label() }
 
-func (c countingAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
-	return nil, c.known
+func (c countingAssigner) Fingerprint(dst []float64, _ *taskgraph.Graph, sys *platform.System, _ *core.Scratch) ([]float64, error) {
+	if c.perSize {
+		return perSizeFP(dst, sys), nil
+	}
+	return dst[:0], nil
 }
 
 func (c countingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -700,51 +644,64 @@ func (c countingAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *p
 }
 
 func TestFingerprintCacheTraffic(t *testing.T) {
-	// A known platform-independent fingerprint assigns once per graph; an
-	// unknown fingerprint assigns once per graph and size. The recorder
-	// sees exactly the complementary hit/miss counts.
-	for _, known := range []bool{true, false} {
+	// A platform-independent fingerprint assigns once per graph; a per-size
+	// fingerprint assigns once per graph and size. The recorder sees
+	// exactly the complementary hit/miss counts.
+	for _, perSize := range []bool{false, true} {
 		cfg := tiny() // 6 graphs, 2 sizes
 		rec := metrics.New()
 		cfg.Metrics = rec
 		var assigns atomic.Int64
-		asg := countingAssigner{inner: Slicing(core.PURE(), core.CCNE()), known: known, assigns: &assigns}
+		asg := countingAssigner{inner: Slicing(core.PURE(), core.CCNE()), perSize: perSize, assigns: &assigns}
 		if _, err := cfg.Run("traffic", asg); err != nil {
 			t.Fatal(err)
 		}
 		pipelines := int64(cfg.Graphs * len(cfg.Sizes))
 		wantAssigns := int64(cfg.Graphs)
-		if !known {
+		if perSize {
 			wantAssigns = pipelines
 		}
 		if got := assigns.Load(); got != wantAssigns {
-			t.Errorf("known=%v: %d Assign calls, want %d", known, got, wantAssigns)
+			t.Errorf("perSize=%v: %d Assign calls, want %d", perSize, got, wantAssigns)
 		}
 		snap := rec.Snapshot()
 		if snap.CacheHits+snap.CacheMisses != pipelines {
-			t.Errorf("known=%v: cache traffic %d, want %d", known, snap.CacheHits+snap.CacheMisses, pipelines)
+			t.Errorf("perSize=%v: cache traffic %d, want %d", perSize, snap.CacheHits+snap.CacheMisses, pipelines)
 		}
 		if snap.CacheMisses != wantAssigns {
-			t.Errorf("known=%v: %d misses, want %d", known, snap.CacheMisses, wantAssigns)
+			t.Errorf("perSize=%v: %d misses, want %d", perSize, snap.CacheMisses, wantAssigns)
 		}
 	}
 }
 
 // failingAssigner errors on every Assign after a short delay, counting
-// attempts; the delay gives the pool time to observe cancellation.
+// attempts; the delay gives the pool time to observe cancellation. The
+// first quorum attempts wait until all of them have started (or ten
+// seconds pass), so that many graphs fail at once.
 type failingAssigner struct {
 	attempts *atomic.Int64
+	quorum   int64
+	all      chan struct{}
 }
 
 func (f failingAssigner) Label() string { return "failing" }
 
-func (f failingAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
-	return nil, true
+func (f failingAssigner) Fingerprint(dst []float64, _ *taskgraph.Graph, _ *platform.System, _ *core.Scratch) ([]float64, error) {
+	return dst[:0], nil
 }
 
 func (f failingAssigner) Assign(context.Context, *taskgraph.Graph, *platform.System,
 	*core.Result, *core.Scratch) (*core.Result, error) {
 	n := f.attempts.Add(1)
+	if n == f.quorum {
+		close(f.all)
+	}
+	if n <= f.quorum {
+		select {
+		case <-f.all:
+		case <-time.After(10 * time.Second):
+		}
+	}
 	time.Sleep(time.Millisecond)
 	return nil, fmt.Errorf("induced failure %d", n)
 }
@@ -752,22 +709,29 @@ func (f failingAssigner) Assign(context.Context, *taskgraph.Graph, *platform.Sys
 func TestRunFailsFastAndReportsAllErrors(t *testing.T) {
 	cfg := tiny()
 	cfg.Graphs = 64
-	cfg.Workers = 4
-	cfg.MaxErrors = 3
+	// More graphs fail at once than the cap allows: the quorum holds the
+	// first defaultMaxErrors+2 attempts until all of them run.
+	cfg.Workers = 2 * defaultMaxErrors
 	var attempts atomic.Int64
-	_, err := cfg.Run("fail-fast", failingAssigner{attempts: &attempts})
+	asg := failingAssigner{attempts: &attempts, quorum: defaultMaxErrors + 2, all: make(chan struct{})}
+	_, err := cfg.Run("fail-fast", asg)
 	if err == nil {
 		t.Fatal("failing batch succeeded")
 	}
-	if got := attempts.Load(); got >= int64(cfg.Graphs) {
+	got := attempts.Load()
+	if got >= int64(cfg.Graphs) {
 		t.Errorf("no fail-fast: all %d graph pipelines ran", got)
 	}
-	reported := regexp.MustCompile(`graph \d+:`).FindAllString(err.Error(), -1)
-	if len(reported) == 0 {
-		t.Errorf("no per-graph errors reported: %v", err)
+	if got < asg.quorum {
+		t.Fatalf("%d graph pipelines failed, want at least %d", got, asg.quorum)
 	}
-	if len(reported) > cfg.MaxErrors {
-		t.Errorf("%d distinct graph errors reported, cap is %d:\n%v", len(reported), cfg.MaxErrors, err)
+	reported := regexp.MustCompile(`graph \d+:`).FindAllString(err.Error(), -1)
+	if len(reported) != defaultMaxErrors {
+		t.Errorf("%d distinct graph errors reported, want the cap %d:\n%v", len(reported), defaultMaxErrors, err)
+	}
+	// Every failed pipeline is either reported or counted as omitted.
+	if want := fmt.Sprintf("\n%d further graph pipelines failed (omitted)", got-defaultMaxErrors); !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("error does not end with %q:\n%v", want, err)
 	}
 	if seen := map[string]bool{}; true {
 		for _, r := range reported {
@@ -816,8 +780,8 @@ func TestRunRecordsStageTimings(t *testing.T) {
 // Fingerprint, the shape of a wrapper that defeats the fingerprint cache.
 type uncachedWrapper struct{ Assigner }
 
-func (uncachedWrapper) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
-	return nil, false
+func (uncachedWrapper) Fingerprint(dst []float64, _ *taskgraph.Graph, sys *platform.System, _ *core.Scratch) ([]float64, error) {
+	return perSizeFP(dst, sys), nil
 }
 
 // TestEmbeddingWrapperGetsContext: a wrapper that embeds an assigner has
@@ -856,5 +820,25 @@ func TestEmbeddingWrapperGetsContext(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%T: live ctx result differs from Distribute", asg)
 		}
+	}
+}
+
+// TestImprovedAssignerHonoursContext: the +improve assigners distribute
+// under the caller's context, so a unit timeout or a cancelled run stops
+// their DP instead of running it to the end.
+func TestImprovedAssignerHonoursContext(t *testing.T) {
+	g := testGraph(t)
+	sys, err := platform.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	asg := Improved(core.PURE(), core.CCNE(), improve.Config{Iterations: 8})
+	if _, err := asg.Assign(cancelled, g, sys, nil, core.NewScratch()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ctx gave err %v, want context.Canceled", err)
+	}
+	if _, err := asg.Assign(context.Background(), g, sys, nil, core.NewScratch()); err != nil {
+		t.Fatalf("live ctx: %v", err)
 	}
 }

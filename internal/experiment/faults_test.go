@@ -16,7 +16,6 @@ import (
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/rng"
-	"deadlinedist/internal/scheduler"
 	"deadlinedist/internal/taskgraph"
 )
 
@@ -300,8 +299,8 @@ type countingFailAssigner struct {
 
 func (f *countingFailAssigner) Label() string { return "FAIL" }
 
-func (f *countingFailAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
-	return nil, false // never cached: every size calls Assign
+func (f *countingFailAssigner) Fingerprint(dst []float64, _ *taskgraph.Graph, sys *platform.System, _ *core.Scratch) ([]float64, error) {
+	return perSizeFP(dst, sys), nil // every size calls Assign
 }
 
 func (f *countingFailAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -313,6 +312,20 @@ func (f *countingFailAssigner) Assign(ctx context.Context, g *taskgraph.Graph, s
 	return Slicing(core.PURE(), core.CCNE()).Assign(ctx, g, sys, recycle, sc)
 }
 
+// hookAssigner calls hook after every Assign of the assigner it wraps: a
+// way into the middle of a sweep, once per distribution computed.
+type hookAssigner struct {
+	Assigner
+	hook func()
+}
+
+func (h hookAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
+	recycle *core.Result, sc *core.Scratch) (*core.Result, error) {
+	res, err := h.Assigner.Assign(ctx, g, sys, recycle, sc)
+	h.hook()
+	return res, err
+}
+
 // TestCancellationYieldsPartialTable: cancelling the run context mid-sweep
 // drains gracefully and returns the partial table (every cell FAILED, since
 // a cell's value is the batch average) plus a *PartialError.
@@ -320,11 +333,8 @@ func TestCancellationYieldsPartialTable(t *testing.T) {
 	cfg := chaosCfg()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.Measure = func(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64 {
-		cancel() // stop the run from inside the first measured cell
-		return MaxLateness(g, res, sched)
-	}
 	asg := chaosAssigners()
+	asg[0] = hookAssigner{asg[0], cancel} // stop the run from inside the first cell
 	table, err := cfg.RunContext(ctx, "partial", asg...)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
@@ -358,11 +368,9 @@ func TestBudgetYieldsPartialTable(t *testing.T) {
 	cfg := chaosCfg()
 	cfg.Workers = 2
 	cfg.Budget = 60 * time.Millisecond
-	cfg.Measure = func(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64 {
-		time.Sleep(40 * time.Millisecond)
-		return MaxLateness(g, res, sched)
-	}
-	_, err := cfg.Run("budget", chaosAssigners()...)
+	asg := chaosAssigners()
+	asg[0] = hookAssigner{asg[0], func() { time.Sleep(40 * time.Millisecond) }}
+	_, err := cfg.Run("budget", asg...)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error is not a *PartialError: %v", err)
@@ -549,8 +557,8 @@ type panicOnceAssigner struct{ calls atomic.Int32 }
 
 func (p *panicOnceAssigner) Label() string { return "PANIC" }
 
-func (p *panicOnceAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
-	return nil, true
+func (p *panicOnceAssigner) Fingerprint(dst []float64, _ *taskgraph.Graph, _ *platform.System, _ *core.Scratch) ([]float64, error) {
+	return dst[:0], nil
 }
 
 func (p *panicOnceAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,

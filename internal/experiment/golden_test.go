@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"deadlinedist/internal/metrics"
 )
 
 // renderFigure runs one registered figure under a dedicated pool of the
@@ -103,5 +105,67 @@ func TestFigureTablesGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("figure tables drifted from %s:\n--- got ---\n%s", path, got)
+	}
+}
+
+// reuseCounters renders the work-reuse counters of a sweep: fingerprint,
+// batch and cross-table cache traffic, the cells scheduled for real or
+// reused (past idle processors or from another table), the measure
+// observations (one per cell) and the critical-path search work.
+func reuseCounters(s metrics.Snapshot) string {
+	sc := s.Search
+	return fmt.Sprintf("fingerprint: %d hits, %d misses\n"+
+		"batch: %d hits, %d misses\n"+
+		"cross-table: %d hits, %d misses, %d rejected, %d flushes\n"+
+		"schedule: %d runs, %d reused past idle processors, %d reused cross-table\n"+
+		"measure: %d cells\n"+
+		"search: %d iterations, %d starts, %d DP runs, %d memo reuses, %d DP rows, %d DP cells\n",
+		s.CacheHits, s.CacheMisses,
+		s.BatchHits, s.BatchMisses,
+		s.CrossHits, s.CrossMisses, s.CrossRejected, s.CrossFlushes,
+		s.Stages[metrics.StageSchedule].Count, s.ReusedIdle, s.ReusedCross,
+		s.Stages[metrics.StageMeasure].Count,
+		sc.Iterations, sc.StartsExamined, sc.DPRuns, sc.CacheReuses, sc.DPRows, sc.DPCells)
+}
+
+// TestReuseCountersGolden runs the registry of TestFigureTablesGolden on
+// one worker and on four, recording both sweeps, and pins their reuse
+// counters: the two must agree, and both must match
+// testdata/reuse.golden. A change of a cache key or of an equality that
+// loses (or invents) reuse shows here even when every table still
+// matches. Regenerate with UPDATE_GOLDEN=1 only for an intended change.
+func TestReuseCountersGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	sweep := func(workers int) string {
+		orc := NewOrchestrator(workers)
+		defer orc.Close()
+		base := figBase(4, 2, 3, 8, 16)
+		base.Orchestrator = orc
+		base.Metrics = metrics.New()
+		for _, key := range FigureOrder() {
+			if _, err := Figures()[key](context.Background(), base); err != nil {
+				t.Fatalf("figure %s with %d workers: %v", key, workers, err)
+			}
+		}
+		return reuseCounters(base.Metrics.Snapshot())
+	}
+	serial, pooled := sweep(1), sweep(4)
+	if serial != pooled {
+		t.Errorf("reuse counters differ between 1 and 4 workers:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", serial, pooled)
+	}
+	path := filepath.Join("testdata", "reuse.golden")
+	if updateGolden {
+		if err := os.WriteFile(path, []byte(serial), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (set UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if serial != string(want) {
+		t.Errorf("reuse counters drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, serial, want)
 	}
 }

@@ -14,8 +14,7 @@ import (
 	"deadlinedist/internal/channel"
 	"deadlinedist/internal/core"
 	"deadlinedist/internal/generator"
-	"deadlinedist/internal/scheduler"
-	"deadlinedist/internal/taskgraph"
+	"deadlinedist/internal/metrics"
 )
 
 func TestJournalRoundTripExactBits(t *testing.T) {
@@ -276,25 +275,24 @@ func TestInterruptedRunResumesByteIdentical(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	// Phase 1: interrupt after the first unit's last cell. The measure
-	// wrapper delegates to the real measure, so journaled values match the
-	// uninterrupted run's.
+	// Phase 1: interrupt after the first unit's last distribution (ADAPT
+	// depends on the platform, so every cell assigns). The hook wraps the
+	// real assigner, so journaled values match the uninterrupted run's.
 	j1, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var cells atomic.Int32
+	var assigns atomic.Int32
 	cfg1 := resumeCfg()
 	cfg1.Journal = j1
-	cfg1.Measure = func(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64 {
-		if cells.Add(1) == int32(len(cfg1.Sizes)) {
+	interrupt := hookAssigner{asg[0], func() {
+		if assigns.Add(1) == int32(len(cfg1.Sizes)) {
 			cancel() // unit 0 completes; the cancellation stops everything after
 		}
-		return MaxLateness(g, res, sched)
-	}
-	_, err = cfg1.RunContext(ctx, "resume", asg...)
+	}}
+	_, err = cfg1.RunContext(ctx, "resume", interrupt)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("interrupted run returned %v, want *PartialError", err)
@@ -330,29 +328,30 @@ func TestInterruptedRunResumesByteIdentical(t *testing.T) {
 	}
 
 	// Phase 3: everything journaled — the run must replay all units and
-	// never reach the pipeline (the measure hook counts invocations).
+	// never reach the pipeline (the recorder counts measured cells).
 	j3, err := OpenJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	var recomputed atomic.Int32
 	cfg3 := resumeCfg()
 	cfg3.Journal = j3
-	cfg3.Measure = func(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64 {
-		recomputed.Add(1)
-		return MaxLateness(g, res, sched)
-	}
+	cfg3.Metrics = metrics.New()
 	got3, err := cfg3.Run("resume", asg...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := recomputed.Load(); n != 0 {
+	if n := measured(cfg3.Metrics); n != 0 {
 		t.Errorf("fully-journaled run recomputed %d cells, want 0", n)
 	}
 	if !reflect.DeepEqual(got3, want) {
 		t.Error("fully-journaled replay differs from uninterrupted run")
 	}
+}
+
+// measured returns how many cells the recorded runs measured.
+func measured(rec *metrics.Recorder) int64 {
+	return rec.Snapshot().Stages[metrics.StageMeasure].Count
 }
 
 // TestResumeIgnoresForeignJournal: records keyed by a different
@@ -379,19 +378,15 @@ func TestResumeIgnoresForeignJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	var recomputed atomic.Int32
 	cfg2 := cfg
 	cfg2.Seed++
 	cfg2.Journal = j2
-	cfg2.Measure = func(g *taskgraph.Graph, res *core.Result, sched *scheduler.Schedule) float64 {
-		recomputed.Add(1)
-		return MaxLateness(g, res, sched)
-	}
+	cfg2.Metrics = metrics.New()
 	if _, err := cfg2.Run("resume", asg...); err != nil {
 		t.Fatal(err)
 	}
-	if want := int32(cfg2.Graphs * len(cfg2.Sizes)); recomputed.Load() != want {
-		t.Errorf("foreign journal short-circuited work: %d cells recomputed, want %d", recomputed.Load(), want)
+	if want := int64(cfg2.Graphs * len(cfg2.Sizes)); measured(cfg2.Metrics) != want {
+		t.Errorf("foreign journal short-circuited work: %d cells recomputed, want %d", measured(cfg2.Metrics), want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"deadlinedist/internal/metrics"
 	"deadlinedist/internal/platform"
 	"deadlinedist/internal/rng"
+	"deadlinedist/internal/sfcache"
 	"deadlinedist/internal/strategy"
 	"deadlinedist/internal/taskgraph"
 )
@@ -118,8 +119,8 @@ func TestPoolOccupancyMultiCore(t *testing.T) {
 // TestCrossCacheSaturationFlush pins the assignment cache's capacity story:
 // publishes beyond maxAssign are counted as rejected (not silently
 // dropped), a full cache's worth of rejections flushes the cache and
-// re-opens admission, and none of it perturbs table output. The cap is
-// shrunk through the test seam so a 6-graph sweep saturates it.
+// re-opens admission, and none of it perturbs table output. The test
+// swaps in a 4-entry assignment cache so a 6-graph sweep saturates it.
 func TestCrossCacheSaturationFlush(t *testing.T) {
 	cfg := orcCfg()
 	asg := []Assigner{Slicing(core.ADAPT(1.25), core.CCNE())}
@@ -130,7 +131,7 @@ func TestCrossCacheSaturationFlush(t *testing.T) {
 
 	orc := NewOrchestrator(2)
 	defer orc.Close()
-	orc.SetCrossCacheCap(4)
+	orc.assigns = sfcache.New[assignKey, assignEntry](4, orc.hashAssign)
 	rec := metrics.New()
 	c := cfg
 	c.Orchestrator = orc

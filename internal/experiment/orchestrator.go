@@ -41,11 +41,11 @@ import (
 //
 // Assignment cache: keyed by (graph pointer, assigner label, fingerprint
 // bits). It extends the per-runGraph fingerprint cache across tables, under
-// the same contract: equal fingerprints mean identical assignments for a
-// given strategy. Graph pointer identity is sound because cached graphs come
-// from the batch cache, so tables sharing a workload share the very same
-// graph values. Entries are only written for known fingerprints and for
-// assigners without a GraphTransformer (transformed graphs are per-size).
+// the same contract: bit-identical fingerprints mean identical assignments
+// for a given strategy. Graph pointer identity is sound because cached
+// graphs come from the batch cache, so tables sharing a workload share the
+// very same graph values. Entries are only written for assigners without a
+// GraphTransformer (transformed graphs are per-size).
 // Entries never go stale — all inputs of an entry are immutable for the
 // orchestrator's lifetime — and are dropped only by a capacity flush.
 //
@@ -53,10 +53,9 @@ import (
 // distribution's Release and Absolute bits, platform class and size,
 // scheduler config) — everything the list scheduler reads — so tables that
 // schedule one input, under whatever label, schedule it once. An entry
-// holds the default measure's value and the schedule's used-processor
-// count, never the Schedule. Only shared (cross-table, immutable) Results
-// are keyed, and a hit is confirmed element by element against the
-// entry's own Result.
+// holds the measured value and the schedule's used-processor count, never
+// the Schedule. Only shared (cross-table, immutable) Results are keyed, and
+// a hit is confirmed bit by bit against the entry's own Result.
 //
 // All three caches are sfcache caches: bounded, sharded singleflight maps
 // with flush-and-readmit at capacity, where a failed owner releases its
@@ -206,7 +205,7 @@ func newPoolWorker() *poolWorker {
 type assignKey struct {
 	g     *taskgraph.Graph
 	label string
-	// fp is fpHash of the fingerprint. Two fingerprints may share it, so
+	// fp is bitsHash of the fingerprint. Two fingerprints may share it, so
 	// a hit is confirmed against the entry's own copy (assignEntry.fp).
 	fp uint64
 }
@@ -222,8 +221,9 @@ type assignEntry struct {
 // scheduler.Run up to the distribution's content, which res stands for.
 type outcomeKey struct {
 	g *taskgraph.Graph
-	// res is resultHash of the distribution. Two distributions may share
-	// it, so a hit is confirmed against the entry's own Result.
+	// res is bitsHash of the distribution's Release and Absolute values.
+	// Two distributions may share it, so a hit is confirmed against the
+	// entry's own Result.
 	res uint64
 	// model is the modelID of the platform class and size and the
 	// scheduler config.
@@ -239,7 +239,7 @@ type outcomeModel struct {
 	cfg   scheduler.Config
 }
 
-// outcome is one cached schedule outcome: the default measure's value, the
+// outcome is one cached schedule outcome: the measured value, the
 // schedule's used-processor count (scheduler.Schedule.ProcsUsed, so a row
 // can carry the outcome to larger platforms) and the shared Result it was
 // scheduled for.
@@ -254,9 +254,9 @@ type outcome struct {
 // it has returned.
 func NewOrchestrator(workers int) *Orchestrator { return newOrchestrator(workers, true) }
 
-// newOrchestrator starts the pool, with its batch and assignment caches
-// when caches is set. A run-owned orchestrator (Config.RunContext with a
-// nil Orchestrator) has none: no other table could read them.
+// newOrchestrator starts the pool, with its batch, assignment and outcome
+// caches when caches is set. A run-owned orchestrator (Config.RunContext
+// with a nil Orchestrator) has none: no other table could read them.
 func newOrchestrator(workers int, caches bool) *Orchestrator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -268,7 +268,7 @@ func newOrchestrator(workers int, caches bool) *Orchestrator {
 	}
 	if caches {
 		o.batches = sfcache.New[generator.BatchID, []*taskgraph.Graph](maxBatchEntries, o.hashBatch)
-		o.SetCrossCacheCap(maxAssignEntries)
+		o.assigns = sfcache.New[assignKey, assignEntry](maxAssignEntries, o.hashAssign)
 		o.outcomes = sfcache.New[outcomeKey, outcome](maxOutcomeEntries, o.hashOutcome)
 		o.models = make(map[outcomeModel]uint32)
 	}
@@ -282,15 +282,6 @@ func newOrchestrator(workers int, caches bool) *Orchestrator {
 // Workers returns the effective pool size (after the GOMAXPROCS default is
 // applied), so runs can record how much concurrency was actually available.
 func (o *Orchestrator) Workers() int { return o.workers }
-
-// SetCrossCacheCap sets the total assignment-cache capacity (entries
-// across all shards; default maxAssignEntries = 2^16), emptying the cache.
-// Call it before the first run. n <= 0 is ignored.
-func (o *Orchestrator) SetCrossCacheCap(n int) {
-	if n > 0 {
-		o.assigns = sfcache.New[assignKey, assignEntry](n, o.hashAssign)
-	}
-}
 
 // hashBatch picks a batch key's shard. Batch lookups happen once per run,
 // so formatting the key is cheap enough.
@@ -439,7 +430,7 @@ func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys 
 		}
 		return res, err
 	}
-	key := assignKey{g: gg, label: label, fp: fpHash(fp)}
+	key := assignKey{g: gg, label: label, fp: bitsHash(fp)}
 	e, out, err := o.assigns.Do(ctx, key, func(out sfcache.Outcome) (assignEntry, error) {
 		if out != sfcache.Miss {
 			rec.CrossRejected()
@@ -455,7 +446,7 @@ func (o *Orchestrator) assignment(ctx context.Context, gg *taskgraph.Graph, sys 
 		return assignEntry{res: res, fp: slices.Clone(fp)}, nil
 	})
 	if out == sfcache.Hit && err == nil {
-		if !sameFP(e.fp, fp) {
+		if !sameBits(e.fp, fp) {
 			res, err := compute()
 			return res, false, err
 		}
@@ -493,36 +484,10 @@ func (o *Orchestrator) outcome(ctx context.Context, key outcomeKey, res *core.Re
 	return val, used, false, err
 }
 
-// resultHash hashes the distribution fields the scheduler reads: the bits
-// of every Release and Absolute value.
-func resultHash(res *core.Result) uint64 {
-	h := uint64(len(res.Release))
-	for _, vs := range [2][]float64{res.Release, res.Absolute} {
-		for _, v := range vs {
-			h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
-			h ^= h >> 29
-		}
-	}
-	return h
-}
-
 // sameResult reports whether a and b have the same Release and Absolute
 // bits: the equality an outcome key stands for.
 func sameResult(a, b *core.Result) bool {
 	return a == b || sameBits(a.Release, b.Release) && sameBits(a.Absolute, b.Absolute)
-}
-
-// sameBits reports whether a and b hold the same float64 bit patterns.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Workbench is the exported view of one pool worker's scratch state,
@@ -583,38 +548,30 @@ func SearchCounters(st core.SearchStats) metrics.SearchCounters {
 	}
 }
 
-// canonNaN is the one NaN bit pattern every NaN of a fingerprint counts
-// as: equalFP treats any two NaNs as equal.
-var canonNaN = math.Float64bits(math.NaN())
-
-// canonBits returns v's bits, with every NaN payload collapsed onto
-// canonNaN.
-func canonBits(v float64) uint64 {
-	if v != v {
-		return canonNaN
-	}
-	return math.Float64bits(v)
-}
-
-// fpHash hashes a fingerprint's canonical bits (canonBits) and its length.
-// nil and empty hash alike: both are the platform-independent sentinel.
-func fpHash(fp []float64) uint64 {
-	h := uint64(len(fp))
-	for _, v := range fp {
-		h = (h ^ canonBits(v)) * 0x9e3779b97f4a7c15
-		h ^= h >> 29
+// bitsHash hashes the lengths and the bit patterns of vs: the content
+// sameBits compares. It keys the cross-table caches, each hit confirmed
+// with sameBits.
+func bitsHash(vs ...[]float64) uint64 {
+	var h uint64
+	for _, v := range vs {
+		h = (h ^ uint64(len(v))) * 0x9e3779b97f4a7c15
+		for _, x := range v {
+			h = (h ^ math.Float64bits(x)) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
 	}
 	return h
 }
 
-// sameFP reports whether two fingerprints have the same canonical bits:
-// the equality the cross-table key stands for.
-func sameFP(a, b []float64) bool {
+// sameBits reports whether a and b hold the same float64 bit patterns: the
+// one equality of fingerprints and distributions. nil and empty are equal;
+// +0 and -0 are not, and a NaN equals only a NaN of the same bits.
+func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if canonBits(a[i]) != canonBits(b[i]) {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}

@@ -179,8 +179,8 @@ type nanFPAssigner struct {
 
 func (a nanFPAssigner) Label() string { return "nan-fp" }
 
-func (a nanFPAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, bool) {
-	return []float64{math.NaN(), 1}, true
+func (a nanFPAssigner) Fingerprint([]float64, *taskgraph.Graph, *platform.System, *core.Scratch) ([]float64, error) {
+	return []float64{math.NaN(), 1}, nil
 }
 
 func (a nanFPAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *platform.System,
@@ -192,10 +192,10 @@ func (a nanFPAssigner) Assign(ctx context.Context, g *taskgraph.Graph, sys *plat
 }
 
 // TestNaNFingerprintCachedAcrossSizes is the regression test for the
-// NaN-fingerprint cache miss: equalFP compared elements with !=, so a NaN
-// anywhere in a reproducible fingerprint never matched its own cached copy
-// and the engine re-assigned at every size. NaNs must compare equal to each
-// other, giving one Assign per graph.
+// NaN-fingerprint cache miss: fingerprints were once compared with !=, so
+// a NaN anywhere in a reproducible fingerprint never matched its own cached
+// copy and the engine re-assigned at every size. Fingerprints compare by
+// bits, so a NaN matches its own bits, giving one Assign per graph.
 func TestNaNFingerprintCachedAcrossSizes(t *testing.T) {
 	cfg := orcCfg()
 	rec := metrics.New()
@@ -247,11 +247,11 @@ func TestAssignKeyCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sameFP(fpA, fpB) || reflect.DeepEqual(wantA.Relative, wantB.Relative) {
+	if sameBits(fpA, fpB) || reflect.DeepEqual(wantA.Relative, wantB.Relative) {
 		t.Fatal("precondition: the two platforms must give different fingerprints and windows")
 	}
 
-	keyB := assignKey{g: g, label: asg.Label(), fp: fpHash(fpB)}
+	keyB := assignKey{g: g, label: asg.Label(), fp: bitsHash(fpB)}
 	planted := assignEntry{res: wantA, fp: fpA}
 	if _, _, err := orc.assigns.Do(context.Background(), keyB, func(sfcache.Outcome) (assignEntry, error) {
 		return planted, nil
@@ -273,7 +273,7 @@ func TestAssignKeyCollision(t *testing.T) {
 		}
 	}
 	check(sysB, fpB, wantB, false)
-	if e, ok := orc.assigns.Peek(keyB); !ok || e.res != wantA || !sameFP(e.fp, fpA) {
+	if e, ok := orc.assigns.Peek(keyB); !ok || e.res != wantA || !sameBits(e.fp, fpA) {
 		t.Error("the colliding lookup replaced the planted entry")
 	}
 	check(sysA, fpA, wantA, true)
@@ -357,8 +357,8 @@ func TestOutcomeKeyCollision(t *testing.T) {
 	}
 	class, _ := sys.Class()
 	model := orc.modelID(outcomeModel{class: class, procs: 4, cfg: cfg})
-	keyA := outcomeKey{g: g, res: resultHash(resA), model: model}
-	keyB := outcomeKey{g: g, res: resultHash(resB), model: model}
+	keyA := outcomeKey{g: g, res: bitsHash(resA.Release, resA.Absolute), model: model}
+	keyB := outcomeKey{g: g, res: bitsHash(resB.Release, resB.Absolute), model: model}
 	planted := outcome{res: resA, val: valA, used: usedA}
 	if _, _, err := orc.outcomes.Do(context.Background(), keyB, func(sfcache.Outcome) (outcome, error) {
 		return planted, nil

@@ -16,6 +16,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Topology computes point-to-point communication costs between processors.
@@ -129,7 +130,10 @@ type System struct {
 // Errors returned by New.
 var (
 	ErrNoProcs   = errors.New("platform needs at least one processor")
-	ErrBadSpeeds = errors.New("speed vector length must equal processor count, all speeds > 0")
+	ErrBadSpeeds = errors.New("speed vector length must equal processor count, all speeds finite and > 0")
+	// ErrBadCommCost refuses a SharedBus, FullMesh, Ring or Star whose
+	// per-item cost is negative or not finite.
+	ErrBadCommCost = errors.New("per-item communication cost must be finite and >= 0")
 )
 
 // Option configures a System.
@@ -174,11 +178,30 @@ func New(n int, opts ...Option) (*System, error) {
 		return nil, fmt.Errorf("%d speeds for %d processors: %w", len(s.speeds), n, ErrBadSpeeds)
 	}
 	for _, v := range s.speeds {
-		if v <= 0 {
+		if !(v > 0 && v <= math.MaxFloat64) {
 			return nil, fmt.Errorf("speed %v: %w", v, ErrBadSpeeds)
 		}
 	}
+	if c, ok := perItemCost(s.topo); ok && !(c >= 0 && c <= math.MaxFloat64) {
+		return nil, fmt.Errorf("%s per-item cost %v: %w", s.topo.Name(), c, ErrBadCommCost)
+	}
 	return s, nil
+}
+
+// perItemCost returns the per-item cost of this package's topologies; ok
+// is false for a topology defined elsewhere.
+func perItemCost(t Topology) (c float64, ok bool) {
+	switch t := t.(type) {
+	case SharedBus:
+		return t.PerItemCost, true
+	case FullMesh:
+		return t.PerItemCost, true
+	case Ring:
+		return t.PerItemCost, true
+	case Star:
+		return t.PerItemCost, true
+	}
+	return 0, false
 }
 
 // NumProcs returns the processor count.
@@ -224,23 +247,14 @@ type Class struct {
 }
 
 // Class returns the system's class. ok is false for heterogeneous speeds,
-// which one speed cannot describe, for a topology defined outside this
-// package, whose values need not be comparable, and for a NaN speed or
-// per-item cost, which would make a class unequal to itself.
+// which one speed cannot describe, and for a topology defined outside this
+// package, whose values need not be comparable. New refuses NaN speeds and
+// per-item costs, so a class always equals itself.
 func (s *System) Class() (c Class, ok bool) {
-	switch s.topo.(type) {
-	case SharedBus, FullMesh, Ring, Star:
-	default:
+	if _, ok := perItemCost(s.topo); !ok || !s.Homogeneous() {
 		return Class{}, false
 	}
-	if !s.Homogeneous() {
-		return Class{}, false
-	}
-	c = Class{topo: s.topo, speed: s.speeds[0], contention: s.contention}
-	if c != c { //nolint:staticcheck // a NaN field makes the class unequal to itself
-		return Class{}, false
-	}
-	return c, true
+	return Class{topo: s.topo, speed: s.speeds[0], contention: s.contention}, true
 }
 
 // Interchangeable reports whether the class's processors are alike: one

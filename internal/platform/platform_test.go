@@ -2,6 +2,7 @@ package platform
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +52,44 @@ func TestNewErrors(t *testing.T) {
 		t.Errorf("negative speed = %v, want ErrBadSpeeds", err)
 	}
 }
+
+// TestNewRefusesNonFiniteParameters is the regression test for platforms
+// New used to accept: a NaN speed (v <= 0 is false for NaN) and a NaN,
+// infinite or negative per-item cost. The scheduler would run on them,
+// and a NaN would make the platform's class unequal to itself.
+func TestNewRefusesNonFiniteParameters(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, speeds := range [][]float64{{nan, 1}, {1, inf}, {-inf, 1}} {
+		if _, err := New(2, WithSpeeds(speeds)); !errors.Is(err, ErrBadSpeeds) {
+			t.Errorf("speeds %v = %v, want ErrBadSpeeds", speeds, err)
+		}
+	}
+	for _, cost := range []float64{-1, nan, inf, -inf} {
+		for _, topo := range []Topology{
+			SharedBus{PerItemCost: cost},
+			FullMesh{PerItemCost: cost},
+			Ring{NumProcs: 2, PerItemCost: cost},
+			Star{PerItemCost: cost},
+		} {
+			if _, err := New(2, WithTopology(topo)); !errors.Is(err, ErrBadCommCost) {
+				t.Errorf("%s cost %v = %v, want ErrBadCommCost", topo.Name(), cost, err)
+			}
+		}
+	}
+	// Zero cost (free communication) and a topology defined elsewhere stay
+	// accepted.
+	for _, topo := range []Topology{SharedBus{}, ownTopology{}} {
+		if _, err := New(2, WithTopology(topo)); err != nil {
+			t.Errorf("%s: %v", topo.Name(), err)
+		}
+	}
+}
+
+// ownTopology is a topology defined outside the package's four.
+type ownTopology struct{}
+
+func (ownTopology) Name() string                         { return "own" }
+func (ownTopology) CommCost(_, _ int, _ float64) float64 { return 0 }
 
 func TestHeterogeneousSpeeds(t *testing.T) {
 	s, err := New(2, WithSpeeds([]float64{1, 2}))

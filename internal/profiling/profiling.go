@@ -29,14 +29,10 @@ type Options struct {
 	PprofAddr string
 	// MutexProfile is a file path to write a mutex-contention profile at
 	// Stop ("" disables). Sampling is enabled at Start via
-	// runtime.SetMutexProfileFraction, so the profile covers the whole
-	// run; the previous fraction is restored at Stop.
+	// runtime.SetMutexProfileFraction with fraction 1 (every contention
+	// event: the sweeps' lock paths are cheap enough), so the profile
+	// covers the whole run; the previous fraction is restored at Stop.
 	MutexProfile string
-	// MutexFraction is the sampling rate passed to
-	// SetMutexProfileFraction when MutexProfile is set: on average 1 of
-	// every MutexFraction contention events is reported. <= 0 means 1
-	// (record every event — the sweeps' lock paths are cheap enough).
-	MutexFraction int
 }
 
 // Session holds the active profiling sinks. The zero value is a stopped
@@ -55,11 +51,7 @@ type Session struct {
 func Start(opts Options) (*Session, error) {
 	s := &Session{memPath: opts.MemProfile, mutexPath: opts.MutexProfile}
 	if opts.MutexProfile != "" {
-		frac := opts.MutexFraction
-		if frac <= 0 {
-			frac = 1
-		}
-		s.prevFrac = runtime.SetMutexProfileFraction(frac)
+		s.prevFrac = runtime.SetMutexProfileFraction(1)
 	}
 	if opts.CPUProfile != "" {
 		f, err := os.Create(opts.CPUProfile)
