@@ -10,7 +10,7 @@ import (
 	"deadlinedist/internal/taskgraph"
 )
 
-// maxPooledBuffer caps the buffers returned to bodyPool and canonPool: one
+// maxPooledBuffer caps the buffers returned to bodyPool and keyPool: one
 // oversized request must not keep its buffer pooled for the life of the
 // process.
 const maxPooledBuffer = 64 << 10

@@ -3,12 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,57 +56,136 @@ func generatedBodies(t testing.TB, perScenario int, procs []int) [][]byte {
 	return bodies
 }
 
-// TestContentKeyMatchesMarshalKey keeps the content key that parse
-// computed before it keyed the wire form — sha256 over json.Marshal of
-// the decoded graph plus the option suffix — and requires the key of the
-// wire form to equal it, so no cached answer changes its address.
-func TestContentKeyMatchesMarshalKey(t *testing.T) {
+// respell writes every graph number of a json.Marshal body in another
+// spelling of the same value: 2.5 as 2.5e0.
+var respell = regexp.MustCompile(`("(?:cost|size|release|endToEnd)":-?[0-9]+(?:\.[0-9]+)?)([,}])`)
+
+// TestContentKeyClasses: two requests share parse's content key exactly
+// when their graphs' canonical bytes and their option suffixes are equal.
+// The key hashes the graph's values (taskgraph.Wire.AppendKey), not its
+// canonical text, so this is the contract that lets a hit skip Build.
+func TestContentKeyClasses(t *testing.T) {
 	orc := experiment.NewOrchestrator(1)
 	defer orc.Close()
 	s := New(Config{Orchestrator: orc})
-	oldKey := func(raw []byte, procs int, assigner, policy string) string {
-		g, err := taskgraph.Decode(raw)
+	byKey, byCanon := map[string]string{}, map[string]string{}
+	// check records parse's key for req beside what the key must stand
+	// for, the canonical bytes and the option suffix, and fails on a key
+	// shared by two classes or a class split over two keys.
+	check := func(req *wireRequest) string {
+		t.Helper()
+		pr, perr := s.parse(req, TierFull)
+		if perr != nil {
+			t.Fatalf("%+v: %v", req.Graph, perr)
+		}
+		graph, err := req.Graph.AppendCanonical(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		canon, err := json.Marshal(g)
-		if err != nil {
-			t.Fatal(err)
+		key := pr.key
+		canon := fmt.Sprintf("%s|procs=%d|assigner=%s|policy=%s", graph, pr.sys.NumProcs(), pr.label, policyName(pr.policy))
+		if c, ok := byKey[key]; ok && c != canon {
+			t.Fatalf("key %s shared by\n%s\n%s", key, c, canon)
 		}
-		h := sha256.New()
-		h.Write(canon)
-		fmt.Fprintf(h, "|procs=%d|assigner=%s|policy=%s", procs, assigner, policy)
-		return hex.EncodeToString(h.Sum(nil))
+		if k, ok := byCanon[canon]; ok && k != key {
+			t.Fatalf("canonical bytes %s under keys %s and %s", canon, k, key)
+		}
+		byKey[key], byCanon[canon] = canon, key
+		return key
 	}
+	decode := func(body string) *wireRequest {
+		t.Helper()
+		var req wireRequest
+		if err := decodeRequest(strings.NewReader(body), &req); err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		return &req
+	}
+
 	n := 0
 	for _, body := range generatedBodies(t, 4, []int{2, 4, 8, 16}) {
-		var pub Request
-		if err := json.Unmarshal(body, &pub); err != nil {
-			t.Fatal(err)
-		}
 		for _, policy := range []string{"", "LLF"} {
-			pub.Policy = policy
-			b, err := json.Marshal(pub)
-			if err != nil {
-				t.Fatal(err)
+			b := body
+			if policy != "" {
+				b = fmt.Appendf(nil, `%s,"policy":%q}`, body[:len(body)-1], policy)
 			}
-			req, err := decodeWire(b)
-			if err != nil {
-				t.Fatal(err)
+			twin := respell.ReplaceAll(b, []byte("${1}e0$2"))
+			if bytes.Equal(twin, b) {
+				t.Fatal("no number respelled")
 			}
-			pr, perr := s.parse(req, TierFull)
-			if perr != nil {
-				t.Fatal(perr)
-			}
-			want := oldKey(pub.Graph, pub.Procs, "ADAPT", policyName(pr.policy))
-			if pr.key != want {
-				t.Fatalf("procs %d policy %q: key %s, marshal key %s", pub.Procs, policy, pr.key, want)
+			if check(decode(string(b))) != check(decode(string(twin))) {
+				t.Fatalf("respelled twin keys apart:\n%s\n%s", b, twin)
 			}
 			n++
 		}
 	}
-	if n != 3*4*4*2 {
-		t.Fatalf("checked %d keys", n)
+	if n != 3*4*4*2 || len(byKey) != n {
+		t.Fatalf("checked %d requests, %d keys", n, len(byKey))
+	}
+
+	graph := func(sts, arcs string) string {
+		return `{"graph":{"subtasks":[` + sts + `],"arcs":[` + arcs + `]},"procs":4}`
+	}
+	const ab = `{"name":"a","cost":1},{"name":"b","cost":2,"endToEnd":9}`
+	const arc = `{"from":"a","to":"b","size":1}`
+	withName := func(name string) *wireRequest {
+		return &wireRequest{Request: Request{Procs: 4}, Graph: taskgraph.Wire{
+			Subtasks: []taskgraph.WireSubtask{{Name: name, Cost: 1}, {Name: "b", Cost: 2, EndToEnd: 9}},
+			Arcs:     []taskgraph.WireArc{{From: name, To: "b", Size: 1}},
+		}}
+	}
+	for _, tc := range []struct {
+		name  string
+		reqs  []*wireRequest
+		share bool
+	}{
+		{"number spellings", []*wireRequest{
+			decode(graph(`{"name":"a","cost":1},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+			decode(graph(`{"name":"a","cost":1.0},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+			decode(graph(`{"name":"a","cost":1e0},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+			decode(graph(`{"name":"a","cost":10e-1},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+		}, true},
+		{"release -0 and none", []*wireRequest{
+			decode(graph(`{"name":"a","cost":1,"release":-0},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+			decode(graph(ab, arc)),
+		}, true},
+		{"endpoint \"\" and t0", []*wireRequest{
+			decode(graph(`{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}`, `{"from":"","to":"b","size":1}`)),
+			decode(graph(`{"name":"","cost":1},{"name":"b","cost":2,"endToEnd":9}`, `{"from":"t0","to":"b","size":1}`)),
+		}, true},
+		{"key order", []*wireRequest{
+			decode(graph(ab, arc)),
+			decode(`{"procs":4,"graph":{"arcs":[{"size":1,"to":"b","from":"a"}],` +
+				`"subtasks":[{"cost":1,"name":"a"},{"endToEnd":9,"cost":2,"name":"b"}]}}`),
+		}, true},
+		{"escaped name", []*wireRequest{ // the escape goes to encoding/json
+			decode(graph(`{"name":"\u00e9","cost":1},{"name":"b","cost":2,"endToEnd":9}`, `{"from":"é","to":"b","size":1}`)),
+			decode(graph(`{"name":"é","cost":1},{"name":"b","cost":2,"endToEnd":9}`, `{"from":"é","to":"b","size":1}`)),
+		}, true},
+		{"invalid UTF-8 bodies", []*wireRequest{ // encoding/json decodes each to U+FFFD
+			decode(graph("{\"name\":\"\xff\",\"cost\":1},{\"name\":\"b\",\"cost\":2,\"endToEnd\":9}", "{\"from\":\"\xff\",\"to\":\"b\",\"size\":1}")),
+			decode(graph("{\"name\":\"\xfe\",\"cost\":1},{\"name\":\"b\",\"cost\":2,\"endToEnd\":9}", "{\"from\":\"\xfe\",\"to\":\"b\",\"size\":1}")),
+			decode(graph("{\"name\":\"\ufffd\",\"cost\":1},{\"name\":\"b\",\"cost\":2,\"endToEnd\":9}", "{\"from\":\"\ufffd\",\"to\":\"b\",\"size\":1}")),
+		}, true},
+		// Wires whose names hold invalid bytes (set by a Go caller, never
+		// decoded from JSON) write each as the text \ufffd.
+		{"invalid UTF-8 wires", []*wireRequest{withName("\xff"), withName("\xfe")}, true},
+		{"invalid UTF-8 wire and U+FFFD", []*wireRequest{withName("\xff"), withName("\ufffd")}, false},
+		{"cost -0 and 0", []*wireRequest{
+			decode(graph(`{"name":"a","cost":-0},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+			decode(graph(`{"name":"a","cost":0},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+		}, false},
+		{"pinned 0 and none", []*wireRequest{
+			decode(graph(`{"name":"a","cost":1,"pinned":0},{"name":"b","cost":2,"endToEnd":9}`, arc)),
+			decode(graph(ab, arc)),
+		}, false},
+	} {
+		first := check(tc.reqs[0])
+		for _, req := range tc.reqs[1:] {
+			if got := check(req) == first; got != tc.share {
+				t.Errorf("%s: share a key = %v, want %v", tc.name, got, tc.share)
+			}
+		}
 	}
 }
 

@@ -187,9 +187,10 @@ func policyName(p scheduler.Policy) string {
 // parse validates a request against the server's limits and the active
 // tier, resolving the effective assigner and computing the content key.
 //
-// The key comes before the graph: it hashes the wire form's canonical
-// bytes (taskgraph.Wire.AppendCanonical), which equal json.Marshal of the
-// built graph, so it needs no Graph. When the key already has a settled
+// The key comes before the graph: it hashes the wire form's binary key
+// (taskgraph.Wire.AppendKey), which two wires share exactly when they
+// share canonical bytes, json.Marshal of the built graph. So it needs no
+// Graph. When the key already has a settled
 // answer the graph is never built. That is sound because an answer is
 // settled only for a key whose graph passed Build, and wires with equal
 // canonical bytes are accepted or refused alike and build the same graph.
@@ -256,8 +257,8 @@ func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 		budget = cb
 	}
 
-	// The content address covers exactly the answer's inputs: canonical
-	// graph bytes (formatting differences collapse), platform size,
+	// The content address covers exactly the answer's inputs: the graph's
+	// values (formatting differences collapse), platform size,
 	// assigner, policy. Budget and tenant are excluded — they shape how
 	// long we try, not what the answer is.
 	key, kerr := contentKey(&req.Graph, procs, label, policyName(policy))
@@ -284,16 +285,18 @@ func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 	return pr, nil
 }
 
-// canonPool recycles the canonical-bytes buffers contentKey hashes, so a
-// request's key costs no allocation proportional to its graph.
-var canonPool = sync.Pool{New: func() any { return new([]byte) }}
+// keyPool recycles the buffers contentKey hashes, so a request's key
+// costs no allocation proportional to its graph.
+var keyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// contentKey is the request's sha256 content address: the graph's
-// canonical bytes, then the answer-shaping options, hashed in one call.
+// contentKey is the request's sha256 content address: the graph's binary
+// key (taskgraph.Wire.AppendKey), then the answer-shaping options, hashed
+// in one call. Two requests share it exactly when their graphs' canonical
+// bytes and their options are equal.
 func contentKey(w *taskgraph.Wire, procs int, label, policy string) (string, *Error) {
-	bp := canonPool.Get().(*[]byte)
-	defer putBuffer(&canonPool, bp)
-	buf, err := w.AppendCanonical((*bp)[:0])
+	bp := keyPool.Get().(*[]byte)
+	defer putBuffer(&keyPool, bp)
+	buf, err := w.AppendKey((*bp)[:0])
 	if err != nil {
 		return "", Errorf(ClassInvalid, "canonicalize graph: "+err.Error())
 	}

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -96,6 +97,141 @@ func (w *Wire) AppendCanonical(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
+// Presence bits of AppendKey's per-subtask flag byte: the fields the
+// canonical bytes write only when set.
+const (
+	keyRelease = 1 << iota
+	keyEndToEnd
+	keyPinned
+)
+
+// AppendKey appends a binary key of the graph w builds to dst: two wires
+// have equal keys exactly when they have equal canonical bytes
+// (AppendCanonical), so a content-addressed cache may hash either. The
+// key costs no float formatting, which is most of what the canonical text
+// costs to write.
+//
+// The key frames the values the canonical bytes are a function of, and
+// nothing else:
+//   - each list is a uvarint count, so a nil and an empty list, both
+//     written as null, share a key;
+//   - each name is a uvarint length and then its AppendJSONString bytes
+//     (or the generated "t<index>", which an empty arc endpoint resolves
+//     to), so two invalid UTF-8 bytes that both write as \ufffd share it;
+//   - cost and size are their math.Float64bits, which tell -0 from 0 as
+//     the shortest decimal form does;
+//   - one byte flags which of release, endToEnd and pinned are present,
+//     by the canonical bytes' omitempty rules (a -0 release is omitted,
+//     a pinned 0 is not), and the present values follow.
+//
+// Every part is self-delimiting, so equal keys hold equal values in equal
+// order, and the canonical bytes are written from exactly these values.
+// Like AppendCanonical, it fails on a NaN or infinite number, with the
+// same error.
+func (w *Wire) AppendKey(dst []byte) ([]byte, error) {
+	var err error
+	anon := -1
+	dst = binary.AppendUvarint(dst, uint64(len(w.Subtasks)))
+	for i := range w.Subtasks {
+		st := &w.Subtasks[i]
+		if st.Name == "" && anon < 0 {
+			anon = i
+			dst = appendKeyName(dst, "", i)
+		} else {
+			dst = appendKeyName(dst, st.Name, -1)
+		}
+		var flags byte
+		if st.Release != 0 {
+			flags |= keyRelease
+		}
+		if st.EndToEnd != 0 {
+			flags |= keyEndToEnd
+		}
+		if st.Pinned != nil {
+			flags |= keyPinned
+		}
+		if dst, err = appendKeyFloat(dst, st.Cost); err != nil {
+			return nil, err
+		}
+		dst = append(dst, flags)
+		if flags&keyRelease != 0 {
+			if dst, err = appendKeyFloat(dst, st.Release); err != nil {
+				return nil, err
+			}
+		}
+		if flags&keyEndToEnd != 0 {
+			if dst, err = appendKeyFloat(dst, st.EndToEnd); err != nil {
+				return nil, err
+			}
+		}
+		if flags&keyPinned != 0 {
+			dst = binary.AppendVarint(dst, int64(*st.Pinned))
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(w.Arcs)))
+	for i := range w.Arcs {
+		a := &w.Arcs[i]
+		dst = appendKeyEndpoint(dst, a.From, anon)
+		dst = appendKeyEndpoint(dst, a.To, anon)
+		if dst, err = appendKeyFloat(dst, a.Size); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// appendKeyName appends a name's key framing: the uvarint length of its
+// canonical bytes, then those bytes. The canonical bytes are name's
+// AppendJSONString, or the generated name of subtask gen when gen >= 0.
+// They are written first, behind a one-byte length that a name of 128
+// bytes or more widens by shifting them.
+func appendKeyName(dst []byte, name string, gen int) []byte {
+	at := len(dst)
+	dst = append(dst, 0)
+	if gen >= 0 {
+		dst = appendGeneratedName(dst, gen)
+	} else {
+		dst = AppendJSONString(dst, name)
+	}
+	n := len(dst) - at - 1
+	if n < 0x80 {
+		dst[at] = byte(n)
+		return dst
+	}
+	var lb [binary.MaxVarintLen64]byte
+	l := binary.PutUvarint(lb[:], uint64(n))
+	dst = append(dst, lb[1:l]...)
+	copy(dst[at+l:], dst[at+1:at+1+n])
+	copy(dst[at:], lb[:l])
+	return dst
+}
+
+// appendKeyEndpoint appends an arc endpoint's key framing, resolving the
+// empty name as appendEndpoint does.
+func appendKeyEndpoint(dst []byte, name string, anon int) []byte {
+	if name == "" && anon >= 0 {
+		return appendKeyName(dst, "", anon)
+	}
+	return appendKeyName(dst, name, -1)
+}
+
+// appendKeyFloat appends f's bits, little-endian, refusing what
+// AppendJSONFloat refuses with the same error.
+func appendKeyFloat(dst []byte, f float64) ([]byte, error) {
+	if err := checkFinite(f); err != nil {
+		return nil, err
+	}
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f)), nil
+}
+
+// checkFinite returns json.Marshal's error for a NaN or infinite f.
+func checkFinite(f float64) error {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return nil
+}
+
 // appendGeneratedName appends the quoted name AddSubtask gives the
 // unnamed subtask at index i.
 func appendGeneratedName(dst []byte, i int) []byte {
@@ -118,8 +254,8 @@ func appendEndpoint(dst []byte, name string, anon int) []byte {
 // exponent's leading zero dropped (1e-07 becomes 1e-7). Like json.Marshal,
 // it fails on NaN and infinities with a *json.UnsupportedValueError.
 func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	if err := checkFinite(f); err != nil {
+		return nil, err
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

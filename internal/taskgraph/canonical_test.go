@@ -2,8 +2,13 @@ package taskgraph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -244,5 +249,245 @@ func TestGeneratedNameEndpoint(t *testing.T) {
 	}
 	if !bytes.Equal(out[0], out[1]) {
 		t.Errorf("arc from \"\" and from \"t0\" build different graphs:\n%s\n%s", out[0], out[1])
+	}
+}
+
+// FuzzContentKey pins AppendKey's classes to AppendCanonical's. For each
+// input the decoder accepts, it writes a twin: the same wire as text with
+// every number in another spelling of its value, the keys of every object
+// in another order, and arc endpoints naming the unnamed subtask swapped
+// between "" and its generated name. Some twins also get one change that
+// may or may not alter the canonical bytes (a zero's sign, a pin, a name,
+// the arc order, the last bit of a number). Two wires must have equal
+// keys exactly when they have equal canonical bytes, and no wire Build
+// refuses may share the key of one it accepts.
+func FuzzContentKey(f *testing.F) {
+	for i, s := range canonicalSeeds {
+		f.Add([]byte(s), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		a, err := decodeWire(data)
+		if err != nil {
+			return
+		}
+		r := rand.New(rand.NewPCG(seed, seed>>32))
+		twin, changed := keyTwin(a, r)
+		b, err := decodeWire(twin)
+		if err != nil {
+			t.Fatalf("twin does not decode: %v\n%s", err, twin)
+		}
+		canonA, keyA := canonAndKey(t, &a)
+		canonB, keyB := canonAndKey(t, &b)
+		if !changed && !bytes.Equal(canonA, canonB) {
+			t.Fatalf("unchanged twin has other canonical bytes:\n%s\n%s", canonA, canonB)
+		}
+		if bytes.Equal(canonA, canonB) != bytes.Equal(keyA, keyB) {
+			t.Fatalf("canonical bytes equal = %v, keys equal = %v:\n%s\n%s",
+				bytes.Equal(canonA, canonB), bytes.Equal(keyA, keyB), canonA, canonB)
+		}
+		_, errA := a.Build()
+		_, errB := b.Build()
+		if bytes.Equal(keyA, keyB) && (errA == nil) != (errB == nil) {
+			t.Fatalf("one key, Build errors %v and %v:\n%s\n%s", errA, errB, canonA, canonB)
+		}
+		if errA != nil {
+			// Were an accepted wire's key equal to keyA, its canonical
+			// bytes would be canonA, and they decode to that wire.
+			if c, err := decodeWire(canonA); err == nil {
+				if _, err := c.Build(); err == nil {
+					if _, keyC := canonAndKey(t, &c); bytes.Equal(keyC, keyA) {
+						t.Fatalf("refused wire shares the key of an accepted one:\n%s", canonA)
+					}
+				}
+			}
+		}
+	})
+}
+
+// canonAndKey returns w's canonical bytes and key, failing t if either
+// fails: a wire decoded from JSON holds only finite numbers.
+func canonAndKey(t *testing.T, w *Wire) (canon, key []byte) {
+	t.Helper()
+	canon, err := w.AppendCanonical(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, err = w.AppendKey(nil); err != nil {
+		t.Fatal(err)
+	}
+	return canon, key
+}
+
+// keyTwin writes w as JSON text in another spelling, drawn from r, and
+// reports whether it also applied a change that may alter the canonical
+// bytes.
+func keyTwin(w Wire, r *rand.Rand) (twin []byte, changed bool) {
+	w.Subtasks = slices.Clone(w.Subtasks)
+	w.Arcs = slices.Clone(w.Arcs)
+	anon := slices.IndexFunc(w.Subtasks, func(st WireSubtask) bool { return st.Name == "" })
+	gen := "t0"
+	if anon >= 0 {
+		gen = "t" + strconv.Itoa(anon)
+	}
+	for i := range w.Arcs {
+		for _, end := range []*string{&w.Arcs[i].From, &w.Arcs[i].To} {
+			if (*end == "" || *end == gen) && r.IntN(2) == 0 {
+				if *end == "" {
+					*end = gen
+				} else {
+					*end = ""
+				}
+				changed = changed || anon < 0
+			}
+		}
+	}
+	if n := len(w.Subtasks); n > 0 && r.IntN(3) == 0 {
+		changed = true
+		st := &w.Subtasks[r.IntN(n)]
+		switch r.IntN(5) {
+		case 0:
+			st.Cost = -st.Cost
+		case 1:
+			if st.Pinned == nil {
+				st.Pinned = new(int)
+			} else {
+				st.Pinned = nil
+			}
+		case 2:
+			st.Name = ""
+		case 3:
+			st.Release = math.Copysign(0, -1)
+		case 4:
+			st.EndToEnd = math.Nextafter(st.EndToEnd, math.Inf(1))
+		}
+		if len(w.Arcs) > 1 && r.IntN(2) == 0 {
+			w.Arcs[0], w.Arcs[1] = w.Arcs[1], w.Arcs[0]
+		}
+	}
+
+	num := func(dst []byte, f float64) []byte {
+		switch r.IntN(4) {
+		case 0:
+			return strconv.AppendFloat(dst, f, 'e', -1, 64)
+		case 1:
+			return strconv.AppendFloat(dst, f, 'E', -1, 64)
+		case 2:
+			s := strconv.FormatFloat(f, 'f', -1, 64)
+			if !strings.Contains(s, ".") {
+				s += "."
+			}
+			return append(dst, s+"000"...)
+		}
+		dst, _ = AppendJSONFloat(dst, f)
+		return dst
+	}
+	// object writes an object of fields 0 to n-1 in an order drawn from r.
+	object := func(dst []byte, n int, field func([]byte, int) []byte) []byte {
+		dst = append(dst, '{')
+		for k, i := range r.Perm(n) {
+			if k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = field(dst, i)
+		}
+		return append(dst, '}')
+	}
+	sts := func(dst []byte) []byte {
+		dst = append(dst, `"subtasks":[`...)
+		for i := range w.Subtasks {
+			st := &w.Subtasks[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			fields := 5
+			if st.Pinned == nil && r.IntN(2) == 0 {
+				fields = 4 // no "pinned":null, which the scan refuses
+			}
+			dst = object(dst, fields, func(dst []byte, f int) []byte {
+				switch f {
+				case 0:
+					return AppendJSONString(append(dst, `"name":`...), st.Name)
+				case 1:
+					return num(append(dst, `"cost":`...), st.Cost)
+				case 2:
+					return num(append(dst, `"release":`...), st.Release)
+				case 3:
+					return num(append(dst, `"endToEnd":`...), st.EndToEnd)
+				}
+				if st.Pinned == nil {
+					return append(dst, `"pinned":null`...)
+				}
+				return strconv.AppendInt(append(dst, `"pinned":`...), int64(*st.Pinned), 10)
+			})
+		}
+		return append(dst, ']')
+	}
+	arcs := func(dst []byte) []byte {
+		dst = append(dst, `"arcs":[`...)
+		for i := range w.Arcs {
+			a := &w.Arcs[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = object(dst, 3, func(dst []byte, f int) []byte {
+				switch f {
+				case 0:
+					return AppendJSONString(append(dst, `"from":`...), a.From)
+				case 1:
+					return AppendJSONString(append(dst, `"to":`...), a.To)
+				}
+				return num(append(dst, `"size":`...), a.Size)
+			})
+		}
+		return append(dst, ']')
+	}
+	if r.IntN(2) == 0 {
+		twin = append(arcs(append(sts([]byte{'{'}), ',')), '}')
+	} else {
+		twin = append(sts(append(arcs([]byte{'{'}), ',')), '}')
+	}
+	return twin, changed
+}
+
+// TestKeyNameFraming: a name's key framing is the uvarint length of its
+// canonical bytes and then those bytes, across the one-byte length's
+// boundary at 128 bytes.
+func TestKeyNameFraming(t *testing.T) {
+	for _, n := range []int{1, 2, 125, 126, 127, 128, 200, 16381, 16382, 20000} {
+		name := strings.Repeat("é", n/2) + strings.Repeat("x", n%2)
+		w := Wire{Subtasks: []WireSubtask{{Name: name, Cost: 1}}}
+		got, err := w.AppendKey([]byte("prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon := AppendJSONString(nil, name)
+		want := binary.AppendUvarint([]byte("prefix\x01"), uint64(len(canon)))
+		want = append(want, canon...)
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(1))
+		want = append(want, 0, 0)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("name of %d bytes: key %x, want %x", len(name), got, want)
+		}
+	}
+}
+
+// TestKeyRejectsNonFinite: the key refuses NaN and infinities wherever
+// the canonical encoder does, with its error.
+func TestKeyRejectsNonFinite(t *testing.T) {
+	one := 1
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, w := range []Wire{
+			{Subtasks: []WireSubtask{{Name: "a", Cost: bad}}},
+			{Subtasks: []WireSubtask{{Name: "a", Cost: 1, Release: bad}}},
+			{Subtasks: []WireSubtask{{Name: "a", Cost: 1, EndToEnd: bad, Pinned: &one}}},
+			{Subtasks: []WireSubtask{{Name: "a", Cost: 1}, {Name: "b", Cost: 1}},
+				Arcs: []WireArc{{From: "a", To: "b", Size: bad}}},
+		} {
+			_, kerr := w.AppendKey(nil)
+			_, cerr := w.AppendCanonical(nil)
+			if kerr == nil || cerr == nil || kerr.Error() != cerr.Error() {
+				t.Errorf("%+v: key error %v, canonical error %v", w, kerr, cerr)
+			}
+		}
 	}
 }

@@ -78,7 +78,8 @@ func (s *Scanner) Object() bool {
 // the colon after it, and returns the key's index in names. At the
 // closing brace, which it reads, and on failure it returns -1. A key that
 // is not in names (matched exact-case) or whose bit is already set in
-// *seen fails the scan.
+// *seen fails the scan. Each name must be plain ASCII: no control byte,
+// quote or backslash.
 func (s *Scanner) Key(i int, names []string, seen *uint64) int {
 	if s.failed {
 		return -1
@@ -90,14 +91,17 @@ func (s *Scanner) Key(i int, names []string, seen *uint64) int {
 		s.fail()
 		return -1
 	}
-	key := s.String()
-	if !s.consume(':') {
-		s.fail()
-		return -1
-	}
+	// Match the quoted key in place: as a name is plain ASCII, '"' + name
+	// + '"' is the one string String would read as name.
+	s.skipSpace()
+	rest := s.src[s.pos:]
 	for k, name := range names {
-		if key == name {
+		if len(rest) > len(name)+1 && rest[0] == '"' && rest[len(name)+1] == '"' && rest[1:len(name)+1] == name {
 			if *seen&(1<<k) != 0 {
+				break
+			}
+			s.pos += len(name) + 2
+			if !s.consume(':') {
 				break
 			}
 			*seen |= 1 << k
@@ -131,6 +135,15 @@ func (s *Scanner) elem(i int) bool {
 	return true
 }
 
+// plainASCII marks the bytes a string may hold as they are: ASCII with
+// no control byte, quote or backslash.
+var plainASCII = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // String reads a string with no escape sequences and returns its
 // contents, a substring of the source.
 func (s *Scanner) String() string {
@@ -138,22 +151,24 @@ func (s *Scanner) String() string {
 		s.fail()
 		return ""
 	}
+	src, i := s.src, s.pos
+	for i < len(src) && plainASCII[src[i]] {
+		i++
+	}
 	ascii := true
-	for i := s.pos; i < len(s.src); i++ {
-		c := s.src[i]
-		if c == '"' {
-			str := s.src[s.pos:i]
-			if ascii || utf8.ValidString(str) {
-				s.pos = i + 1
-				return str
-			}
-			break
+	if i < len(src) && src[i] >= utf8.RuneSelf {
+		// Past a non-ASCII byte, find the closing quote and check the
+		// whole string's UTF-8 there.
+		ascii = false
+		for i < len(src) && (plainASCII[src[i]] || src[i] >= utf8.RuneSelf) {
+			i++
 		}
-		if c < 0x20 || c == '\\' {
-			break
-		}
-		if c >= utf8.RuneSelf {
-			ascii = false
+	}
+	if i < len(src) && src[i] == '"' {
+		str := src[s.pos:i]
+		if ascii || utf8.ValidString(str) {
+			s.pos = i + 1
+			return str
 		}
 	}
 	s.fail()

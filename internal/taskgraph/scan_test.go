@@ -65,6 +65,8 @@ func TestScanSubset(t *testing.T) {
 		{`{"subtasks":[{"name":"a","cost":1E+2,"release":-0.0e-0}]}`, true},
 		{`{"subtasks":[{"name":"a","cost":1e-400}]}`, true},
 		{`{"subtasks":[{"name":"a","cost":1,"pinned":-9223372036854775808}]}`, true},
+		{"{\"subtasks\" :[] , \"arcs\"\n:\t[]}", true},                // space around keys
+		{`{"subtasks":[{"name":"aéb","cost":1,"endToEnd":2}]}`, true}, // non-ASCII inside
 
 		{g + `x`, false},                                            // trailing garbage
 		{g + g, false},                                              // a second value
@@ -95,6 +97,16 @@ func TestScanSubset(t *testing.T) {
 		{``, false},
 		{`null`, false},
 		{`[]`, false},
+
+		// Keys match in place, and strings past a non-ASCII byte.
+		{`{"subtasksx":[]}`, false},
+		{`{"subtask":[]}`, false},
+		{`{"arcs":[{"from":"a","to":"b","sizes":1}]}`, false},
+		{`{"subtasks":[],"arcs"}`, false},
+		{`{"subtasks"`, false},
+		{"{\"subtasks\":[{\"name\":\"é\x01\",\"cost\":1}]}", false},
+		{`{"subtasks":[{"name":"é\u0062","cost":1}]}`, false},
+		{`{"subtasks":[{"name":"é`, false},
 	} {
 		if _, fast := scanWire([]byte(tc.in)); fast != tc.fast {
 			t.Errorf("%q: scan accepted=%v, want %v", tc.in, fast, tc.fast)
