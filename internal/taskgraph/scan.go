@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -9,8 +10,8 @@ import (
 // Scanner reads JSON values from a string in one pass, without reflection,
 // accepting only a strict subset of the grammar: exact-case known keys,
 // each at most once per object; strings with no escape sequences, no
-// control bytes and valid UTF-8; numbers in the JSON grammar, parsed with
-// strconv.ParseFloat; integers with no fraction or exponent that fit an
+// control bytes and valid UTF-8; numbers in the JSON grammar, each read
+// once (see float); integers with no fraction or exponent that fit an
 // int. Inside that subset the values it yields are exactly what
 // encoding/json decodes from the same bytes, and its strings are
 // substrings of the source, so they cost no allocation.
@@ -176,62 +177,121 @@ func (s *Scanner) String() string {
 }
 
 // number reads a number literal in the JSON grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether it
-// is an integer: one with neither fraction nor exponent.
-func (s *Scanner) number() (lit string, integer bool) {
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it with its
+// decimal value, built in the same walk over its digits.
+func (s *Scanner) number() (lit string, d decimal) {
 	if s.failed {
-		return "", false
+		return "", d
 	}
 	s.skipSpace()
 	src, i := s.src, s.pos
-	if i < len(src) && src[i] == '-' {
+	neg := i < len(src) && src[i] == '-'
+	if neg {
 		i++
 	}
-	if i < len(src) && src[i] == '0' {
+	// nd counts the significant digits kept in man: a leading zero adds
+	// nothing to the mantissa and is not counted, and past maxMantDigits a
+	// digit only scales the integer part or is dropped from the fraction.
+	var (
+		man   uint64
+		exp10 int
+		nd    int
+		trunc bool
+	)
+	switch {
+	case i < len(src) && src[i] == '0':
 		i++
-	} else if i = s.digits(i); s.failed {
-		return "", false
+	case i < len(src) && '1' <= src[i] && src[i] <= '9':
+		for ; i < len(src); i++ {
+			c := src[i] - '0'
+			if c > 9 {
+				break
+			}
+			if nd < maxMantDigits {
+				man = man*10 + uint64(c)
+				nd++
+			} else {
+				exp10++
+				trunc = trunc || c != 0
+			}
+		}
+	default:
+		s.fail()
+		return "", d
 	}
-	integer = true
+	integer := true
 	if i < len(src) && src[i] == '.' {
 		integer = false
-		if i = s.digits(i + 1); s.failed {
-			return "", false
+		i++
+		start := i
+		for ; i < len(src); i++ {
+			c := src[i] - '0'
+			if c > 9 {
+				break
+			}
+			if nd < maxMantDigits {
+				man = man*10 + uint64(c)
+				exp10--
+				if man != 0 {
+					nd++
+				}
+			} else {
+				trunc = trunc || c != 0
+			}
+		}
+		if i == start {
+			s.fail()
+			return "", d
 		}
 	}
 	if i < len(src) && (src[i] == 'e' || src[i] == 'E') {
 		integer = false
 		i++
+		eneg := false
 		if i < len(src) && (src[i] == '+' || src[i] == '-') {
+			eneg = src[i] == '-'
 			i++
 		}
-		if i = s.digits(i); s.failed {
-			return "", false
+		start, e := i, 0
+		for ; i < len(src); i++ {
+			c := src[i] - '0'
+			if c > 9 {
+				break
+			}
+			if e < expSaturation {
+				e = e*10 + int(c)
+			}
 		}
+		if i == start {
+			s.fail()
+			return "", d
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
 	}
 	lit = src[s.pos:i]
 	s.pos = i
-	return lit, integer
+	return lit, decimal{man: man, exp10: exp10, neg: neg, integer: integer, trunc: trunc}
 }
 
-// digits returns the end of the run of one or more decimal digits at i,
-// failing the scan when there is none.
-func (s *Scanner) digits(i int) int {
-	start := i
-	for i < len(s.src) && '0' <= s.src[i] && s.src[i] <= '9' {
-		i++
-	}
-	if i == start {
-		s.fail()
-	}
-	return i
-}
-
-// float reads a number as encoding/json decodes it into a float64.
+// float reads a number as encoding/json decodes it into a float64. The
+// literal's value converts from its decimal by Clinger's exact path or by
+// Eisel–Lemire; strconv.ParseFloat reads it again only when it has more
+// than maxMantDigits significant digits, an exponent outside the powers
+// table, or a value that conversion cannot settle (a subnormal, an
+// overflow, a near-halfway product). Every value and every refusal is
+// strconv's.
 func (s *Scanner) float() float64 {
-	lit, _ := s.number()
+	lit, d := s.number()
 	if s.failed {
 		return 0
+	}
+	if !d.trunc {
+		if f, ok := d.toFloat(); ok {
+			return f
+		}
 	}
 	f, err := strconv.ParseFloat(lit, 64)
 	if err != nil {
@@ -241,17 +301,22 @@ func (s *Scanner) float() float64 {
 	return f
 }
 
-// Int reads an integer with no fraction or exponent that fits an int.
+// Int reads an integer with no fraction or exponent that fits an int. Its
+// digits are the decimal's mantissa; one with more than maxMantDigits
+// digits leaves exp10 above zero, is at least 10^19 and fits no int.
 func (s *Scanner) Int() int {
-	lit, integer := s.number()
-	if s.failed || !integer {
+	_, d := s.number()
+	limit := uint64(math.MaxInt)
+	if d.neg {
+		limit++
+	}
+	if s.failed || !d.integer || d.exp10 != 0 || d.man > limit {
 		s.fail()
 		return 0
 	}
-	n, err := strconv.Atoi(lit)
-	if err != nil {
-		s.fail()
-		return 0
+	n := int(d.man)
+	if d.neg {
+		n = -n
 	}
 	return n
 }
