@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"deadlinedist/internal/experiment"
+	"deadlinedist/internal/taskgraph"
 )
 
 // plainGraph is a graph in the scanner's strict subset.
@@ -113,7 +114,7 @@ func TestScanRequestSubset(t *testing.T) {
 		{``, false},
 	} {
 		var req wireRequest
-		if got := scanRequest(tc.body, &req); got != tc.fast {
+		if got := scanRequest(taskgraph.NewScanner(tc.body), &req, nil); got != tc.fast {
 			t.Errorf("%q: scanned %v, want %v", tc.body, got, tc.fast)
 		}
 	}
@@ -145,7 +146,10 @@ func TestPutBufferCap(t *testing.T) {
 // FuzzDecodeRequest is the differential property of the one-pass decode:
 // whenever the strict scan accepts a body, encoding/json decodes the same
 // request from it without error; and whatever the body, decodeRequest
-// returns encoding/json's request and error.
+// returns encoding/json's request and error. Each body is decoded through
+// a scratch that has just decoded a longer request, as a pooled scratch
+// is reused, so a list entry or a byte the longer body left behind would
+// show in the result.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"graph":` + plainGraph + `,"procs":3}`,
@@ -157,20 +161,32 @@ func FuzzDecodeRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	// Every subtask of the longer request is pinned and has a release and
+	// an end-to-end deadline, so a field left over in a reused entry is
+	// one encoding/json does not set.
+	long := []byte(`{"graph":{"subtasks":[` +
+		strings.Repeat(`{"name":"longer-name","cost":7,"release":1,"endToEnd":99,"pinned":3},`, 40) +
+		`{"name":"z","cost":1}],"arcs":[` + strings.Repeat(`{"from":"longer-from","to":"longer-to","size":5},`, 60) +
+		`{"from":"z","to":"z","size":1}]},"procs":9,"tenant":"longer-tenant"}`)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var ref wireRequest
 		refErr := json.NewDecoder(bytes.NewReader(body)).Decode(&ref)
 
 		var fast wireRequest
-		if scanRequest(string(body), &fast) {
+		if scanRequest(taskgraph.NewScanner(string(body)), &fast, nil) {
 			if refErr != nil {
 				t.Fatalf("%q: scan accepted, encoding/json: %v", body, refErr)
 			}
 			sameRequest(t, body, &fast, &ref)
 		}
 
+		var sc requestScratch
+		var first wireRequest
+		if err := decodeRequest(bytes.NewReader(long), &first, &sc); err != nil || len(first.Graph.Subtasks) != 41 {
+			t.Fatalf("longer request: %v", err)
+		}
 		var got wireRequest
-		err := decodeRequest(bytes.NewReader(body), &got)
+		err := decodeRequest(bytes.NewReader(body), &got, &sc)
 		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
 			t.Fatalf("%q: decode error %v, encoding/json %v", body, err, refErr)
 		}

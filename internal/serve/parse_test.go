@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -95,8 +97,9 @@ func TestContentKeyClasses(t *testing.T) {
 	}
 	decode := func(body string) *wireRequest {
 		t.Helper()
+		// A scratch of its own: req's graph lives in it.
 		var req wireRequest
-		if err := decodeRequest(strings.NewReader(body), &req); err != nil {
+		if err := decodeRequest(strings.NewReader(body), &req, new(requestScratch)); err != nil {
 			t.Fatalf("%q: %v", body, err)
 		}
 		return &req
@@ -417,15 +420,7 @@ func BenchmarkServeParse(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rd.Reset(c.body)
-				var req wireRequest
-				if err := decodeRequest(rd, &req); err != nil {
-					b.Fatal(err)
-				}
-				pr, perr := s.parse(&req, TierFull)
-				if perr != nil {
-					b.Fatal(perr)
-				}
-				parseSink = pr
+				parseSink = parseAsHandler(b, s, rd)
 			}
 		})
 	}
@@ -460,34 +455,98 @@ func settleBody(tb testing.TB, s *Server, body []byte) {
 	publish(s, pr.key)
 }
 
-// TestParseHitAllocs bounds the allocations of decoding and parsing a
-// cached request the way the handler does. The one-pass decode allocates
-// the body's string copy and the wire slices, not one string per name;
-// building the graph would multiply the count.
+// parseAsHandler decodes and parses the request rd holds as
+// handleAssign does, with a scratch from the pool that goes back before
+// it returns. The result's wire, if any, is then no longer valid.
+func parseAsHandler(tb testing.TB, s *Server, rd io.Reader) *parsedRequest {
+	sc := scratchPool.Get().(*requestScratch)
+	defer putScratch(sc)
+	var req wireRequest
+	if err := decodeRequest(rd, &req, sc); err != nil {
+		tb.Fatal(err)
+	}
+	pr, perr := s.parse(&req, TierFull)
+	if perr != nil {
+		tb.Fatal(perr)
+	}
+	return pr
+}
+
+// sizedBody returns the request body of a generator graph of n subtasks.
+func sizedBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	cfg := generator.Default(generator.MDET)
+	cfg.MinSubtasks, cfg.MaxSubtasks = n, n
+	g, err := generator.Random(cfg, rng.New(uint64(n)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := json.Marshal(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(Request{Graph: raw, Procs: 4, Assigner: "ADAPT", Class: "batch"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestParseHitAllocs bounds what decoding and parsing a cached request
+// allocates the way the handler runs them: at most 25 allocations and
+// under 1 KiB, and the same bytes for a 50- and a 400-subtask body. The
+// body is read into a pooled scratch and scanned in place into its pooled
+// lists, so nothing a hit allocates grows with its graph; building the
+// graph would multiply the count.
 func TestParseHitAllocs(t *testing.T) {
 	orc := experiment.NewOrchestrator(1)
 	defer orc.Close()
 	s := New(Config{Orchestrator: orc})
-	body := generatedBodies(t, 1, []int{4})[0]
-	settleBody(t, s, body)
-	rd := bytes.NewReader(body)
-	parse := func() {
-		rd.Reset(body)
-		var req wireRequest
-		if err := decodeRequest(rd, &req); err != nil {
-			t.Fatal(err)
+	perSize := map[int]uint64{}
+	for _, n := range []int{50, 400} {
+		body := sizedBody(t, n)
+		settleBody(t, s, body)
+		rd := bytes.NewReader(body)
+		parse := func() {
+			rd.Reset(body)
+			if pr := parseAsHandler(t, s, rd); pr.graph != nil {
+				t.Fatal("not a hit")
+			}
 		}
-		pr, perr := s.parse(&req, TierFull)
-		if perr != nil || pr.graph != nil {
-			t.Fatalf("not a hit: %v", perr)
+		hit := testing.AllocsPerRun(50, parse)
+		perSize[n] = bytesPerRun(50, parse)
+		t.Logf("hit parse, %d subtasks (%d-byte body): %.0f allocs, %d B", n, len(body), hit, perSize[n])
+		const limit = 25
+		if hit > limit {
+			t.Errorf("hit parse, %d subtasks: %.0f allocs, limit %d", n, hit, limit)
 		}
 	}
-	hit := testing.AllocsPerRun(50, parse)
-	req, _ := decodeWire(body)
-	t.Logf("hit parse: %.0f allocs (%d subtasks, %d arcs)", hit, len(req.Graph.Subtasks), len(req.Graph.Arcs))
-	const limit = 25
-	if hit > limit {
-		t.Errorf("hit parse: %.0f allocs, limit %d", hit, limit)
+	// Under the race detector sync.Pool drops a share of what is put
+	// back, so a run may pay for a fresh scratch.
+	if raceEnabled {
+		return
+	}
+	for n, b := range perSize {
+		if b >= 1<<10 {
+			t.Errorf("hit parse, %d subtasks: %d B, limit 1 KiB", n, b)
+		}
+	}
+	if perSize[50] != perSize[400] {
+		t.Errorf("hit parse: %d B at 50 subtasks, %d B at 400: a hit allocates by graph size", perSize[50], perSize[400])
 	}
 }
 

@@ -116,7 +116,8 @@ const (
 // config and the active degrade tier.
 type parsedRequest struct {
 	// graph is nil when parse skipped Build on a cache hit; a request
-	// that then has to compute builds it from wire (graphOrBuild).
+	// that then has to compute builds it from wire (graphOrBuild), which
+	// is nil once graph is set.
 	graph    *taskgraph.Graph
 	wire     *taskgraph.Wire
 	sys      *platform.System
@@ -130,29 +131,46 @@ type parsedRequest struct {
 	pinned   bool // assigner explicitly requested
 }
 
-// assignerFor resolves a registry name. The registry is deliberately the
-// paper's stock set: slicing metrics run with CCNE estimation (the
-// paper's best) and defaultDelta/threshold parameters matching dlexp.
+// stockAssigners is the registry assignerFor resolves: the paper's stock
+// set, slicing metrics with CCNE estimation (the paper's best) and
+// defaultDelta/threshold parameters matching dlexp. An Assigner is an
+// immutable value, so every request shares these.
+var stockAssigners = map[string]experiment.Assigner{
+	"PURE":  experiment.Slicing(core.PURE(), core.CCNE()),
+	"NORM":  experiment.Slicing(core.NORM(), core.CCNE()),
+	"THRES": experiment.Slicing(core.THRES(1.0, 1.25), core.CCNE()),
+	"ADAPT": experiment.Slicing(core.ADAPT(1.25), core.CCNE()),
+	"UD":    experiment.Baseline(strategy.UD()),
+	"ED":    experiment.Baseline(strategy.ED()),
+	"EQS":   experiment.Baseline(strategy.EQS()),
+	"EQF":   experiment.Baseline(strategy.EQF()),
+}
+
+// assignerFor resolves a registry name.
 func assignerFor(name string) (experiment.Assigner, error) {
-	switch name {
-	case "PURE":
-		return experiment.Slicing(core.PURE(), core.CCNE()), nil
-	case "NORM":
-		return experiment.Slicing(core.NORM(), core.CCNE()), nil
-	case "THRES":
-		return experiment.Slicing(core.THRES(1.0, 1.25), core.CCNE()), nil
-	case "ADAPT":
-		return experiment.Slicing(core.ADAPT(1.25), core.CCNE()), nil
-	case "UD":
-		return experiment.Baseline(strategy.UD()), nil
-	case "ED":
-		return experiment.Baseline(strategy.ED()), nil
-	case "EQS":
-		return experiment.Baseline(strategy.EQS()), nil
-	case "EQF":
-		return experiment.Baseline(strategy.EQF()), nil
+	if asg, ok := stockAssigners[name]; ok {
+		return asg, nil
 	}
 	return nil, fmt.Errorf("unknown assigner %q (want PURE, NORM, THRES, ADAPT, UD, ED, EQS or EQF)", name)
+}
+
+// systems holds the platform of each processor count parse accepts, made
+// on first use. A System is immutable, so every request of a size shares
+// one.
+var systems [maxProcs + 1]atomic.Pointer[platform.System]
+
+// systemFor returns the shared platform of procs processors, in
+// [1, maxProcs].
+func systemFor(procs int) (*platform.System, error) {
+	if sys := systems[procs].Load(); sys != nil {
+		return sys, nil
+	}
+	sys, err := platform.New(procs)
+	if err != nil {
+		return nil, err
+	}
+	systems[procs].Store(sys)
+	return sys, nil
 }
 
 func policyFor(name string) (scheduler.Policy, error) {
@@ -207,7 +225,7 @@ func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 	if procs < 1 || procs > maxProcs {
 		return nil, Errorf(ClassInvalid, fmt.Sprintf("procs %d out of range [1, %d]", procs, maxProcs))
 	}
-	sys, err := platform.New(procs)
+	sys, err := systemFor(procs)
 	if err != nil {
 		return nil, Errorf(ClassInvalid, err.Error())
 	}
@@ -313,14 +331,16 @@ func contentKey(w *taskgraph.Wire, procs int, label, policy string) (string, *Er
 
 // graphOrBuild returns the request's graph, building it from the wire
 // form if parse skipped that on a cache hit (the entry was then evicted
-// before this request could read it, leaving it to compute).
+// before this request could read it, leaving it to compute). Once the
+// graph is built the wire is dropped: it points into the request's pooled
+// scratch, and pr may outlive the handler in an abandoned attempt.
 func (pr *parsedRequest) graphOrBuild() (*taskgraph.Graph, *Error) {
 	if pr.graph == nil {
 		g, err := pr.wire.Build()
 		if err != nil {
 			return nil, Errorf(ClassInvalid, err.Error())
 		}
-		pr.graph = g
+		pr.graph, pr.wire = g, nil
 	}
 	return pr.graph, nil
 }

@@ -346,8 +346,12 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, rs, Errorf(ClassTransient, "server is draining"), 0)
 		return
 	}
+	// req.Graph lives in sc (decodeRequest), which goes back to the pool
+	// only when the handler returns.
+	sc := scratchPool.Get().(*requestScratch)
+	defer putScratch(sc)
 	var req wireRequest
-	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req, sc); err != nil {
 		s.writeError(w, rs, Errorf(ClassInvalid, "decode request: "+err.Error()), 0)
 		return
 	}

@@ -274,16 +274,35 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 
 const hexDigits = "0123456789abcdef"
 
+// jsonPlain marks the bytes AppendJSONString writes as they are: ASCII
+// with no control byte, quote, backslash, or HTML-sensitive '<', '>' or
+// '&'.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
 // AppendJSONString appends s as a JSON string the way json.Marshal does:
 // '"' and '\\' backslash-escaped; \b, \f, \n, \r, \t by name; other
 // control bytes and the HTML-sensitive '<', '>', '&' as \u00XX; U+2028
 // and U+2029 as \u2028 and \u2029; each invalid UTF-8 byte as \ufffd.
+// A string of plain bytes only is copied in one append.
 func AppendJSONString(dst []byte, s string) []byte {
+	i := 0
+	for i < len(s) && jsonPlain[s[i]] {
+		i++
+	}
 	dst = append(dst, '"')
+	if i == len(s) {
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
 	start := 0
-	for i := 0; i < len(s); {
+	for i < len(s) {
 		if b := s[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+			if jsonPlain[b] {
 				i++
 				continue
 			}

@@ -491,3 +491,28 @@ func TestKeyRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAppendJSONString: the table-driven string appender writes exactly
+// json.Marshal's bytes for any string, valid UTF-8 or not, after
+// whatever dst already holds.
+func FuzzAppendJSONString(f *testing.F) {
+	for _, seed := range []string{
+		"", "t0", "plain-ASCII name_01", `"quoted"`, `back\slash`, "<a>&b",
+		"tab\tnew\nline\rret\bbs\fff", "\x00\x01\x1f\x7f", "é", "日本",
+		"  ", "\xff", "a\xc3", "\xed\xa0\x80", "mixed é<\xfe> ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendJSONString(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("%q: appended %s, json.Marshal %s", s, got, want)
+		}
+		if got := AppendJSONString([]byte("prefix"), s); string(got) != "prefix"+string(want) {
+			t.Fatalf("%q: after a prefix, appended %s", s, got)
+		}
+	})
+}

@@ -41,7 +41,9 @@ type WireArc struct {
 }
 
 // Build validates the interchange form and constructs its Graph. It does
-// not modify w.
+// not modify w, and the graph keeps no reference into it: the subtask
+// names are copied into one string the graph owns, so w's strings may
+// alias storage that is reused once Build returns.
 //
 // Every subtask of the graph has a name of its own: Build rejects a
 // repeated name, and an unnamed subtask whose generated name "t<index>"
@@ -50,16 +52,28 @@ type WireArc struct {
 func (w *Wire) Build() (*Graph, error) {
 	b := newBuilderSized(len(w.Subtasks), len(w.Arcs))
 	ids := make(map[string]NodeID, len(w.Subtasks))
+	n := 0
+	for i := range w.Subtasks {
+		n += len(w.Subtasks[i].Name)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i := range w.Subtasks {
+		sb.WriteString(w.Subtasks[i].Name)
+	}
+	names, at := sb.String(), 0
 	anon := -1 // the unnamed subtask; a second one is a duplicate
 	for i := range w.Subtasks {
 		st := &w.Subtasks[i]
-		if _, dup := ids[st.Name]; dup {
-			return nil, fmt.Errorf("decode task graph: duplicate subtask name %q", st.Name)
+		name := names[at : at+len(st.Name)]
+		at += len(st.Name)
+		if _, dup := ids[name]; dup {
+			return nil, fmt.Errorf("decode task graph: duplicate subtask name %q", name)
 		}
-		if st.Name == "" {
+		if name == "" {
 			anon = i
 		}
-		id := b.AddSubtask(st.Name, st.Cost)
+		id := b.AddSubtask(name, st.Cost)
 		if st.Release != 0 {
 			b.SetRelease(id, st.Release)
 		}
@@ -69,7 +83,7 @@ func (w *Wire) Build() (*Graph, error) {
 		if st.Pinned != nil {
 			b.Pin(id, *st.Pinned)
 		}
-		ids[st.Name] = id
+		ids[name] = id
 	}
 	if anon >= 0 {
 		var buf [24]byte
@@ -136,7 +150,8 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return w.AppendCanonical(nil)
 }
 
-// Decode builds a Graph from its JSON interchange form.
+// Decode builds a Graph from its JSON interchange form. The graph keeps
+// no reference to data.
 func Decode(data []byte) (*Graph, error) {
 	w, err := decodeWire(data)
 	if err != nil {
@@ -150,13 +165,10 @@ func Decode(data []byte) (*Graph, error) {
 // the one-pass scan; anything else is json.Unmarshal's, errors included.
 func decodeWire(data []byte) (Wire, error) {
 	var w Wire
-	sc := NewScanner(string(data))
-	if sc.Wire(&w); sc.atEnd() && !sc.Failed() {
-		// The graph outlives data: its names get storage of their own
-		// rather than substrings that would pin the whole source.
-		for i := range w.Subtasks {
-			w.Subtasks[i].Name = strings.Clone(w.Subtasks[i].Name)
-		}
+	// The scan reads data in place, so the wire's names alias it; Decode
+	// is done with them once Build has copied them into the graph.
+	sc := NewScannerBytes(data)
+	if sc.Wire(&w, nil); sc.atEnd() && !sc.Failed() {
 		return w, nil
 	}
 	w = Wire{}

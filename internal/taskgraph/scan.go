@@ -2,9 +2,11 @@ package taskgraph
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Scanner reads JSON values from a string in one pass, without reflection,
@@ -31,6 +33,14 @@ type Scanner struct {
 // NewScanner returns a Scanner positioned at the start of src.
 func NewScanner(src string) Scanner { return Scanner{src: src} }
 
+// NewScannerBytes returns a Scanner over src read in place, without a
+// copy. Every string it yields aliases src, so src must not change while
+// any of them is in use: a caller that reuses src must first copy out, or
+// be done with, every string read from it.
+func NewScannerBytes(src []byte) Scanner {
+	return Scanner{src: unsafe.String(unsafe.SliceData(src), len(src))}
+}
+
 // Failed reports whether the scan met input outside the strict subset.
 func (s *Scanner) Failed() bool { return s.failed }
 
@@ -43,8 +53,16 @@ func (s *Scanner) atEnd() bool {
 
 func (s *Scanner) fail() { s.failed = true }
 
-// skipSpace advances past JSON whitespace.
+// skipSpace advances past JSON whitespace. Every whitespace byte is at
+// most ' ', so one comparison settles the common case, a body written
+// without any, before the loop.
 func (s *Scanner) skipSpace() {
+	if s.pos < len(s.src) && s.src[s.pos] <= ' ' {
+		s.skipSpaceRun()
+	}
+}
+
+func (s *Scanner) skipSpaceRun() {
 	for s.pos < len(s.src) {
 		switch s.src[s.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -75,42 +93,128 @@ func (s *Scanner) Object() bool {
 	return true
 }
 
-// Key reads the i-th key of the object being read (i counts from 0), and
-// the colon after it, and returns the key's index in names. At the
-// closing brace, which it reads, and on failure it returns -1. A key that
-// is not in names (matched exact-case) or whose bit is already set in
-// *seen fails the scan. Each name must be plain ASCII: no control byte,
-// quote or backslash.
-func (s *Scanner) Key(i int, names []string, seen *uint64) int {
+// member reports whether the object or array being read has an i-th
+// member (i counts from 0), reading the comma before it. At the closing
+// byte end, which it reads, and on failure it returns false.
+func (s *Scanner) member(i int, end byte) bool {
 	if s.failed {
-		return -1
+		return false
 	}
-	if s.consume('}') {
-		return -1
-	}
-	if i > 0 && !s.consume(',') {
-		s.fail()
-		return -1
-	}
-	// Match the quoted key in place: as a name is plain ASCII, '"' + name
-	// + '"' is the one string String would read as name.
 	s.skipSpace()
-	rest := s.src[s.pos:]
+	if s.pos < len(s.src) {
+		switch c := s.src[s.pos]; {
+		case c == end:
+			s.pos++
+			return false
+		case i == 0:
+			return true
+		case c == ',':
+			s.pos++
+			s.skipSpace()
+			return true
+		}
+	}
+	s.fail()
+	return false
+}
+
+// Keys is the set of names an object's keys may take, in the order
+// Scanner.Key numbers them. Each name must be plain ASCII: no control
+// byte, quote or backslash.
+type Keys struct {
+	names []string
+	// tokens holds, for each name, the bytes '"' + name + '":' that open
+	// its member when it holds no whitespace, as two little-endian words
+	// with the masks that cut them to the token's n bytes. A token longer
+	// than 16 bytes has n == 0.
+	tokens []keyToken
+}
+
+type keyToken struct {
+	word, mask [2]uint64
+	n          int
+}
+
+// NewKeys returns the key set of names, at most 64 of them.
+func NewKeys(names ...string) *Keys {
+	ks := &Keys{names: names, tokens: make([]keyToken, len(names))}
 	for k, name := range names {
-		if len(rest) > len(name)+1 && rest[0] == '"' && rest[len(name)+1] == '"' && rest[1:len(name)+1] == name {
-			if *seen&(1<<k) != 0 {
-				break
+		tok := `"` + name + `":`
+		if len(tok) > 16 {
+			continue
+		}
+		t := &ks.tokens[k]
+		t.n = len(tok)
+		for j := 0; j < len(tok); j++ {
+			t.word[j/8] |= uint64(tok[j]) << (8 * (j % 8))
+			t.mask[j/8] |= 0xff << (8 * (j % 8))
+		}
+	}
+	return ks
+}
+
+// load64 returns the eight bytes of s from i on, little-endian: one load.
+func load64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// Key reads the i-th key of the object being read (i counts from 0), and
+// the colon after it, and returns the key's index in ks. At the closing
+// brace, which it reads, and on failure it returns -1. A key that is not
+// in ks (matched exact-case) or whose bit is already set in *seen fails
+// the scan.
+func (s *Scanner) Key(i int, ks *Keys, seen *uint64) int {
+	if !s.member(i, '}') {
+		return -1
+	}
+	src, p := s.src, s.pos
+	// Every name before the first unseen one is seen, so the match starts
+	// there. A member opened without whitespace matches its name's token,
+	// quotes and colon included, in one comparison of two words.
+	k := bits.TrailingZeros64(^*seen)
+	if p+16 <= len(src) {
+		lo, hi := load64(src, p), load64(src, p+8)
+		for j := k; j < len(ks.tokens); j++ {
+			if t := &ks.tokens[j]; t.n > 0 && lo&t.mask[0] == t.word[0] && hi&t.mask[1] == t.word[1] && *seen&(1<<j) == 0 {
+				s.pos = p + t.n
+				*seen |= 1 << j
+				return j
 			}
-			s.pos += len(name) + 2
-			if !s.consume(':') {
-				break
+		}
+	}
+	// Otherwise cut the key at its closing quote and match it whole. A
+	// name is plain ASCII, so a key equal to one is the string String
+	// would read, and the cut stops at the first byte no name holds.
+	if p < len(src) && src[p] == '"' {
+		end := p + 1
+		for end < len(src) && plainASCII[src[end]] {
+			end++
+		}
+		if end < len(src) && src[end] == '"' {
+			key := src[p+1 : end]
+			for ; k < len(ks.names); k++ {
+				if key == ks.names[k] && *seen&(1<<k) == 0 {
+					return s.colon(k, end+1, seen)
+				}
 			}
-			*seen |= 1 << k
-			return k
 		}
 	}
 	s.fail()
 	return -1
+}
+
+// colon reads the colon after the k-th key, which ends before pos, and
+// marks the key seen; it returns k, or -1 on failure.
+func (s *Scanner) colon(k, pos int, seen *uint64) int {
+	s.pos = pos
+	if !s.consume(':') {
+		s.fail()
+		return -1
+	}
+	*seen |= 1 << k
+	return k
 }
 
 // array reads the '[' opening an array.
@@ -125,16 +229,7 @@ func (s *Scanner) array() bool {
 // elem reports whether the array being read has an i-th element (i
 // counts from 0), reading the comma before it. At the closing bracket,
 // which it reads, and on failure it returns false.
-func (s *Scanner) elem(i int) bool {
-	if s.failed || s.consume(']') {
-		return false
-	}
-	if i > 0 && !s.consume(',') {
-		s.fail()
-		return false
-	}
-	return true
-}
+func (s *Scanner) elem(i int) bool { return s.member(i, ']') }
 
 // plainASCII marks the bytes a string may hold as they are: ASCII with
 // no control byte, quote or backslash.
@@ -324,13 +419,20 @@ func (s *Scanner) Int() int {
 // The keys of the wire form's objects, in the order their decoders switch
 // on them: the JSON names tagged on Wire, WireSubtask and WireArc.
 var (
-	wireKeys    = []string{"subtasks", "arcs"}
-	subtaskKeys = []string{"name", "cost", "release", "endToEnd", "pinned"}
-	arcKeys     = []string{"from", "to", "size"}
+	wireKeys    = NewKeys("subtasks", "arcs")
+	subtaskKeys = NewKeys("name", "cost", "release", "endToEnd", "pinned")
+	arcKeys     = NewKeys("from", "to", "size")
 )
 
-// Wire reads a task graph's interchange form into the zero Wire w.
-func (s *Scanner) Wire(w *Wire) {
+// Wire reads a task graph's interchange form into the zero Wire w. Its
+// lists are cut from the storage of buf's, which may be nil: each is
+// appended to buf's list of its kind, cut to length zero, and buf keeps
+// the grown storage to lend again. A caller that lends buf must be done
+// with every Wire read through it before it lends buf again.
+func (s *Scanner) Wire(w, buf *Wire) {
+	if buf == nil {
+		buf = new(Wire)
+	}
 	if !s.Object() {
 		return
 	}
@@ -340,9 +442,9 @@ func (s *Scanner) Wire(w *Wire) {
 		case -1:
 			return
 		case 0:
-			w.Subtasks = s.subtasks()
+			w.Subtasks = s.subtasks(&buf.Subtasks)
 		case 1:
-			w.Arcs = s.arcs()
+			w.Arcs = s.arcs(&buf.Arcs)
 		}
 	}
 }
@@ -364,17 +466,30 @@ func (s *Scanner) lenHint() int {
 	return min(strings.Count(rest, "{"), maxLenHint)
 }
 
-// subtasks reads the subtask list. An empty list decodes to an empty,
-// non-nil slice, as encoding/json leaves it.
-func (s *Scanner) subtasks() []WireSubtask {
+// listStore returns the storage *store lends cut to length zero, or new
+// storage when it holds fewer than n elements. The result is never nil,
+// so an empty list decodes to an empty, non-nil slice, as encoding/json
+// leaves it.
+func listStore[E any](store *[]E, n int) []E {
+	if *store == nil || cap(*store) < n {
+		return make([]E, 0, n)
+	}
+	return (*store)[:0]
+}
+
+// subtasks reads the subtask list into the storage *store lends. Each
+// element is zeroed before it is read, so nothing of an earlier list
+// shows through.
+func (s *Scanner) subtasks(store *[]WireSubtask) []WireSubtask {
 	if !s.array() {
 		return nil
 	}
-	sts := make([]WireSubtask, 0, s.lenHint())
+	sts := listStore(store, s.lenHint())
 	for i := 0; s.elem(i); i++ {
 		sts = append(sts, WireSubtask{})
 		s.subtask(&sts[i])
 	}
+	*store = sts
 	return sts
 }
 
@@ -402,16 +517,17 @@ func (s *Scanner) subtask(st *WireSubtask) {
 	}
 }
 
-// arcs reads the arc list, empty but non-nil like the subtask list.
-func (s *Scanner) arcs() []WireArc {
+// arcs reads the arc list like the subtask list.
+func (s *Scanner) arcs(store *[]WireArc) []WireArc {
 	if !s.array() {
 		return nil
 	}
-	arcs := make([]WireArc, 0, s.lenHint())
+	arcs := listStore(store, s.lenHint())
 	for i := 0; s.elem(i); i++ {
 		arcs = append(arcs, WireArc{})
 		s.arc(&arcs[i])
 	}
+	*store = arcs
 	return arcs
 }
 

@@ -13,7 +13,7 @@ import (
 func scanWire(data []byte) (Wire, bool) {
 	var w Wire
 	sc := NewScanner(string(data))
-	sc.Wire(&w)
+	sc.Wire(&w, nil)
 	return w, sc.atEnd() && !sc.Failed()
 }
 
@@ -133,7 +133,7 @@ func TestScanNamesShareSource(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		w = Wire{}
 		sc = NewScanner(src)
-		sc.Wire(&w)
+		sc.Wire(&w, nil)
 	})
 	if sc.Failed() {
 		t.Fatal("scan failed")
