@@ -12,9 +12,8 @@ import (
 
 // maxPooledBuffer caps the buffers returned to scratchPool and keyPool:
 // one oversized request must not keep its buffer pooled for the life of
-// the process. A 400-subtask graph's request is about 60 KB, and reading
-// it grows its buffer to 64 KiB.
-const maxPooledBuffer = 128 << 10
+// the process.
+const maxPooledBuffer = 64 << 10
 
 // maxPooledList caps, in elements, the wire lists returned to
 // scratchPool, for the same reason: a body of empty objects can hold many
@@ -48,7 +47,7 @@ func putScratch(sc *requestScratch) {
 
 // requestKeys are the JSON names of wireRequest's fields, in the order
 // scanRequest switches on them.
-var requestKeys = taskgraph.NewKeys("graph", "procs", "assigner", "policy", "budgetMs", "tenant", "class")
+var requestKeys = []string{"graph", "procs", "assigner", "policy", "budgetMs", "tenant", "class"}
 
 // decodeRequest decodes one request from body into the zero *req with
 // json.Decoder's semantics: bytes after the first value are ignored, and a
@@ -72,7 +71,7 @@ func decodeRequest(body io.Reader, req *wireRequest, sc *requestScratch) error {
 	// request leaves behind points into sc: Build copies the names into
 	// the graph, parse drops the wire once the graph is built, and
 	// scanRequest clones the scalar strings.
-	if rerr == nil && bytes.IndexByte(buf, '\\') < 0 && scanRequest(taskgraph.NewScannerBytes(buf), req, &sc.lists) {
+	if rerr == nil && bytes.IndexByte(buf, '\\') < 0 && scanRequest(taskgraph.NewScanner(buf), req, &sc.lists) {
 		return nil
 	}
 	*req = wireRequest{}

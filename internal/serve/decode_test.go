@@ -114,7 +114,7 @@ func TestScanRequestSubset(t *testing.T) {
 		{``, false},
 	} {
 		var req wireRequest
-		if got := scanRequest(taskgraph.NewScanner(tc.body), &req, nil); got != tc.fast {
+		if got := scanRequest(taskgraph.NewScanner([]byte(tc.body)), &req, nil); got != tc.fast {
 			t.Errorf("%q: scanned %v, want %v", tc.body, got, tc.fast)
 		}
 	}
@@ -173,7 +173,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		refErr := json.NewDecoder(bytes.NewReader(body)).Decode(&ref)
 
 		var fast wireRequest
-		if scanRequest(taskgraph.NewScanner(string(body)), &fast, nil) {
+		if scanRequest(taskgraph.NewScanner(body), &fast, nil) {
 			if refErr != nil {
 				t.Fatalf("%q: scan accepted, encoding/json: %v", body, refErr)
 			}

@@ -85,7 +85,7 @@ func TestContentKeyClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := pr.key
-		canon := fmt.Sprintf("%s|procs=%d|assigner=%s|policy=%s", graph, pr.sys.NumProcs(), pr.label, policyName(pr.policy))
+		canon := fmt.Sprintf("%s|procs=%d|assigner=%s|policy=%s", graph, pr.procs, pr.label, policyName(pr.policy))
 		if c, ok := byKey[key]; ok && c != canon {
 			t.Fatalf("key %s shared by\n%s\n%s", key, c, canon)
 		}
@@ -508,7 +508,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 
 // TestParseHitAllocs bounds what decoding and parsing a cached request
 // allocates the way the handler runs them: at most 25 allocations and
-// under 1 KiB, and the same bytes for a 50- and a 400-subtask body. The
+// under 1 KiB, and the same bytes for a 50- and a 200-subtask body. The
 // body is read into a pooled scratch and scanned in place into its pooled
 // lists, so nothing a hit allocates grows with its graph; building the
 // graph would multiply the count.
@@ -517,7 +517,7 @@ func TestParseHitAllocs(t *testing.T) {
 	defer orc.Close()
 	s := New(Config{Orchestrator: orc})
 	perSize := map[int]uint64{}
-	for _, n := range []int{50, 400} {
+	for _, n := range []int{50, 200} {
 		body := sizedBody(t, n)
 		settleBody(t, s, body)
 		rd := bytes.NewReader(body)
@@ -545,8 +545,8 @@ func TestParseHitAllocs(t *testing.T) {
 			t.Errorf("hit parse, %d subtasks: %d B, limit 1 KiB", n, b)
 		}
 	}
-	if perSize[50] != perSize[400] {
-		t.Errorf("hit parse: %d B at 50 subtasks, %d B at 400: a hit allocates by graph size", perSize[50], perSize[400])
+	if perSize[50] != perSize[200] {
+		t.Errorf("hit parse: %d B at 50 subtasks, %d B at 200: a hit allocates by graph size", perSize[50], perSize[200])
 	}
 }
 

@@ -115,12 +115,13 @@ const (
 // parsedRequest is a validated request, resolved against the server
 // config and the active degrade tier.
 type parsedRequest struct {
-	// graph is nil when parse skipped Build on a cache hit; a request
-	// that then has to compute builds it from wire (graphOrBuild), which
-	// is nil once graph is set.
+	// graph and sys are nil when parse skipped Build on a cache hit; a
+	// request that then has to compute builds both (graphOrBuild), and
+	// wire is nil once they are set.
 	graph    *taskgraph.Graph
 	wire     *taskgraph.Wire
 	sys      *platform.System
+	procs    int
 	assigner experiment.Assigner
 	label    string // registry name (PURE, ADAPT, ...), not Label()
 	policy   scheduler.Policy
@@ -152,25 +153,6 @@ func assignerFor(name string) (experiment.Assigner, error) {
 		return asg, nil
 	}
 	return nil, fmt.Errorf("unknown assigner %q (want PURE, NORM, THRES, ADAPT, UD, ED, EQS or EQF)", name)
-}
-
-// systems holds the platform of each processor count parse accepts, made
-// on first use. A System is immutable, so every request of a size shares
-// one.
-var systems [maxProcs + 1]atomic.Pointer[platform.System]
-
-// systemFor returns the shared platform of procs processors, in
-// [1, maxProcs].
-func systemFor(procs int) (*platform.System, error) {
-	if sys := systems[procs].Load(); sys != nil {
-		return sys, nil
-	}
-	sys, err := platform.New(procs)
-	if err != nil {
-		return nil, err
-	}
-	systems[procs].Store(sys)
-	return sys, nil
 }
 
 func policyFor(name string) (scheduler.Policy, error) {
@@ -224,10 +206,6 @@ func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 	}
 	if procs < 1 || procs > maxProcs {
 		return nil, Errorf(ClassInvalid, fmt.Sprintf("procs %d out of range [1, %d]", procs, maxProcs))
-	}
-	sys, err := systemFor(procs)
-	if err != nil {
-		return nil, Errorf(ClassInvalid, err.Error())
 	}
 	policy, err := policyFor(req.Policy)
 	if err != nil {
@@ -285,7 +263,7 @@ func (s *Server) parse(req *wireRequest, tier Tier) (*parsedRequest, *Error) {
 	}
 	pr := &parsedRequest{
 		wire:     &req.Graph,
-		sys:      sys,
+		procs:    procs,
 		assigner: asg,
 		label:    label,
 		policy:   policy,
@@ -330,17 +308,22 @@ func contentKey(w *taskgraph.Wire, procs int, label, policy string) (string, *Er
 }
 
 // graphOrBuild returns the request's graph, building it from the wire
-// form if parse skipped that on a cache hit (the entry was then evicted
-// before this request could read it, leaving it to compute). Once the
-// graph is built the wire is dropped: it points into the request's pooled
-// scratch, and pr may outlive the handler in an abandoned attempt.
+// form, with the platform it runs on, if parse skipped that on a cache
+// hit (the entry was then evicted before this request could read it,
+// leaving it to compute). Once the graph is built the wire is dropped: it
+// points into the request's pooled scratch, and pr may outlive the
+// handler in an abandoned attempt.
 func (pr *parsedRequest) graphOrBuild() (*taskgraph.Graph, *Error) {
 	if pr.graph == nil {
 		g, err := pr.wire.Build()
 		if err != nil {
 			return nil, Errorf(ClassInvalid, err.Error())
 		}
-		pr.graph, pr.wire = g, nil
+		sys, err := platform.New(pr.procs)
+		if err != nil {
+			return nil, Errorf(ClassInvalid, err.Error())
+		}
+		pr.graph, pr.sys, pr.wire = g, sys, nil
 	}
 	return pr.graph, nil
 }
@@ -506,7 +489,7 @@ func renderResponse(pr *parsedRequest, res *core.Result, sched *scheduler.Schedu
 	b = append(b, `,"assigner":`...)
 	b = taskgraph.AppendJSONString(b, pr.assigner.Label())
 	b = append(b, `,"procs":`...)
-	b = strconv.AppendInt(b, int64(pr.sys.NumProcs()), 10)
+	b = strconv.AppendInt(b, int64(pr.procs), 10)
 	b = append(b, `,"verdict":{"schedulable":`...)
 	b = strconv.AppendBool(b, missed == 0)
 	b = append(b, `,"maxLateness":`...)

@@ -71,7 +71,7 @@ func marshalResponse(pr *parsedRequest, res *core.Result, sched *scheduler.Sched
 	resp := Response{
 		Key:      pr.key,
 		Assigner: pr.assigner.Label(),
-		Procs:    pr.sys.NumProcs(),
+		Procs:    pr.procs,
 		Verdict: Verdict{
 			MaxLateness:     sched.MaxLateness(pr.graph, res),
 			Makespan:        sched.Makespan,
@@ -223,7 +223,7 @@ func FuzzRenderResponse(f *testing.F) {
 		sched := &scheduler.Schedule{Finish: make([]float64, n), Proc: make([]int, n), Makespan: makespan}
 		res.Release[0], res.Absolute[0], res.Release[1], res.Absolute[1] = r0, d0, r1, d1
 		sched.Finish[0], sched.Finish[1], sched.Proc[1] = d1, makespan, 1
-		sameRender(t, &parsedRequest{graph: g, key: key, assigner: asg, sys: sys}, res, sched)
+		sameRender(t, &parsedRequest{graph: g, key: key, assigner: asg, sys: sys, procs: sys.NumProcs()}, res, sched)
 	})
 }
 

@@ -50,7 +50,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // with strconv, so its value and its out-of-range refusals are strconv's.
 func checkNumber(t *testing.T, src string) {
 	t.Helper()
-	sc := NewScanner(src)
+	sc := NewScanner([]byte(src))
 	f := sc.float()
 	got := !sc.Failed() && sc.atEnd()
 	isNull := strings.Trim(src, " \t\r\n") == "null"
@@ -59,7 +59,7 @@ func checkNumber(t *testing.T, src string) {
 	if got != wantOK || got && !sameBits(f, want) {
 		t.Fatalf("float %q: scan %v (accepted %v), encoding/json %v (accepted %v)", src, f, got, want, wantOK)
 	}
-	sc = NewScanner(src)
+	sc = NewScanner([]byte(src))
 	n := sc.Int()
 	got = !sc.Failed() && sc.atEnd()
 	var wantN int
@@ -155,8 +155,9 @@ func BenchmarkScanFloat(b *testing.B) {
 		{"20-digit", "1.2345678901234567891"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			lit := []byte(bc.lit)
 			for i := 0; i < b.N; i++ {
-				sc := NewScanner(bc.lit)
+				sc := NewScanner(lit)
 				floatSink = sc.float()
 			}
 		})

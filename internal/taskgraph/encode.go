@@ -167,7 +167,7 @@ func decodeWire(data []byte) (Wire, error) {
 	var w Wire
 	// The scan reads data in place, so the wire's names alias it; Decode
 	// is done with them once Build has copied them into the graph.
-	sc := NewScannerBytes(data)
+	sc := NewScanner(data)
 	if sc.Wire(&w, nil); sc.atEnd() && !sc.Failed() {
 		return w, nil
 	}

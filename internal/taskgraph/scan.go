@@ -9,7 +9,7 @@ import (
 	"unsafe"
 )
 
-// Scanner reads JSON values from a string in one pass, without reflection,
+// Scanner reads JSON values from bytes in one pass, in place, without reflection,
 // accepting only a strict subset of the grammar: exact-case known keys,
 // each at most once per object; strings with no escape sequences, no
 // control bytes and valid UTF-8; numbers in the JSON grammar, each read
@@ -30,14 +30,11 @@ type Scanner struct {
 	failed bool
 }
 
-// NewScanner returns a Scanner positioned at the start of src.
-func NewScanner(src string) Scanner { return Scanner{src: src} }
-
-// NewScannerBytes returns a Scanner over src read in place, without a
+// NewScanner returns a Scanner over src read in place, without a
 // copy. Every string it yields aliases src, so src must not change while
 // any of them is in use: a caller that reuses src must first copy out, or
 // be done with, every string read from it.
-func NewScannerBytes(src []byte) Scanner {
+func NewScanner(src []byte) Scanner {
 	return Scanner{src: unsafe.String(unsafe.SliceData(src), len(src))}
 }
 
@@ -118,75 +115,21 @@ func (s *Scanner) member(i int, end byte) bool {
 	return false
 }
 
-// Keys is the set of names an object's keys may take, in the order
-// Scanner.Key numbers them. Each name must be plain ASCII: no control
-// byte, quote or backslash.
-type Keys struct {
-	names []string
-	// tokens holds, for each name, the bytes '"' + name + '":' that open
-	// its member when it holds no whitespace, as two little-endian words
-	// with the masks that cut them to the token's n bytes. A token longer
-	// than 16 bytes has n == 0.
-	tokens []keyToken
-}
-
-type keyToken struct {
-	word, mask [2]uint64
-	n          int
-}
-
-// NewKeys returns the key set of names, at most 64 of them.
-func NewKeys(names ...string) *Keys {
-	ks := &Keys{names: names, tokens: make([]keyToken, len(names))}
-	for k, name := range names {
-		tok := `"` + name + `":`
-		if len(tok) > 16 {
-			continue
-		}
-		t := &ks.tokens[k]
-		t.n = len(tok)
-		for j := 0; j < len(tok); j++ {
-			t.word[j/8] |= uint64(tok[j]) << (8 * (j % 8))
-			t.mask[j/8] |= 0xff << (8 * (j % 8))
-		}
-	}
-	return ks
-}
-
-// load64 returns the eight bytes of s from i on, little-endian: one load.
-func load64(s string, i int) uint64 {
-	s = s[i : i+8]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
 // Key reads the i-th key of the object being read (i counts from 0), and
-// the colon after it, and returns the key's index in ks. At the closing
-// brace, which it reads, and on failure it returns -1. A key that is not
-// in ks (matched exact-case) or whose bit is already set in *seen fails
-// the scan.
-func (s *Scanner) Key(i int, ks *Keys, seen *uint64) int {
+// the colon after it, and returns the key's index in names. At the
+// closing brace, which it reads, and on failure it returns -1. A key that
+// is not in names (matched exact-case) or whose bit is already set in
+// *seen fails the scan. Each name must be plain ASCII: no control byte,
+// quote or backslash; there are at most 64 of them.
+func (s *Scanner) Key(i int, names []string, seen *uint64) int {
 	if !s.member(i, '}') {
 		return -1
 	}
+	// Cut the key at its closing quote and match it whole. A name is
+	// plain ASCII, so a key equal to one is the string String would read,
+	// and the cut stops at the first byte no name holds. Every name
+	// before the first unseen one is seen, so the match starts there.
 	src, p := s.src, s.pos
-	// Every name before the first unseen one is seen, so the match starts
-	// there. A member opened without whitespace matches its name's token,
-	// quotes and colon included, in one comparison of two words.
-	k := bits.TrailingZeros64(^*seen)
-	if p+16 <= len(src) {
-		lo, hi := load64(src, p), load64(src, p+8)
-		for j := k; j < len(ks.tokens); j++ {
-			if t := &ks.tokens[j]; t.n > 0 && lo&t.mask[0] == t.word[0] && hi&t.mask[1] == t.word[1] && *seen&(1<<j) == 0 {
-				s.pos = p + t.n
-				*seen |= 1 << j
-				return j
-			}
-		}
-	}
-	// Otherwise cut the key at its closing quote and match it whole. A
-	// name is plain ASCII, so a key equal to one is the string String
-	// would read, and the cut stops at the first byte no name holds.
 	if p < len(src) && src[p] == '"' {
 		end := p + 1
 		for end < len(src) && plainASCII[src[end]] {
@@ -194,8 +137,8 @@ func (s *Scanner) Key(i int, ks *Keys, seen *uint64) int {
 		}
 		if end < len(src) && src[end] == '"' {
 			key := src[p+1 : end]
-			for ; k < len(ks.names); k++ {
-				if key == ks.names[k] && *seen&(1<<k) == 0 {
+			for k := bits.TrailingZeros64(^*seen); k < len(names); k++ {
+				if key == names[k] && *seen&(1<<k) == 0 {
 					return s.colon(k, end+1, seen)
 				}
 			}
@@ -419,9 +362,9 @@ func (s *Scanner) Int() int {
 // The keys of the wire form's objects, in the order their decoders switch
 // on them: the JSON names tagged on Wire, WireSubtask and WireArc.
 var (
-	wireKeys    = NewKeys("subtasks", "arcs")
-	subtaskKeys = NewKeys("name", "cost", "release", "endToEnd", "pinned")
-	arcKeys     = NewKeys("from", "to", "size")
+	wireKeys    = []string{"subtasks", "arcs"}
+	subtaskKeys = []string{"name", "cost", "release", "endToEnd", "pinned"}
+	arcKeys     = []string{"from", "to", "size"}
 )
 
 // Wire reads a task graph's interchange form into the zero Wire w. Its

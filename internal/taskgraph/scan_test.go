@@ -12,7 +12,7 @@ import (
 // data as a whole document.
 func scanWire(data []byte) (Wire, bool) {
 	var w Wire
-	sc := NewScanner(string(data))
+	sc := NewScanner(data)
 	sc.Wire(&w, nil)
 	return w, sc.atEnd() && !sc.Failed()
 }
@@ -128,11 +128,12 @@ func TestScanSubset(t *testing.T) {
 // source, so a decoded graph's names cost no allocation of their own.
 func TestScanNamesShareSource(t *testing.T) {
 	src := `{"subtasks":[{"name":"alpha","cost":1},{"name":"beta","cost":2}],"arcs":[{"from":"alpha","to":"beta","size":1}]}`
+	data := []byte(src)
 	var w Wire
-	sc := NewScanner(src)
+	sc := NewScanner(data)
 	allocs := testing.AllocsPerRun(20, func() {
 		w = Wire{}
-		sc = NewScanner(src)
+		sc = NewScanner(data)
 		sc.Wire(&w, nil)
 	})
 	if sc.Failed() {
